@@ -80,7 +80,8 @@ def run_phase(
     ``period`` (seconds per round) makes the phase open-loop; ``None``
     runs it closed-loop.  ``prefix`` keeps session ids unique when the
     same plan is replayed twice on one tier.  ``on_round(r)`` runs
-    after each round, outside any serving call.
+    after each round, outside any serving call; its time is left out of
+    the phase's ``wall_s``.
     """
     clock = time.perf_counter
     starts: dict[int, list[Session]] = {}
@@ -104,6 +105,7 @@ def run_phase(
             due = t0 + (session.start + min(event.peak // chunk, last)) * period
             latencies.append(now - due)
 
+    aside = 0.0  # time spent in on_round
     t0 = clock()
     for r in range(n_rounds):
         if period is not None:
@@ -127,7 +129,9 @@ def run_phase(
                 still.append(session)
         live = still
         if on_round is not None:
+            t = clock()
             on_round(r)
-    wall = clock() - t0
+            aside += clock() - t
+    wall = clock() - t0 - aside
     ecg = sum(len(s.x) for s in plan) / FS
     return PhaseResult(wall, ecg, events, latencies, lateness)

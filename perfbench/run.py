@@ -19,9 +19,16 @@ A run has three parts:
 * **Set-up** (``setup_s``): from ``load_embedded`` to the return of
   the first ingest of every initial session.
 * **Replays**: the plan replayed closed-loop (``realtime_factor``,
-  ``cpu_ms_per_ecg_s``), alternating with set-ups, and then once
-  open-loop at the workload's offered rate (verdict latencies).  Each
-  timed metric is the median of samples spread over the whole run.
+  ``cpu_ms_per_ecg_s``), alternating with set-ups, for four fifths of
+  ``--seconds``, and then once open-loop at the workload's offered
+  rate (verdict latencies).  Each timed metric is the median of
+  samples spread over the whole run.
+
+``setup_s``, ``realtime_factor`` and ``cpu_ms_per_ecg_s`` are
+normalised to a reference host speed with the calibration kernel of
+``calibrate.py``, timed next to every sample, and a replay's wall time
+leaves out the VM's steal time; the raw values are in the detailed
+record.
 """
 
 from __future__ import annotations
@@ -42,11 +49,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: Closed-loop replays per untraced run, each after two bring-ups;
-#: one more bring-up precedes the open-loop replay, so ``setup_s`` is
-#: the median of 17 samples spread over the run.
-CYCLES = 8
-BRING_UPS_PER_CYCLE = 2
+#: Closed-loop replays continue, each after five bring-ups, until
+#: four fifths of ``--seconds`` have passed, and at least this often.
+MIN_CYCLES = 5
+BRING_UPS_PER_CYCLE = 5
+#: Calibration kernel calls just before each bring-up, and how often a
+#: closed-loop replay takes one.
+SETUP_KERNEL_CALLS = 3
+KERNEL_EVERY_ROUNDS = 2
 #: Untraced/traced closed-loop replay pairs per traced run.
 TRACED_PAIRS = 2
 #: Seed of the classifier training set (the program, not the workload).
@@ -185,7 +195,7 @@ class Run:
         self.details: dict = {"provenance": provenance(args.seed)}
         self.metrics: dict[str, float] = {}
         self.tier = None
-        self.child_rss_mib = 0.0
+        self.child_mib = 0.0
 
     # -- preparation -----------------------------------------------------
 
@@ -219,10 +229,13 @@ class Run:
 
     # -- set-up ------------------------------------------------------------
 
-    def bring_up(self, tag: str) -> float:
+    def bring_up(self, tag: str, calibration=None) -> float:
         """Replace the tier with a fresh one: build it, open the initial
         sessions and ingest one chunk each, and return the elapsed time.
-        The set-up sessions are closed again outside the clock."""
+        The set-up sessions are closed again outside the clock.  A
+        ``calibration`` gets kernel samples right before the clock
+        starts, when the previous tier's processes have all ended (just
+        after it, a new host's workers are still starting)."""
         from tier import bring_up
 
         self.shutdown_tier()
@@ -230,6 +243,8 @@ class Run:
         initial = [s for s in self.plan if s.start == 0]
         call = self.ledger.call
         gc.collect()
+        if calibration is not None:
+            calibration.take(SETUP_KERNEL_CALLS)
         t0 = time.perf_counter()
         self.tier = bring_up(w, self.classifier_path, self.scratch / f"journal-{tag}")
         target = self.tier.target
@@ -245,29 +260,47 @@ class Run:
     def shutdown_tier(self) -> None:
         if self.tier is None:
             return
-        self.child_rss_mib = max(self.child_rss_mib, self.tier.peak_rss_mib())
         self.tier.shutdown()
         self.tier = None
 
     # -- phases ------------------------------------------------------------
 
-    def capacity(self, prefix: str, tracer=None):
+    def capacity(self, prefix: str, tracer=None, calibration=None):
         """One closed-loop replay of the plan; returns it with the CPU
-        seconds every process of the tier spent on it."""
+        seconds every process of the tier spent on it and the steal time
+        of the VM meanwhile.  A ``calibration`` gets a kernel sample every
+        few rounds; its time is left out of the replay's wall and CPU
+        time."""
         from replay import run_phase
+        from tier import steal_seconds
 
         tier = self.tier
-        cpu0, child0 = time.process_time(), tier.cpu_seconds()
+        on_round = None
+        if calibration is not None:
+            def on_round(r: int) -> None:
+                if r % KERNEL_EVERY_ROUNDS == 0:
+                    calibration.take()
+        cpu0, child0, steal0 = time.process_time(), tier.cpu_seconds(), steal_seconds()
         if tracer is not None:
             tracer.install()
         try:
-            result = run_phase(tier.target, self.plan, self.workload.chunk, self.ledger, prefix=prefix)
+            result = run_phase(
+                tier.target, self.plan, self.workload.chunk, self.ledger,
+                prefix=prefix, on_round=on_round,
+            )
         finally:
             if tracer is not None:
                 tracer.uninstall()
         cpu = time.process_time() - cpu0 + tier.cpu_seconds() - child0
+        steal = steal_seconds() - steal0
+        if calibration is not None:
+            cpu -= calibration.cpu_s
         self.ledger.check(result.events, self.reference)
-        return result, cpu
+        self.note_memory()
+        return result, cpu, steal
+
+    def note_memory(self) -> None:
+        self.child_mib = max(self.child_mib, self.tier.private_mib())
 
     def open_loop(self, prefix: str, on_round=None):
         from replay import run_phase
@@ -277,6 +310,7 @@ class Run:
             period=self.period, prefix=prefix, on_round=on_round,
         )
         self.ledger.check(result.events, self.reference)
+        self.note_memory()
         lateness = result.lateness_s
         self.details["open_loop"] = {
             "wall_s": result.wall_s,
@@ -290,30 +324,74 @@ class Run:
     def untraced(self) -> None:
         """The end-to-end metrics.  Set-up samples and closed-loop
         replays alternate through the run, so each median spans the
-        whole run rather than one stretch of it."""
+        whole run rather than one stretch of it.  Each sample is scaled
+        to the reference host by the calibration kernel timed next to
+        it."""
+        from calibrate import Calibration
         from tier import peak_rss_mib, reset_peak_rss
+        from workloads import OPEN_LOOP_SHARE
 
         reset_peak_rss()
         setup, replays = [], []
-        for k in range(CYCLES):
+
+        def timed_bring_up(tag: str) -> None:
+            calibration = Calibration()
+            setup.append((self.bring_up(tag, calibration), calibration))
+
+        budget = (1.0 - OPEN_LOOP_SHARE) * self.args.seconds
+        start = time.monotonic()
+        k = 0
+        while k < MIN_CYCLES or time.monotonic() - start < budget:
             for j in range(BRING_UPS_PER_CYCLE):
-                setup.append(self.bring_up(f"{k}.{j}"))
-            replays.append(self.capacity(f"cap{k}-"))
-        setup.append(self.bring_up("lat"))
+                timed_bring_up(f"{k}.{j}")
+            calibration = Calibration()
+            result, cpu, steal = self.capacity(f"cap{k}-", calibration=calibration)
+            replays.append({
+                "ecg_s": result.ecg_s,
+                "wall_s": result.wall_s,
+                "cpu_s": cpu,
+                "steal_s": steal,
+                "kernel_ms": calibration.kernel_s * 1e3,
+                "kernel_samples": len(calibration.samples),
+                "scale": calibration.scale(),
+            })
+            k += 1
+        timed_bring_up("lat")
         latency = self.open_loop("lat-").latencies_s
         q = tail_percentile(len(latency))
+
+        def realtime_factor(r: dict) -> float:
+            # The share of the tier's runnable time the hypervisor gave
+            # to other guests comes off the wall time; CPU times already
+            # leave it out.
+            wall = r["wall_s"] * r["cpu_s"] / (r["cpu_s"] + r["steal_s"])
+            return r["ecg_s"] / (wall * r["scale"])
+
         self.metrics = {
-            "realtime_factor": statistics.median(r.realtime_factor for r, _ in replays),
-            "cpu_ms_per_ecg_s": statistics.median(cpu * 1e3 / r.ecg_s for r, cpu in replays),
+            "realtime_factor": statistics.median(realtime_factor(r) for r in replays),
+            "cpu_ms_per_ecg_s": statistics.median(
+                r["cpu_s"] * r["scale"] * 1e3 / r["ecg_s"] for r in replays
+            ),
             "verdict_latency_p50_ms": percentile_ms(latency, 50),
             "verdict_latency_p99_ms": percentile_ms(latency, q),
-            "peak_rss_mb": peak_rss_mib() + max(self.child_rss_mib, self.tier.peak_rss_mib()),
-            "setup_s": statistics.median(setup),
+            "peak_rss_mb": peak_rss_mib() + self.child_mib,
+            "setup_s": statistics.median(t * c.scale() for t, c in setup),
         }
-        self.details["setup_samples_s"] = setup
-        self.details["capacity"] = [
-            {"wall_s": r.wall_s, "ecg_s": r.ecg_s, "cpu_s": cpu} for r, cpu in replays
+        self.details["raw"] = {
+            "realtime_factor": statistics.median(r["ecg_s"] / r["wall_s"] for r in replays),
+            "cpu_ms_per_ecg_s": statistics.median(r["cpu_s"] * 1e3 / r["ecg_s"] for r in replays),
+            "setup_s": statistics.median(t for t, _ in setup),
+            "kernel_ms": statistics.median(r["kernel_ms"] for r in replays),
+            "steal_share": statistics.median(
+                r["steal_s"] / (r["cpu_s"] + r["steal_s"]) for r in replays
+            ),
+            "benchmark_process_peak_mib": peak_rss_mib(),
+            "child_private_mib": self.child_mib,
+        }
+        self.details["setup_samples"] = [
+            {"raw_s": t, "kernel_ms": c.kernel_s * 1e3} for t, c in setup
         ]
+        self.details["capacity"] = replays
         self.details["verdict_latency"] = {"samples": len(latency), "tail_percentile": q}
 
     def traced(self) -> None:

@@ -2,13 +2,16 @@
 
 Run from the repository root::
 
-    python3 perfbench/steadiness.py --runs 10 --seconds 15 --out perfbench/STEADINESS.md
+    python3 perfbench/steadiness.py --runs 10 --first-seed 1 > set-a.md
 
-For every workload it runs ``perfbench/run.py`` once per seed (one
-after the other, never in parallel), then reports per metric the
-median, the quartiles (``statistics.quantiles(values, n=4)``) and the
-spread: the interquartile distance as a share of the median, next to
-the bound ``BENCHMARK.json`` sets for that metric.
+For every workload in ``BENCHMARK.json`` it runs ``perfbench/run.py``
+once per seed, for ``run_seconds`` (one run after the other, never in
+parallel).  It then reports per metric the median, the quartiles
+(``statistics.quantiles(values, n=4)``) and the spread: the
+interquartile distance as a share of the median, next to the bound
+``BENCHMARK.json`` sets for that metric.  Rows marked *raw* give the
+timed metrics before normalisation, and the calibration kernel's time,
+from each run's detailed record.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 
+RAW = (
+    ("raw realtime_factor", "realtime_factor", "ecg_s/s"),
+    ("raw cpu_ms_per_ecg_s", "cpu_ms_per_ecg_s", "ms/ecg_s"),
+    ("raw setup_s", "setup_s", "s"),
+    ("raw kernel time", "kernel_ms", "ms"),
+    ("raw steal share", "steal_share", "ratio"),
+)
+
+
 def run_once(workload: str, seed: int, seconds: float) -> dict:
     cmd = [
         sys.executable, str(HERE / "run.py"), "--workload", workload,
@@ -37,6 +49,8 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not result.get("correct"):
         raise RuntimeError(f"{workload} seed {seed} failed ({proc.returncode}):\n{proc.stderr}")
     result["wall_s"] = time.monotonic() - start
+    record = ROOT / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    result["raw"] = json.loads(record.read_text())["raw"]
     return result
 
 
@@ -49,16 +63,13 @@ def spread(values: list[float]) -> tuple[float, float, float, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workloads", nargs="*", default=None)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
 
     lines = [
@@ -81,13 +92,16 @@ def main(argv=None) -> int:
                 f"| {workload} | {name} | {metric['unit']} | {median:.4g} | {q1:.4g} | "
                 f"{q3:.4g} | {share:.3f} | {metric['bound']} |"
             )
+        for label, key, unit in RAW:
+            median, q1, q3, share = spread([r["raw"][key] for r in runs])
+            lines.append(
+                f"| {workload} | {label} | {unit} | {median:.4g} | {q1:.4g} | "
+                f"{q3:.4g} | {share:.3f} | |"
+            )
         walls = [r["wall_s"] for r in runs]
         lines.append(f"| {workload} | run wall time (median, min, max) | s | {statistics.median(walls):.1f} "
                      f"| {min(walls):.1f} | {max(walls):.1f} | | |")
-    report = "\n".join(lines) + "\n"
-    print(report)
-    if args.out:
-        args.out.write_text(report)
+    print("\n".join(lines))
     return 0
 
 

@@ -4,7 +4,7 @@ The tier is built only through public entry points: ``load_embedded``,
 ``StreamGateway`` with ``open_journal`` / ``default_pipeline``, and
 ``spawn_host`` + ``FederatedGateway`` over a process-mode
 ``ShardedGateway``.  Child processes (the host and its workers) are
-tracked by pid so their CPU time and peak RSS can be read from
+tracked by pid so their CPU time and private memory can be read from
 ``/proc`` and so every one of them is stopped and reaped.
 """
 
@@ -54,15 +54,44 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / _CLK_TCK
 
 
-def peak_rss_mib(pid: int | str = "self") -> float:
+def steal_seconds() -> float:
+    """CPU time the hypervisor gave other guests while this VM's vCPUs
+    had work, summed over vCPUs (0 where the kernel does not report it).
+    Process CPU times leave it out; wall time does not."""
     try:
-        with open(f"/proc/{pid}/status") as fh:
+        with open("/proc/stat") as fh:
+            fields = fh.readline().split()
+        return int(fields[8]) / _CLK_TCK
+    except (OSError, IndexError, ValueError):
+        return 0.0
+
+
+def peak_rss_mib() -> float:
+    """Peak RSS of the benchmark process since :func:`reset_peak_rss`."""
+    try:
+        with open("/proc/self/status") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
     return 0.0
+
+
+def private_mib(pid: int) -> float:
+    """Memory one process owns alone (``Private_Clean`` +
+    ``Private_Dirty``).  Pages a forked child still shares copy-on-write
+    with the benchmark process are left out; they are counted once, in
+    the benchmark process's own peak."""
+    kib = 0
+    try:
+        with open(f"/proc/{pid}/smaps_rollup") as fh:
+            for line in fh:
+                if line.startswith(("Private_Clean:", "Private_Dirty:")):
+                    kib += int(line.split()[1])
+    except OSError:
+        pass
+    return kib / 1024.0
 
 
 def reset_peak_rss() -> None:
@@ -131,8 +160,9 @@ class Tier:
     def cpu_seconds(self) -> float:
         return sum(cpu_seconds(pid) for pid in self.pids)
 
-    def peak_rss_mib(self) -> float:
-        return sum(peak_rss_mib(pid) for pid in self.pids)
+    def private_mib(self) -> float:
+        """Memory the host and its workers own alone, summed, now."""
+        return sum(private_mib(pid) for pid in self.pids)
 
     def stats(self) -> dict:
         return self.target.stats()

@@ -26,13 +26,14 @@ class Workload:
     """One traffic mix and the tier that serves it.
 
     ``rate`` is the open-loop offered rate in ECG s/s, fixed at about
-    half the realtime factor the serving stack reached on a 2-CPU x86
-    box when the benchmark was written; it also sizes the fleet (see
+    half the realtime factor the serving stack reached on a shared
+    2-vCPU x86 VM in its slow stretches, when the benchmark was written
+    (``ward-250ms``: 414 ecg_s/s, rate 210; ``wire-churn``: 449
+    ecg_s/s, rate 180).  It also sizes the fleet (see
     :func:`plan_ecg_seconds`).
     """
 
     name: str
-    why: str
     tier: str  # "gateway" (in-process) or "federation" (one spawned host)
     chunk: int  # samples per ingest
     live: int  # sessions live at once
@@ -42,49 +43,21 @@ class Workload:
     rate: float
 
 
-#: ``holter-10s`` is not in BENCHMARK.json: on the shared 2-vCPU box
-#: the benchmark was tuned on, its realtime factor spread more than the
-#: 0.25 bound between runs.  It stays runnable with ``--workload``.
 WORKLOADS = {
     w.name: w
     for w in (
         Workload(
             name="ward-250ms",
-            why=(
-                "Bedside monitors: 16 live sessions, 250 ms chunks, analytics and a "
-                "file journal, so per-push, tick, fold and append costs dominate; "
-                "open loop at 300 ecg_s/s"
-            ),
             tier="gateway",
             chunk=90,
             live=16,
             churn=False,
             analytics=True,
             journal=True,
-            rate=300.0,
-        ),
-        Workload(
-            name="holter-10s",
-            why=(
-                "Holter uploads: 4 sessions, 10 s chunks, no analytics or journal, so "
-                "per-sample filter, wavelet and delineation arithmetic dominate; open "
-                "loop at 700 ecg_s/s"
-            ),
-            tier="gateway",
-            chunk=3600,
-            live=4,
-            churn=False,
-            analytics=False,
-            journal=False,
-            rate=700.0,
+            rate=210.0,
         ),
         Workload(
             name="wire-churn",
-            why=(
-                "Federated front door over one host with 2 sharded worker processes; "
-                "~12 live sessions open and close throughout, 250 ms chunks over the "
-                "wire; open loop at 180 ecg_s/s"
-            ),
             tier="federation",
             chunk=90,
             live=12,
@@ -116,7 +89,8 @@ def plan_ecg_seconds(workload: Workload, seconds: float) -> float:
     """ECG seconds in one replay of the plan.
 
     The open-loop replay at ``rate`` then lasts a fifth of ``seconds``;
-    eight closed-loop replays (at about twice the rate) fill the rest.
+    closed-loop replays (each about a tenth of ``seconds`` at twice the
+    rate) fill the rest.
     """
     return workload.rate * seconds * OPEN_LOOP_SHARE
 
