@@ -13,20 +13,21 @@ three, *independent of m*:
    so its extremum is ``op(tail[i], head[i + m - 1])``.
 
 :func:`sliding_extremum` is the batch form: three vectorized passes
-over the data, used by :func:`repro.dsp.morphological.erosion` and
+over the data (along the last axis, so independent rows share one
+pass), used by :func:`repro.dsp.morphological.erosion` and
 :func:`~repro.dsp.morphological.dilation`.
 
-:class:`StreamingExtremum` is the incremental form of the same
-recurrence (equivalently: the two-stack sliding-window queue).  It
-carries the forward running extremum of the current partial chunk and
-the backward extremum array of the previous chunk across ``push``
-calls, so each sample is touched a constant number of times no matter
-how the stream is blocked — amortized O(1) per sample even for
-one-sample pushes.  Edge handling replicates the batch operators'
-edge-replicated centered window: the first sample is virtually
-replicated ``length // 2`` times before the stream and ``flush``
-replicates the last sample, which makes a cascade of streaming stages
-*bit-exact* with the batch cascade from the very first output sample.
+:class:`StreamingExtremum` is the incremental form: it carries the
+last ``m - 1`` inputs and runs the recurrence over ``[carry | block]``
+on each push (at most ``m - 1`` extra samples per push), with chunks
+aligned to the carry so the carry's suffix extrema seed the block's
+windows.  One row is one stream;
+:meth:`StreamingExtremum.push_rows` advances many streams at once.
+Edge handling replicates the batch operators' edge-replicated centered
+window: the first sample is virtually replicated ``length // 2`` times
+before the stream and ``flush`` replicates the last sample, which
+makes a cascade of streaming stages *bit-exact* with the batch cascade
+from the very first output sample.
 
 Neither form is what the op counters model: the counters keep charging
 the naive ``m - 1`` comparisons per sample of the reference embedded C
@@ -44,25 +45,25 @@ def sliding_extremum(values: np.ndarray, length: int, maximum: bool = False) -> 
     Parameters
     ----------
     values:
-        1-D array (already padded by the caller if edge handling is
-        desired).
+        Array whose last axis is time (already padded by the caller if
+        edge handling is desired); leading axes are independent rows.
     length:
-        Window length ``m >= 1``; ``values`` must hold at least one
-        full window.
+        Window length ``m >= 1``; every row must hold at least one full
+        window.
     maximum:
         ``False`` for sliding minimum, ``True`` for sliding maximum.
 
     Returns
     -------
     np.ndarray
-        ``values.size - length + 1`` outputs;
-        ``out[i] == op(values[i : i + length])``.
+        ``values.shape[-1] - length + 1`` outputs per row;
+        ``out[..., i] == op(values[..., i : i + length])``.
     """
     values = np.asarray(values)
     m = int(length)
     if m < 1:
         raise ValueError("window length must be >= 1")
-    n = values.size
+    n = values.shape[-1]
     if n < m:
         raise ValueError("need at least one full window of samples")
     if m == 1:
@@ -72,19 +73,22 @@ def sliding_extremum(values: np.ndarray, length: int, maximum: bool = False) -> 
     if m <= 16:
         # Short windows: m - 1 fused elementwise passes beat the
         # chunked recurrence's bookkeeping.
-        out = values[:n_out].copy()
-        for k in range(1, m):
-            op(out, values[k : k + n_out], out=out)
+        out = op(values[..., :n_out], values[..., 1 : 1 + n_out])
+        for k in range(2, m):
+            op(out, values[..., k : k + n_out], out=out)
         return out
+    rows = values.shape[:-1]
     n_chunks = -(-n // m)
     # Filling the last partial chunk with copies of the final sample
     # keeps the suffix extrema exact without dtype-breaking sentinels.
     fill = n_chunks * m - n
-    ext = np.concatenate([values, np.broadcast_to(values[-1], (fill,))]) if fill else values
-    chunks = ext.reshape(n_chunks, m)
-    head = op.accumulate(chunks, axis=1).reshape(-1)
-    tail = op.accumulate(chunks[:, ::-1], axis=1)[:, ::-1].reshape(-1)
-    return op(tail[:n_out], head[m - 1 : m - 1 + n_out])
+    if fill:
+        pad = np.broadcast_to(values[..., -1:], rows + (fill,))
+        values = np.concatenate([values, pad], axis=-1)
+    chunks = values.reshape(rows + (n_chunks, m))
+    head = op.accumulate(chunks, axis=-1).reshape(rows + (-1,))
+    tail = op.accumulate(chunks[..., ::-1], axis=-1)[..., ::-1].reshape(rows + (-1,))
+    return op(tail[..., :n_out], head[..., m - 1 : m - 1 + n_out])
 
 
 class StreamingExtremum:
@@ -95,6 +99,12 @@ class StreamingExtremum:
     sample: output ``i`` equals the batch operator's output ``i`` and
     is emitted as soon as input sample ``i + right`` has been pushed
     (``right = length - 1 - left``).
+
+    The only state is the last ``m - 1`` inputs (fewer right after the
+    stream start).  Each push runs the sliding extremum over ``[carry
+    | block]``, so :meth:`push_rows` can advance many
+    equally-configured stages — one row each — in one 2-D pass; min
+    and max are exact, so the outputs do not depend on the row layout.
 
     ``push`` accepts arbitrary block sizes (including single samples)
     and returns the outputs that became computable; ``flush`` emits
@@ -110,88 +120,99 @@ class StreamingExtremum:
         self.length = m
         self.left = m // 2
         self.right = m - 1 - self.left
-        self._op = np.maximum if maximum else np.minimum
-        self._started = False
-        self._last: float | None = None
-        if m <= 16:
-            # Short windows: carry the last m - 1 samples and apply the
-            # fused shifted-slice kernel per push (m - 1 vectorized
-            # comparisons per sample — a constant, like the batch fast
-            # path in sliding_extremum).
-            self._carry = np.empty(0)
-        else:
-            # vHGW / two-stack state over chunks of size m - 1: the raw
-            # samples and forward running extremum of the current
-            # partial chunk, and the backward extremum array of the
-            # previous chunk (3 comparisons per sample, any m).
-            self._chunk = np.empty(m - 1)
-            self._pos = 0
-            self._run: float | None = None
-            self._suffix: np.ndarray | None = None
+        self.maximum = bool(maximum)
+        self._carry: np.ndarray | None = None  # None until the first push
+
+    @property
+    def steady(self) -> bool:
+        """Whether the carry holds a full ``m - 1`` inputs, so every
+        pushed sample yields one output."""
+        return self.length == 1 or (
+            self._carry is not None and self._carry.size == self.length - 1
+        )
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """Consume a block; return the newly computable outputs."""
         block = np.asarray(block, dtype=float)
         if block.ndim != 1:
             raise ValueError("blocks must be 1-D")
-        if block.size == 0:
-            return np.empty(0)
-        if self.length == 1:
-            return block.copy()
-        if not self._started:
-            self._started = True
-            if self.left:
-                # Virtual left edge padding: fewer than a full window,
-                # so this can never emit.
-                self._consume(np.full(self.left, block[0]))
-        self._last = block[-1]
-        return self._consume(block)
+        return self.push_rows([self], block[np.newaxis])[0]
 
     def flush(self) -> np.ndarray:
         """Emit the final outputs (trailing edge replication)."""
-        if self.length == 1 or not self._started or self.right == 0:
+        if self.length == 1 or self._carry is None or self.right == 0:
             return np.empty(0)
-        return self._consume(np.full(self.right, self._last))
+        return self.push(np.full(self.right, self._carry[-1]))
 
-    def _consume(self, data: np.ndarray) -> np.ndarray:
-        """Feed samples through the chunked recurrence; emit outputs.
+    @staticmethod
+    def push_rows(stages: list["StreamingExtremum"], blocks: np.ndarray) -> np.ndarray:
+        """Advance equally-configured stages by one block each.
 
-        A window of ``m`` samples ending at chunk position ``i`` is the
-        union of the previous chunk's suffix from ``i`` and the current
-        chunk's prefix through ``i`` (chunks have ``m - 1`` samples),
-        so each consumed sample costs one accumulate step plus one
-        combine, and each completed chunk one vectorized backward pass.
+        ``blocks`` is ``(rows, n)``; row ``r`` feeds ``stages[r]``.  All
+        stages must carry the same number of inputs (e.g. all
+        :attr:`steady`, or a single row).  Returns ``(rows, k)``.
         """
-        s = self.length - 1
-        if self.length <= 16:
-            ext = np.concatenate([self._carry, data]) if self._carry.size else data
-            self._carry = ext[max(0, ext.size - s) :]
-            n_out = ext.size - s
-            if n_out <= 0:
-                return np.empty(0)
-            out = ext[:n_out].copy()
-            for k in range(1, self.length):
-                self._op(out, ext[k : k + n_out], out=out)
-            return out
-        out: list[np.ndarray] = []
-        i = 0
-        n = data.size
-        while i < n:
-            take = min(s - self._pos, n - i)
-            seg = data[i : i + take]
-            self._chunk[self._pos : self._pos + take] = seg
-            acc = self._op.accumulate(seg)
-            if self._run is not None:
-                acc = self._op(acc, self._run)
-            if self._suffix is not None:
-                out.append(self._op(self._suffix[self._pos : self._pos + take], acc))
-            self._run = acc[-1]
-            self._pos += take
-            i += take
-            if self._pos == s:
-                self._suffix = self._op.accumulate(self._chunk[::-1])[::-1].copy()
-                self._pos = 0
-                self._run = None
-        if not out:
-            return np.empty(0)
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        first = stages[0]
+        m = first.length
+        if blocks.shape[1] == 0:
+            return np.empty((len(stages), 0))
+        if m == 1:
+            return blocks.copy()
+        if first._carry is None:
+            # Virtual left edge padding: the first input, replicated.
+            carry = np.repeat(blocks[:, :1], first.left, axis=1)
+        elif len(stages) == 1:
+            carry = first._carry[np.newaxis]
+        else:
+            carry = np.array([stage._carry for stage in stages])
+        s = m - 1
+        n = blocks.shape[1]
+        if m <= 16:
+            ext = np.concatenate([carry, blocks], axis=1)
+            out = ext[:, :0] if ext.shape[1] < m else sliding_extremum(ext, m, first.maximum)
+            carry = ext[:, -s:]
+        else:
+            op = np.maximum if first.maximum else np.minimum
+            out = _carried_extremum(carry, blocks, s, op)
+            # A fresh array: the carry must not alias the caller's block.
+            carry = (
+                blocks[:, n - s :].copy() if n >= s
+                else np.concatenate([carry, blocks], axis=1)[:, -s:]
+            )
+        for stage, row in zip(stages, carry):
+            stage._carry = row
+        return out
+
+
+def _carried_extremum(carry: np.ndarray, block: np.ndarray, s: int, op) -> np.ndarray:
+    """Sliding extremum over ``s + 1``-sample windows of ``[carry | block]``.
+
+    The vHGW recurrence with chunks of ``s`` samples aligned to the
+    carry boundary: the carry (at most ``s`` samples) is the first
+    chunk and the block is cut into ``s``-sample pieces.  A window of
+    ``s + 1`` samples spans exactly two adjacent chunks, so it is
+    ``op(suffix extremum of the earlier chunk, prefix extremum of the
+    later one)``.  Rows are independent.  Returns the
+    ``carry + block - s`` outputs per row (none during warm-up).
+    """
+    n = block.shape[1]
+    # Windows ending at piece index < lead would start before the carry.
+    lead = s - carry.shape[1]
+    tail = op.accumulate(carry[:, ::-1], axis=1)[:, ::-1]
+    if n <= s:  # one piece: the steady-state case for short pushes
+        if n <= lead:
+            return block[:, :0]
+        return op(tail[:, : n - lead], op.accumulate(block, axis=1)[:, lead:])
+    out = np.empty((block.shape[0], n - lead))
+    done = 0
+    for pos in range(0, n, s):
+        piece = block[:, pos : pos + s]
+        p = piece.shape[1]
+        if p > lead:
+            head = op.accumulate(piece, axis=1)[:, lead:]
+            op(tail[:, : p - lead], head, out=out[:, done : done + p - lead])
+            done += p - lead
+        if pos + s < n:
+            tail = op.accumulate(piece[:, ::-1], axis=1)[:, ::-1]
+            lead = 0
+    return out

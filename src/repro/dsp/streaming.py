@@ -8,18 +8,17 @@ This module provides that engine:
 * :class:`BlockFilter` — a cascade of :class:`~repro.dsp.kernels.StreamingExtremum`
   stages (erosion/dilation for baseline removal, opening/closing for
   denoising) plus a delay line for the baseline subtraction.  Every
-  stage carries its sliding-extremum running state across ``push``
-  calls, so each sample is touched a constant number of times no
-  matter the block size — amortized O(block) work per push, instead of
-  re-filtering a ``context + block`` buffer with the batch kernels on
-  every call.  The cascade seeds each stage with its first input
-  (matching the batch operators' left edge replication) and ``flush``
+  stage carries its last ``m - 1`` inputs across ``push`` calls, so a
+  push costs O(block + m) instead of re-filtering a ``context + block``
+  buffer with the batch kernels on every call.  The cascade seeds each
+  stage with its first input (matching the batch operators' left edge
+  replication) and ``flush``
   replicates each stage's last input (matching the right edge), which
   makes the streamed output **bit-exact** with
   ``filter_lead(whole_record)`` from the very first sample.
 * :class:`StreamingPeakDetector` — wavelet peak detection over the
   filtered stream.  A :class:`~repro.dsp.wavelet.StreamingWavelet`
-  carries the FIR state of all eight à-trous filters (each sample is
+  carries the FIR state of the à-trous filters (each sample is
   filtered once; the per-window transform recomputation of the old
   scheduler is gone) and per-scale running energy sums carry the
   detection thresholds across windows.  Only the cheap pairing /
@@ -43,6 +42,9 @@ This module provides that engine:
   capture the full session state (filters, wavelet, thresholds,
   delineator buffers, pending beats) as a picklable
   :class:`NodeSnapshot` so live sessions can migrate between shards.
+  :meth:`StreamingNode.push_rows` advances many nodes at once, running
+  their front ends (filters and wavelet) as one 2-D pass per stage —
+  the gateway's per-tick batching; state stays in each node.
 
 The filter/detector classes record no op counts: the counters model
 the embedded firmware's *batch-equivalent* arithmetic, which is
@@ -113,9 +115,10 @@ class BlockFilter:
 
     Unlike the original scheduler, which re-ran the batch kernels over
     a ``context + block`` buffer on every call (O((context + block)·m)
-    work per push), each stage here advances its own running state:
-    the amortized work per push is O(block), independent of both the
-    structuring-element lengths and the retained context.
+    work per push), each stage here carries only its last ``m - 1``
+    inputs: the work per push is O(block + m), independent of the
+    retained context.  :meth:`push_rows` advances many filters — one
+    row each — with one 2-D pass per stage.
     """
 
     def __init__(self, fs: float):
@@ -156,6 +159,13 @@ class BlockFilter:
         stages = self._baseline + self._open
         return sum(stage.right for stage in stages)
 
+    @property
+    def steady(self) -> bool:
+        """Whether every stage carries a full window of history, so a
+        push of ``n`` samples returns ``n`` and all steady filters share
+        one state shape (see :meth:`push_rows`)."""
+        return all(stage.steady for stage in self._baseline + self._open + self._close)
+
     @staticmethod
     def _through(stages: list[StreamingExtremum], block: np.ndarray) -> np.ndarray:
         for stage in stages:
@@ -167,9 +177,37 @@ class BlockFilter:
         block = np.asarray(block, dtype=float)
         if block.ndim != 1:
             raise ValueError("blocks must be 1-D")
-        self._raw = np.concatenate([self._raw, block])
-        baseline = self._through(self._baseline, block)
-        return self._denoise(self._debase(baseline))
+        return self.push_rows([self], block[np.newaxis])[0]
+
+    @staticmethod
+    def push_rows(filters: list["BlockFilter"], blocks: np.ndarray) -> np.ndarray:
+        """Advance equally-configured filters by one block each.
+
+        ``blocks`` is ``(rows, n)``; row ``r`` feeds ``filters[r]``.
+        Every stage of the cascade, the raw delay line, the baseline
+        subtraction and the ``(open + close) / 2`` step run as one 2-D
+        pass over all rows.  The filters must share one state shape —
+        all :attr:`steady`, or all fed identically (the leads of one
+        node), or a single row.  Returns ``(rows, k)``.
+        """
+        if len(filters) == 1:
+            raw = filters[0]._raw[np.newaxis]
+        else:
+            raw = np.array([f._raw for f in filters])
+        raw = np.concatenate([raw, blocks], axis=1)
+        baseline = blocks
+        for stages in zip(*(f._baseline for f in filters)):
+            baseline = StreamingExtremum.push_rows(stages, baseline)
+        k = baseline.shape[1]
+        for f, row in zip(filters, raw[:, k:]):
+            f._raw = row
+        debased = raw[:, :k] - baseline
+        opened = closed = debased
+        for stages in zip(*(f._open for f in filters)):
+            opened = StreamingExtremum.push_rows(stages, opened)
+        for stages in zip(*(f._close for f in filters)):
+            closed = StreamingExtremum.push_rows(stages, closed)
+        return (opened + closed) / 2.0
 
     def flush(self) -> np.ndarray:
         """Finalize the tail (edge-replicated, like the batch path).
@@ -178,7 +216,7 @@ class BlockFilter:
         fresh stream.
         """
         baseline = self._flush_cascade(self._baseline)
-        debased = self._debase(baseline)
+        debased = self._raw[: baseline.size] - baseline
         opened = np.concatenate(
             [self._through(self._open, debased), self._flush_cascade(self._open)]
         )
@@ -193,22 +231,9 @@ class BlockFilter:
     def _flush_cascade(stages: list[StreamingExtremum]) -> np.ndarray:
         """Flush a stage cascade in order, forwarding tails downstream."""
         out = np.empty(0)
-        for i, stage in enumerate(stages):
+        for stage in stages:
             out = np.concatenate([stage.push(out), stage.flush()])
         return out
-
-    def _debase(self, baseline: np.ndarray) -> np.ndarray:
-        """Pair finalized baseline samples with the delayed raw signal."""
-        if baseline.size == 0:
-            return baseline
-        debased = self._raw[: baseline.size] - baseline
-        self._raw = self._raw[baseline.size :]
-        return debased
-
-    def _denoise(self, debased: np.ndarray) -> np.ndarray:
-        opened = self._through(self._open, debased)
-        closed = self._through(self._close, debased)
-        return (opened + closed) / 2.0
 
 
 class StreamingPeakDetector:
@@ -269,9 +294,16 @@ class StreamingPeakDetector:
         self.window = int(round(window_s * fs))
         self.overlap = int(round(overlap_s * fs))
         self.config = config or PeakDetectorConfig()
-        self._wavelet = StreamingWavelet(n_scales=4)
-        self._coeffs = np.empty((4, 0))
-        self._offset = 0  # absolute index of coeffs[:, 0]
+        self.wavelet = StreamingWavelet(n_scales=4)
+        # Coefficient columns not yet consumed by an analysis window
+        # live in _buf[:, :_n] (absolute index _offset onward); the
+        # buffer is preallocated for a window plus a second of input
+        # and compacts only when a window is consumed, so a push costs
+        # O(push), not O(window).
+        self._capacity = self.window + int(round(fs))
+        self._buf = np.empty((4, self._capacity))
+        self._n = 0
+        self._offset = 0  # absolute index of _buf[:, 0]
         self._consumed = 0  # absolute samples pushed so far
         # Exponentially decayed per-scale energy: keeps the adaptivity
         # the old per-window RMS thresholds had, without recomputing
@@ -282,6 +314,18 @@ class StreamingPeakDetector:
         self._energy_pos = 0  # absolute index energy is folded through
         self._peaks: list[int] = []
 
+    def __getstate__(self) -> dict:
+        # Snapshots carry only the live columns, not the spare capacity.
+        state = self.__dict__.copy()
+        state["_buf"] = self._buf[:, : self._n].copy()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        live = self._buf
+        self._buf = np.empty((4, max(self._capacity, live.shape[1])))
+        self._buf[:, : self._n] = live
+
     def _thresholds(self) -> np.ndarray:
         """Running per-scale thresholds from the carried energy sums."""
         if self._count <= 0.0:
@@ -289,8 +333,16 @@ class StreamingPeakDetector:
         return self.config.threshold_factor * np.sqrt(self._sumsq / self._count)
 
     def _append(self, columns: np.ndarray) -> None:
-        if columns.shape[1]:
-            self._coeffs = np.concatenate([self._coeffs, columns], axis=1)
+        k = columns.shape[1]
+        if not k:
+            return
+        end = self._n + k
+        if end > self._buf.shape[1]:
+            grown = np.empty((4, max(end, 2 * self._buf.shape[1])))
+            grown[:, : self._n] = self._buf[:, : self._n]
+            self._buf = grown
+        self._buf[:, self._n : end] = columns
+        self._n = end
 
     def _fold_energy(self, through: int) -> None:
         """Fold buffered coefficient energy into the decayed sums.
@@ -303,7 +355,7 @@ class StreamingPeakDetector:
         k = through - self._energy_pos
         if k <= 0:
             return
-        columns = self._coeffs[:, self._energy_pos - self._offset : through - self._offset]
+        columns = self._buf[:, self._energy_pos - self._offset : through - self._offset]
         weights = self._decay ** np.arange(k - 1, -1, -1)
         decayed = self._decay**k
         self._sumsq = self._sumsq * decayed + np.square(columns) @ weights
@@ -315,25 +367,37 @@ class StreamingPeakDetector:
         filtered_block = np.asarray(filtered_block, dtype=float)
         if filtered_block.ndim != 1:
             raise ValueError("blocks must be 1-D")
-        self._consumed += filtered_block.size
-        self._append(self._wavelet.push(filtered_block))
+        return self.push_columns(filtered_block.size, self.wavelet.push(filtered_block))
+
+    def push_columns(self, n_samples: int, columns: np.ndarray) -> list[int]:
+        """Feed the :attr:`wavelet` columns ``n_samples`` filtered
+        samples produced (the transform may run elsewhere, e.g. in a
+        2-D pass over many detectors); return newly confirmed peaks."""
+        self._consumed += n_samples
+        self._append(columns)
         new_peaks: list[int] = []
-        while self._coeffs.shape[1] >= self.window:
-            segment = self._coeffs[:, : self.window]
-            self._fold_energy(self._offset + self.window)
+        advance = self.window - self.overlap
+        start = 0  # buffer column of the next analysis window
+        while self._n - start >= self.window:
+            origin = self._offset + start
+            self._fold_energy(origin + self.window)
+            segment = self._buf[:, start : start + self.window]
             detected = (
                 detect_peaks_from_wavelet(segment, self._thresholds(), self.fs, self.config)
-                + self._offset
+                + origin
             )
             # Peaks inside the trailing overlap are re-examined by the
             # next window (they may lack right context here).
-            confirm_before = self._offset + self.window - self.overlap
+            confirm_before = origin + self.window - self.overlap
             for peak in detected:
                 if peak < confirm_before:
                     new_peaks.append(int(peak))
-            advance = self.window - self.overlap
-            self._coeffs = self._coeffs[:, advance:]
-            self._offset += advance
+            start += advance
+        if start:
+            # Compact once per push that consumed windows.
+            self._n -= start
+            self._buf[:, : self._n] = self._buf[:, start : start + self._n]
+            self._offset += start
         return self._merge(new_peaks)
 
     def flush(self) -> list[int]:
@@ -345,18 +409,18 @@ class StreamingPeakDetector:
         stay on the global timeline, and confirmed peaks plus running
         thresholds are retained.
         """
-        self._append(self._wavelet.flush())
+        self._append(self.wavelet.flush())
         out: list[int] = []
-        if self._coeffs.shape[1] >= int(0.5 * self.fs):
-            self._fold_energy(self._offset + self._coeffs.shape[1])
+        if self._n >= int(0.5 * self.fs):
+            self._fold_energy(self._offset + self._n)
             detected = (
                 detect_peaks_from_wavelet(
-                    self._coeffs, self._thresholds(), self.fs, self.config
+                    self._buf[:, : self._n], self._thresholds(), self.fs, self.config
                 )
                 + self._offset
             )
             out = self._merge(int(p) for p in detected)
-        self._coeffs = np.empty((4, 0))
+        self._n = 0
         self._offset = self._consumed
         self._energy_pos = self._consumed
         return out
@@ -571,6 +635,7 @@ class StreamingNode:
         self._coalesce = int(coalesce)
         self._stash: list[np.ndarray] = []
         self._stashed = 0
+        self._front_steady = False
 
     @property
     def n_pending(self) -> int:
@@ -623,13 +688,38 @@ class StreamingNode:
             ]
         return node
 
-    def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
-        """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
+    def check_block(self, block: np.ndarray) -> np.ndarray:
+        """Validate raw samples ``(n,)`` or ``(n, n_leads)``; return them
+        as a float ``(n, n_leads)`` block."""
         block = np.asarray(block, dtype=float)
         if block.ndim == 1:
             block = block[:, np.newaxis]
         if block.ndim != 2 or block.shape[1] != self.n_leads:
             raise ValueError(f"blocks must be (n,) or (n, {self.n_leads})")
+        return block
+
+    @property
+    def front_steady(self) -> bool:
+        """Whether the front end (every lead filter and the wavelet) is
+        past its warm-up: steady nodes of one configuration share one
+        state shape, so :meth:`push_rows` can run them together.  Once
+        true it stays true until the stream ends."""
+        if not self._front_steady:
+            self._front_steady = self._detector.wavelet.steady and all(
+                f.steady for f in self._filters
+            )
+        return self._front_steady
+
+    def fits_rows(self, block: np.ndarray) -> bool:
+        """Whether a checked ``block`` may join a multi-row
+        :meth:`push_rows` pass: the front end is :attr:`front_steady`,
+        input is not coalesced, and the block is non-empty and shorter
+        than one second (longer pushes are chopped per node)."""
+        return 0 < block.shape[0] < self._chop and self._coalesce == 1 and self.front_steady
+
+    def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
+        """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
+        block = self.check_block(block)
         if self._coalesce > 1:
             # Stash sub-threshold pushes; run the kernels once enough
             # samples accumulate.  The stages are partition-invariant,
@@ -649,12 +739,44 @@ class StreamingNode:
     def _process(self, block: np.ndarray) -> list[StreamBeatEvent]:
         events: list[StreamBeatEvent] = []
         for i in range(0, block.shape[0], self._chop):
-            chunk = block[i : i + self._chop]
-            filtered = np.column_stack(
-                [self._filters[j].push(chunk[:, j]) for j in range(self.n_leads)]
-            )
-            events.extend(self._advance(filtered, final=False))
+            chunk = block[np.newaxis, i : i + self._chop]
+            events.extend(self.push_rows([self], chunk)[0])
         return events
+
+    @staticmethod
+    def push_rows(
+        nodes: list["StreamingNode"], blocks: np.ndarray
+    ) -> list[list[StreamBeatEvent]]:
+        """Advance nodes by one block each; return each node's new events.
+
+        ``blocks`` is ``(rows, n, n_leads)`` (checked blocks of at most
+        one second, row ``r`` for ``nodes[r]``).  The front end — every
+        lead filter and the wavelet — runs as **one 2-D pass per stage**
+        over all rows; the per-row rest (detector windows, segment
+        buffer, delineator, beat extraction) then runs node by node.
+        State stays in each node, so snapshots are unaffected.  Several
+        rows need nodes of one configuration that are all
+        :attr:`front_steady`; :meth:`push` is the one-row case.  Events
+        are bit-exact with pushing each node alone.
+        """
+        rows, n, leads = blocks.shape
+        filters = [f for node in nodes for f in node._filters]
+        filtered = BlockFilter.push_rows(
+            filters, blocks.transpose(0, 2, 1).reshape(rows * leads, n)
+        ).reshape(rows, leads, -1)
+        columns = StreamingWavelet.push_rows(
+            [node._detector.wavelet for node in nodes], filtered[:, nodes[0].lead]
+        )
+        return [
+            node._advance(f.T, c, final=False)
+            for node, f, c in zip(nodes, filtered, columns)
+        ]
+
+    def _front_tail(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flush the filters; return the filtered tail and its columns."""
+        self._front_steady = False  # the flushes restart the front end
+        tail = np.column_stack([f.flush() for f in self._filters])
+        return tail, self._detector.wavelet.push(tail[:, self.lead])
 
     def flush(self) -> list[StreamBeatEvent]:
         """Finalize the stream; return the remaining events.
@@ -676,8 +798,7 @@ class StreamingNode:
                 "(StreamGateway.close_session drives this)"
             )
         events = self._drain_stash()
-        tail = np.column_stack([f.flush() for f in self._filters])
-        events += self._advance(tail, final=True)
+        events += self._advance(*self._front_tail(), final=True)
         self._reset_stream()
         return events
 
@@ -707,8 +828,7 @@ class StreamingNode:
         if not self.defer_classification:
             raise RuntimeError("finish_input() applies to deferred-classify nodes; use flush()")
         events = self._drain_stash()
-        tail = np.column_stack([f.flush() for f in self._filters])
-        return events + self._advance(tail, final=True)
+        return events + self._advance(*self._front_tail(), final=True)
 
     def finalize(self) -> list[StreamBeatEvent]:
         """Deferred mode, step 3 of the stream end: emit the tail events.
@@ -791,12 +911,16 @@ class StreamingNode:
         self._stash.clear()
         self._stashed = 0
 
-    def _advance(self, filtered: np.ndarray, final: bool) -> list[StreamBeatEvent]:
+    def _advance(
+        self, filtered: np.ndarray, columns: np.ndarray, final: bool
+    ) -> list[StreamBeatEvent]:
+        """The per-row rest of a push: ``filtered`` is ``(k, n_leads)``
+        and ``columns`` the wavelet columns of its detection lead."""
         if filtered.shape[0]:
             for peak, fiducials in self._delineator.push(filtered):
                 self._done[peak] = fiducials
             self._append_segment_buffer(filtered[:, self.lead])
-            new_peaks = self._detector.push(filtered[:, self.lead])
+            new_peaks = self._detector.push_columns(filtered.shape[0], columns)
             self._count += filtered.shape[0]
         else:
             new_peaks = []

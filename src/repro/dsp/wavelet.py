@@ -110,7 +110,7 @@ def dyadic_wavelet(
 class _StreamingFIR:
     """Causal FIR filter with carried state (exact blockwise convolve).
 
-    Feeding a stream through ``push`` block by block reproduces
+    Feeding a stream through :meth:`push_rows` block by block reproduces
     ``np.convolve(whole_stream, taps, mode="full")[:n]`` bit for bit.
     The history holds the last ``len(taps) - 1`` *real* samples (never
     zero padding), so every emitted output is produced by a dot product
@@ -122,33 +122,61 @@ class _StreamingFIR:
         self.taps = np.asarray(taps, dtype=float)
         self._hist = np.empty(0)
 
-    def push(self, block: np.ndarray) -> np.ndarray:
-        if block.size == 0:
-            return np.empty(0)
-        combined = np.concatenate([self._hist, block]) if self._hist.size else block
-        if combined.size < self.taps.size:
+    @property
+    def steady(self) -> bool:
+        """Whether the history is full (``len(taps) - 1`` samples)."""
+        return self._hist.size == self.taps.size - 1
+
+    @staticmethod
+    def push_rows(firs: list["_StreamingFIR"], blocks: np.ndarray) -> np.ndarray:
+        """Filter one ``(rows, n)`` block per equally-tapped filter.
+
+        The rows' ``[history | block]`` segments are laid end to end
+        and go through **one** ``np.convolve``; the outputs that
+        straddle two rows are discarded.  With full histories every
+        emitted output is a full-overlap dot product over the same
+        operands in the same order as a per-row call, so the result is
+        bit-exact with filtering each row alone.  Several rows
+        therefore need :attr:`steady` filters; a single row may be
+        anywhere in its stream.
+        """
+        rows, n = blocks.shape
+        if n == 0:
+            return np.empty((rows, 0))
+        first = firs[0]
+        taps = first.taps
+        h = first._hist.size
+        if rows == 1:
+            flat = np.concatenate([first._hist, blocks[0]])
+        elif h < taps.size - 1:
+            raise ValueError("multi-row FIR pushes need full filter histories")
+        else:
+            hists = np.array([f._hist for f in firs])
+            flat = np.concatenate([hists, blocks], axis=1).ravel()
+        width = h + n
+        combined = flat.reshape(rows, width)
+        if flat.size < taps.size:
             # np.convolve swaps its arguments when the signal is the
             # shorter one, which reverses the summation order of the
             # boundary dot products.  Right-padding with zeros keeps
             # the batch argument order without touching the emitted
             # outputs (they only depend on samples before the padding).
-            ext = np.concatenate([combined, np.zeros(self.taps.size - combined.size)])
-        else:
-            ext = combined
-        out = np.convolve(ext, self.taps, mode="full")
-        emitted = out[self._hist.size : self._hist.size + block.size]
-        keep = min(combined.size, self.taps.size - 1)
-        self._hist = combined[combined.size - keep :]
-        return emitted
+            flat = np.concatenate([flat, np.zeros(taps.size - flat.size)])
+        out = np.convolve(flat, taps, mode="full")[: rows * width].reshape(rows, width)
+        keep = min(width, taps.size - 1)
+        for fir, row in zip(firs, combined[:, width - keep :]):
+            fir._hist = row
+        return out[:, h:]
 
 
 class StreamingWavelet:
     """Stateful à-trous transform emitting delay-compensated columns.
 
     The batch :func:`dyadic_wavelet` recomputes every filter over the
-    whole record; this class carries the FIR state of all ``2 *
-    n_scales`` filters across ``push`` calls so each input sample is
-    filtered exactly once, no matter how the stream is blocked.
+    whole record; this class carries the FIR state of the filters
+    across ``push`` calls so each input sample is filtered exactly
+    once, no matter how the stream is blocked.  (The last scale's
+    low-pass output feeds nothing, so that filter is not run.)
 
     ``push(block)`` returns an ``(n_scales, k)`` array of the aligned
     coefficient columns that became complete across *all* scales (the
@@ -157,6 +185,8 @@ class StreamingWavelet:
     trailing replication the batch transform applies.  Concatenating
     all outputs is **bit-exact** with ``dyadic_wavelet(whole_stream)``
     — the tests assert equality for arbitrary block partitions.
+    :meth:`push_rows` advances many :attr:`steady` transforms, one row
+    each, with one 2-D pass per filter.
     """
 
     def __init__(self, n_scales: int = 4):
@@ -168,36 +198,72 @@ class StreamingWavelet:
         for j in range(1, n_scales + 1):
             factor = 1 << (j - 1)
             self._highpass.append(_StreamingFIR(_upsample(HIGHPASS, factor)))
-            self._lowpass.append(_StreamingFIR(_upsample(LOWPASS, factor)))
+            if j < n_scales:
+                self._lowpass.append(_StreamingFIR(_upsample(LOWPASS, factor)))
         self._delays = [scale_delay(j) for j in range(1, n_scales + 1)]
         # Per-scale uncompensated detail samples not yet emitted as
-        # aligned columns; _base[j] is the absolute index of the first
-        # buffered detail sample.
+        # aligned columns (plus the last value, kept for the flush
+        # replication); the next column of scale j is
+        # _details[j][_skip[j]].  _lag counts samples pushed but not
+        # yet emitted as columns.  Only relative offsets are kept, so
+        # all steady transforms share one state shape.
         self._details = [np.empty(0) for _ in range(n_scales)]
-        self._base = [0] * n_scales
-        self._consumed = 0
-        self._emitted = 0
+        self._skip = tuple(self._delays)
+        self._lag = 0
+        self._primed = False  # some column has been emitted
+
+    @property
+    def steady(self) -> bool:
+        """Whether every filter history is full and the column lag has
+        settled, so a push of ``n`` samples emits ``n`` columns and
+        every steady transform shares one 2-D pass."""
+        return self._primed and all(fir.steady for fir in self._highpass + self._lowpass)
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """Filter a block; return newly completed aligned columns."""
-        approximation = np.asarray(block, dtype=float)
-        if approximation.ndim != 1:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 1:
             raise ValueError("blocks must be 1-D")
-        if approximation.size == 0:
-            return np.empty((self.n_scales, 0))
-        self._consumed += approximation.size
-        for j in range(self.n_scales):
-            detail = self._highpass[j].push(approximation)
-            self._details[j] = np.concatenate([self._details[j], detail])
-            approximation = self._lowpass[j].push(approximation)
+        return self.push_rows([self], block[np.newaxis])[0]
+
+    @staticmethod
+    def push_rows(wavelets: list["StreamingWavelet"], blocks: np.ndarray) -> np.ndarray:
+        """Advance equally-configured transforms by one block each.
+
+        ``blocks`` is ``(rows, n)``; row ``r`` feeds ``wavelets[r]``.
+        Several rows must all be :attr:`steady` (their buffers then
+        have equal shapes); a single row may be anywhere in its
+        stream.  Returns ``(rows, n_scales, k)`` aligned columns.
+        """
+        first = wavelets[0]
+        rows, n = blocks.shape
+        if n == 0:
+            return np.empty((rows, first.n_scales, 0))
+        approximation = blocks
+        buffered = []
+        for j in range(first.n_scales):
+            detail = _StreamingFIR.push_rows([w._highpass[j] for w in wavelets], approximation)
+            if rows == 1:
+                held = first._details[j][np.newaxis]
+            else:
+                held = np.array([w._details[j] for w in wavelets])
+            buffered.append(np.concatenate([held, detail], axis=1))
+            if j < first.n_scales - 1:
+                approximation = _StreamingFIR.push_rows(
+                    [w._lowpass[j] for w in wavelets], approximation
+                )
         # Aligned column i of scale j is detail_j[i + delay_j]; the
         # deepest scale limits how far all rows are complete.
-        ready = self._consumed - self._delays[-1]
-        return self._emit(max(0, ready - self._emitted), final=False)
+        lag = first._lag + n
+        return first._emit_rows(
+            wavelets, buffered, lag, max(0, lag - first._delays[-1]), final=False
+        )
 
     def flush(self) -> np.ndarray:
         """Emit the trailing columns (batch-style end replication)."""
-        out = self._emit(self._consumed - self._emitted, final=True)
+        out = self._emit_rows(
+            [self], [d[np.newaxis] for d in self._details], self._lag, self._lag, final=True
+        )[0]
         self.reset()
         return out
 
@@ -205,27 +271,38 @@ class StreamingWavelet:
         """Forget all filter state (ready for a fresh stream)."""
         self.__init__(self.n_scales)
 
-    def _emit(self, k: int, final: bool) -> np.ndarray:
-        if k <= 0:
-            return np.empty((self.n_scales, 0))
-        columns = np.empty((self.n_scales, k))
-        start = self._emitted
+    def _emit_rows(
+        self, wavelets: list["StreamingWavelet"], buffered: list, lag: int, k: int,
+        final: bool,
+    ) -> np.ndarray:
+        """Cut ``k`` aligned columns per row from the buffered details
+        (``buffered[j]`` is ``(rows, size)``) and store what later
+        columns still need.  Every row shares this transform's
+        offsets."""
+        columns = np.empty((len(wavelets), self.n_scales, k))
+        skip = list(self._skip)
         for j in range(self.n_scales):
-            delay = self._delays[j]
-            buffered = self._details[j]
-            lo = start + delay - self._base[j]
-            row = buffered[lo : lo + k]
-            if row.size < k:
-                # Past the stream end: replicate the last detail value,
-                # exactly like the batch delay compensation.
-                row = np.concatenate([row, np.full(k - row.size, buffered[-1])])
-            columns[j] = row
-            if not final:
-                # Keep what later columns (or flush) still need.
-                keep = start + k + delay - self._base[j]
-                keep = min(keep, buffered.size - 1)  # retain the last value
-                if keep > 0:
-                    self._details[j] = buffered[keep:]
-                    self._base[j] += keep
-        self._emitted += k
+            held = buffered[j]
+            lo = skip[j]
+            keep = 0
+            if k > 0:
+                row = held[:, lo : lo + k]
+                columns[:, j, : row.shape[1]] = row
+                if row.shape[1] < k:
+                    # Past the stream end: replicate the last detail
+                    # value, exactly like the batch delay compensation.
+                    columns[:, j, row.shape[1] :] = held[:, -1:]
+                if not final:
+                    # Keep what later columns (or flush) still need,
+                    # and always the last value.
+                    keep = max(0, min(lo + k, held.shape[1] - 1))
+                    skip[j] = lo + k - keep
+            for wavelet, kept in zip(wavelets, held[:, keep:]):
+                wavelet._details[j] = kept
+        skip = tuple(skip)
+        primed = self._primed or k > 0
+        for wavelet in wavelets:
+            wavelet._skip = skip
+            wavelet._lag = lag - k
+            wavelet._primed = primed
         return columns

@@ -8,8 +8,9 @@ that ingestion layer:
 * :class:`StreamGateway` — ``open_session(id)`` / ``ingest(id, chunk)``
   / ``close_session(id)``.  Each session is a
   :class:`~repro.dsp.streaming.StreamingNode` in deferred-classify
-  mode: its per-sample front end (filtering, wavelet peak detection,
-  beat windowing) runs inline during ``ingest``, but instead of one
+  mode.  Its per-sample front end (filtering, wavelet) runs once per
+  tick for all sessions, as one 2-D pass per stage (see the
+  :class:`StreamGateway` notes), and instead of one
   ``predict`` call per beat the pending beats of *all* sessions queue
   in a cross-session :class:`BeatBatch`.  The gateway flushes the
   batch through **one** classifier pass per tick — when it reaches
@@ -357,7 +358,9 @@ class StreamGateway:
         Per-session :class:`~repro.dsp.streaming.StreamingNode`
         configuration, identical for every session (``coalesce``
         amortizes the front-end kernels when producers stream tiny
-        per-frame chunks; the event sequences are unchanged).
+        per-frame chunks; the event sequences are unchanged.  A
+        coalescing node pushes each chunk at once instead of joining
+        the tick's front-end pass).
     group:
         Optional :class:`GatewayGroup`.  Member gateways share one
         cross-gateway batch and tick clock, so one flush classifies
@@ -378,6 +381,22 @@ class StreamGateway:
     those are queued and returned by their own next ``ingest`` /
     ``poll``).  ``close_session`` force-flushes so its return value
     completes the session's event sequence.
+
+    The front end runs once per tick for all sessions.  ``ingest``
+    journals a chunk first (write-ahead), then stashes it — at most
+    one chunk per session.  The stash runs as one 2-D pass per stage
+    (rows = sessions, grouped by chunk length; see
+    :meth:`StreamingNode.push_rows`) when every steady session has a
+    chunk stashed, when a session with a stashed chunk ingests again,
+    and before :meth:`close_session`, :meth:`export_session`,
+    :meth:`release_session`, a journal snapshot, an eviction or
+    :meth:`flush_batch` touches any session.  A session's warm-up
+    chunks (before its filter and FIR histories are full), chunks of
+    one second (``fs`` samples) or longer, and every chunk on a
+    gateway with one live session run at once, on one row of the same
+    kernels.  Events are unchanged, but a verdict can reach its caller
+    at most one round later than pushing every chunk at once would
+    return it.
     """
 
     def __init__(
@@ -429,6 +448,12 @@ class StreamGateway:
         # Sessions with an eviction threshold, so the per-ingest idle
         # scan touches only them (zero cost for a fleet without QoS).
         self._evictable: dict[str, _Session] = {}
+        # Tick batching of the front end: at most one journaled but not
+        # yet applied chunk per session, run as one 2-D pass per stage
+        # (see _run_stash); sessions whose front end is still warming
+        # up push at once and are tracked so they never hold a pass.
+        self._stash: dict[str, np.ndarray] = {}
+        self._warming: set[str] = set()
         self.group = group
         if group is not None:
             self._batch = group.batch
@@ -542,7 +567,10 @@ class StreamGateway:
     def ingest(self, session_id: str, chunk: np.ndarray) -> list[StreamBeatEvent]:
         """Feed one chunk of raw samples; return the session's new events.
 
-        Advances the gateway clock by one tick, flushes the
+        The chunk is journaled first (write-ahead), then stashed for the
+        tick's shared front-end pass (see the class notes) or, during a
+        session's warm-up and for chunks of a second or more, pushed at
+        once.  Advances the gateway clock by one tick, flushes the
         cross-session batch if it is full or any session's oldest beat
         has hit its latency budget, and evicts sessions idle past
         their threshold.  The returned events are exactly the ones a
@@ -555,17 +583,58 @@ class StreamGateway:
             # Write-ahead: the chunk is durable before it is applied,
             # so the acknowledged prefix survives a process crash.
             self.journal.log_chunk(session_id, chunk)
-        self._feed(session_id, session, session.node.push(chunk))
-        self._collect(session_id, session)
+        if session_id in self._stash:
+            self._run_stash()
+        node = session.node
+        block = node.check_block(chunk)
+        if session_id not in self._warming and node.fits_rows(block):
+            # A copy: the caller may reuse its buffer once we return.
+            self._stash[session_id] = block.copy()
+            if len(self._stash) + len(self._warming) >= len(self._sessions):
+                self._run_stash()
+        else:
+            self._feed(session_id, session, node.push(block))
+            self._collect(session_id, session)
+            if session_id in self._warming and node.front_steady:
+                self._warming.discard(session_id)
         clock = self._clock
         clock.tick += 1
         session.last_active = clock.tick
         if len(self._batch) >= self.max_batch or self._latency_budget_hit():
-            self.flush_batch()
+            self._classify_batch()
         self._evict_idle()
         if self.journal is not None and self.journal.wants_snapshot(session_id):
             self._journal_snapshot(session_id)
         return self._deliver(session_id, session.drain())
+
+    def _run_stash(self) -> None:
+        """Apply every stashed chunk: the tick's front-end pass.
+
+        Rows are grouped by chunk length; each group runs the filters
+        and the wavelet as one 2-D pass per stage
+        (:meth:`StreamingNode.push_rows`), then each session's per-row
+        rest and beat collection, with the batch size bound checked
+        after each session as it is after each ingest.  Bit-exact with
+        pushing every chunk on its own.
+        """
+        stash = self._stash
+        if not stash:
+            return
+        self._stash = {}
+        by_length: dict[int, list[str]] = {}
+        for session_id, block in stash.items():
+            by_length.setdefault(block.shape[0], []).append(session_id)
+        for session_ids in by_length.values():
+            sessions = [self._sessions[session_id] for session_id in session_ids]
+            results = StreamingNode.push_rows(
+                [session.node for session in sessions],
+                np.array([stash[session_id] for session_id in session_ids]),
+            )
+            for session_id, session, events in zip(session_ids, sessions, results):
+                self._feed(session_id, session, events)
+                self._collect(session_id, session)
+                if len(self._batch) >= self.max_batch:
+                    self._classify_batch()
 
     def _latency_budget_hit(self) -> bool:
         """Has any session's oldest pending beat outlived its budget?
@@ -636,6 +705,7 @@ class StreamGateway:
         path, and removes the session.
         """
         session = self._get(session_id)
+        self._run_stash()
         self._feed(session_id, session, session.node.finish_input())
         self._collect(session_id, session)
         self.flush_batch()
@@ -651,10 +721,18 @@ class StreamGateway:
         """Classify every queued beat now (one batched pass); return
         how many beats were resolved.
 
-        Called automatically by the size/latency policy; call directly
-        to bound latency externally (e.g. from a timer) or before a
-        quiet period.
+        Applies every stashed chunk first (in group mode, every
+        member's), so the pass covers all input ingested so far; call
+        directly to bound latency externally (e.g. from a timer) or
+        before a quiet period.
         """
+        for gateway in self.group.gateways if self.group is not None else (self,):
+            gateway._run_stash()
+        return self._classify_batch()
+
+    def _classify_batch(self) -> int:
+        """One batched classifier pass over the queued beats (the
+        size/latency policy's flush; stashed chunks stay stashed)."""
         session_ids, handles, rows = self._batch.drain()
         if rows is None:
             self._drain_analytics()
@@ -920,11 +998,14 @@ class StreamGateway:
         self._sessions[session_id] = session
         if session.evict_after is not None:
             self._evictable[session_id] = session
+        if not session.node.front_steady:
+            self._warming.add(session_id)
 
     def _remove_session(self, session_id: str) -> None:
         self._sessions.pop(session_id)
         self._evictable.pop(session_id, None)
         self._analytics_dirty.pop(session_id, None)
+        self._warming.discard(session_id)
 
     def _get(self, session_id: str) -> _Session:
         try:

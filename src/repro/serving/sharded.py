@@ -845,6 +845,7 @@ class ShardedGateway:
     def _stop_worker(self, index: int) -> None:
         """Synchronously stop one worker process and close its pipe."""
         conn, proc = self._conns[index], self._procs[index]
+        stopped = False
         try:
             conn.send(("stop", None))
             while True:
@@ -852,8 +853,11 @@ class ShardedGateway:
                 if response[0] == "stop":
                     break
                 self._handle(response)
+            stopped = True
         except (BrokenPipeError, EOFError, OSError):
-            pass
+            # The worker never got (or never acknowledged) the stop
+            # message, so waiting for it to exit would only time out.
+            proc.terminate()
         if isinstance(conn, _InlineWorker):
             # Drop the retired gateway from the shared group so flush
             # routing only scans live members.
@@ -862,7 +866,7 @@ class ShardedGateway:
             conn.close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        proc.join(timeout=5.0)
+        proc.join(timeout=5.0 if stopped else 1.0)
         if proc.is_alive():  # pragma: no cover - defensive reap
             proc.terminate()
             proc.join(timeout=1.0)

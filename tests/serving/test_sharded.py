@@ -8,6 +8,7 @@ workers (and across gateway tiers, via the shared ``SessionExport``).
 """
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +283,18 @@ class TestLifecycleTeardown:
         gateway.shutdown()  # must not raise
         gateway.shutdown()  # idempotent
         gateway.__del__()   # and the destructor stays silent
+
+    def test_shutdown_with_closed_pipes_is_fast(self, embedded_classifier):
+        """A worker that cannot be sent the stop message is terminated
+        at once, not waited for."""
+        gateway = ShardedGateway(embedded_classifier, 360.0, workers=2)
+        procs = list(gateway._procs)
+        for conn in gateway._conns:
+            conn.close()
+        start = time.perf_counter()
+        gateway.shutdown()
+        assert time.perf_counter() - start < 1.0
+        assert not any(proc.is_alive() for proc in procs)
 
     def test_del_on_shut_down_gateway_is_silent(self, embedded_classifier):
         gateway = ShardedGateway(embedded_classifier, 360.0, workers=1)
