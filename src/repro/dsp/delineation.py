@@ -18,14 +18,17 @@ Three execution forms share one fiducial-location core
 
 * :func:`delineate_beat` / :func:`delineate_multilead` — the reference
   per-beat path, mirroring the embedded firmware's beat buffer;
-* :func:`delineate_beats` — the batched path: each MMD scale is
-  computed once per lead over the union of the beats' segments (merged
-  into runs) instead of three :func:`~repro.dsp.mmd.mmd_transform`
-  calls per beat per lead, with the segment-edge samples recomputed
-  per beat so every value matches the per-beat path exactly;
+* :func:`delineate_beats` — the batched path: the segments of all
+  record-interior beats are gathered into one array, so each MMD scale
+  is one 2-D pass over every beat and lead
+  (:func:`~repro.dsp.mmd.mmd_rows`) instead of one
+  :func:`~repro.dsp.mmd.mmd_transform` call per beat per lead, and the
+  window scans run once for the whole batch;
 * :class:`StreamingDelineator` — the bounded-memory form: a sliding
   buffer of filtered samples trimmed to the P/T search span, so the
-  gated detailed-analysis stage no longer needs whole-record context.
+  gated detailed-analysis stage no longer needs whole-record context;
+  :meth:`StreamingDelineator.add_beats_rows` runs the batched pass
+  over the beats of many streams at once.
 
 Op counters always report the *per-beat* work of the reference
 embedded implementation (the same counts :func:`delineate_multilead`
@@ -36,12 +39,12 @@ sliding-window counts.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dsp.mmd import charge_mmd_ops, mmd_transform
+from repro.dsp.mmd import charge_mmd_ops, mmd_rows, mmd_transform
 
 #: Names of the nine fiducial points, in temporal order.
 FIDUCIAL_NAMES = (
@@ -407,74 +410,31 @@ def _charge_beat_ops(counter, segment_size: int, scales: tuple[int, ...], n_lead
     counter.add("cmp", n_leads * len(FIDUCIAL_NAMES) * 2)
 
 
-def _merge_segments(bounds: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Merge overlapping segments into runs; map each segment to its run."""
-    order = sorted(range(len(bounds)), key=lambda i: bounds[i][0])
-    runs: list[list[int]] = []
-    run_of = [0] * len(bounds)
-    for idx in order:
-        lo, hi = bounds[idx]
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
-        else:
-            runs.append([lo, hi])
-        run_of[idx] = len(runs) - 1
-    return [(lo, hi) for lo, hi in runs], run_of
+def _detrend_rows(block: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_detrend` of the windows ``block[r, offset[r]:]``.
 
-
-def _segment_mmd(
-    x: np.ndarray,
-    lo: int,
-    hi: int,
-    scale: int,
-    run_mmd: np.ndarray,
-    run_lo: int,
-) -> np.ndarray:
-    """Segment-local MMD from a run-level MMD array, bit-exact.
-
-    Away from the segment edges every MMD window lies inside the
-    segment, so the run-level values are identical; within ``scale``
-    samples of an edge the per-beat path sees the segment's own edge
-    replication, which collapses to prefix/suffix extrema of the
-    segment — recomputed here in O(scale).
+    Each row uses the scalar path's exact arithmetic: the endpoint
+    means over its own edge width (rows with one edge width share a
+    ``mean`` call), and the line ``j * step + start`` with the last
+    sample pinned to the end mean, as :func:`numpy.linspace` builds it
+    for one window — so a row's values never depend on the other rows
+    (``linspace`` over stacked endpoints switches every row to its
+    zero-step formula when any one step is zero).  Columns before a
+    row's window are left unspecified.
     """
-    L = hi - lo
-    seg = x[lo:hi]
-    if L <= 2 * scale:
-        # Degenerate (boundary-clamped) segment: edges overlap.
-        return mmd_transform(seg, scale)
-    out = np.empty(L)
-    out[scale : L - scale] = run_mmd[lo - run_lo + scale : lo - run_lo + L - scale]
-    # Left edge: the padded window [i - scale, i + scale] degenerates
-    # to seg[0 : i + scale + 1] under edge replication.
-    pre = seg[: 2 * scale]
-    pre_max = np.maximum.accumulate(pre)
-    pre_min = np.minimum.accumulate(pre)
-    left = np.arange(scale)
-    out[:scale] = pre_max[left + scale] + pre_min[left + scale] - 2.0 * seg[:scale]
-    # Right edge: the window degenerates to seg[i - scale :].
-    suf = seg[L - 2 * scale :]
-    suf_max = np.maximum.accumulate(suf[::-1])[::-1]
-    suf_min = np.minimum.accumulate(suf[::-1])[::-1]
-    out[L - scale :] = suf_max[:scale] + suf_min[:scale] - 2.0 * seg[L - scale :]
-    return out
-
-
-def _detrend_batch(block: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_detrend` of windows sharing one geometry.
-
-    All rows have the same width, so the edge size — and therefore the
-    endpoint means and the trend line — vectorize across beats with
-    the exact arithmetic of the scalar path (`np.linspace` applies the
-    same ``arange * step + start`` formula to array endpoints).
-    """
-    w = block.shape[1]
-    if w < 4:
-        return block - block.mean(axis=1, keepdims=True)
-    edge = max(2, w // 10)
-    start = block[:, :edge].mean(axis=1)
-    stop = block[:, -edge:].mean(axis=1)
-    trend = np.linspace(start, stop, w, axis=1)
+    width = block.shape[1] - offset
+    edge = np.maximum(2, width // 10)
+    first = np.empty(block.shape[0])
+    last = np.empty(block.shape[0])
+    for e in np.unique(edge).tolist():
+        sel = np.flatnonzero(edge == e)
+        head = block[sel[:, np.newaxis], offset[sel, np.newaxis] + np.arange(e)]
+        first[sel] = head.mean(axis=1)
+        last[sel] = block[sel, block.shape[1] - e :].mean(axis=1)
+    step = (last - first) / (width - 1)
+    position = np.arange(block.shape[1]) - offset[:, np.newaxis]
+    trend = position * step[:, np.newaxis] + first[:, np.newaxis]
+    trend[:, -1] = last
     return block - trend
 
 
@@ -489,27 +449,30 @@ def _wave_scan_batch(
 
     The window end is uniform (it depends only on the shared segment
     geometry) but the start varies — the P search is gated by each
-    beat's previous peak.  Detrending is window-size dependent, so
-    beats are grouped by start and each group scanned in one pass;
-    ungated records collapse to a single group.
+    beat's previous peak.  Every row is detrended on its own window
+    (:func:`_detrend_rows`) and the columns before it are masked, so
+    one ``argmax`` pass finds every row's wave — bit-exact with the
+    scalar scan, row by row.
     """
-    k = segments.shape[0]
-    out = np.full(k, -1, dtype=np.int64)
-    for start in np.unique(lo):
-        if hi <= start + 3:
-            continue
-        rows = np.flatnonzero(lo == start)
-        w = int(hi - start)
-        deflection = np.abs(_detrend_batch(segments[rows, start:hi]))
-        peak = np.argmax(deflection, axis=1)
-        value = deflection[np.arange(rows.size), peak]
-        margin = max(1, w // 10)
-        found = (
-            ~(value < min_relative * reference[rows])
-            & (peak >= margin)
-            & (peak < w - margin)
-        )
-        out[rows[found]] = start + peak[found]
+    out = np.full(segments.shape[0], -1, dtype=np.int64)
+    rows = np.flatnonzero(hi > lo + 3)
+    if not rows.size:
+        return out
+    start = lo[rows]
+    base = int(start.min())
+    offset = start - base  # window start within the block
+    deflection = np.abs(_detrend_rows(segments[rows, base:hi], offset))
+    deflection[np.arange(hi - base) < offset[:, np.newaxis]] = -1.0  # never the peak
+    peak = np.argmax(deflection, axis=1) - offset  # window coordinates
+    value = deflection[np.arange(rows.size), peak + offset]
+    width = hi - start
+    margin = np.maximum(1, width // 10)
+    found = (
+        ~(value < min_relative * reference[rows])
+        & (peak >= margin)
+        & (peak < width - margin)
+    )
+    out[rows[found]] = start[found] + peak[found]
     return out
 
 
@@ -528,40 +491,37 @@ def _masked_argmax(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
     return np.where(hi > lo, idx, -1)
 
 
-def _segment_mmd_batch(segments: np.ndarray, gathered: np.ndarray, scale: int) -> np.ndarray:
-    """Edge fixups of :func:`_segment_mmd`, across all beats at once.
+def _boundaries_batch(
+    segments: np.ndarray,
+    found: np.ndarray,
+    scale: int,
+    onset_lo: np.ndarray,
+    end_hi: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wave onsets and ends of the rows with a wave peak (``found >= 0``).
 
-    ``gathered`` holds the run-level MMD values gathered at each
-    beat's segment positions — correct everywhere except the first and
-    last ``scale`` samples, where the per-beat path sees the segment's
-    own edge replication.  Those collapse to prefix/suffix extrema of
-    the segment, computed here with row-wise accumulates (comparisons
-    and the same ``max + min - 2x`` arithmetic: bit-exact).
+    Onset: the MMD maximum in ``[onset_lo, peak)``; end: the maximum in
+    ``(peak, end_hi)`` — :func:`_boundary_before` /
+    :func:`_boundary_after` row by row.  The MMD is computed only for
+    those rows and only over the columns the scans read.
     """
-    L = segments.shape[1]
-    out = gathered
-    pre = segments[:, : 2 * scale]
-    pre_max = np.maximum.accumulate(pre, axis=1)
-    pre_min = np.minimum.accumulate(pre, axis=1)
-    out[:, :scale] = (
-        pre_max[:, scale : 2 * scale]
-        + pre_min[:, scale : 2 * scale]
-        - 2.0 * segments[:, :scale]
-    )
-    suf = segments[:, L - 2 * scale :]
-    suf_max = np.maximum.accumulate(suf[:, ::-1], axis=1)[:, ::-1]
-    suf_min = np.minimum.accumulate(suf[:, ::-1], axis=1)[:, ::-1]
-    out[:, L - scale :] = (
-        suf_max[:, :scale] + suf_min[:, :scale] - 2.0 * segments[:, L - scale :]
-    )
-    return out
+    onset = np.full(found.size, -1, dtype=np.int64)
+    end = np.full(found.size, -1, dtype=np.int64)
+    rows = np.flatnonzero(found >= 0)
+    if not rows.size:
+        return onset, end
+    peak, lo = found[rows], onset_lo[rows]
+    first = int(lo.min())
+    mmd = mmd_rows(segments[rows], scale, first, end_hi)
+    before = _masked_argmax(mmd, lo - first, peak - first)
+    after = _masked_argmax(mmd, peak + 1 - first, end_hi - first)
+    onset[rows] = np.where(before >= 0, before + first, -1)
+    end[rows] = np.where(after >= 0, after + first, -1)
+    return onset, end
 
 
 def _locate_fiducials_batch(
     segments: np.ndarray,
-    mmd_qrs: np.ndarray,
-    mmd_p: np.ndarray,
-    mmd_t: np.ndarray,
     local_peak: int,
     seg_lo: np.ndarray,
     peaks: np.ndarray,
@@ -576,55 +536,45 @@ def _locate_fiducials_batch(
     windows share their offsets relative to ``local_peak``; only the P
     search start (gated by ``previous``, ``-1`` = ungated) and the
     wave-dependent boundary anchors vary per beat.  Window scans
-    become row-wise argmaxes (masked where the window varies) and the
-    presence tests one detrend pass per window group — bit-exact with
-    the scalar core, beat for beat.
+    become row-wise argmaxes (masked where the window varies), the
+    presence tests one masked detrend pass per wave, and each MMD
+    scale is computed (:func:`~repro.dsp.mmd.mmd_rows`) only over the
+    columns its scans read — bit-exact with the scalar core, beat for
+    beat, whose MMDs cover the whole segment.
 
     Returns the ``(k, 9)`` fiducials in record coordinates.
     """
     k, L = segments.shape
-    _, p_scale, t_scale = config.mmd_scales(fs)
+    qrs_scale, p_scale, t_scale = config.mmd_scales(fs)
 
     qo_lo, qo_hi = _window_indices(local_peak, config.qrs_onset_search, fs, L)
     qe_lo, qe_hi = _window_indices(local_peak, config.qrs_end_search, fs, L)
-    if qo_hi > qo_lo:
-        qrs_onset = qo_lo + np.argmax(mmd_qrs[:, qo_lo:qo_hi], axis=1)
-    else:
-        qrs_onset = np.full(k, -1, dtype=np.int64)
-    if qe_hi > qe_lo + 1:
-        qrs_end = qe_lo + 1 + np.argmax(mmd_qrs[:, qe_lo + 1 : qe_hi], axis=1)
-    else:
-        qrs_end = np.full(k, -1, dtype=np.int64)
+    qrs_onset = np.full(k, -1, dtype=np.int64)
+    qrs_end = np.full(k, -1, dtype=np.int64)
+    first, stop = min(qo_lo, qe_lo + 1), max(qo_hi, qe_hi)
+    if stop > first:
+        mmd_qrs = mmd_rows(segments, qrs_scale, first, stop)
+        if qo_hi > qo_lo:
+            qrs_onset[:] = qo_lo + np.argmax(mmd_qrs[:, qo_lo - first : qo_hi - first], axis=1)
+        if qe_hi > qe_lo + 1:
+            qrs_end[:] = (
+                qe_lo + 1 + np.argmax(mmd_qrs[:, qe_lo + 1 - first : qe_hi - first], axis=1)
+            )
 
     p_lo, p_hi = _window_indices(local_peak, config.p_search, fs, L)
     guard = previous + int(round(PREVIOUS_BEAT_GUARD_S * fs)) - seg_lo
     p_lo_b = np.where(previous >= 0, np.maximum(p_lo, guard), p_lo).astype(np.int64)
     p_peak = _wave_scan_batch(segments, p_lo_b, p_hi, r_amps, min_relative=0.08)
-    p_onset = np.full(k, -1, dtype=np.int64)
-    p_end = np.full(k, -1, dtype=np.int64)
-    rows = np.flatnonzero(p_peak >= 0)
-    if rows.size:
-        p_onset[rows] = _masked_argmax(
-            mmd_p[rows], np.maximum(0, p_lo_b[rows] - p_scale), p_peak[rows]
-        )
-        p_end[rows] = _masked_argmax(
-            mmd_p[rows], p_peak[rows] + 1, np.full(rows.size, min(L, p_hi + p_scale))
-        )
+    p_onset, p_end = _boundaries_batch(
+        segments, p_peak, p_scale, np.maximum(0, p_lo_b - p_scale), min(L, p_hi + p_scale)
+    )
 
     t_lo, t_hi = _window_indices(local_peak, config.t_search, fs, L)
-    t_peak = _wave_scan_batch(
-        segments, np.full(k, t_lo, dtype=np.int64), t_hi, r_amps, min_relative=0.05
+    t_start = np.full(k, t_lo, dtype=np.int64)
+    t_peak = _wave_scan_batch(segments, t_start, t_hi, r_amps, min_relative=0.05)
+    t_onset, t_end = _boundaries_batch(
+        segments, t_peak, t_scale, np.maximum(0, t_start - t_scale), min(L, t_hi + t_scale)
     )
-    t_onset = np.full(k, -1, dtype=np.int64)
-    t_end = np.full(k, -1, dtype=np.int64)
-    rows = np.flatnonzero(t_peak >= 0)
-    if rows.size:
-        t_onset[rows] = _masked_argmax(
-            mmd_t[rows], np.full(rows.size, max(0, t_lo - t_scale)), t_peak[rows]
-        )
-        t_end[rows] = _masked_argmax(
-            mmd_t[rows], t_peak[rows] + 1, np.full(rows.size, min(L, t_hi + t_scale))
-        )
 
     local = np.stack(
         [p_onset, p_peak, p_end, qrs_onset, np.full(k, local_peak), qrs_end,
@@ -656,6 +606,74 @@ def _combine_leads_batch(per_lead: np.ndarray) -> np.ndarray:
     return np.where(counts * 2 > n_leads, medians, -1.0).astype(np.int64)
 
 
+def _delineate_interior(
+    segments: np.ndarray,
+    left: int,
+    peaks: np.ndarray,
+    previous: np.ndarray,
+    fs: float,
+    config: DelineationConfig,
+) -> np.ndarray:
+    """Multi-lead delineation of beats that share one segment geometry.
+
+    ``segments`` is ``(k, L, n_leads)``: each beat's unclamped segment
+    with the R peak at column ``left``; ``previous`` gates each P
+    search (``-1`` = ungated).  The leads stack as rows, so each MMD
+    scale is one :func:`~repro.dsp.mmd.mmd_rows` pass over every beat
+    and lead, and the fiducial search and the lead combination each
+    run once: bit-exact, beat for beat, with the scalar per-segment
+    core.  Returns the ``(k, 9)`` fiducials in record coordinates.
+    """
+    k, length, n_leads = segments.shape
+    rows = segments.transpose(2, 0, 1).reshape(n_leads * k, length)  # lead-major
+    r_amps = np.abs(rows[:, left] - np.median(rows, axis=1))
+    located = _locate_fiducials_batch(
+        rows,
+        left,
+        np.tile(peaks - left, n_leads),
+        np.tile(peaks, n_leads),
+        fs,
+        config,
+        np.tile(previous, n_leads),
+        r_amps,
+    )
+    return _combine_leads_batch(located.reshape(n_leads, k, -1).transpose(1, 0, 2))
+
+
+def _delineate_segment_multilead(
+    segment: np.ndarray,
+    seg_lo: int,
+    peak: int,
+    fs: float,
+    config: DelineationConfig,
+    previous_peak: int | None,
+    counter=None,
+) -> BeatFiducials:
+    """Multi-lead delineation of a pre-extracted ``(len, n_leads)`` segment.
+
+    ``segment`` must equal the record slice the per-beat path would
+    take (:func:`_segment_bounds`), which makes the result bit-exact
+    with :func:`delineate_multilead` on the whole record.
+    """
+    scales = config.mmd_scales(fs)
+    per_lead = np.empty((segment.shape[1], len(FIDUCIAL_NAMES)), dtype=np.int64)
+    for lead in range(segment.shape[1]):
+        seg = np.ascontiguousarray(segment[:, lead])
+        mmds = [mmd_transform(seg, scale) for scale in scales]
+        per_lead[lead] = _locate_fiducials(
+            seg, *mmds, peak - seg_lo, seg_lo, peak, fs, config, previous_peak
+        ).as_array()
+    _charge_beat_ops(counter, segment.shape[0], scales, segment.shape[1])
+    return BeatFiducials.from_array(_combine_leads(per_lead))
+
+
+def _previous_or_unknown(previous_peak) -> int:
+    """A previous-peak argument as an index, ``-1`` when unknown."""
+    if previous_peak is None or int(previous_peak) < 0:
+        return -1
+    return int(previous_peak)
+
+
 def delineate_beats(
     leads: np.ndarray,
     peaks: np.ndarray,
@@ -668,11 +686,10 @@ def delineate_beats(
 
     Equivalent to calling :func:`delineate_multilead` once per peak —
     bit-exact in both the returned fiducials and the recorded op
-    counts — but each MMD scale is computed once per lead over the
-    union of the beats' segments (overlapping segments merged into
-    runs) instead of once per beat per lead.  Only the ``O(scale)``
-    segment-edge samples, where the per-beat path sees its own edge
-    replication, are recomputed per beat.
+    counts.  Record-interior beats share one segment geometry, so
+    their segments are gathered into one array and delineated
+    together (:func:`_delineate_interior`); beats whose segment is
+    clamped at a record edge take the scalar per-segment core.
 
     Parameters
     ----------
@@ -715,83 +732,35 @@ def delineate_beats(
         return []
     config = config or DelineationConfig()
     scales = config.mmd_scales(fs)
-
-    bounds = [_segment_bounds(int(p), fs, config, n) for p in peaks]
-    runs, run_of = _merge_segments(bounds)
-    # Record-interior beats share one segment geometry (length L, peak
-    # at -off_lo), so segments, R amplitudes, MMD edge fixups and
-    # every window scan vectorize across beats; boundary-clamped beats
-    # fall back to the scalar per-beat core.
-    off_lo, off_hi = config.segment_offsets(fs)
-    L = off_hi - off_lo
-    unclamped = (peaks + off_lo >= 0) & (peaks + off_hi <= n)
-    if L <= 2 * max(scales):
-        unclamped = np.zeros(peaks.size, dtype=bool)  # degenerate geometry
-    batch_idx = np.flatnonzero(unclamped)
-    scalar_idx = np.flatnonzero(~unclamped)
-    gather = peaks[unclamped, np.newaxis] + np.arange(off_lo, off_hi)[np.newaxis, :]
-
-    previous: list[int | None] = []
-    for b in range(peaks.size):
-        prev = previous_peaks[b] if previous_peaks is not None else None
-        previous.append(None if prev is None or int(prev) < 0 else int(prev))
-    previous_arr = np.asarray(
-        [-1 if previous[b] is None else previous[b] for b in batch_idx], dtype=np.int64
+    previous = np.asarray(
+        [_previous_or_unknown(p) for p in previous_peaks]
+        if previous_peaks is not None else np.full(peaks.size, -1),
+        dtype=np.int64,
     )
-
-    per_lead = np.empty((peaks.size, n_leads, len(FIDUCIAL_NAMES)), dtype=np.int64)
-    for lead in range(n_leads):
-        x = leads[:, lead]
-        run_mmds: list[list[np.ndarray]] = []
-        for run_lo, run_hi in runs:
-            chunk = x[run_lo:run_hi]
-            run_mmds.append([mmd_transform(chunk, scale) for scale in scales])
-        if batch_idx.size:
-            segments = x[gather]
-            r_amps = np.abs(segments[:, -off_lo] - np.median(segments, axis=1))
-            # Scatter the run-level MMDs onto the record timeline once,
-            # so each beat's interior values become one row gather.
-            full = np.empty(n)
-            mmds = []
-            for s, scale in enumerate(scales):
-                for (run_lo, run_hi), values in zip(runs, run_mmds):
-                    full[run_lo:run_hi] = values[s]
-                mmds.append(_segment_mmd_batch(segments, full[gather], scale))
-            per_lead[batch_idx, lead] = _locate_fiducials_batch(
-                segments,
-                *mmds,
-                -off_lo,
-                peaks[batch_idx] + off_lo,
-                peaks[batch_idx],
-                fs,
-                config,
-                previous_arr,
-                r_amps,
-            )
-        for b in scalar_idx:
-            lo, hi = bounds[b]
-            run_lo = runs[run_of[b]][0]
-            mmds = [
-                _segment_mmd(x, lo, hi, scale, run_mmds[run_of[b]][s], run_lo)
-                for s, scale in enumerate(scales)
-            ]
-            per_lead[b, lead] = _locate_fiducials(
-                x[lo:hi],
-                *mmds,
-                int(peaks[b]) - lo,
-                lo,
-                int(peaks[b]),
-                fs,
-                config,
-                previous[b],
-            ).as_array()
-
-    combined = _combine_leads_batch(per_lead)
+    off_lo, off_hi = config.segment_offsets(fs)
+    interior = (peaks + off_lo >= 0) & (peaks + off_hi <= n)
+    if off_hi - off_lo <= 2 * max(scales):
+        interior[:] = False  # degenerate geometry: segment edges overlap
+    combined = np.empty((peaks.size, len(FIDUCIAL_NAMES)), dtype=np.int64)
+    rows = np.flatnonzero(interior)
+    if rows.size:
+        gather = peaks[rows, np.newaxis] + np.arange(off_lo, off_hi)
+        combined[rows] = _delineate_interior(
+            leads[gather], -off_lo, peaks[rows], previous[rows], fs, config
+        )
     results = []
     for b in range(peaks.size):
-        if counters is not None:
-            _charge_beat_ops(counters[b], bounds[b][1] - bounds[b][0], scales, n_leads)
-        results.append(BeatFiducials.from_array(combined[b]))
+        counter = counters[b] if counters is not None else None
+        if interior[b]:
+            _charge_beat_ops(counter, off_hi - off_lo, scales, n_leads)
+            results.append(BeatFiducials.from_array(combined[b]))
+            continue
+        peak = int(peaks[b])
+        lo, hi = _segment_bounds(peak, fs, config, n)
+        prev = int(previous[b]) if previous[b] >= 0 else None
+        results.append(
+            _delineate_segment_multilead(leads[lo:hi], lo, peak, fs, config, prev, counter)
+        )
     return results
 
 
@@ -800,31 +769,8 @@ def delineate_beats(
 # ----------------------------------------------------------------------
 
 
-def _delineate_segment_multilead(
-    segment: np.ndarray,
-    seg_lo: int,
-    peak: int,
-    fs: float,
-    config: DelineationConfig,
-    previous_peak: int | None,
-    counter=None,
-) -> BeatFiducials:
-    """Multi-lead delineation of a pre-extracted ``(len, n_leads)`` segment.
-
-    ``segment`` must equal the record slice the per-beat path would
-    take (:func:`_segment_bounds`), which makes the result bit-exact
-    with :func:`delineate_multilead` on the whole record.
-    """
-    scales = config.mmd_scales(fs)
-    per_lead = np.empty((segment.shape[1], len(FIDUCIAL_NAMES)), dtype=np.int64)
-    for lead in range(segment.shape[1]):
-        seg = np.ascontiguousarray(segment[:, lead])
-        mmds = [mmd_transform(seg, scale) for scale in scales]
-        per_lead[lead] = _locate_fiducials(
-            seg, *mmds, peak - seg_lo, seg_lo, peak, fs, config, previous_peak
-        ).as_array()
-    _charge_beat_ops(counter, segment.shape[0], scales, segment.shape[1])
-    return BeatFiducials.from_array(_combine_leads(per_lead))
+def _peak_of(item: tuple) -> int:
+    return item[0]
 
 
 class StreamingDelineator:
@@ -858,6 +804,13 @@ class StreamingDelineator:
     became final.  ``flush`` finalizes pending beats with the
     stream-end clamping the batch path applies at the record edge and
     prepares the instance for a fresh stream on the same timeline.
+    :meth:`add_beats_rows` schedules beats on many delineators at once
+    and delineates every one that became final in one pass;
+    :meth:`add_beats` and :meth:`add_beat` are its one-row case.
+
+    The buffer is preallocated and appended in place; trimming only
+    advances a read position, and the live rows move to the front
+    when an append would overflow (a snapshot pickles only them).
     """
 
     def __init__(
@@ -876,12 +829,40 @@ class StreamingDelineator:
         self._left = -off_lo  # samples of left context a segment needs
         self._right = off_hi  # samples past the peak that finalize it
         self._lookback = int(round(lookback_s * fs))
-        self._buffer: np.ndarray | None = None  # (rows, n_leads)
+        self._data: np.ndarray | None = None  # (capacity, n_leads) storage
+        self._head = 0  # row of _data holding absolute sample _start
         self._origin = 0  # absolute index where the current stream began
-        self._start = 0  # absolute index of buffer[0]
+        self._start = 0  # absolute index of the oldest buffered sample
         self._end = 0  # absolute samples consumed
         self._pending: list[tuple[int, int | None, object]] = []
         self._hold: int | None = None
+
+    def __getstate__(self) -> dict:
+        # Snapshots carry only the live rows, not the spare capacity.
+        state = self.__dict__.copy()
+        if self._data is not None:
+            state["_data"] = self._live().copy()
+            state["_head"] = 0
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "_buffer" in state:  # pickled before the in-place buffer
+            state = dict(state, _data=state["_buffer"], _head=0)
+            del state["_buffer"]
+        self.__dict__.update(state)
+        if self._data is not None:
+            live = self._data
+            self._data = np.empty((max(self._capacity(), live.shape[0]), live.shape[1]))
+            self._data[: live.shape[0]] = live
+
+    def _capacity(self) -> int:
+        """Preallocated rows: the steady occupancy plus two seconds, so
+        the live rows move to the front only every few pushes."""
+        return self._lookback + self._left + 1 + 2 * int(round(self.fs))
+
+    def _live(self) -> np.ndarray:
+        """The buffered rows, absolute samples ``[_start, _end)``."""
+        return self._data[self._head : self._head + self._end - self._start]
 
     @property
     def n_samples(self) -> int:
@@ -891,7 +872,15 @@ class StreamingDelineator:
     @property
     def buffered_samples(self) -> int:
         """Current buffer occupancy (bounded, see class docs)."""
-        return 0 if self._buffer is None else self._buffer.shape[0]
+        return self._end - self._start
+
+    def samples(self, lead: int, start: int, stop: int) -> np.ndarray:
+        """Buffered samples ``[start, stop)`` (absolute indices) of one
+        lead, as a fresh contiguous array."""
+        if start < self._start or stop > self._end:
+            raise RuntimeError("segmentation context discarded before use")
+        lo = self._head + start - self._start
+        return self._data[lo : lo + stop - start, lead].copy()
 
     def push(self, block: np.ndarray) -> list[tuple[int, BeatFiducials]]:
         """Feed filtered samples; return beats that became final."""
@@ -900,16 +889,29 @@ class StreamingDelineator:
             block = block[:, np.newaxis]
         if block.ndim != 2:
             raise ValueError("blocks must be (n,) or (n, n_leads)")
-        if self._buffer is None:
-            self._buffer = np.empty((0, block.shape[1]))
-        if block.shape[1] != self._buffer.shape[1]:
+        if self._data is None:
+            self._data = np.empty((self._capacity(), block.shape[1]))
+        if block.shape[1] != self._data.shape[1]:
             raise ValueError("lead count changed mid-stream")
         if block.shape[0]:
-            self._buffer = np.concatenate([self._buffer, block], axis=0)
-            self._end += block.shape[0]
-        out = self._finalize(final=False)
+            self._append(block)
+        out = self._finalize_rows([self], final=False)[0] if self._pending else []
         self._trim()
         return out
+
+    def _append(self, block: np.ndarray) -> None:
+        k = block.shape[0]
+        n = self._end - self._start
+        if self._head + n + k > self._data.shape[0]:
+            if n + k > self._data.shape[0]:
+                grown = np.empty((max(n + k, 2 * self._data.shape[0]), self._data.shape[1]))
+                grown[:n] = self._live()
+                self._data = grown
+            else:
+                self._data[:n] = self._live()
+            self._head = 0
+        self._data[self._head + n : self._head + n + k] = block
+        self._end += k
 
     def add_beat(
         self, peak: int, previous_peak: int | None = None, counter=None
@@ -920,18 +922,7 @@ class StreamingDelineator:
         must still be buffered (raise the ``lookback`` otherwise).
         ``counter`` receives the beat's op counts at finalization.
         """
-        peak = int(peak)
-        if not self._origin <= peak < self._end:
-            raise ValueError("peak index outside the current stream")
-        if self._seg_lo(peak) < self._start:
-            raise ValueError(
-                "left context of this beat was already discarded; "
-                "construct the delineator with a larger lookback_s"
-            )
-        insort(self._pending, (peak, previous_peak, counter), key=lambda item: item[0])
-        out = self._finalize(final=False)
-        self._trim()
-        return out
+        return self.add_beats([(peak, previous_peak, counter)])
 
     def add_beats(self, beats) -> list[tuple[int, BeatFiducials]]:
         """Schedule several beats at once; return beats that became final.
@@ -939,17 +930,39 @@ class StreamingDelineator:
         ``beats`` is an iterable of ``(peak, previous_peak)`` or
         ``(peak, previous_peak, counter)`` items.  Equivalent to
         calling :meth:`add_beat` once per item — same validation, same
-        results, same charged op counts — but beats finalized together
-        are delineated in one vectorized pass (one MMD transform per
-        merged segment run per lead instead of one per beat), which is
-        what makes a batched gateway flush cheap when it schedules many
-        flagged beats in one delivery.
+        results, same charged op counts; the one-row case of
+        :meth:`add_beats_rows`.
         """
+        return StreamingDelineator.add_beats_rows([self], [beats])[0]
+
+    @staticmethod
+    def add_beats_rows(
+        delineators: list["StreamingDelineator"], beats
+    ) -> list[list[tuple[int, BeatFiducials]]]:
+        """Schedule beats on many delineators; return each one's final beats.
+
+        ``beats[r]`` holds the items for ``delineators[r]``, as for
+        :meth:`add_beats`.  Validation is all-or-nothing: nothing is
+        scheduled anywhere if any item is invalid.  The beats of every
+        row that became final are then delineated together: stream-
+        interior beats of one configuration in **one** pass
+        (:func:`_delineate_interior`), origin- or end-clamped beats on
+        the scalar per-segment core.  Results are bit-exact with
+        scheduling each row alone, in fiducials and op counts.
+        """
+        scheduled = [d._check_beats(items) for d, items in zip(delineators, beats)]
+        for delineator, items in zip(delineators, scheduled):
+            for entry in items:
+                insort(delineator._pending, entry, key=_peak_of)
+        out = StreamingDelineator._finalize_rows(delineators, final=False)
+        for delineator in delineators:
+            delineator._trim()
+        return out
+
+    def _check_beats(self, beats) -> list[tuple[int, int | None, object]]:
         items: list[tuple[int, int | None, object]] = []
         for item in beats:
             peak = int(item[0])
-            previous_peak = item[1]
-            counter = item[2] if len(item) > 2 else None
             if not self._origin <= peak < self._end:
                 raise ValueError("peak index outside the current stream")
             if self._seg_lo(peak) < self._start:
@@ -957,12 +970,10 @@ class StreamingDelineator:
                     "left context of this beat was already discarded; "
                     "construct the delineator with a larger lookback_s"
                 )
-            items.append((peak, previous_peak, counter))
-        for entry in items:
-            insort(self._pending, entry, key=lambda item: item[0])
-        out = self._finalize(final=False)
-        self._trim()
-        return out
+            previous = _previous_or_unknown(item[1])
+            counter = item[2] if len(item) > 2 else None
+            items.append((peak, None if previous < 0 else previous, counter))
+        return items
 
     def hold(self, peak: int | None) -> None:
         """Retain the left context of ``peak`` until further notice.
@@ -982,8 +993,8 @@ class StreamingDelineator:
         The absolute sample origin is preserved: later pushes continue
         the same timeline, like the streaming peak detector.
         """
-        out = self._finalize(final=True)
-        self._buffer = None if self._buffer is None else self._buffer[:0]
+        out = self._finalize_rows([self], final=True)[0]
+        self._head = 0
         self._origin = self._start = self._end
         self._hold = None
         return out
@@ -993,111 +1004,82 @@ class StreamingDelineator:
         origin exactly like the batch path clamps at the record start."""
         return max(self._origin, peak - self._left)
 
-    def _finalize(self, final: bool) -> list[tuple[int, BeatFiducials]]:
-        ready: list[tuple[int, int | None, object]] = []
-        remaining: list[tuple[int, int | None, object]] = []
-        for item in self._pending:
-            if not final and item[0] + self._right > self._end:
-                remaining.append(item)
-            else:
-                ready.append(item)
-        self._pending = remaining
-        if not ready:
-            return []
-        # Stream-interior beats share one segment geometry
-        # (``_left + _right`` samples, peak at ``_left``), so — exactly
-        # like the record-interior fast path of ``delineate_beats`` —
-        # they vectorize; origin- or end-clamped beats take the scalar
-        # per-segment core.
-        seg_len = self._left + self._right
-        scales = self.config.mmd_scales(self.fs)
-        results: list[BeatFiducials | None] = [None] * len(ready)
-        if seg_len > 2 * max(scales):
-            batch_rows = [
-                idx
-                for idx, (peak, _, _) in enumerate(ready)
-                if peak - self._left >= self._origin and peak + self._right <= self._end
-            ]
-            if len(batch_rows) > 1:
-                fiducials = self._delineate_batch(
-                    [ready[idx] for idx in batch_rows], seg_len, scales
-                )
-                for idx, fid in zip(batch_rows, fiducials):
-                    results[idx] = fid
-        for idx, (peak, previous_peak, counter) in enumerate(ready):
-            if results[idx] is not None:
-                continue
-            seg_lo = self._seg_lo(peak)
-            seg_hi = min(self._end, peak + self._right)
-            segment = self._buffer[seg_lo - self._start : seg_hi - self._start]
-            results[idx] = _delineate_segment_multilead(
-                segment, seg_lo, peak, self.fs, self.config, previous_peak, counter
-            )
-        return [(item[0], results[idx]) for idx, item in enumerate(ready)]
-
-    def _delineate_batch(
-        self,
-        items: list[tuple[int, int | None, object]],
-        seg_len: int,
-        scales: tuple[int, ...],
-    ) -> list[BeatFiducials]:
-        """Vectorized finalization of stream-interior beats.
-
-        Mirrors the interior fast path of :func:`delineate_beats` on
-        the sliding buffer: one MMD transform per merged segment run
-        per lead, per-beat edge fixups, then the batched fiducial
-        search — bit-exact with the scalar per-segment core, beat for
-        beat, in both fiducials and charged op counts.
-        """
-        peaks = np.asarray([item[0] for item in items], dtype=np.int64)
-        previous = np.asarray(
-            [
-                -1 if prev is None or int(prev) < 0 else int(prev)
-                for _, prev, _ in items
-            ],
-            dtype=np.int64,
+    def _take_ready(self, final: bool) -> list[tuple[int, int | None, object]]:
+        """Remove and return the pending beats whose right context is
+        complete (all of them at the stream end), in peak order."""
+        cut = (
+            len(self._pending) if final
+            else bisect_right(self._pending, self._end - self._right, key=_peak_of)
         )
-        seg_lo = peaks - self._left  # absolute; interior => >= _start
-        lo = seg_lo - self._start  # buffer coordinates
-        gather = lo[:, np.newaxis] + np.arange(seg_len)[np.newaxis, :]
-        runs, _ = _merge_segments([(int(i), int(i) + seg_len) for i in lo])
-        n_leads = self._buffer.shape[1]
-        full = np.empty(self._buffer.shape[0])
-        per_lead = np.empty((peaks.size, n_leads, len(FIDUCIAL_NAMES)), dtype=np.int64)
-        for lead in range(n_leads):
-            x = np.ascontiguousarray(self._buffer[:, lead])
-            segments = x[gather]
-            r_amps = np.abs(segments[:, self._left] - np.median(segments, axis=1))
-            mmds = []
-            for scale in scales:
-                for run_lo, run_hi in runs:
-                    full[run_lo:run_hi] = mmd_transform(x[run_lo:run_hi], scale)
-                mmds.append(_segment_mmd_batch(segments, full[gather], scale))
-            per_lead[:, lead] = _locate_fiducials_batch(
-                segments,
-                *mmds,
-                self._left,
-                seg_lo,
-                peaks,
-                self.fs,
-                self.config,
-                previous,
-                r_amps,
+        ready = self._pending[:cut]
+        del self._pending[:cut]
+        return ready
+
+    @staticmethod
+    def _finalize_rows(
+        delineators: list["StreamingDelineator"], final: bool
+    ) -> list[list[tuple[int, BeatFiducials]]]:
+        """Delineate every row's ready beats; return them per row.
+
+        Stream-interior beats share one segment geometry
+        (``_left + _right`` samples, peak at ``_left``), so — like the
+        record-interior beats of :func:`delineate_beats` — those of all
+        rows with one configuration go through one
+        :func:`_delineate_interior` pass; beats clamped at the stream
+        origin or end take the scalar per-segment core.
+        """
+        ready = [d._take_ready(final) for d in delineators]
+        if not any(ready):
+            return [[] for _ in delineators]
+        results: list[list[BeatFiducials | None]] = [[None] * len(items) for items in ready]
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for r, (d, items) in enumerate(zip(delineators, ready)):
+            if not items or d._left + d._right <= 2 * max(d.config.mmd_scales(d.fs)):
+                continue
+            key = (d.fs, d.config, d._data.shape[1])
+            lowest, highest = d._origin + d._left, d._end - d._right
+            for i, (peak, _, _) in enumerate(items):
+                if lowest <= peak <= highest:
+                    groups.setdefault(key, []).append((r, i))
+        for members in groups.values():
+            first = delineators[members[0][0]]
+            left, seg_len = first._left, first._left + first._right
+            segments = np.empty((len(members), seg_len, first._data.shape[1]))
+            peaks = np.empty(len(members), dtype=np.int64)
+            previous = np.empty(len(members), dtype=np.int64)
+            for j, (r, i) in enumerate(members):
+                d = delineators[r]
+                peak, prev, _ = ready[r][i]
+                lo = d._head + peak - left - d._start
+                segments[j] = d._data[lo : lo + seg_len]
+                peaks[j] = peak
+                previous[j] = -1 if prev is None else prev
+            combined = _delineate_interior(
+                segments, left, peaks, previous, first.fs, first.config
             )
-        combined = _combine_leads_batch(per_lead)
-        for _, _, counter in items:
-            _charge_beat_ops(counter, seg_len, scales, n_leads)
-        return [BeatFiducials.from_array(row) for row in combined]
+            scales = first.config.mmd_scales(first.fs)
+            for (r, i), row in zip(members, combined):
+                _charge_beat_ops(ready[r][i][2], seg_len, scales, segments.shape[2])
+                results[r][i] = BeatFiducials.from_array(row)
+        out = []
+        for d, items, fiducials in zip(delineators, ready, results):
+            for i, (peak, previous_peak, counter) in enumerate(items):
+                if fiducials[i] is None:
+                    seg_lo = d._seg_lo(peak)
+                    seg_hi = min(d._end, peak + d._right)
+                    segment = d._live()[seg_lo - d._start : seg_hi - d._start]
+                    fiducials[i] = _delineate_segment_multilead(
+                        segment, seg_lo, peak, d.fs, d.config, previous_peak, counter
+                    )
+            out.append([(item[0], fid) for item, fid in zip(items, fiducials)])
+        return out
 
     def _trim(self) -> None:
-        if self._buffer is None:
-            return
         keep_from = self._end - (self._lookback + self._left + 1)
         if self._pending:
             keep_from = min(keep_from, self._seg_lo(self._pending[0][0]))
         if self._hold is not None:
             keep_from = min(keep_from, self._seg_lo(self._hold))
-        keep_from = max(self._start, keep_from)
         if keep_from > self._start:
-            self._buffer = self._buffer[keep_from - self._start :]
+            self._head += keep_from - self._start
             self._start = keep_from

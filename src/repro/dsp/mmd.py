@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.morphological import charge_extremum_ops, dilation, erosion
+from repro.dsp.kernels import sliding_extremum
+from repro.dsp.morphological import charge_extremum_ops
 
 
 def charge_mmd_ops(counter, n: int, scale: int) -> None:
@@ -63,14 +64,35 @@ def mmd_transform(x: np.ndarray, scale: int, counter=None) -> np.ndarray:
     if scale < 1:
         raise ValueError("MMD scale must be >= 1")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("morphological operators expect 1-D signals")
+    charge_mmd_ops(counter, x.size, scale)
+    return mmd_rows(x[np.newaxis], scale)[0]
+
+
+def mmd_rows(rows: np.ndarray, scale: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Columns ``[lo, hi)`` of :func:`mmd_transform` of every row of ``rows``.
+
+    Each row is edge-replicated at its own ends, exactly as
+    :func:`mmd_transform` pads a segment, and only the inputs the
+    requested columns see are padded and scanned: the dilation and
+    erosion run as one 2-D sliding-extremum call each.  Min and max
+    are exact, so every output row is bit-identical to the same
+    columns of ``mmd_transform`` of that row.  Records no op counts
+    (see :func:`charge_mmd_ops`).
+    """
+    n = rows.shape[-1]
+    hi = n if hi is None else hi
+    first, stop = max(0, lo - scale), min(n, hi + scale)
+    window = rows[..., first:stop]
+    left = np.repeat(window[..., :1], scale - (lo - first), axis=-1)
+    right = np.repeat(window[..., -1:], scale - (stop - hi), axis=-1)
+    padded = np.concatenate([left, window, right], axis=-1)
     length = 2 * scale + 1
-    dilated = dilation(x, length, counter)
-    eroded = erosion(x, length, counter)
-    if counter is not None:
-        counter.add("add", x.size)
-        counter.add("sub", x.size)
-        counter.add("shift", x.size)  # the 2*x term as a left shift
-    return dilated + eroded - 2.0 * x
+    out = sliding_extremum(padded, length, maximum=True)
+    out += sliding_extremum(padded, length, maximum=False)
+    out -= 2.0 * rows[..., lo:hi]
+    return out
 
 
 def mmd_multiscale(x: np.ndarray, scales: tuple[int, ...], counter=None) -> np.ndarray:

@@ -73,28 +73,6 @@ def _modulus_maxima(w: np.ndarray, threshold: float) -> np.ndarray:
     return np.flatnonzero(interior)
 
 
-def _zero_crossing(w: np.ndarray, start: int, stop: int) -> int | None:
-    """Sample of the sign change of ``w`` in ``[start, stop]``.
-
-    Returns the index of the sample nearest to the interpolated
-    crossing, or ``None`` when no sign change exists in the interval.
-    """
-    if stop <= start:
-        return None
-    segment = w[start : stop + 1]
-    signs = np.sign(segment)
-    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if changes.size == 0:
-        zero = np.flatnonzero(signs == 0)
-        if zero.size:
-            return start + int(zero[0])
-        return None
-    i = int(changes[0])
-    left, right = segment[i], segment[i + 1]
-    frac = abs(left) / (abs(left) + abs(right))
-    return start + i + int(round(frac))
-
-
 def detect_peaks(
     x: np.ndarray,
     fs: float,
@@ -188,55 +166,83 @@ def _find_pairs(
     config: PeakDetectorConfig,
     relax: float = 1.0,
 ) -> list[tuple[int, int]]:
-    """Opposite-sign modulus-maxima pairs corroborated across scales."""
+    """Opposite-sign modulus-maxima pairs corroborated across scales.
+
+    A maximum on the detection scale is corroborated when scales 0 and
+    2 each hold a same-sign suprathreshold sample within the
+    corroboration window around it.  Prefix counts of the
+    suprathreshold samples (one ``cumsum`` per scale) answer that for
+    every maximum at once.
+    """
     detection_scale = 1  # W_{2^2}
-    maxima = _modulus_maxima(w[detection_scale], thresholds[detection_scale] * relax)
+    values = w[detection_scale]
+    maxima = _modulus_maxima(values, thresholds[detection_scale] * relax)
     if maxima.size == 0:
         return []
     corro = int(round(config.corroboration_window * fs))
-    corroborated = [
-        m
-        for m in maxima
-        if _has_neighbour(w[0], m, corro, np.sign(w[detection_scale][m]), thresholds[0] * relax)
-        and _has_neighbour(w[2], m, corro, np.sign(w[detection_scale][m]), thresholds[2] * relax)
-    ]
+    n = values.size
+    lo = np.maximum(maxima - corro, 0)
+    hi = np.minimum(maxima + corro + 1, n)
+    side = (values[maxima] < 0).astype(np.intp)  # 0: >= threshold, 1: <= -threshold
+    corroborated = np.ones(maxima.size, dtype=bool)
+    for scale in (0, 2):
+        threshold = thresholds[scale] * relax
+        counts = np.zeros((2, n + 1), dtype=np.intp)
+        np.cumsum([w[scale] >= threshold, w[scale] <= -threshold], axis=1, out=counts[:, 1:])
+        corroborated &= counts[side, hi] > counts[side, lo]
+    candidates = maxima[corroborated].tolist()
+    signs = values[maxima[corroborated]].tolist()
     max_sep = int(round(config.max_pair_separation * fs))
     pairs: list[tuple[int, int]] = []
     used = -1
-    values = w[detection_scale]
-    for i, m in enumerate(corroborated):
-        if m <= used or values[m] <= 0:
+    for i, m in enumerate(candidates):
+        if m <= used or signs[i] <= 0:
             continue
-        for n in corroborated[i + 1 :]:
-            if n - m > max_sep:
+        for j in range(i + 1, len(candidates)):
+            if candidates[j] - m > max_sep:
                 break
-            if values[n] < 0:
-                pairs.append((int(m), int(n)))
-                used = n
+            if signs[j] < 0:
+                pairs.append((m, candidates[j]))
+                used = candidates[j]
                 break
     return pairs
 
 
-def _has_neighbour(
-    w_scale: np.ndarray, position: int, window: int, sign: float, threshold: float
-) -> bool:
-    """True when a same-sign suprathreshold extremum exists nearby."""
-    lo = max(0, position - window)
-    hi = min(w_scale.size, position + window + 1)
-    segment = w_scale[lo:hi]
-    if sign >= 0:
-        return bool(np.any(segment >= threshold))
-    return bool(np.any(segment <= -threshold))
-
-
 def _pairs_to_peaks(w1: np.ndarray, pairs: list[tuple[int, int]]) -> list[int]:
-    """Zero crossing of scale 1 inside each max–min pair."""
-    peaks = []
-    for start, stop in pairs:
-        crossing = _zero_crossing(w1, start, stop)
-        if crossing is not None:
-            peaks.append(crossing)
-    return peaks
+    """Zero crossing of scale 1 inside each max–min pair.
+
+    For a pair ``(start, stop)`` the crossing is the first sign change
+    between samples ``i`` and ``i + 1`` in ``[start, stop]``, rounded
+    to the nearer of the two by linear interpolation; failing that,
+    the first exact zero in ``[start, stop]``; failing both, the pair
+    yields no peak.  All pairs resolve in one pass of array ops.
+    """
+    if not pairs:
+        return []
+    start, stop = np.asarray(pairs, dtype=np.int64).T
+    signs = np.sign(w1)
+    changes = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    zeros = np.flatnonzero(signs == 0)
+    first = _first_at_or_after(changes, start)
+    crossing = first < stop  # the change at i needs i + 1 <= stop
+    i = np.where(crossing, first, 0)
+    left, right = np.abs(w1[i]), np.abs(w1[i + 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(crossing, left / (left + right), 0.0)
+    # rint rounds half to even, like the scalar round() it replaces.
+    peaks = np.where(crossing, i + np.rint(frac).astype(np.int64), -1)
+    zero = _first_at_or_after(zeros, start)
+    use_zero = ~crossing & (zero <= stop)
+    peaks[use_zero] = zero[use_zero]
+    return peaks[(peaks >= 0) & (stop > start)].tolist()
+
+
+def _first_at_or_after(positions: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """First element of sorted ``positions`` at or after each ``start``
+    (a sentinel past every index where there is none)."""
+    k = np.searchsorted(positions, start)
+    padded = np.append(positions, np.iinfo(np.int64).max)
+    return padded[k]
 
 
 def _enforce_refractory(
@@ -282,8 +288,5 @@ def _searchback(
             continue
         segment = w[:, lo:hi]
         pairs = _find_pairs(segment, thresholds, fs, config, relax=0.5)
-        for start, stop in pairs:
-            crossing = _zero_crossing(segment[0], start, stop)
-            if crossing is not None:
-                out.append(lo + crossing)
+        out.extend(lo + crossing for crossing in _pairs_to_peaks(segment[0], pairs))
     return sorted(set(out))

@@ -45,6 +45,10 @@ This module provides that engine:
   :meth:`StreamingNode.push_rows` advances many nodes at once, running
   their front ends (filters and wavelet) as one 2-D pass per stage —
   the gateway's per-tick batching; state stays in each node.
+  :meth:`StreamingNode.deliver_rows` is its back-end twin: labels for
+  many nodes in one call, their flagged beats delineated in one pass.
+  Each node keeps one signal buffer, the delineator's, which also
+  serves the classifier windows.
 
 The filter/detector classes record no op counts: the counters model
 the embedded firmware's *batch-equivalent* arithmetic, which is
@@ -467,7 +471,7 @@ class _PendingBeat:
     out for deferred classification (it doubles as the classification
     handle the gateway passes back to :meth:`StreamingNode.deliver`);
     ``row`` holds that window until the label arrives, so a snapshot
-    taken with labels in flight can re-issue it — the segment buffer
+    taken with labels in flight can re-issue it — the signal buffer
     may have trimmed past the beat by then.
     """
 
@@ -616,13 +620,13 @@ class StreamingNode:
         # scheduling lag — and therefore the retained history — stays
         # bounded no matter how the caller chunks the stream.
         self._chop = max(1, int(round(fs)))
-        keep = self._detector.window + self.window.length + 2 * self._chop
+        # The delineator's buffer is the node's one signal buffer: it
+        # also serves the classifier windows, so its lookback covers a
+        # detector window plus a beat window behind the live edge.
+        keep = self._detector.window + self.window.length + 3 * self._chop
         self._delineator = StreamingDelineator(
-            fs, config=delineation_config, lookback_s=(keep + self._chop) / fs
+            fs, config=delineation_config, lookback_s=keep / fs
         )
-        self._seg_keep = keep
-        self._seg_buf = np.empty(0)
-        self._seg_start = 0
         self._count = 0  # filtered samples consumed so far
         self._origin = 0  # absolute index where the current stream began
         self._queue: deque[_PendingBeat] = deque()
@@ -649,7 +653,7 @@ class StreamingNode:
             1 for b in self._queue if b.extracted and not b.classified and not b.dropped
         )
 
-    def snapshot(self) -> NodeSnapshot:
+    def snapshot(self, *, detached: bool = True) -> NodeSnapshot:
         """Capture the full session state (everything but the classifier).
 
         The snapshot is an independent deep copy: the live node can
@@ -657,9 +661,13 @@ class StreamingNode:
         with :meth:`restore` — each restored node continues the stream
         exactly where the snapshot was taken, emitting bit-identical
         events to the uninterrupted original.
+
+        ``detached=False`` skips the copy: the snapshot then shares the
+        live state and is valid only until the node next changes — for
+        a caller that serializes it at once (the journal).
         """
         state = {k: v for k, v in self.__dict__.items() if k != "classifier"}
-        return NodeSnapshot(state=copy.deepcopy(state))
+        return NodeSnapshot(state=copy.deepcopy(state) if detached else state)
 
     @classmethod
     def restore(cls, classifier, snapshot: NodeSnapshot) -> "StreamingNode":
@@ -871,41 +879,65 @@ class StreamingNode:
             handles came out of :meth:`take_pending`.  Partial
             deliveries are fine (labels may arrive across several
             batch flushes) as long as order is preserved.
+
+        The one-row case of :meth:`deliver_rows`.
+        """
+        return StreamingNode.deliver_rows([self], [resolved])[0]
+
+    @staticmethod
+    def deliver_rows(
+        nodes: list["StreamingNode"], resolved
+    ) -> list[list[StreamBeatEvent]]:
+        """Apply labels to many nodes' extracted beats; return each
+        node's new events.
+
+        ``resolved[r]`` holds the ``(handle, label)`` pairs for
+        ``nodes[r]``, as for :meth:`deliver`.  The flagged beats of
+        every row are scheduled through **one**
+        :meth:`~repro.dsp.delineation.StreamingDelineator.add_beats_rows`
+        call, so a gateway flush delineates its sessions' beats in one
+        pass; each node's pre-delivery hold floor keeps every scheduled
+        beat's left context buffered.  Events are bit-exact with
+        delivering to each node alone.
         """
         from repro.core.defuzz import is_abnormal
 
-        if not self.defer_classification:
-            raise RuntimeError("deliver() applies to deferred-classify nodes")
-        resolved = list(resolved)
-        flagged = is_abnormal(
-            np.asarray([label for _, label in resolved], dtype=np.int64)
-        )
-        scheduled: list[tuple[int, int | None]] = []
-        for (beat, label), flag in zip(resolved, flagged):
-            if not isinstance(beat, _PendingBeat) or not beat.extracted:
-                raise ValueError("unknown classification handle")
-            if beat.classified:
-                raise ValueError(f"beat at {beat.peak} was already delivered")
-            beat.label = int(label)
-            beat.flagged = bool(flag)
-            beat.classified = True
-            beat.row = None  # window no longer needed once labeled
-            previous = self._last_kept
-            self._last_kept = beat.peak
-            if beat.flagged:
-                scheduled.append((beat.peak, previous))
-        if scheduled:
-            # One vectorized delineation pass for the whole delivery —
-            # the pre-delivery hold floor keeps every scheduled beat's
-            # left context buffered, so batching the adds is safe.
-            for peak, fiducials in self._delineator.add_beats(scheduled):
-                self._done[peak] = fiducials
-        self._update_hold()
-        return self._emit_ready()
+        scheduled: list[list[tuple[int, int | None]]] = []
+        for node, pairs in zip(nodes, resolved):
+            if not node.defer_classification:
+                raise RuntimeError("deliver() applies to deferred-classify nodes")
+            pairs = list(pairs)
+            flagged = is_abnormal(np.asarray([label for _, label in pairs], dtype=np.int64))
+            beats: list[tuple[int, int | None]] = []
+            for (beat, label), flag in zip(pairs, flagged):
+                if not isinstance(beat, _PendingBeat) or not beat.extracted:
+                    raise ValueError("unknown classification handle")
+                if beat.classified:
+                    raise ValueError(f"beat at {beat.peak} was already delivered")
+                beat.label = int(label)
+                beat.flagged = bool(flag)
+                beat.classified = True
+                beat.row = None  # window no longer needed once labeled
+                previous = node._last_kept
+                node._last_kept = beat.peak
+                if beat.flagged:
+                    beats.append((beat.peak, previous))
+            scheduled.append(beats)
+        rows = [r for r, beats in enumerate(scheduled) if beats]
+        if rows:
+            done = StreamingDelineator.add_beats_rows(
+                [nodes[r]._delineator for r in rows], [scheduled[r] for r in rows]
+            )
+            for r, finished in zip(rows, done):
+                nodes[r]._done.update(finished)
+        events = []
+        for node in nodes:
+            node._update_hold()
+            events.append(node._emit_ready())
+        return events
 
     def _reset_stream(self) -> None:
-        self._seg_buf = np.empty(0)
-        self._origin = self._seg_start = self._count
+        self._origin = self._count
         self._done.clear()
         self._last_kept = None
         self._stash.clear()
@@ -919,7 +951,6 @@ class StreamingNode:
         if filtered.shape[0]:
             for peak, fiducials in self._delineator.push(filtered):
                 self._done[peak] = fiducials
-            self._append_segment_buffer(filtered[:, self.lead])
             new_peaks = self._detector.push_columns(filtered.shape[0], columns)
             self._count += filtered.shape[0]
         else:
@@ -936,13 +967,6 @@ class StreamingNode:
                 for peak, fiducials in self._delineator.flush():
                     self._done[peak] = fiducials
         return self._emit_ready()
-
-    def _append_segment_buffer(self, filtered_lead: np.ndarray) -> None:
-        self._seg_buf = np.concatenate([self._seg_buf, filtered_lead])
-        excess = self._seg_buf.size - self._seg_keep
-        if excess > 0:
-            self._seg_buf = self._seg_buf[excess:]
-            self._seg_start += excess
 
     def _window_ready(self, beat: _PendingBeat, final: bool) -> bool | None:
         """Shared eligibility logic: can this beat's window be cut now?
@@ -965,10 +989,9 @@ class StreamingNode:
     def _cut_window(self, beat: _PendingBeat) -> np.ndarray:
         from repro.ecg.resample import decimate_beats
 
-        lo = beat.peak - self.window.pre - self._seg_start
-        if lo < 0:
-            raise RuntimeError("segmentation context discarded before use")
-        segment = self._seg_buf[np.newaxis, lo : lo + self.window.length]
+        lo = beat.peak - self.window.pre
+        segment = self._delineator.samples(self.lead, lo, lo + self.window.length)
+        segment = segment[np.newaxis]
         decimated, _ = decimate_beats(segment, self.window, self.decimation)
         return decimated
 
@@ -999,7 +1022,7 @@ class StreamingNode:
         """Deferred mode: move ready beats into the outbox, unlabeled.
 
         Windows are cut at exactly the points :meth:`_classify_ready`
-        would classify them (same segment buffer content), so deferred
+        would classify them (same signal buffer content), so deferred
         and inline modes see identical decimated windows; only the
         ``predict`` call moves.  The delineator is told to keep the
         earliest unresolved beat's context alive until the labels

@@ -80,6 +80,31 @@ JOURNAL_BACKENDS = ("file", "sqlite", "memory")
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
+#: Chunk records: a magic byte and the array rank, the shape as LE u32s,
+#: then the raw little-endian float64 samples.  Pickles (protocol >= 2)
+#: start with 0x80, so the magic byte tells the two record kinds apart.
+_CHUNK_MAGIC = b"A"
+_CHUNK_HEAD = struct.Struct("<cB")
+
+
+def _encode_chunk(chunk) -> bytes:
+    arr = np.asarray(chunk, dtype="<f8")
+    return (
+        _CHUNK_HEAD.pack(_CHUNK_MAGIC, arr.ndim)
+        + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        + arr.tobytes()
+    )
+
+
+def _decode_chunk(blob: bytes) -> np.ndarray:
+    if blob[:1] != _CHUNK_MAGIC:
+        return pickle.loads(blob)  # a record from before the raw encoding
+    _, ndim = _CHUNK_HEAD.unpack_from(blob)
+    shape = struct.unpack_from(f"<{ndim}I", blob, _CHUNK_HEAD.size)
+    offset = _CHUNK_HEAD.size + 4 * ndim
+    samples = np.frombuffer(blob, dtype="<f8", offset=offset)
+    return samples.astype(np.float64).reshape(shape)  # a writable copy
+
 
 @dataclass
 class StoredSession:
@@ -533,11 +558,14 @@ class RecoveredSession:
 class SessionJournal:
     """The write-ahead policy over a :class:`JournalStore`.
 
-    Owns the pickling and the snapshot cadence; the gateways call the
-    hooks (:meth:`open` / :meth:`log_chunk` / :meth:`delivered` /
-    :meth:`snapshot` / :meth:`forget`) and the supervisor calls
-    :meth:`recover`.  ``snapshot_every`` bounds replay length: once a
-    session's post-snapshot chunk log reaches it,
+    Owns the record encoding and the snapshot cadence; the gateways
+    call the hooks (:meth:`open` / :meth:`log_chunk` /
+    :meth:`delivered` / :meth:`snapshot` / :meth:`forget`) and the
+    supervisor calls :meth:`recover`.  Chunk records are raw
+    little-endian float64 behind a small shape header (no pickle on
+    the per-chunk path); :meth:`recover` also reads the pickled chunk
+    records older journals hold.  ``snapshot_every`` bounds replay
+    length: once a session's post-snapshot chunk log reaches it,
     :meth:`wants_snapshot` asks the owning gateway for a fresh
     :class:`~repro.serving.gateway.SessionExport`, which truncates the
     log — recovery cost stays O(``snapshot_every``) chunks per session
@@ -560,10 +588,7 @@ class SessionJournal:
     def log_chunk(self, session_id: str, chunk) -> None:
         """Append one accepted chunk (write-ahead: call before the
         chunk is applied / shipped)."""
-        arr = np.asarray(chunk, dtype=float)
-        self.store.append_chunk(
-            session_id, pickle.dumps(arr, _PICKLE_PROTOCOL)
-        )
+        self.store.append_chunk(session_id, _encode_chunk(chunk))
 
     def delivered(self, session_id: str, n: int) -> None:
         """Count events returned to the caller since the last snapshot
@@ -606,7 +631,7 @@ class SessionJournal:
                 if stored.snapshot is not None
                 else None
             ),
-            chunks=[pickle.loads(blob) for blob in stored.chunks],
+            chunks=[_decode_chunk(blob) for blob in stored.chunks],
             delivered=int(stored.delivered),
         )
 

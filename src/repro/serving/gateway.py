@@ -742,11 +742,20 @@ class StreamGateway:
         per_session: dict[str, list[tuple[object, int]]] = {}
         for session_id, handle, label in zip(session_ids, handles, labels):
             per_session.setdefault(session_id, []).append((handle, label))
+        # One delivery over every session in the flush (group peers
+        # included), so their flagged beats share one delineation pass.
+        targets = []
         for session_id, resolved in per_session.items():
             owner, session = self._find_owner(session_id)
             if session is None:  # closed mid-flight; nothing to route to
                 continue
-            owner._feed(session_id, session, session.node.deliver(resolved))
+            targets.append((owner, session_id, session, resolved))
+        results = StreamingNode.deliver_rows(
+            [session.node for _, _, session, _ in targets],
+            [resolved for _, _, _, resolved in targets],
+        )
+        for (owner, session_id, session, _), events in zip(targets, results):
+            owner._feed(session_id, session, events)
         self.n_flushes += 1
         self.n_classified += len(handles)
         self._drain_analytics()
@@ -982,11 +991,14 @@ class StreamGateway:
         if session is None:  # pragma: no cover - evicted under the cadence
             return
         self.flush_batch()
+        # The journal pickles the export at once, so the live state is
+        # captured without a deep copy (export_session keeps its copy:
+        # that export outlives the call).
         self.journal.snapshot(
             session_id,
             SessionExport(
                 session_id=session_id,
-                snapshot=session.node.snapshot(),
+                snapshot=session.node.snapshot(detached=False),
                 events=list(session.events),
                 max_latency_ticks=session.latency_budget,
                 evict_after_ticks=session.evict_after,

@@ -242,6 +242,9 @@ class _WorkerState:
             group=group,
             **gateway_kwargs,
         )
+        # Ids evicted while a pipelined ingest for them may still be on
+        # its way (answered with no events).  Pruned at every
+        # synchronous request, see handle().
         self._evicted_ids: set[str] = set()
 
     def handle(self, request: tuple) -> tuple:
@@ -288,7 +291,15 @@ class _WorkerState:
         except Exception as exc:  # travels back to the caller
             payload = ("err", exc)
         new_evictions, self._evictions = self._evictions, []
-        self._evicted_ids.update(sid for sid, _ in new_evictions)
+        if op == "ingest":
+            self._evicted_ids.update(sid for sid, _ in new_evictions)
+        else:
+            # Every other op is a synchronous call: the parent sends
+            # this worker nothing more until it has read this response
+            # and all earlier ones, whose eviction notices unregister
+            # the ids — so no request for any id evicted so far can
+            # still arrive.
+            self._evicted_ids.clear()
         gateway.take_evicted()  # delivered via the response instead
         aux = (gateway.take_alerts(), gateway.take_summaries())
         return (op, session_id, payload, new_evictions, aux)

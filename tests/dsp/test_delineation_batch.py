@@ -7,6 +7,8 @@ the per-beat op counts alike — on MIT-BIH-like synthetic records,
 including boundary-clamped beats and P-search guards.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,34 @@ class TestStreamingDelineator:
         # Beats from the previous stream are rejected outright.
         with pytest.raises(ValueError):
             delineator.add_beat(origin - 10)
+
+
+    def test_pickle_keeps_live_rows_and_reads_the_old_layout(self, setup):
+        """A pickled delineator carries only its live rows; one pickled
+        before the in-place buffer (a ``_buffer`` array of the live
+        rows) restores too, and both continue bit-exactly."""
+        fs, filtered, peaks, previous, _, _ = setup
+        half = filtered.shape[0] // 2
+        live = StreamingDelineator(fs, lookback_s=3.0)
+        live.push(filtered[:half])
+        beats = [(int(p), prev) for p, prev in zip(peaks, previous) if p < half]
+        live.add_beats(beats[-3:])
+        blob = pickle.dumps(live)
+        assert len(blob) < 8 * live._data.size  # no spare capacity
+        restored = pickle.loads(blob)
+        old_state = pickle.loads(pickle.dumps(live.__getstate__()))
+        old_state["_buffer"] = old_state.pop("_data")
+        del old_state["_head"]
+        old = StreamingDelineator.__new__(StreamingDelineator)
+        old.__setstate__(old_state)
+        buffered = live.buffered_samples
+        outputs = []
+        for delineator in (live, restored, old):
+            assert delineator.buffered_samples == buffered
+            done = delineator.push(filtered[half:]) + delineator.flush()
+            outputs.append([(peak, fid.as_array().tolist()) for peak, fid in done])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]  # a beat was still pending across the pickle
 
 
 class TestAddBeatsBatch:

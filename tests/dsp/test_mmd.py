@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dsp.mmd import mmd_multiscale, mmd_transform
+from repro.dsp.mmd import mmd_multiscale, mmd_rows, mmd_transform
 from repro.platform.opcount import OpCounter
 
 
@@ -54,3 +54,22 @@ class TestMMD:
         assert counter["cmp"] == 2 * 100 * 8
         assert counter["add"] == 100
         assert counter["sub"] == 100
+
+
+class TestMMDRows:
+    """``mmd_rows`` equals ``mmd_transform`` row by row, bit for bit,
+    over any column window — including windows at either segment edge,
+    where the row's own edge replication applies."""
+
+    @pytest.mark.parametrize("scale", [1, 2, 6, 10, 14])
+    def test_column_windows_match_transform(self, rng, scale):
+        rows = np.round(rng.standard_normal((5, 64)) * 4) / 4  # ties common
+        full = np.stack([mmd_transform(row, scale) for row in rows])
+        np.testing.assert_array_equal(mmd_rows(rows, scale), full)
+        for lo, hi in [(0, 1), (0, 64), (3, 20), (40, 64), (63, 64), (scale, 64 - scale)]:
+            np.testing.assert_array_equal(mmd_rows(rows, scale, lo, hi), full[:, lo:hi])
+
+    def test_short_rows_wider_than_the_element(self, rng):
+        rows = rng.standard_normal((3, 5))
+        full = np.stack([mmd_transform(row, 8) for row in rows])
+        np.testing.assert_array_equal(mmd_rows(rows, 8, 1, 4), full[:, 1:4])

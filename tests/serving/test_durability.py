@@ -237,6 +237,37 @@ class TestSessionJournal:
         with pytest.raises(ValueError, match="snapshot_every"):
             SessionJournal(MemoryJournalStore(), snapshot_every=0)
 
+    @pytest.mark.parametrize("shape", [(90,), (90, 3), (1, 2), (0,)])
+    def test_chunk_records_round_trip(self, store, shape):
+        """Raw chunk records (no pickle) recover 1-D and multi-lead
+        chunks exactly, on every store."""
+        journal = SessionJournal(store)
+        journal.open("s", None)
+        rng = np.random.default_rng(len(shape))
+        chunks = [rng.normal(size=shape), np.arange(np.prod(shape)).reshape(shape)]
+        for chunk in chunks:
+            journal.log_chunk("s", chunk)
+        for blob in store.load("s").chunks:
+            assert blob[:1] != pickle.dumps(np.zeros(1))[:1]  # not a pickle
+        recovered = journal.recover("s").chunks
+        assert len(recovered) == len(chunks)
+        for got, chunk in zip(recovered, chunks):
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.flags.writeable
+            np.testing.assert_array_equal(got, chunk)
+
+    def test_recover_reads_pickled_chunk_records(self, store):
+        """Journals written before the raw encoding hold pickled chunk
+        records; recovery decodes both kinds, in log order."""
+        journal = SessionJournal(store)
+        journal.open("s", None)
+        old = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+        store.append_chunk("s", pickle.dumps(old, pickle.HIGHEST_PROTOCOL))
+        journal.log_chunk("s", old[::-1])
+        first, second = journal.recover("s").chunks
+        np.testing.assert_array_equal(first, old)
+        np.testing.assert_array_equal(second, old[::-1])
+
     def test_open_journal_backends(self, tmp_path):
         for backend in BACKENDS:
             journal = open_journal(

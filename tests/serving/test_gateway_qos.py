@@ -228,6 +228,34 @@ class TestEviction:
         )
 
 
+    def test_worker_evicted_id_set_stays_bounded(self, record, block, embedded_classifier):
+        """A worker remembers evicted ids only while a request for one
+        can still be in flight: churning through many distinct evicted
+        ids leaves the set bounded by the sessions evicted since the
+        parent's last synchronous request, and empty right after one."""
+        with ShardedGateway(
+            embedded_classifier, record.fs, workers=1, worker_mode="inline"
+        ) as gateway:
+            state = gateway._conns[0]._state
+            gateway.open_session("active")
+            offset, sizes = 0, []
+            for k in range(60):
+                # Pipelined ingests only: the churn sessions go idle and
+                # are evicted while the active session ticks the clock.
+                gateway.open_session(f"idle-{k}", evict_after_ticks=1)
+                gateway.ingest(f"idle-{k}", record.signal[:block])
+                for _ in range(2):
+                    chunk = record.signal[offset % (len(record.signal) - block) :][:block]
+                    gateway.ingest("active", chunk)
+                    offset += block
+                sizes.append(len(state._evicted_ids))
+            assert gateway.n_sessions == 1  # every churn session was evicted
+            assert max(sizes) <= 2
+            gateway.stats()  # a synchronous request: no id can still arrive
+            assert not state._evicted_ids
+            gateway.close_session("active")
+
+
 class TestSessionInbox:
     """The documented drop/block overflow policies, deterministically."""
 
