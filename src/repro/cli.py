@@ -60,7 +60,7 @@ import argparse
 import sys
 
 from repro.core.genetic import GeneticConfig
-from repro.serving.executors import PLACEMENTS, WORKER_MODES
+from repro.serving.executors import PLACEMENTS
 
 
 def _genetic(args) -> GeneticConfig:
@@ -221,10 +221,6 @@ def cmd_serve(args) -> int:
     from repro.serving import (
         AutoBalancer,
         Autoscaler,
-        ShardedGateway,
-        StreamGateway,
-        SupervisedGateway,
-        open_journal,
         serve_autoscaled,
         serve_round_robin,
     )
@@ -243,8 +239,6 @@ def cmd_serve(args) -> int:
         )
     if args.snapshot_every < 1:
         raise SystemExit("error: --snapshot-every must be >= 1")
-    if args.journal is None and args.journal_backend != "file":
-        raise SystemExit("error: --journal-backend requires --journal")
 
     config = Table3Config(scale=_scale(args), seed=args.seed, genetic=_genetic(args))
     print("Training + quantizing the shared classifier ...")
@@ -278,58 +272,13 @@ def cmd_serve(args) -> int:
         # every session builds its own operator set worker-side.
         gateway_kwargs["analytics"] = default_pipeline
 
-    from contextlib import nullcontext
-
     autoscaled = args.autoscale
     sharded = autoscaled or args.workers > 1
-    # Mode-aware default: least-loaded suits an elastic pool (new
-    # workers fill immediately), hash keeps the static pool's stable
-    # assignment.  An explicit --placement wins in either sharded mode.
-    placement = args.placement or ("least-loaded" if autoscaled else "hash")
-    journal = None
-    if args.journal is not None:
-        journal = open_journal(
-            args.journal, args.journal_backend,
-            snapshot_every=args.snapshot_every,
-        )
-    # A supervisor only helps where workers can die independently.
-    supervised = journal is not None and sharded and args.worker_mode == "process"
-    if autoscaled:
-        tier = (
-            f"elastic pool {args.min_workers}..{args.max_workers} workers, "
-            f"{placement} placement"
-        )
-    elif sharded:
-        tier = f"{args.workers} {args.worker_mode} workers, {placement} placement"
-    else:
-        tier = "single process"
-    if journal is not None:
-        tier += (
-            f", {args.journal_backend}-journaled"
-            + (" + supervised" if supervised else "")
-        )
+    context, _, supervised, tier = _local_tier(args, classifier, fs, gateway_kwargs)
     print(
         f"Ingesting round-robin ({tier}, {args.chunk_ms:.0f} ms chunks, "
         f"max_batch={args.max_batch}, max_latency_ticks={args.max_latency_ticks}) ..."
     )
-    if sharded:
-        pool_kwargs = dict(
-            workers=args.min_workers if autoscaled else args.workers,
-            placement=placement, worker_mode=args.worker_mode,
-            **gateway_kwargs,
-        )
-        if supervised:
-            context = SupervisedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-        else:
-            context = ShardedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-    else:
-        context = nullcontext(
-            StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
-        )
     profiler = None
     if args.profile:
         import cProfile
@@ -377,7 +326,7 @@ def cmd_serve(args) -> int:
                 )
             if supervised:
                 print(
-                    f"  journal: {args.journal_backend} store at "
+                    "  journal: file store at "
                     f"{args.journal}, snapshot every {args.snapshot_every} "
                     f"chunks; {stats['respawns']} worker respawns, "
                     f"{stats['sessions_recovered']} sessions recovered"
@@ -428,9 +377,16 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _serve_listen(args, classifier) -> int:
-    """Expose the gateway on a TCP socket (``repro serve --listen``)."""
-    import asyncio
+def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
+    """Build the tier ``repro serve`` runs in this process.
+
+    One ``StreamGateway`` (``--workers 1``), or a ``ShardedGateway`` of
+    worker processes (``--workers N`` or ``--autoscale``), which a
+    ``SupervisedGateway`` wraps when ``--journal`` is set.  Returns
+    ``(context, journal, supervised, tier)``: a context manager that
+    yields the gateway, the journal (or ``None``), whether a
+    supervisor recovers crashed workers, and a one-line description.
+    """
     from contextlib import nullcontext
 
     from repro.serving import (
@@ -438,8 +394,47 @@ def _serve_listen(args, classifier) -> int:
         StreamGateway,
         SupervisedGateway,
         open_journal,
-        recover_sessions,
     )
+
+    autoscaled = args.autoscale
+    sharded = autoscaled or args.workers > 1
+    # Mode-aware default: least-loaded suits an elastic pool (new
+    # workers fill immediately), hash keeps the static pool's stable
+    # assignment.  An explicit --placement wins in either sharded mode.
+    placement = args.placement or ("least-loaded" if autoscaled else "hash")
+    journal = None
+    if args.journal is not None:
+        journal = open_journal(args.journal, snapshot_every=args.snapshot_every)
+    # A supervisor only helps where workers can die independently.
+    supervised = journal is not None and sharded
+    if autoscaled:
+        tier = (
+            f"elastic pool {args.min_workers}..{args.max_workers} workers, "
+            f"{placement} placement"
+        )
+    elif sharded:
+        tier = f"{args.workers} process workers, {placement} placement"
+    else:
+        tier = "single process"
+    if journal is not None:
+        tier += ", journaled" + (" + supervised" if supervised else "")
+    if not sharded:
+        gateway = StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
+        return nullcontext(gateway), journal, supervised, tier
+    pool = SupervisedGateway if supervised else ShardedGateway
+    context = pool(
+        classifier, fs, journal=journal,
+        workers=args.min_workers if autoscaled else args.workers,
+        placement=placement, **gateway_kwargs,
+    )
+    return context, journal, supervised, tier
+
+
+def _serve_listen(args, classifier) -> int:
+    """Expose the gateway on a TCP socket (``repro serve --listen``)."""
+    import asyncio
+
+    from repro.serving import recover_sessions
     from repro.serving.net import GatewayServer
 
     host, port = _parse_hostport(args.listen)
@@ -455,41 +450,9 @@ def _serve_listen(args, classifier) -> int:
         from repro.serving import default_pipeline
 
         gateway_kwargs["analytics"] = default_pipeline
-    journal = None
-    if args.journal is not None:
-        journal = open_journal(
-            args.journal, args.journal_backend,
-            snapshot_every=args.snapshot_every,
-        )
-    supervised = (
-        journal is not None and args.workers > 1
-        and args.worker_mode == "process"
+    context, journal, supervised, tier = _local_tier(
+        args, classifier, fs, gateway_kwargs
     )
-    if args.workers > 1:
-        pool_kwargs = dict(
-            workers=args.workers,
-            placement=args.placement or "hash",
-            worker_mode=args.worker_mode, **gateway_kwargs,
-        )
-        if supervised:
-            context = SupervisedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-        else:
-            context = ShardedGateway(
-                classifier, fs, journal=journal, **pool_kwargs
-            )
-        tier = f"{args.workers} {args.worker_mode} workers"
-    else:
-        context = nullcontext(
-            StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
-        )
-        tier = "single process"
-    if journal is not None:
-        tier += (
-            f", {args.journal_backend}-journaled"
-            + (" + supervised" if supervised else "")
-        )
 
     async def _run(gateway) -> None:
         server = GatewayServer(gateway, host=host, port=port)
@@ -639,8 +602,7 @@ def cmd_loadgen(args) -> int:
             ).connect()
         if args.workers > 1:
             return ShardedGateway(
-                classifier, fs, workers=args.workers,
-                worker_mode=args.worker_mode, **gateway_kwargs,
+                classifier, fs, workers=args.workers, **gateway_kwargs
             )
         return StreamGateway(classifier, fs, **gateway_kwargs)
 
@@ -649,7 +611,7 @@ def cmd_loadgen(args) -> int:
     elif args.connect:
         tier = f"remote {args.connect[0]} (window {args.window})"
     elif args.workers > 1:
-        tier = f"{args.workers} {args.worker_mode} workers"
+        tier = f"{args.workers} process workers"
     else:
         tier = "single process"
     print(
@@ -729,7 +691,6 @@ def cmd_federate(args) -> int:
         spawn_host(
             classifier, fs,
             workers=args.workers,
-            worker_mode=args.worker_mode,
             balance_every=64 if args.workers > 1 else None,
             gateway_kwargs=gateway_kwargs,
         )
@@ -920,19 +881,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session placement policy for sharded pools "
                             "(default: least-loaded with --autoscale, "
                             "hash with --workers N)")
-    serve.add_argument("--worker-mode", default="process", choices=WORKER_MODES,
-                       help="sharded worker execution: separate processes, or "
-                            "inline in-process workers sharing one batch")
     serve.add_argument("--journal", default=None, metavar="DIR",
                        help="write-ahead session journal directory: chunks "
                             "are journaled before processing, snapshots taken "
-                            "on a cadence, and (with --workers N process "
-                            "mode) a supervisor respawns crashed workers and "
+                            "on a cadence, and (with --workers N) a "
+                            "supervisor respawns crashed workers and "
                             "recovers their sessions bit-exactly")
-    serve.add_argument("--journal-backend", default="file",
-                       choices=("file", "sqlite"),
-                       help="journal persistence: file-per-session logs or a "
-                            "single sqlite database under the --journal dir")
     serve.add_argument("--snapshot-every", type=int, default=64,
                        help="journal snapshot cadence in accepted chunks per "
                             "session (bounds recovery replay length)")
@@ -970,8 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flush when the oldest beat waited this many ingests")
     loadgen.add_argument("--workers", type=int, default=1,
                          help="worker count; > 1 shards across a ShardedGateway")
-    loadgen.add_argument("--worker-mode", default="process", choices=WORKER_MODES,
-                         help="sharded worker execution mode")
     loadgen.add_argument("--start-eps", type=float, default=None,
                          help="first ramp step's offered events/s "
                               "(default: the fleet's nominal rate)")
@@ -1010,8 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     federate.add_argument("--workers", type=int, default=1,
                           help="workers per host; > 1 runs a ShardedGateway "
                                "with a within-host balancer on each host")
-    federate.add_argument("--worker-mode", default="inline", choices=WORKER_MODES,
-                          help="per-host sharded worker execution mode")
     federate.add_argument("--placement", default=None, choices=PLACEMENTS,
                           help="cross-host session placement policy "
                                "(default: least-loaded)")

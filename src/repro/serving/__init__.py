@@ -39,7 +39,7 @@ once; this package is that workload's engine, in two shapes:
 * **Durability** (:mod:`repro.serving.durability`): a write-ahead
   :class:`SessionJournal` (periodic ``SessionExport`` snapshots + an
   append-only chunk log per session, over pluggable
-  :class:`JournalStore` backends — memory, file-per-session, sqlite)
+  :class:`JournalStore` backends — memory and file-per-session)
   and a :class:`SupervisedGateway` that detects worker death, respawns
   the worker and replays snapshot+log to recover every lost session
   bit-exactly — chunk-invariance as the recovery contract.
@@ -94,7 +94,6 @@ from repro.serving.durability import (
     JournalStore,
     MemoryJournalStore,
     SessionJournal,
-    SqliteJournalStore,
     SupervisedGateway,
     open_journal,
     recover_sessions,
@@ -103,7 +102,6 @@ from repro.serving.executors import INBOX_POLICIES, PLACEMENTS
 from repro.serving.federation import FederatedGateway, HostProcess, spawn_host
 from repro.serving.gateway import (
     BeatBatch,
-    GatewayGroup,
     SessionExport,
     StreamGateway,
     serve_round_robin,
@@ -133,7 +131,6 @@ __all__ = [
     "FleetTrace",
     "GatewayClient",
     "HostProcess",
-    "GatewayGroup",
     "GatewayServer",
     "HRVSpectral",
     "JournalStore",
@@ -146,7 +143,6 @@ __all__ = [
     "SessionInbox",
     "SessionJournal",
     "ShardedGateway",
-    "SqliteJournalStore",
     "StreamGateway",
     "StreamResult",
     "SupervisedGateway",

@@ -15,11 +15,10 @@ the serving stack's oldest invariant:
 Three layers:
 
 * :class:`JournalStore` — the pluggable persistence interface (the
-  point of the design: swap the medium, keep the semantics).  Three
-  backends ship: :class:`MemoryJournalStore` (tests, ephemeral),
+  point of the design: swap the medium, keep the semantics).  Two
+  backends ship: :class:`MemoryJournalStore` (tests, ephemeral) and
   :class:`FileJournalStore` (file-per-session snapshot + framed
-  append-only log), :class:`SqliteJournalStore` (one database file,
-  transactional).
+  append-only log), the one durable medium.
 * :class:`SessionJournal` — the write-ahead policy over a store: an
   ``open`` record per session, a pickled
   :class:`~repro.serving.gateway.SessionExport` snapshot refreshed
@@ -52,7 +51,6 @@ from __future__ import annotations
 import base64
 import os
 import pickle
-import sqlite3
 import struct
 from dataclasses import dataclass, field
 
@@ -60,7 +58,7 @@ import numpy as np
 
 from repro.serving.executors import validate_at_least
 from repro.serving.gateway import SessionExport
-from repro.serving.sharded import ShardedGateway, WorkerCrashError, _InlineWorker
+from repro.serving.sharded import ShardedGateway, WorkerCrashError
 
 __all__ = [
     "FileJournalStore",
@@ -68,7 +66,6 @@ __all__ = [
     "MemoryJournalStore",
     "RecoveredSession",
     "SessionJournal",
-    "SqliteJournalStore",
     "SupervisedGateway",
     "open_journal",
     "recover_sessions",
@@ -76,7 +73,7 @@ __all__ = [
 
 #: Journal backends :func:`open_journal` (and ``repro serve --journal``)
 #: can construct by name.
-JOURNAL_BACKENDS = ("file", "sqlite", "memory")
+JOURNAL_BACKENDS = ("file", "memory")
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -134,7 +131,7 @@ class JournalStore:
     * :meth:`load` returns the full :class:`StoredSession` (or
       ``None`` for an unknown id); :meth:`chunk_count` is the cheap
       cadence probe; :meth:`session_ids` lists every journaled id —
-      including ones persisted by an earlier process (file/sqlite);
+      including ones persisted by an earlier process (file store);
     * :meth:`forget` removes a session entirely (closed, evicted or
       released sessions need no recovery).
     """
@@ -403,144 +400,6 @@ class FileJournalStore(JournalStore):
             self._close_log(session_id)
 
 
-class SqliteJournalStore(JournalStore):
-    """Single-file sqlite store: one ``sessions`` row per session plus
-    an append-only ``chunks`` table, everything transactional.
-
-    Default pragmas favor the actual threat model (worker death, not
-    host death): the journal lives in the parent process, so
-    ``synchronous=OFF`` skips the per-append fsync.  ``sync=True``
-    turns full fsync durability back on for host-crash tolerance.
-    """
-
-    def __init__(self, path: str, *, sync: bool = False):
-        self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._db = sqlite3.connect(self.path)
-        self._db.execute(
-            "PRAGMA synchronous = " + ("FULL" if sync else "OFF")
-        )
-        self._db.execute("PRAGMA journal_mode = " + ("DELETE" if sync else "MEMORY"))
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS sessions ("
-            " session_id TEXT PRIMARY KEY,"
-            " open_blob BLOB,"
-            " snapshot BLOB,"
-            " delivered INTEGER NOT NULL DEFAULT 0)"
-        )
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS chunks ("
-            " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " session_id TEXT NOT NULL,"
-            " blob BLOB NOT NULL)"
-        )
-        self._db.execute(
-            "CREATE INDEX IF NOT EXISTS chunks_by_session"
-            " ON chunks (session_id, seq)"
-        )
-        self._db.commit()
-
-    def begin(self, session_id: str, open_blob: bytes) -> None:
-        with self._db:
-            self._db.execute(
-                "INSERT OR REPLACE INTO sessions"
-                " (session_id, open_blob, snapshot, delivered)"
-                " VALUES (?, ?, NULL, 0)",
-                (session_id, open_blob),
-            )
-            self._db.execute(
-                "DELETE FROM chunks WHERE session_id = ?", (session_id,)
-            )
-
-    def put_snapshot(self, session_id: str, blob: bytes) -> None:
-        with self._db:
-            updated = self._db.execute(
-                "UPDATE sessions SET snapshot = ?, delivered = 0"
-                " WHERE session_id = ?",
-                (blob, session_id),
-            ).rowcount
-            if not updated:
-                self._db.execute(
-                    "INSERT INTO sessions"
-                    " (session_id, open_blob, snapshot, delivered)"
-                    " VALUES (?, NULL, ?, 0)",
-                    (session_id, blob),
-                )
-            self._db.execute(
-                "DELETE FROM chunks WHERE session_id = ?", (session_id,)
-            )
-
-    def _ensure_row(self, session_id: str) -> None:
-        self._db.execute(
-            "INSERT OR IGNORE INTO sessions (session_id) VALUES (?)",
-            (session_id,),
-        )
-
-    def append_chunk(self, session_id: str, blob: bytes) -> None:
-        with self._db:
-            self._ensure_row(session_id)
-            self._db.execute(
-                "INSERT INTO chunks (session_id, blob) VALUES (?, ?)",
-                (session_id, blob),
-            )
-
-    def add_delivered(self, session_id: str, n: int) -> None:
-        with self._db:
-            self._ensure_row(session_id)
-            self._db.execute(
-                "UPDATE sessions SET delivered = delivered + ?"
-                " WHERE session_id = ?",
-                (int(n), session_id),
-            )
-
-    def load(self, session_id: str) -> StoredSession | None:
-        row = self._db.execute(
-            "SELECT open_blob, snapshot, delivered FROM sessions"
-            " WHERE session_id = ?",
-            (session_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        chunks = [
-            blob
-            for (blob,) in self._db.execute(
-                "SELECT blob FROM chunks WHERE session_id = ? ORDER BY seq",
-                (session_id,),
-            )
-        ]
-        return StoredSession(
-            open_blob=row[0], snapshot=row[1], chunks=chunks, delivered=row[2]
-        )
-
-    def chunk_count(self, session_id: str) -> int:
-        (count,) = self._db.execute(
-            "SELECT COUNT(*) FROM chunks WHERE session_id = ?", (session_id,)
-        ).fetchone()
-        return count
-
-    def forget(self, session_id: str) -> None:
-        with self._db:
-            self._db.execute(
-                "DELETE FROM sessions WHERE session_id = ?", (session_id,)
-            )
-            self._db.execute(
-                "DELETE FROM chunks WHERE session_id = ?", (session_id,)
-            )
-
-    def session_ids(self) -> list[str]:
-        return [
-            session_id
-            for (session_id,) in self._db.execute(
-                "SELECT session_id FROM sessions ORDER BY rowid"
-            )
-        ]
-
-    def close(self) -> None:
-        self._db.close()
-
-
 @dataclass(frozen=True)
 class RecoveredSession:
     """Everything :meth:`SessionJournal.recover` knows about a session:
@@ -652,19 +511,12 @@ def open_journal(
 ) -> SessionJournal:
     """Build a :class:`SessionJournal` over a named backend.
 
-    ``"file"`` journals into the directory ``path``; ``"sqlite"`` into
-    ``<path>/journal.sqlite3`` (or ``path`` itself when it names a
-    file); ``"memory"`` ignores ``path``.  The ``repro serve
-    --journal DIR --journal-backend B --snapshot-every N`` flags map
-    straight onto this.
+    ``"file"`` journals into the directory ``path``; ``"memory"``
+    ignores ``path``.  The ``repro serve --journal DIR
+    --snapshot-every N`` flags map straight onto this.
     """
     if backend == "file":
         store: JournalStore = FileJournalStore(path, sync=sync)
-    elif backend == "sqlite":
-        db_path = path
-        if not os.path.splitext(path)[1]:
-            db_path = os.path.join(path, "journal.sqlite3")
-        store = SqliteJournalStore(db_path, sync=sync)
     elif backend == "memory":
         store = MemoryJournalStore()
     else:
@@ -808,10 +660,8 @@ class SupervisedGateway:
         if crash is not None:
             dead.add(crash.worker)
         for index, proc in enumerate(gw._procs):
-            if getattr(proc, "pid", None) is not None and not proc.is_alive():
+            if not proc.is_alive():
                 dead.add(index)
-        if dead and isinstance(gw._conns[sorted(dead)[0]], _InlineWorker):
-            raise RuntimeError("cannot recover inline workers")
         lost: list[tuple[str, object]] = []
         for index in sorted(dead):
             # Salvage first: a killed worker's already-written responses

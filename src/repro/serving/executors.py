@@ -26,14 +26,6 @@ INBOX_POLICIES = ("block", "drop")
 #: ``import_session`` consult the configured placer).
 PLACEMENTS = ("hash", "least-loaded", "round-robin")
 
-#: Worker execution modes :class:`repro.serving.sharded.ShardedGateway`
-#: accepts: ``"process"`` runs one worker per OS process (true
-#: parallelism); ``"inline"`` runs every worker in the calling process
-#: over a shared batch, so one classifier pass per tick covers the
-#: whole pool.
-WORKER_MODES = ("process", "inline")
-
-
 def validate_executor(executor: str) -> str:
     """Return ``executor`` or raise a :class:`ValueError` naming the
     allowed values."""
@@ -83,16 +75,6 @@ def validate_placement(placement: str) -> str:
             f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
         )
     return placement
-
-
-def validate_worker_mode(worker_mode: str) -> str:
-    """Return ``worker_mode`` or raise a :class:`ValueError` naming the
-    allowed values."""
-    if worker_mode not in WORKER_MODES:
-        raise ValueError(
-            f"unknown worker mode {worker_mode!r}; expected one of {WORKER_MODES}"
-        )
-    return worker_mode
 
 
 def split_shards(items: list, n_shards: int) -> list[list]:

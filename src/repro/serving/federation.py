@@ -473,7 +473,6 @@ def _host_main(
     classifier,
     fs,
     workers,
-    worker_mode,
     balance_every,
     gateway_kwargs,
     server_kwargs,
@@ -494,8 +493,7 @@ def _host_main(
     server_kwargs = dict(server_kwargs or {})
     if workers > 1:
         gateway = ShardedGateway(
-            classifier, fs, workers=workers, worker_mode=worker_mode,
-            **gateway_kwargs,
+            classifier, fs, workers=workers, **gateway_kwargs
         )
     else:
         gateway = StreamGateway(classifier, fs, **gateway_kwargs)
@@ -531,7 +529,7 @@ def spawn_host(
     host: str = "127.0.0.1",
     port: int = 0,
     workers: int = 1,
-    worker_mode: str = "inline",
+    worker_mode: str = "process",
     balance_every: int | None = None,
     gateway_kwargs: dict | None = None,
     server_kwargs: dict | None = None,
@@ -542,8 +540,8 @@ def spawn_host(
 
     The child builds a :class:`~repro.serving.gateway.StreamGateway`
     (``workers == 1``) or :class:`~repro.serving.sharded.ShardedGateway`
-    (``workers > 1``, with ``worker_mode`` / optional within-host
-    balancing every ``balance_every`` ingests), serves it through a
+    (``workers > 1``, with optional within-host balancing every
+    ``balance_every`` ingests), serves it through a
     :class:`~repro.serving.net.server.GatewayServer`, and reports the
     bound address back — available as :attr:`HostProcess.address` when
     this returns.  ``gateway_kwargs`` / ``server_kwargs`` pass through
@@ -554,16 +552,22 @@ def spawn_host(
     :class:`FederatedGateway` over N local hosts measures genuine
     horizontal scale-out (the federation benchmark's 1-vs-2-host
     ratio), and ``repro federate`` demos the fleet on one box.
+    ``worker_mode`` accepts only ``"process"``: sharded workers are
+    always worker processes.
     """
+    if worker_mode != "process":
+        raise ValueError(
+            f"worker_mode must be 'process', got {worker_mode!r}"
+        )
     ctx = multiprocessing.get_context(mp_context)
     parent, child = ctx.Pipe()
-    # Process-mode workers are grandchildren — a daemonic host could
-    # not spawn them, so only single-process hosts run daemonic.
-    daemon = not (workers > 1 and worker_mode == "process")
+    # Worker processes are grandchildren — a daemonic host could not
+    # spawn them, so only single-process hosts run daemonic.
+    daemon = workers == 1
     process = ctx.Process(
         target=_host_main,
         args=(
-            child, classifier, fs, int(workers), worker_mode,
+            child, classifier, fs, int(workers),
             balance_every, gateway_kwargs, server_kwargs, host, port,
         ),
         name="repro-fed-host",

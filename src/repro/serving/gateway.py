@@ -76,7 +76,6 @@ from repro.serving.executors import validate_at_least
 
 __all__ = [
     "BeatBatch",
-    "GatewayGroup",
     "SessionExport",
     "StreamGateway",
     "serve_round_robin",
@@ -252,59 +251,6 @@ class _Session:
         return events
 
 
-class _Clock:
-    """Shared monotonic tick counter (one ``ingest`` anywhere = one tick)."""
-
-    __slots__ = ("tick",)
-
-    def __init__(self) -> None:
-        self.tick = 0
-
-
-class GatewayGroup:
-    """Shared batch + clock for a set of co-located gateways.
-
-    Gateways constructed with ``group=`` queue their pending beats
-    into **one** cross-gateway :class:`BeatBatch` on **one** shared
-    tick clock, so a flush triggered by any member classifies every
-    member's beats in a single ``predict`` call — the in-process
-    analogue of the sharded tier's per-worker batches, collapsed.
-    Labeled beats are routed back to whichever member owns the
-    session; flush/classified counters accrue on the member that
-    triggered the flush.
-
-    The flush policy stays each member's own (``max_batch`` /
-    latency budgets), evaluated against the shared batch — semantics
-    identical to running every session on one big gateway.
-    """
-
-    def __init__(self) -> None:
-        self.batch = BeatBatch()
-        self.clock = _Clock()
-        self.gateways: list["StreamGateway"] = []
-
-    def _register(self, gateway: "StreamGateway") -> None:
-        self.gateways.append(gateway)
-
-    def _unregister(self, gateway: "StreamGateway") -> None:
-        if gateway in self.gateways:
-            self.gateways.remove(gateway)
-
-    def find_session(self, session_id: str):
-        """The owning member's session record, or ``None``."""
-        for gateway in self.gateways:
-            session = gateway._sessions.get(session_id)
-            if session is not None:
-                return session
-        return None
-
-    def flush(self) -> int:
-        """Flush the shared batch through one member (one ``predict``)."""
-        if not self.gateways:
-            return 0
-        return self.gateways[0].flush_batch()
-
-
 class StreamGateway:
     """Multiplex live streaming sessions into batched classifier passes.
 
@@ -361,10 +307,6 @@ class StreamGateway:
         per-frame chunks; the event sequences are unchanged.  A
         coalescing node pushes each chunk at once instead of joining
         the tick's front-end pass).
-    group:
-        Optional :class:`GatewayGroup`.  Member gateways share one
-        cross-gateway batch and tick clock, so one flush classifies
-        every member's pending beats in a single ``predict`` call.
     journal:
         Optional :class:`repro.serving.durability.SessionJournal`.
         When set, every ingested chunk is write-ahead journaled, the
@@ -418,7 +360,6 @@ class StreamGateway:
         delineation_config=None,
         overhead_bytes: int = 2,
         coalesce: int = 1,
-        group: GatewayGroup | None = None,
         journal=None,
     ):
         validate_at_least("max_batch", max_batch)
@@ -454,14 +395,9 @@ class StreamGateway:
         # up push at once and are tracked so they never hold a pass.
         self._stash: dict[str, np.ndarray] = {}
         self._warming: set[str] = set()
-        self.group = group
-        if group is not None:
-            self._batch = group.batch
-            self._clock = group.clock
-            group._register(self)
-        else:
-            self._batch = BeatBatch()
-            self._clock = _Clock()
+        self._batch = BeatBatch()
+        # One tick per ingest call, any session.
+        self._tick = 0
         self._evicted: dict[str, list[StreamBeatEvent]] = {}
         # Sessions whose analytics pipeline has unfolded events; drained
         # in one batched pass per flush (see _drain_analytics).
@@ -535,7 +471,7 @@ class StreamGateway:
                     evict_after_ticks if evict_after_ticks is not None
                     else self.evict_after_ticks
                 ),
-                last_active=self._clock.tick,
+                last_active=self._tick,
                 analytics=self._build_pipeline(analytics),
             ),
         )
@@ -597,9 +533,8 @@ class StreamGateway:
             self._collect(session_id, session)
             if session_id in self._warming and node.front_steady:
                 self._warming.discard(session_id)
-        clock = self._clock
-        clock.tick += 1
-        session.last_active = clock.tick
+        self._tick += 1
+        session.last_active = self._tick
         if len(self._batch) >= self.max_batch or self._latency_budget_hit():
             self._classify_batch()
         self._evict_idle()
@@ -648,7 +583,7 @@ class StreamGateway:
         so the armed deadlines never go stale.
         """
         deadline = self._batch.min_deadline
-        return deadline is not None and self._clock.tick >= deadline
+        return deadline is not None and self._tick >= deadline
 
     def _evict_idle(self) -> None:
         """Evict every session idle past its threshold (slow-session QoS).
@@ -660,7 +595,7 @@ class StreamGateway:
         """
         if not self._evictable:
             return
-        tick = self._clock.tick
+        tick = self._tick
         stale = [
             session_id
             for session_id, session in self._evictable.items()
@@ -721,13 +656,11 @@ class StreamGateway:
         """Classify every queued beat now (one batched pass); return
         how many beats were resolved.
 
-        Applies every stashed chunk first (in group mode, every
-        member's), so the pass covers all input ingested so far; call
-        directly to bound latency externally (e.g. from a timer) or
-        before a quiet period.
+        Applies every stashed chunk first, so the pass covers all input
+        ingested so far; call directly to bound latency externally
+        (e.g. from a timer) or before a quiet period.
         """
-        for gateway in self.group.gateways if self.group is not None else (self,):
-            gateway._run_stash()
+        self._run_stash()
         return self._classify_batch()
 
     def _classify_batch(self) -> int:
@@ -742,41 +675,24 @@ class StreamGateway:
         per_session: dict[str, list[tuple[object, int]]] = {}
         for session_id, handle, label in zip(session_ids, handles, labels):
             per_session.setdefault(session_id, []).append((handle, label))
-        # One delivery over every session in the flush (group peers
-        # included), so their flagged beats share one delineation pass.
+        # One delivery over every session in the flush, so their
+        # flagged beats share one delineation pass.
         targets = []
         for session_id, resolved in per_session.items():
-            owner, session = self._find_owner(session_id)
+            session = self._sessions.get(session_id)
             if session is None:  # closed mid-flight; nothing to route to
                 continue
-            targets.append((owner, session_id, session, resolved))
+            targets.append((session_id, session, resolved))
         results = StreamingNode.deliver_rows(
-            [session.node for _, _, session, _ in targets],
-            [resolved for _, _, _, resolved in targets],
+            [session.node for _, session, _ in targets],
+            [resolved for _, _, resolved in targets],
         )
-        for (owner, session_id, session, _), events in zip(targets, results):
-            owner._feed(session_id, session, events)
+        for (session_id, session, _), events in zip(targets, results):
+            self._feed(session_id, session, events)
         self.n_flushes += 1
         self.n_classified += len(handles)
         self._drain_analytics()
         return len(handles)
-
-    def _find_session(self, session_id: str) -> _Session | None:
-        """Resolve a flushed session id — ours, or a group peer's."""
-        return self._find_owner(session_id)[1]
-
-    def _find_owner(self, session_id: str):
-        """Resolve a flushed session id to ``(owner_gateway, session)``
-        — ours, or a group peer's (``(None, None)`` when closed)."""
-        session = self._sessions.get(session_id)
-        if session is not None:
-            return self, session
-        if self.group is not None:
-            for gateway in self.group.gateways:
-                session = gateway._sessions.get(session_id)
-                if session is not None:
-                    return gateway, session
-        return None, None
 
     def _feed(self, session_id: str, session: _Session, events: list) -> None:
         """Append newly finalized events to the session, queueing them
@@ -792,20 +708,17 @@ class StreamGateway:
     def _drain_analytics(self) -> None:
         """Fold every dirty session's pending events through its
         pipeline — **one batched update pass per gateway flush**, the
-        analytics analogue of the batched classifier (group mode
-        drains every member, mirroring the shared-batch flush)."""
-        gateways = self.group.gateways if self.group is not None else (self,)
-        for gateway in gateways:
-            if not gateway._analytics_dirty:
-                continue
-            dirty = gateway._analytics_dirty
-            gateway._analytics_dirty = {}
-            for session_id, session in dirty.items():
-                pending = session.analytics_pending
-                session.analytics_pending = []
-                closed = session.analytics.update(pending)
-                if closed:
-                    gateway._alert(session_id, closed)
+        analytics analogue of the batched classifier."""
+        if not self._analytics_dirty:
+            return
+        dirty = self._analytics_dirty
+        self._analytics_dirty = {}
+        for session_id, session in dirty.items():
+            pending = session.analytics_pending
+            session.analytics_pending = []
+            closed = session.analytics.update(pending)
+            if closed:
+                self._alert(session_id, closed)
 
     def _alert(self, session_id: str, episodes: list) -> None:
         """Queue closed episodes for :meth:`take_alerts` and fire the
@@ -963,7 +876,7 @@ class StreamGateway:
                 events=export.events,
                 latency_budget=export.max_latency_ticks,
                 evict_after=export.evict_after_ticks,
-                last_active=self._clock.tick,
+                last_active=self._tick,
                 analytics=copy.deepcopy(export.analytics),
             ),
         )
@@ -1032,7 +945,7 @@ class StreamGateway:
         budget = self.max_latency_ticks
         if session.latency_budget is not None:
             budget = min(budget, session.latency_budget)
-        tick = self._clock.tick
+        tick = self._tick
         batch = self._batch
         for handle, row in pending:
             batch.add(session_id, handle, row, tick, budget)

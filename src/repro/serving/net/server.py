@@ -23,7 +23,7 @@ whose pipelining window bounds its chunks in flight.  No tier buffers
 unboundedly.
 
 **Flush coalescing**: when the fronted gateway exposes ``n_flushes``
-(the single-process and inline-sharded tiers do), the server detects
+(the single-process tier does), the server detects
 that an ingest triggered a cross-session flush and immediately harvests
 *every* tracked session's newly resolved events — batching them into
 one burst per owning connection instead of waiting for each session's

@@ -81,11 +81,10 @@ from repro.serving.executors import (
     validate_at_least,
     validate_inbox_policy,
     validate_placement,
-    validate_worker_mode,
     validate_workers,
 )
 from repro.serving.analytics import merge_rollups
-from repro.serving.gateway import GatewayGroup, SessionExport, StreamGateway
+from repro.serving.gateway import SessionExport, StreamGateway
 
 __all__ = ["SessionInbox", "ShardedGateway", "WorkerCrashError"]
 
@@ -218,12 +217,10 @@ class SessionInbox:
 
 
 class _WorkerState:
-    """One worker's gateway + the shared request dispatch.
+    """One worker's gateway + its request dispatch.
 
-    The same state machine backs both execution modes: the worker
-    *process* loop (:func:`_worker_main`) drives it over a pipe, and
-    the *inline* mode (:class:`_InlineWorker`) drives it directly in
-    the parent process.  Requests map to gateway calls; the response
+    The worker process loop (:func:`_worker_main`) drives it over a
+    pipe.  Requests map to gateway calls; the response
     is ``(op, session_id, payload, evictions, aux)`` where ``payload``
     is ``("ok", value)`` or ``("err", exception)``.  Evictions that
     fired while handling a request (the gateway's idle clock advances
@@ -233,13 +230,12 @@ class _WorkerState:
     worker gateway the same way.
     """
 
-    def __init__(self, classifier, fs: float, gateway_kwargs: dict, group=None):
+    def __init__(self, classifier, fs: float, gateway_kwargs: dict):
         self._evictions: list[tuple[str, list]] = []
         self.gateway = StreamGateway(
             classifier,
             fs,
             on_evict=lambda sid, events: self._evictions.append((sid, events)),
-            group=group,
             **gateway_kwargs,
         )
         # Ids evicted while a pipelined ingest for them may still be on
@@ -259,7 +255,6 @@ class _WorkerState:
                     value = gateway.ingest(session_id, request[2])
             elif op == "open":
                 value = gateway.open_session(session_id, **request[2])
-                self._evicted_ids.discard(session_id)  # the id is live again
             elif op == "poll":
                 value = gateway.poll(session_id)
             elif op == "close":
@@ -273,18 +268,10 @@ class _WorkerState:
                 value = gateway.release_session(session_id)
             elif op == "import":
                 value = gateway.import_session(request[2], session_id)
-                self._evicted_ids.discard(session_id)  # the id is live again
             elif op == "flush":
                 value = gateway.flush_batch()
             elif op == "stats":
-                value = {
-                    "n_sessions": gateway.n_sessions,
-                    "n_queued": gateway.n_queued,
-                    "n_flushes": gateway.n_flushes,
-                    "n_classified": gateway.n_classified,
-                    "n_evicted": gateway.n_evicted,
-                    "analytics": gateway.analytics_rollup(),
-                }
+                value = gateway.stats()["per_worker"][0]
             else:
                 raise ValueError(f"unknown worker op {op!r}")
             payload = ("ok", value)
@@ -305,9 +292,13 @@ class _WorkerState:
         return (op, session_id, payload, new_evictions, aux)
 
 
-def _worker_main(conn, classifier, fs: float, gateway_kwargs: dict) -> None:
+def _worker_main(conn, parent_end, classifier, fs: float, gateway_kwargs: dict) -> None:
     """Worker-process loop: one :class:`_WorkerState`, commands over a
     pipe, responses in request order (the FIFO the parent relies on)."""
+    # A forked worker inherits the parent's end of its own pipe.  Close
+    # it, so that the parent's death reads as EOF here and the worker
+    # exits instead of outliving it.
+    parent_end.close()
     state = _WorkerState(classifier, fs, gateway_kwargs)
     while True:
         try:
@@ -319,57 +310,6 @@ def _worker_main(conn, classifier, fs: float, gateway_kwargs: dict) -> None:
             break
         conn.send(state.handle(request))
     conn.close()
-
-
-class _InlineWorker:
-    """Duck-typed pipe end that serves requests in the calling process.
-
-    ``send`` handles the request synchronously against the worker's
-    :class:`_WorkerState` and queues the response; ``recv``/``poll``
-    read the queue — so the parent's pipelined FIFO protocol works
-    unchanged, with zero processes and zero serialization.  Workers
-    constructed over one shared
-    :class:`~repro.serving.gateway.GatewayGroup` queue their beats
-    into a single cross-worker batch, so one flush classifies the
-    whole pool's pending beats in one ``predict`` call.
-    """
-
-    def __init__(self, state: _WorkerState):
-        self._state = state
-        self._responses: deque = deque()
-
-    def send(self, request: tuple) -> None:
-        if request[0] == "stop":
-            self._responses.append(("stop", None, ("ok", None), [], ([], {})))
-            return
-        self._responses.append(self._state.handle(request))
-
-    def recv(self) -> tuple:
-        if not self._responses:
-            raise EOFError("no pending inline response")
-        return self._responses.popleft()
-
-    def poll(self, timeout=None) -> bool:
-        return bool(self._responses)
-
-    def close(self) -> None:
-        pass
-
-
-class _InlineProcess:
-    """Process-interface stub for inline workers (nothing to reap)."""
-
-    def start(self) -> None:
-        pass
-
-    def join(self, timeout=None) -> None:
-        pass
-
-    def is_alive(self) -> bool:
-        return False
-
-    def terminate(self) -> None:
-        pass
 
 
 class ShardedGateway:
@@ -414,18 +354,6 @@ class ShardedGateway:
     inbox_policy:
         Overflow policy when a session's inbox is full — one of
         :data:`~repro.serving.executors.INBOX_POLICIES`.
-    worker_mode:
-        One of :data:`~repro.serving.executors.WORKER_MODES`.
-        ``"process"`` (default) spawns one OS process per worker —
-        true parallelism, per-worker classifier flushes.  ``"inline"``
-        runs every worker in the calling process over one shared
-        :class:`~repro.serving.gateway.GatewayGroup`: same session
-        surface, same placement/migration/QoS semantics and the same
-        per-session bit-exactness, but a flush triggered anywhere
-        classifies **all** workers' pending beats in a single
-        ``predict`` call (the tick clock is fleet-wide, exactly like
-        one big ``StreamGateway``).  Best single-core throughput; no
-        processes to reap.
     mp_context:
         Optional :mod:`multiprocessing` start method (e.g. ``"fork"``,
         ``"spawn"``); default is the platform's.
@@ -457,7 +385,6 @@ class ShardedGateway:
         on_alert=None,
         inbox_capacity: int | None = None,
         inbox_policy: str = "block",
-        worker_mode: str = "process",
         mp_context: str | None = None,
         journal=None,
         n_leads: int = 1,
@@ -477,13 +404,11 @@ class ShardedGateway:
         if inbox_capacity is not None:
             validate_at_least("inbox_capacity", inbox_capacity)
         validate_inbox_policy(inbox_policy)
-        validate_worker_mode(worker_mode)
         self.fs = fs
         self.workers = int(workers)
         self.placement = placement
         self.inbox_capacity = inbox_capacity
         self.inbox_policy = inbox_policy
-        self.worker_mode = worker_mode
         self.on_evict = on_evict
         self.on_alert = on_alert
         self.journal = journal
@@ -506,7 +431,6 @@ class ShardedGateway:
         self._ctx = multiprocessing.get_context(mp_context)
         self._classifier = classifier
         self._gateway_kwargs = gateway_kwargs
-        self._group = GatewayGroup() if worker_mode == "inline" else None
         self._conns = []
         self._procs = []
         for _ in range(self.workers):
@@ -527,15 +451,13 @@ class ShardedGateway:
 
     def _make_worker(self) -> tuple:
         """Build one worker's (connection, process) pair."""
-        if self._group is not None:
-            state = _WorkerState(
-                self._classifier, self.fs, self._gateway_kwargs, group=self._group
-            )
-            return _InlineWorker(state), _InlineProcess()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._classifier, self.fs, self._gateway_kwargs),
+            args=(
+                child_conn, parent_conn, self._classifier, self.fs,
+                self._gateway_kwargs,
+            ),
             daemon=True,
         )
         proc.start()
@@ -560,12 +482,6 @@ class ShardedGateway:
             raise RuntimeError("gateway is shut down")
         index = self._validate_worker(worker)
         conn, proc = self._conns[index], self._procs[index]
-        if isinstance(conn, _InlineWorker):
-            raise RuntimeError(
-                "inline workers run in the calling process and cannot "
-                "crash independently; respawn_worker requires "
-                "worker_mode='process'"
-            )
         try:
             conn.close()
         except OSError:  # pragma: no cover - already torn down
@@ -869,10 +785,6 @@ class ShardedGateway:
             # The worker never got (or never acknowledged) the stop
             # message, so waiting for it to exit would only time out.
             proc.terminate()
-        if isinstance(conn, _InlineWorker):
-            # Drop the retired gateway from the shared group so flush
-            # routing only scans live members.
-            self._group._unregister(conn._state.gateway)
         try:
             conn.close()
         except OSError:  # pragma: no cover - already torn down

@@ -470,13 +470,12 @@ class TestGatewayAnalytics:
 
 
 class TestShardedAnalytics:
-    @pytest.mark.parametrize("worker_mode", ["inline", "process"])
     def test_rollup_and_summaries_across_workers(
-        self, worker_mode, records, embedded_classifier, standalone_events
+        self, records, embedded_classifier, standalone_events
     ):
         alerts = []
         with ShardedGateway(
-            embedded_classifier, FS, workers=2, worker_mode=worker_mode,
+            embedded_classifier, FS, workers=2,
             n_leads=N_LEADS, max_batch=16, analytics=default_pipeline,
             on_alert=lambda sid, episode: alerts.append((sid, episode)),
         ) as gateway:
@@ -509,8 +508,7 @@ class TestShardedAnalytics:
         self, records, embedded_classifier
     ):
         with ShardedGateway(
-            embedded_classifier, FS, workers=2, worker_mode="process",
-            n_leads=N_LEADS,
+            embedded_classifier, FS, workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("s", analytics=[RRStats(window=8)])
             gateway.ingest("s", records[0].signal[: int(2 * FS)])

@@ -176,7 +176,7 @@ class TestMigrationChaos:
     ):
         rng = np.random.default_rng(4300 + chaos_seed)
         with ShardedGateway(
-            embedded_classifier, FS, workers=2, worker_mode="inline",
+            embedded_classifier, FS, workers=2,
             n_leads=N_LEADS, max_batch=int(rng.integers(2, 24)),
             analytics=default_pipeline,
         ) as gateway:

@@ -2,9 +2,10 @@
 
 Three layers under test, bottom-up:
 
-* the :class:`JournalStore` backends (memory / file-per-session /
-  sqlite) behind one behavioural contract, including reopen
-  persistence and torn-tail tolerance for the durable two;
+* the :class:`JournalStore` backends (memory / file-per-session,
+  with and without fsync) behind one behavioural contract, including
+  reopen persistence, fsync mode and torn-tail tolerance for the
+  durable file store;
 * :class:`SessionJournal` — the write-ahead policy: snapshot cadence,
   delivered-count accounting, recovery records;
 * :class:`SupervisedGateway` — deterministic ``kill -9`` of a worker
@@ -28,7 +29,6 @@ from repro.serving import (
     MemoryJournalStore,
     SessionJournal,
     ShardedGateway,
-    SqliteJournalStore,
     StreamGateway,
     SupervisedGateway,
     open_journal,
@@ -58,18 +58,18 @@ def reference_events(records, embedded_classifier, standalone_events):
     ]
 
 
-BACKENDS = ("memory", "file", "sqlite")
+BACKENDS = ("memory", "file")
+#: The store contract also holds for the file store fsyncing every write.
+STORES = (*BACKENDS, "file-sync")
 
 
 def make_store(backend, tmp_path):
     if backend == "memory":
         return MemoryJournalStore()
-    if backend == "file":
-        return FileJournalStore(str(tmp_path / "journal"))
-    return SqliteJournalStore(str(tmp_path / "journal.sqlite3"))
+    return FileJournalStore(str(tmp_path / "journal"), sync=backend == "file-sync")
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=STORES)
 def store(request, tmp_path):
     store = make_store(request.param, tmp_path)
     yield store
@@ -140,18 +140,17 @@ class TestJournalStores:
 
 
 class TestDurableStorePersistence:
-    """file/sqlite journals survive a store (process) teardown."""
+    """File journals survive a store (process) teardown."""
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_reopen_sees_everything(self, backend, tmp_path):
-        store = make_store(backend, tmp_path)
+    def test_reopen_sees_everything(self, tmp_path):
+        store = make_store("file", tmp_path)
         store.begin("s", b"meta")
         store.append_chunk("s", b"c0")
         store.put_snapshot("s", b"snap")
         store.append_chunk("s", b"c1")
         store.add_delivered("s", 2)
         store.close()
-        reopened = make_store(backend, tmp_path)
+        reopened = make_store("file", tmp_path)
         loaded = reopened.load("s")
         assert loaded.open_blob == b"meta"
         assert loaded.snapshot == b"snap"
@@ -186,11 +185,43 @@ class TestDurableStorePersistence:
         assert reopened.session_ids() == [sid]
         reopened.close()
 
-    def test_sqlite_sync_mode_constructs(self, tmp_path):
-        store = SqliteJournalStore(str(tmp_path / "j.sqlite3"), sync=True)
-        store.begin("s", b"meta")
-        assert store.load("s").open_blob == b"meta"
+    def test_file_store_sync_mode_fsyncs_and_reopens(self, tmp_path, monkeypatch):
+        """``sync=True`` fsyncs every log append and every atomic blob
+        write (meta and snapshot), and everything reads back after a
+        reopen; ``sync=False`` never fsyncs."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        store = FileJournalStore(str(tmp_path / "journal"), sync=True)
+        store.begin("s", b"meta")  # atomic meta write
+        assert len(synced) == 1
+        store.append_chunk("s", b"c0")  # log appends
+        store.append_chunk("s", b"c1")
+        assert len(synced) == 3
+        store.put_snapshot("s", b"snap")  # atomic snapshot write
+        assert len(synced) == 4
+        store.append_chunk("s", b"c2")
+        store.add_delivered("s", 2)
+        assert len(synced) == 6
         store.close()
+        reopened = FileJournalStore(str(tmp_path / "journal"), sync=True)
+        loaded = reopened.load("s")
+        assert loaded.open_blob == b"meta"
+        assert loaded.snapshot == b"snap"
+        assert loaded.chunks == [b"c2"]
+        assert loaded.delivered == 2
+        reopened.close()
+        unsynced = FileJournalStore(str(tmp_path / "plain"))
+        unsynced.begin("s", b"meta")
+        unsynced.append_chunk("s", b"c0")
+        unsynced.put_snapshot("s", b"snap")
+        unsynced.close()
+        assert len(synced) == 6
 
 
 class TestSessionJournal:
@@ -277,12 +308,9 @@ class TestSessionJournal:
             journal.open("s", None)
             assert journal.session_ids() == ["s"]
             journal.close()
-        assert os.path.exists(tmp_path / "sqlite" / "journal.sqlite3")
-        explicit = open_journal(str(tmp_path / "named.db"), "sqlite")
-        explicit.close()
-        assert os.path.exists(tmp_path / "named.db")
-        with pytest.raises(ValueError, match="memory"):
-            open_journal(str(tmp_path), "redis")
+        for unknown in ("sqlite", "redis"):
+            with pytest.raises(ValueError, match="memory"):
+                open_journal(str(tmp_path), unknown)
 
 
 def feed(gateway, sid, signal, block, start=0, stop=None):
@@ -455,15 +483,6 @@ class TestSupervisedRecovery:
             assert gateway.journal.session_ids() == ["b"]
             gateway.close_session("b")
 
-    def test_inline_workers_are_not_recoverable(self, embedded_classifier):
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            workers=2, worker_mode="inline", n_leads=N_LEADS,
-        ) as gateway:
-            with pytest.raises(RuntimeError, match="inline"):
-                gateway.gateway.respawn_worker(0)
-            assert gateway.check_workers() == 0  # nothing dead, no-op
-
     def test_stats_and_construction_variants(
         self, embedded_classifier, tmp_path,
     ):
@@ -527,9 +546,8 @@ class TestRestartRecovery:
         journal.close()
         assert_events_equal(reference_events[0], events)
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
     def test_recover_sessions_on_a_stream_gateway(
-        self, backend, records, embedded_classifier, reference_events,
+        self, records, embedded_classifier, reference_events,
         assert_events_equal, tmp_path,
     ):
         """The single-process restart path: recover_sessions rebuilds
@@ -538,7 +556,7 @@ class TestRestartRecovery:
         record = records[1]
         block = int(0.5 * FS)
         third = record.n_samples // 3
-        journal = open_journal(str(tmp_path), backend, snapshot_every=3)
+        journal = open_journal(str(tmp_path), "file", snapshot_every=3)
         first = StreamGateway(
             embedded_classifier, FS, n_leads=N_LEADS, journal=journal
         )
@@ -547,7 +565,7 @@ class TestRestartRecovery:
         del first  # simulated crash: no close, no export
         journal.close()
 
-        journal = open_journal(str(tmp_path), backend, snapshot_every=3)
+        journal = open_journal(str(tmp_path), "file", snapshot_every=3)
         second = StreamGateway(
             embedded_classifier, FS, n_leads=N_LEADS, journal=journal
         )

@@ -350,6 +350,12 @@ class TestSpawnHost:
         reference = standalone_events(embedded_classifier, signal, FS, 1)
         assert_events_equal(reference, events)
 
+    def test_only_process_workers_are_accepted(self, embedded_classifier):
+        """Sharded hosts always run worker processes; any other mode is
+        rejected before a host process is spawned."""
+        with pytest.raises(ValueError, match="'process'"):
+            spawn_host(embedded_classifier, FS, workers=2, worker_mode="thread")
+
 
 class TestTwoLevelBalancing:
     def test_autobalancer_evens_a_skewed_fleet(

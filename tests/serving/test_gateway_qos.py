@@ -20,6 +20,7 @@ import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import INBOX_POLICIES, SessionInbox, ShardedGateway, StreamGateway
+from repro.serving.sharded import _WorkerState
 
 FS_BLOCK_S = 0.4
 
@@ -232,28 +233,31 @@ class TestEviction:
         """A worker remembers evicted ids only while a request for one
         can still be in flight: churning through many distinct evicted
         ids leaves the set bounded by the sessions evicted since the
-        parent's last synchronous request, and empty right after one."""
-        with ShardedGateway(
-            embedded_classifier, record.fs, workers=1, worker_mode="inline"
-        ) as gateway:
-            state = gateway._conns[0]._state
-            gateway.open_session("active")
-            offset, sizes = 0, []
-            for k in range(60):
-                # Pipelined ingests only: the churn sessions go idle and
-                # are evicted while the active session ticks the clock.
-                gateway.open_session(f"idle-{k}", evict_after_ticks=1)
-                gateway.ingest(f"idle-{k}", record.signal[:block])
-                for _ in range(2):
-                    chunk = record.signal[offset % (len(record.signal) - block) :][:block]
-                    gateway.ingest("active", chunk)
-                    offset += block
-                sizes.append(len(state._evicted_ids))
-            assert gateway.n_sessions == 1  # every churn session was evicted
-            assert max(sizes) <= 2
-            gateway.stats()  # a synchronous request: no id can still arrive
-            assert not state._evicted_ids
-            gateway.close_session("active")
+        parent's last synchronous request, and empty right after one.
+
+        Drives the worker's request dispatch directly with the request
+        sequence the parent sends: a synchronous ``open`` per churn
+        session, then pipelined ingests."""
+        state = _WorkerState(embedded_classifier, record.fs, {})
+        state.handle(("open", "active", {}))
+        offset, sizes, evicted = 0, [], set()
+        for k in range(60):
+            # Pipelined ingests only: the churn sessions go idle and
+            # are evicted while the active session ticks the clock.
+            state.handle(("open", f"idle-{k}", {"evict_after_ticks": 1}))
+            state.handle(("ingest", f"idle-{k}", record.signal[:block]))
+            for _ in range(2):
+                chunk = record.signal[offset % (len(record.signal) - block) :][:block]
+                response = state.handle(("ingest", "active", chunk))
+                evicted.update(sid for sid, _ in response[3])
+                offset += block
+            sizes.append(len(state._evicted_ids))
+        assert evicted == {f"idle-{k}" for k in range(60)}
+        assert state.gateway.n_sessions == 1  # every churn session was evicted
+        assert max(sizes) <= 2
+        state.handle(("stats", None))  # a synchronous request: no id can still arrive
+        assert not state._evicted_ids
+        state.handle(("close", "active"))
 
 
 class TestSessionInbox:

@@ -43,6 +43,16 @@ def reference_events(records, embedded_classifier, standalone_events):
     ]
 
 
+def feed_blocks(gateway, sid, signal, block, start=0, stop=None):
+    """Ingest ``signal[start:stop]`` in ``block``-sample chunks."""
+    events, i = [], start
+    stop = len(signal) if stop is None else stop
+    while i < stop:
+        events += gateway.ingest(sid, signal[i : i + block])
+        i += block
+    return events
+
+
 class TestShardedBitExactness:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_round_robin_matches_standalone(
@@ -143,6 +153,66 @@ class TestShardedBitExactness:
             assert peaks == sorted(peaks)
             gateway.close_session("a")
             gateway.close_session("b")
+
+    def test_flush_drains_every_workers_batch(
+        self, records, embedded_classifier, reference_events, assert_events_equal
+    ):
+        """``flush()`` runs one classifier pass on every worker: beats
+        queued on both workers below the flush thresholds are all
+        classified, and the events stay bit-exact."""
+        fs = records[0].fs
+        with ShardedGateway(
+            embedded_classifier, fs, workers=2, n_leads=N_LEADS,
+            max_batch=10_000, max_latency_ticks=10_000,
+        ) as gateway:
+            gateway.open_session("a", worker=0)
+            gateway.open_session("b", worker=1)
+            # Whole streams: beats queue on BOTH workers, nowhere near
+            # the flush thresholds.
+            events = {
+                "a": gateway.ingest("a", records[0].signal),
+                "b": gateway.ingest("b", records[1].signal),
+            }
+            queued = [w["n_queued"] for w in gateway.stats()["per_worker"]]
+            assert all(n > 0 for n in queued)
+            assert gateway.flush() == sum(queued)
+            stats = gateway.stats()
+            assert [w["n_queued"] for w in stats["per_worker"]] == [0, 0]
+            assert all(w["n_flushes"] >= 1 for w in stats["per_worker"])
+            for sid in events:
+                events[sid] += gateway.poll(sid)
+                events[sid] += gateway.close_session(sid)
+        assert_events_equal(reference_events[0], events["a"])
+        assert_events_equal(reference_events[1], events["b"])
+
+    def test_migration_counts_each_beat_once(
+        self, records, embedded_classifier, reference_events, assert_events_equal
+    ):
+        """After a mid-stream migration the pool's ``n_classified`` is
+        exactly the session's event count: the beats classified on the
+        origin worker and on the target are neither lost nor doubled."""
+        record = records[2]
+        fs = record.fs
+        block = int(0.4 * fs)
+        # A small batch bound makes both workers classify some beats.
+        with ShardedGateway(
+            embedded_classifier, fs, workers=2, n_leads=N_LEADS, max_batch=2
+        ) as gateway:
+            gateway.open_session("p")
+            origin = gateway.worker_of("p")
+            # Past the peak detector's learning phase (about 10 s).
+            cut = 3 * record.n_samples // 4
+            events = feed_blocks(gateway, "p", record.signal, block, 0, cut)
+            gateway.migrate_session("p", 1 - origin)
+            resume = -(-cut // block) * block  # first block start >= cut
+            events += feed_blocks(gateway, "p", record.signal, block, resume)
+            events += gateway.close_session("p")
+            stats = gateway.stats()
+        assert_events_equal(reference_events[2], events)
+        assert stats["workers"] == 2
+        assert stats["migrations"] == 1
+        assert stats["n_classified"] == len(events)
+        assert all(w["n_classified"] > 0 for w in stats["per_worker"])
 
 
 class TestShardedSessions:
@@ -295,6 +365,19 @@ class TestLifecycleTeardown:
         gateway.shutdown()
         assert time.perf_counter() - start < 1.0
         assert not any(proc.is_alive() for proc in procs)
+
+    def test_workers_exit_when_the_parent_goes_away(self, embedded_classifier):
+        """Closing every parent-side pipe end, as the parent's death
+        does, ends every worker process without a stop message: no
+        worker holds another copy of its own pipe's parent end."""
+        gateway = ShardedGateway(embedded_classifier, 360.0, workers=3)
+        procs = list(gateway._procs)
+        for conn in gateway._conns:
+            conn.close()
+        for proc in procs:
+            proc.join(timeout=5.0)
+        assert not any(proc.is_alive() for proc in procs)
+        gateway.shutdown()
 
     def test_del_on_shut_down_gateway_is_silent(self, embedded_classifier):
         gateway = ShardedGateway(embedded_classifier, 360.0, workers=1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _local_tier, build_parser, main
 
 
 class TestParser:
@@ -247,6 +247,93 @@ class TestCommands:
         assert "elastic pool 1..3 workers" in out
         assert "autoscaler:" in out and "scale events" in out
         assert "events/s" in out and "session-3" in out
+
+
+class TestLocalTier:
+    """``_local_tier`` builds the tier both ``serve`` paths run: one
+    ``StreamGateway``, a ``ShardedGateway`` of worker processes, or a
+    ``SupervisedGateway`` over one when a journal is set."""
+
+    FS = 360.0
+
+    def build(self, embedded_classifier, *argv):
+        args = build_parser().parse_args(["serve", *argv])
+        return _local_tier(args, embedded_classifier, self.FS, {"n_leads": 1})
+
+    def test_single_process_by_default(self, embedded_classifier):
+        from repro.serving import StreamGateway
+
+        context, journal, supervised, tier = self.build(embedded_classifier)
+        assert journal is None and not supervised
+        assert tier == "single process"
+        with context as gateway:
+            assert type(gateway) is StreamGateway
+            assert gateway.journal is None
+
+    def test_single_process_journal_is_not_supervised(
+        self, embedded_classifier, tmp_path
+    ):
+        from repro.serving import StreamGateway
+
+        context, journal, supervised, tier = self.build(
+            embedded_classifier, "--journal", str(tmp_path / "j"),
+            "--snapshot-every", "7",
+        )
+        assert not supervised
+        assert tier == "single process, journaled"
+        assert journal.snapshot_every == 7
+        with context as gateway:
+            assert type(gateway) is StreamGateway
+            assert gateway.journal is journal
+        journal.close()
+
+    def test_workers_build_a_hash_placed_process_pool(self, embedded_classifier):
+        from repro.serving import ShardedGateway
+
+        context, journal, supervised, tier = self.build(
+            embedded_classifier, "--workers", "2"
+        )
+        assert journal is None and not supervised
+        assert tier == "2 process workers, hash placement"
+        with context as gateway:
+            assert type(gateway) is ShardedGateway
+            assert gateway.workers == 2
+            assert gateway.placement == "hash"
+
+    def test_journaled_pool_is_supervised(self, embedded_classifier, tmp_path):
+        from repro.serving import SupervisedGateway
+
+        context, journal, supervised, tier = self.build(
+            embedded_classifier, "--workers", "2", "--journal",
+            str(tmp_path / "j"), "--snapshot-every", "5",
+        )
+        assert supervised
+        assert tier == "2 process workers, hash placement, journaled + supervised"
+        with context as gateway:
+            assert type(gateway) is SupervisedGateway
+            assert gateway.journal is journal
+            assert journal.snapshot_every == 5
+            assert gateway.workers == 2
+        journal.close()
+
+    def test_autoscale_starts_at_min_workers_least_loaded(self, embedded_classifier):
+        context, journal, supervised, tier = self.build(
+            embedded_classifier, "--autoscale", "--min-workers", "1",
+            "--max-workers", "3",
+        )
+        assert journal is None and not supervised
+        assert tier == "elastic pool 1..3 workers, least-loaded placement"
+        with context as gateway:
+            assert gateway.workers == 1
+            assert gateway.placement == "least-loaded"
+
+    def test_explicit_placement_wins(self, embedded_classifier):
+        context, _, _, tier = self.build(
+            embedded_classifier, "--workers", "2", "--placement", "round-robin"
+        )
+        assert tier == "2 process workers, round-robin placement"
+        with context as gateway:
+            assert gateway.placement == "round-robin"
 
 
 class TestTrainAndCodegen:
