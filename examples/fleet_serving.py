@@ -9,13 +9,9 @@ top of the incremental streaming engine:
    model and print the fleet-level real-time / radio report;
 3. ``classify_streams`` — run the O(n) incremental front end
    (``BlockFilter`` + ``StreamingPeakDetector``) over every stream in
-   ADC-sized blocks, then classify the beats of each shard in one
-   batched projection + fuzzification pass.
-
-Both steps run through a ``ServingEngine``: pick ``--executor
-processes --workers 4`` to shard the fleet across a process pool
-(results are byte-identical to the serial path; the speedup needs
-multiple CPUs).
+   ADC-sized blocks, as one row pass per block over all streams, then
+   classify the beats of the whole fleet in one batched projection +
+   fuzzification pass.
 
 With ``--gateway``, a third section serves the same fleet as
 *concurrently live sessions* through a ``StreamGateway``: every
@@ -39,7 +35,6 @@ bit-identical to standalone nodes through every scale/rebalance event.
 Usage::
 
     python examples/fleet_serving.py [--patients 6] [--minutes 1.0]
-        [--executor serial|threads|processes] [--workers 4]
         [--gateway] [--gateway-workers 2] [--chunk-ms 250] [--max-batch 64]
         [--autoscale] [--min-workers 1] [--max-workers 4]
 """
@@ -60,10 +55,8 @@ from repro.experiments.datasets import make_embedded_datasets
 from repro.fixedpoint.convert import convert_pipeline, tune_embedded_alpha
 from repro.platform.node_sim import NodeSimulator
 from repro.serving import (
-    EXECUTORS,
     AutoBalancer,
     Autoscaler,
-    ServingEngine,
     ShardedGateway,
     StreamGateway,
     classify_streams,
@@ -89,8 +82,6 @@ def main() -> None:
     parser.add_argument("--patients", type=int, default=6)
     parser.add_argument("--minutes", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--executor", choices=EXECUTORS, default="serial")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--gateway", action="store_true",
                         help="also serve the fleet as live sessions via StreamGateway")
     parser.add_argument("--gateway-workers", type=int, default=1,
@@ -113,15 +104,12 @@ def main() -> None:
         parser.error("--patients must be >= 1")
     if args.minutes <= 0:
         parser.error("--minutes must be positive")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     if args.gateway_workers < 1:
         parser.error("--gateway-workers must be >= 1")
     if args.autoscale:
         args.gateway = True
         if not 1 <= args.min_workers <= args.max_workers:
             parser.error("need 1 <= --min-workers <= --max-workers")
-    engine = ServingEngine(executor=args.executor, workers=args.workers)
 
     print("Training + quantizing the node classifier ...")
     classifier = train_node_classifier(args.seed)
@@ -138,17 +126,17 @@ def main() -> None:
             )
         )
 
-    print(f"\n== Node simulation ({args.executor} engine, {args.workers} workers) ==")
+    print("\n== Node simulation ==")
     start = time.perf_counter()
-    fleet = simulate_records(NodeSimulator(classifier), records, engine=engine)
+    fleet = simulate_records(NodeSimulator(classifier), records)
     elapsed = time.perf_counter() - start
     print(fleet.summary())
     print(f"simulated {fleet.n_beats} beats in {elapsed * 1e3:.0f} ms")
 
-    print(f"\n== Streaming classification ({args.executor} engine) ==")
+    print("\n== Streaming classification ==")
     streams = [record.lead(0) for record in records]
     start = time.perf_counter()
-    results = classify_streams(classifier, streams, records[0].fs, engine=engine)
+    results = classify_streams(classifier, streams, records[0].fs)
     elapsed = time.perf_counter() - start
     signal_s = sum(s.size for s in streams) / records[0].fs
     for record, result in zip(records, results):

@@ -27,10 +27,11 @@ The package is organised as one subpackage per subsystem:
     An operation-level model of the IcyHeart WBSN SoC: cycle counting,
     duty cycles, code/data memory and radio energy.
 ``repro.serving``
-    The serving layer: sharded multi-record / multi-stream batch
-    execution behind pluggable serial/thread/process executors, and
-    the live-session ``StreamGateway`` multiplexing many open streams
-    into cross-session classifier batches.
+    The serving layer: multi-record / multi-stream batch execution
+    (one front-end row pass per block over every stream, one
+    fleet-wide classifier pass), and the live-session
+    ``StreamGateway`` multiplexing many open streams into
+    cross-session classifier batches.
 ``repro.experiments``
     Harnesses that regenerate every table and figure of the paper.
 

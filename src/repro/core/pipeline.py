@@ -55,8 +55,9 @@ class RPClassifierPipeline:
     def __getstate__(self) -> dict:
         """Pickle without the fuzzy-value memo: it holds a ``weakref``
         to the last evaluated beat matrix (unpicklable), and is only a
-        per-process cache anyway — e.g. process-pool serving ships the
-        pipeline to workers and must not drag the memo along."""
+        per-process cache anyway — e.g. the sharded gateway ships the
+        pipeline to its worker processes and must not drag the memo
+        along."""
         state = dict(self.__dict__)
         state.pop("_fuzzy_cache", None)
         return state

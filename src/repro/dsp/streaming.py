@@ -97,6 +97,22 @@ def filter_context_samples(fs: float) -> int:
     return (opening - 1) + (closing - 1) + (denoise - 1)
 
 
+def check_samples(block, n_leads: int) -> np.ndarray:
+    """Validate raw samples ``(n,)`` or ``(n, n_leads)``; return them
+    as a float ``(n, n_leads)`` block.  Non-finite samples are
+    rejected: one NaN would poison the detector's decayed energy sums
+    and silence the stream for good.  Every ingest path validates with
+    this before it journals or applies a chunk."""
+    block = np.asarray(block, dtype=float)
+    if block.ndim == 1:
+        block = block[:, np.newaxis]
+    if block.ndim != 2 or block.shape[1] != n_leads:
+        raise ValueError(f"blocks must be (n,) or (n, {n_leads})")
+    if not np.isfinite(block).all():
+        raise ValueError("blocks must hold finite samples")
+    return block
+
+
 class BlockFilter:
     """Incremental morphological filtering, bit-exact with the batch path.
 
@@ -697,14 +713,8 @@ class StreamingNode:
         return node
 
     def check_block(self, block: np.ndarray) -> np.ndarray:
-        """Validate raw samples ``(n,)`` or ``(n, n_leads)``; return them
-        as a float ``(n, n_leads)`` block."""
-        block = np.asarray(block, dtype=float)
-        if block.ndim == 1:
-            block = block[:, np.newaxis]
-        if block.ndim != 2 or block.shape[1] != self.n_leads:
-            raise ValueError(f"blocks must be (n,) or (n, {self.n_leads})")
-        return block
+        """:func:`check_samples` for this node's lead count."""
+        return check_samples(block, self.n_leads)
 
     @property
     def front_steady(self) -> bool:
@@ -727,7 +737,11 @@ class StreamingNode:
 
     def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
         """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
-        block = self.check_block(block)
+        return self.push_checked(self.check_block(block))
+
+    def push_checked(self, block: np.ndarray) -> list[StreamBeatEvent]:
+        """:meth:`push` for a block :meth:`check_block` already returned
+        (a caller that validated before journaling checks only once)."""
         if self._coalesce > 1:
             # Stash sub-threshold pushes; run the kernels once enough
             # samples accumulate.  The stages are partition-invariant,

@@ -1,16 +1,16 @@
-"""Serving layer: sharded batch execution + live session gateway.
+"""Serving layer: batch fleet execution + live session gateway.
 
 The per-record APIs (:meth:`repro.platform.node_sim.NodeSimulator.process_record`,
 the :mod:`repro.dsp.streaming` classes) model one WBSN node.  A back
 end — the roadmap's heavy-traffic scenario — serves *many* nodes at
 once; this package is that workload's engine, in two shapes:
 
-* **Batch** (:mod:`repro.serving.engine`): :class:`ServingEngine`
-  shards complete records/streams across pluggable executors
-  (:mod:`repro.serving.executors`) with one batched classifier pass
-  per shard; :func:`simulate_records` / :func:`classify_streams` are
-  its entry points, :class:`FleetTrace` / :class:`StreamResult`
-  (:mod:`repro.serving.results`) its outputs.
+* **Batch** (:mod:`repro.serving.engine`): :func:`classify_streams`
+  runs complete streams through the streaming front end as one row
+  pass per block over every stream, then one fleet-wide classifier
+  pass; :func:`simulate_records` replays records through the node
+  model.  :class:`FleetTrace` / :class:`StreamResult`
+  (:mod:`repro.serving.results`) are their outputs.
 * **Live** (:mod:`repro.serving.gateway`): :class:`StreamGateway`
   multiplexes many concurrently open streaming sessions —
   ``open_session`` / ``ingest`` / ``close_session`` — into
@@ -83,12 +83,7 @@ from repro.serving.autoscale import (
     serve_autoscaled,
     worker_loads,
 )
-from repro.serving.engine import (
-    EXECUTORS,
-    ServingEngine,
-    classify_streams,
-    simulate_records,
-)
+from repro.serving.engine import classify_streams, simulate_records
 from repro.serving.durability import (
     FileJournalStore,
     JournalStore,
@@ -117,7 +112,6 @@ from repro.serving.results import FleetTrace, StreamResult
 from repro.serving.sharded import SessionInbox, ShardedGateway, WorkerCrashError
 
 __all__ = [
-    "EXECUTORS",
     "INBOX_POLICIES",
     "PLACEMENTS",
     "AnalyticsPipeline",
@@ -138,7 +132,6 @@ __all__ = [
     "MemoryJournalStore",
     "RRStats",
     "RateEpisodes",
-    "ServingEngine",
     "SessionExport",
     "SessionInbox",
     "SessionJournal",

@@ -1,247 +1,57 @@
-"""Sharded batch execution: :class:`ServingEngine` and its entry points.
+"""Batch serving: many complete records or streams in one process.
 
 The per-record APIs (:meth:`repro.platform.node_sim.NodeSimulator.process_record`,
-the :mod:`repro.dsp.streaming` classes) model one WBSN node; the
-engine serves *many* nodes at once.  It shards a batch of
-records/streams across workers behind a pluggable executor
-(:data:`~repro.serving.executors.EXECUTORS`), runs the per-stream
-front ends inside each shard, and makes **one batched classifier pass
-per shard** — one projection and one fuzzification pass per shard
-instead of one per stream, which is where the vectorized classifier
-earns its keep under load.  Because every record/stream is processed
-independently and shard outputs are concatenated in submission order,
-results are byte-identical regardless of executor choice, worker count
-or shard count.  (With the integer
-:class:`~repro.fixedpoint.convert.EmbeddedClassifier` this is exact by
-construction; a float classifier's matmul is row-wise independent too,
-but bitwise invariance to the *batch size* a shard hands it is a BLAS
-implementation property, not an IEEE guarantee — pin the shard count
-when bit-replaying float results.)
+the :mod:`repro.dsp.streaming` classes) model one WBSN node; this
+module serves *many* nodes at once.
+
+* :func:`classify_streams` drives every stream through the streaming
+  front end block by block, as **one 2-D row pass per block** over all
+  streams (:meth:`BlockFilter.push_rows`,
+  :meth:`StreamingWavelet.push_rows`), then makes **one fleet-wide
+  classifier pass**.  Each stream's result is byte-identical to
+  pushing that stream alone through its own filter and detector.
+* :func:`simulate_records` replays records through the op-counting
+  node model, one after another.
 
 For *live* sessions feeding data in chunks, see
-:class:`repro.serving.gateway.StreamGateway`, which multiplexes many
-open :class:`~repro.dsp.streaming.StreamingNode` sessions into the
-same kind of batched classifier pass.
+:class:`repro.serving.gateway.StreamGateway`, which runs the same row
+passes per gateway tick.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.dsp.streaming import BlockFilter, StreamingPeakDetector
+from repro.dsp.wavelet import StreamingWavelet
 from repro.ecg.resample import decimate_beats
 from repro.ecg.segmentation import BeatWindow, segment_beats
-from repro.platform.node_sim import NodeSimulator, NodeTrace
-from repro.serving.executors import (
-    EXECUTORS,
-    map_shards,
-    split_shards,
-    validate_executor,
-    validate_workers,
-)
+from repro.platform.node_sim import NodeSimulator
 from repro.serving.results import FleetTrace, StreamResult
 
-__all__ = [
-    "EXECUTORS",
-    "ServingEngine",
-    "classify_streams",
-    "simulate_records",
-]
+__all__ = ["classify_streams", "simulate_records"]
 
 
-def _classify_stream_shard(
-    classifier,
-    streams: list[np.ndarray],
-    fs: float,
-    block: int,
-    window: BeatWindow,
-    decimation: int,
-    config,
-) -> list[StreamResult]:
-    """Front ends for one shard of streams + one batched classifier pass."""
-    per_stream_peaks: list[np.ndarray] = []
-    per_stream_beats: list[np.ndarray] = []
-    for x in streams:
-        block_filter = BlockFilter(fs)
-        detector = StreamingPeakDetector(fs, config=config)
-        filtered_parts: list[np.ndarray] = []
-        for i in range(0, x.size, block):
-            out = block_filter.push(x[i : i + block])
-            if out.size:
-                filtered_parts.append(out)
-                detector.push(out)
-        tail = block_filter.flush()
-        if tail.size:
-            filtered_parts.append(tail)
-            detector.push(tail)
-        detector.flush()
-        filtered = (
-            np.concatenate(filtered_parts) if filtered_parts else np.empty(0)
-        )
-        beats, kept = segment_beats(filtered, detector.peaks, window)
-        per_stream_peaks.append(detector.peaks[kept])
-        per_stream_beats.append(beats)
+def simulate_records(simulator: NodeSimulator, records, lead: int = 0) -> FleetTrace:
+    """Replay a batch of records; return the aggregate fleet trace.
 
-    # One classification pass for the whole shard.
-    counts = [b.shape[0] for b in per_stream_beats]
-    total = sum(counts)
-    if total:
-        stacked = np.vstack([b for b in per_stream_beats if b.shape[0]])
-        stacked_ds, _ = decimate_beats(stacked, window, decimation)
-        labels = np.asarray(classifier.predict(stacked_ds))
-    else:
-        labels = np.empty(0, dtype=np.int64)
-
-    results: list[StreamResult] = []
-    start = 0
-    for peaks, count in zip(per_stream_peaks, counts):
-        results.append(StreamResult(peaks=peaks, labels=labels[start : start + count]))
-        start += count
-    return results
-
-
-def _simulate_shard_task(task) -> list[NodeTrace]:
-    """Process-pool entry point: replay one shard of records."""
-    simulator, records, lead = task
-    return [simulator.process_record(record, lead=lead) for record in records]
-
-
-def _classify_shard_task(task) -> list[StreamResult]:
-    """Process-pool entry point: classify one shard of streams."""
-    classifier, streams, fs, block, window, decimation, config = task
-    return _classify_stream_shard(classifier, streams, fs, block, window, decimation, config)
-
-
-@dataclass(frozen=True)
-class ServingEngine:
-    """Sharded fleet execution with a pluggable executor.
+    Records are replayed serially.  A worker pool loses at every fleet
+    size the examples and benchmarks run (up to 8 one-minute 3-lead
+    records on a 2-core host); only far larger offline batches (16 ×
+    120 s measured 1.34x on two processes) gain from one.  A caller
+    with that much work can map ``simulator.process_record`` over its
+    own pool.
 
     Parameters
     ----------
-    executor:
-        ``"serial"`` runs shards in-process (no pool); ``"threads"``
-        uses a thread pool (cheap to spin up, best when numpy releases
-        the GIL); ``"processes"`` uses a process pool (true
-        parallelism for the Python-level per-stream front ends — the
-        classifier, records and traces are all plain picklable
-        dataclasses).
-    workers:
-        Pool size for the parallel executors (>= 1).
-    shards:
-        Number of contiguous shards the batch is split into (default:
-        ``workers``).  Shard boundaries never change results — every
-        record/stream is independent and shard outputs concatenate in
-        submission order — only load balance.  (Exact for the integer
-        classifier; see the module docs for the float caveat.)
+    simulator:
+        The node model every record is replayed through.
+    records:
+        Iterable of :class:`repro.ecg.database.Record`.
+    lead:
+        Classification lead index (same for every record).
     """
-
-    executor: str = "serial"
-    workers: int = 1
-    shards: int | None = None
-
-    def __post_init__(self) -> None:
-        validate_executor(self.executor)
-        validate_workers(self.workers)
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-
-    def _split(self, items: list) -> list[list]:
-        return split_shards(items, self.shards or self.workers)
-
-    def _map(self, fn, tasks: list) -> list:
-        return map_shards(self.executor, self.workers, fn, tasks)
-
-    def simulate_records(self, simulator: NodeSimulator, records, lead: int = 0) -> FleetTrace:
-        """Replay a batch of records; return the aggregate fleet trace.
-
-        Parameters
-        ----------
-        simulator:
-            The node model every record is replayed through.
-        records:
-            Iterable of :class:`repro.ecg.database.Record`.
-        lead:
-            Classification lead index (same for every record).
-        """
-        records = list(records)
-        shards = self._split(records)
-        parts = self._map(_simulate_shard_task, [(simulator, shard, lead) for shard in shards])
-        return FleetTrace([trace for part in parts for trace in part])
-
-    def classify_streams(
-        self,
-        classifier,
-        streams,
-        fs: float,
-        block_s: float = 0.5,
-        decimation: int = 4,
-        window: BeatWindow | None = None,
-        config=None,
-    ) -> list[StreamResult]:
-        """Run the streaming front end over many streams, classify per shard.
-
-        Each stream goes through its own :class:`BlockFilter` and
-        :class:`StreamingPeakDetector` (both incremental, both carrying
-        state across blocks), beats are segmented per stream, and the
-        classifier sees one concatenated beat matrix per shard.
-
-        Parameters
-        ----------
-        classifier:
-            Anything with ``predict(beats)`` — the float
-            :class:`~repro.core.pipeline.RPClassifierPipeline` or the
-            integer :class:`~repro.fixedpoint.convert.EmbeddedClassifier`.
-        streams:
-            Iterable of 1-D sample arrays, all at ``fs``.
-        fs:
-            Sampling frequency in Hz.
-        block_s:
-            ADC block size in seconds fed to the front end (> 0).
-        decimation:
-            Beat decimation factor before classification (paper: 4).
-        window:
-            Segmentation window (paper default 100 + 100).
-        config:
-            Optional :class:`~repro.dsp.peak_detection.PeakDetectorConfig`.
-
-        Returns
-        -------
-        list[StreamResult]
-            One entry per input stream, in order.
-        """
-        if fs <= 0:
-            raise ValueError("sampling frequency must be positive")
-        if block_s <= 0:
-            raise ValueError("block_s must be positive")
-        if decimation < 1:
-            raise ValueError("decimation must be >= 1")
-        block = max(1, int(round(block_s * fs)))
-        window = window or BeatWindow(100, 100)
-        arrays = []
-        for stream in streams:
-            x = np.asarray(stream, dtype=float)
-            if x.ndim != 1:
-                raise ValueError("streams must be 1-D sample arrays")
-            arrays.append(x)
-        shards = self._split(arrays)
-        parts = self._map(
-            _classify_shard_task,
-            [(classifier, shard, fs, block, window, decimation, config) for shard in shards],
-        )
-        return [result for part in parts for result in part]
-
-
-def simulate_records(
-    simulator: NodeSimulator, records, lead: int = 0, engine: ServingEngine | None = None
-) -> FleetTrace:
-    """Replay a batch of records (see :meth:`ServingEngine.simulate_records`).
-
-    ``engine`` selects sharding/executor; the default runs serially,
-    unsharded, and returns byte-identical results to any other engine.
-    """
-    return (engine or ServingEngine()).simulate_records(simulator, records, lead=lead)
+    return FleetTrace([simulator.process_record(record, lead=lead) for record in records])
 
 
 def classify_streams(
@@ -252,15 +62,103 @@ def classify_streams(
     decimation: int = 4,
     window: BeatWindow | None = None,
     config=None,
-    engine: ServingEngine | None = None,
 ) -> list[StreamResult]:
-    """Classify many streams (see :meth:`ServingEngine.classify_streams`).
+    """Run the streaming front end over many streams; classify once.
 
-    ``engine`` selects sharding/executor; the default runs serially
-    with one fleet-wide classifier pass, and returns byte-identical
-    results to any other engine.
+    Every stream has its own :class:`BlockFilter` and
+    :class:`StreamingPeakDetector`, fed ``block_s`` blocks.  At each
+    block start the live streams are grouped by block length (only
+    stream tails differ); each group runs one filter row pass, and one
+    wavelet row pass once its transforms are all steady (per row
+    before that).  Beats are segmented per stream and the classifier
+    sees one beat matrix for the whole fleet.
+
+    Parameters
+    ----------
+    classifier:
+        Anything with ``predict(beats)`` — the float
+        :class:`~repro.core.pipeline.RPClassifierPipeline` or the
+        integer :class:`~repro.fixedpoint.convert.EmbeddedClassifier`.
+    streams:
+        Iterable of 1-D finite sample arrays, all at ``fs``.
+    fs:
+        Sampling frequency in Hz.
+    block_s:
+        ADC block size in seconds fed to the front end (> 0).
+    decimation:
+        Beat decimation factor before classification (paper: 4).
+    window:
+        Segmentation window (paper default 100 + 100).
+    config:
+        Optional :class:`~repro.dsp.peak_detection.PeakDetectorConfig`.
+
+    Returns
+    -------
+    list[StreamResult]
+        One entry per input stream, in order.
     """
-    return (engine or ServingEngine()).classify_streams(
-        classifier, streams, fs, block_s=block_s, decimation=decimation,
-        window=window, config=config,
-    )
+    if fs <= 0:
+        raise ValueError("sampling frequency must be positive")
+    if block_s <= 0:
+        raise ValueError("block_s must be positive")
+    if decimation < 1:
+        raise ValueError("decimation must be >= 1")
+    block = max(1, int(round(block_s * fs)))
+    window = window or BeatWindow(100, 100)
+    arrays = []
+    for stream in streams:
+        x = np.asarray(stream, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("streams must be 1-D sample arrays")
+        if not np.isfinite(x).all():
+            raise ValueError("streams must hold finite samples")
+        arrays.append(x)
+
+    filters = [BlockFilter(fs) for _ in arrays]
+    detectors = [StreamingPeakDetector(fs, config=config) for _ in arrays]
+    filtered: list[list[np.ndarray]] = [[] for _ in arrays]
+    for start in range(0, max((x.size for x in arrays), default=0), block):
+        groups: dict[int, list[int]] = {}
+        for r, x in enumerate(arrays):
+            if x.size > start:
+                groups.setdefault(min(block, x.size - start), []).append(r)
+        for n, rows in groups.items():
+            out = BlockFilter.push_rows(
+                [filters[r] for r in rows], np.stack([arrays[r][start : start + n] for r in rows])
+            )
+            if not out.shape[1]:
+                continue
+            wavelets = [detectors[r].wavelet for r in rows]
+            if len(rows) > 1 and all(w.steady for w in wavelets):
+                columns = StreamingWavelet.push_rows(wavelets, out)
+            else:
+                columns = [w.push(row) for w, row in zip(wavelets, out)]
+            for r, row, cols in zip(rows, out, columns):
+                filtered[r].append(row)
+                detectors[r].push_columns(row.size, cols)
+
+    per_stream_peaks: list[np.ndarray] = []
+    per_stream_beats: list[np.ndarray] = []
+    for block_filter, detector, parts in zip(filters, detectors, filtered):
+        tail = block_filter.flush()
+        if tail.size:
+            parts.append(tail)
+            detector.push(tail)
+        detector.flush()
+        signal = np.concatenate(parts) if parts else np.empty(0)
+        beats, kept = segment_beats(signal, detector.peaks, window)
+        per_stream_peaks.append(detector.peaks[kept])
+        per_stream_beats.append(beats)
+
+    counts = [b.shape[0] for b in per_stream_beats]
+    if sum(counts):
+        stacked = np.vstack([b for b in per_stream_beats if b.shape[0]])
+        stacked_ds, _ = decimate_beats(stacked, window, decimation)
+        labels = np.asarray(classifier.predict(stacked_ds))
+    else:
+        labels = np.empty(0, dtype=np.int64)
+    bounds = np.cumsum([0, *counts])
+    return [
+        StreamResult(peaks=peaks, labels=labels[lo:hi])
+        for peaks, lo, hi in zip(per_stream_peaks, bounds[:-1], bounds[1:])
+    ]

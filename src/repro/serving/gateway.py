@@ -1,6 +1,6 @@
 """Session gateway: many live streaming sessions, one batched classifier.
 
-:class:`~repro.serving.engine.ServingEngine` serves *complete*
+:func:`~repro.serving.engine.classify_streams` serves *complete*
 records/streams; a real fleet is a set of concurrently **live**
 sessions, each feeding small chunks at its own pace.  This module is
 that ingestion layer:
@@ -20,7 +20,7 @@ that ingestion layer:
   sessions.  That amortization (one projection + fuzzification pass
   for dozens of beats instead of one per beat) is where the batched
   classifier earns its keep under live load, exactly as it does for
-  the shard-batched engine.
+  the batch engine.
 * :class:`BeatBatch` — the cross-session accumulator, exposed for
   callers that want to drive their own flush policy.
 
@@ -503,33 +503,36 @@ class StreamGateway:
     def ingest(self, session_id: str, chunk: np.ndarray) -> list[StreamBeatEvent]:
         """Feed one chunk of raw samples; return the session's new events.
 
-        The chunk is journaled first (write-ahead), then stashed for the
-        tick's shared front-end pass (see the class notes) or, during a
-        session's warm-up and for chunks of a second or more, pushed at
-        once.  Advances the gateway clock by one tick, flushes the
-        cross-session batch if it is full or any session's oldest beat
-        has hit its latency budget, and evicts sessions idle past
-        their threshold.  The returned events are exactly the ones a
-        standalone ``StreamingNode`` would have emitted by this point
-        (possibly later in stream time, never different in content or
-        order).
+        The chunk is validated (a rejected chunk raises
+        :class:`ValueError` and changes nothing), journaled
+        (write-ahead), then stashed for the tick's shared front-end
+        pass (see the class notes) or, during a session's warm-up and
+        for chunks of a second or more, pushed at once.  Advances the
+        gateway clock by one tick, flushes the cross-session batch if
+        it is full or any session's oldest beat has hit its latency
+        budget, and evicts sessions idle past their threshold.  The
+        returned events are exactly the ones a standalone
+        ``StreamingNode`` would have emitted by this point (possibly
+        later in stream time, never different in content or order).
         """
         session = self._get(session_id)
+        node = session.node
+        # Validate first: a journaled rejected chunk would be replayed,
+        # and fail again, on recovery.
+        block = node.check_block(chunk)
         if self.journal is not None:
             # Write-ahead: the chunk is durable before it is applied,
             # so the acknowledged prefix survives a process crash.
             self.journal.log_chunk(session_id, chunk)
         if session_id in self._stash:
             self._run_stash()
-        node = session.node
-        block = node.check_block(chunk)
         if session_id not in self._warming and node.fits_rows(block):
             # A copy: the caller may reuse its buffer once we return.
             self._stash[session_id] = block.copy()
             if len(self._stash) + len(self._warming) >= len(self._sessions):
                 self._run_stash()
         else:
-            self._feed(session_id, session, node.push(block))
+            self._feed(session_id, session, node.push_checked(block))
             self._collect(session_id, session)
             if session_id in self._warming and node.front_steady:
                 self._warming.discard(session_id)

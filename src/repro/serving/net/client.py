@@ -344,9 +344,15 @@ class GatewayClient:
         Pipelined: does not wait for the server to process the chunk.
         When the per-session window is full, one ``POLL`` round trip
         synchronizes first (collecting every ack and event the server
-        has produced), then the chunk is sent.
+        has produced), then the chunk is sent.  A chunk with non-finite
+        samples raises :class:`ValueError` before it is sequenced: the
+        server would reject it, and a sequenced reject would stall the
+        session's chunk sequence.
         """
         sess = self._session(session_id)
+        arr = np.ascontiguousarray(chunk, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise ValueError("chunks must hold finite samples")
         self._arm_budget()
         # In write-coalescing mode the opportunistic drain happens at
         # burst boundaries (buffer empty = a flush or sync just ran),
@@ -358,7 +364,6 @@ class GatewayClient:
         if len(sess.pending) >= self.window:
             self._sync(session_id)
             self._raise_parked(session_id)
-        arr = np.ascontiguousarray(chunk, dtype="<f8")
         sess.pending.append((sess.seq_next, arr))
         payload = wire.encode_ingest(
             session_id, sess.seq_next, sess.events_received, arr

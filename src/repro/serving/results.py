@@ -3,8 +3,7 @@
 :class:`FleetTrace` aggregates the per-record
 :class:`~repro.platform.node_sim.NodeTrace` objects a batch simulation
 produces; :class:`StreamResult` is the per-stream outcome of the
-batched stream classifiers.  Both are plain picklable dataclasses so
-they cross process-pool and gateway boundaries unchanged.
+batched stream classifier.  Both are plain picklable dataclasses.
 """
 
 from __future__ import annotations

@@ -2,9 +2,7 @@
 
 :class:`~repro.serving.gateway.StreamGateway` multiplexes live sessions
 into batched classifier passes inside one process;
-:class:`ShardedGateway` scales that across a pool of worker processes,
-the way :class:`~repro.serving.engine.ServingEngine` shards *complete*
-streams:
+:class:`ShardedGateway` scales that across a pool of worker processes:
 
 * every worker process runs its own ``StreamGateway`` (one batched
   classifier flush per worker per tick, same size/latency policy);
@@ -75,13 +73,13 @@ from collections import deque
 
 import numpy as np
 
+from repro.dsp.streaming import check_samples
 from repro.serving.executors import (
     INBOX_POLICIES,
     PLACEMENTS,
     validate_at_least,
     validate_inbox_policy,
     validate_placement,
-    validate_workers,
 )
 from repro.serving.analytics import merge_rollups
 from repro.serving.gateway import SessionExport, StreamGateway
@@ -395,7 +393,7 @@ class ShardedGateway:
         delineation_config=None,
         overhead_bytes: int = 2,
     ):
-        validate_workers(workers)
+        validate_at_least("workers", workers)
         validate_placement(placement)
         validate_at_least("max_batch", max_batch)
         validate_at_least("max_latency_ticks", max_latency_ticks)
@@ -412,6 +410,7 @@ class ShardedGateway:
         self.on_evict = on_evict
         self.on_alert = on_alert
         self.journal = journal
+        self.n_leads = n_leads
         gateway_kwargs = dict(
             max_batch=max_batch,
             max_latency_ticks=max_latency_ticks,
@@ -577,9 +576,16 @@ class ShardedGateway:
         the chunk — it returns the session's events that have already
         come back.  With a bounded inbox the overflow policy applies
         first (see the module docs); a dropped chunk is counted in
-        :meth:`dropped_chunks` and never reaches the worker.
+        :meth:`dropped_chunks` and never reaches the worker.  The
+        worker rejects a chunk of the wrong shape or with non-finite
+        samples, and the session's next call raises the
+        :class:`ValueError`.  With a journal the chunk is checked here
+        instead, raises at once, and is neither queued nor journaled:
+        recovery would replay a journaled reject and fail on it.
         """
         index = self._owner_or_raise(session_id)
+        if self.journal is not None:
+            check_samples(chunk, self.n_leads)
         self._drain(block=False)
         self._raise_parked(session_id)  # e.g. this session's previous chunk
         if session_id not in self._owner:  # evicted by a just-drained notice

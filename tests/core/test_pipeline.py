@@ -49,7 +49,7 @@ class TestTrainedPipeline:
 
     def test_picklable_after_fuzzy_memoization(self, pipeline, datasets):
         """Regression: the fuzzy-value memo holds a weakref; pickling
-        (e.g. into process-pool serving workers) must drop it, not
+        (e.g. into sharded gateway workers) must drop it, not
         raise TypeError."""
         import pickle
 

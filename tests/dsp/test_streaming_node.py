@@ -241,3 +241,26 @@ class TestStreamingNode:
         node = StreamingNode(embedded_classifier, record.fs, n_leads=3)
         with pytest.raises(ValueError):
             node.push(record.signal[:100, :2])  # wrong lead count
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chunk_rejected_and_stream_keeps_serving(
+        self, record, embedded_classifier, reference, bad
+    ):
+        """One non-finite sample used to poison the detector's decayed
+        energy sums and silence the stream for good.  The chunk holding
+        it is rejected, and later clean chunks serve bit-exactly."""
+        kept_peaks, labels, _, _ = reference
+        block = int(0.25 * record.fs)
+        node = StreamingNode(embedded_classifier, record.fs, n_leads=record.n_leads)
+        events = []
+        for i in range(0, record.n_samples, block):
+            chunk = record.signal[i : i + block]
+            if i == 40 * block:  # 10 s into the stream
+                poisoned = chunk.copy()
+                poisoned[7, 1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    node.push(poisoned)
+            events += node.push(chunk)
+        events += node.flush()
+        np.testing.assert_array_equal([e.peak for e in events], kept_peaks)
+        np.testing.assert_array_equal([e.label for e in events], labels)

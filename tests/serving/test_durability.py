@@ -606,6 +606,109 @@ class TestRestartRecovery:
         assert_events_equal(reference_events[0], events)
 
 
+class TestRejectedChunks:
+    """A chunk ``ingest`` rejects never reaches the write-ahead log.
+    Journaled, it would be replayed on recovery, raise again, and
+    abort the recovery of its session and of every session after it."""
+
+    BLOCK = 90
+
+    @staticmethod
+    def bad_chunk(kind, good):
+        if kind == "wrong-leads":
+            return np.zeros((good.shape[0], N_LEADS + 1))
+        poisoned = good.copy()
+        poisoned[40, 0] = np.nan
+        return poisoned
+
+    def journaled_run(self, records, classifier, bad_kind):
+        """10 good chunks of ``p``, optionally a rejected one, 10 more,
+        then 10 chunks of a session ``q`` opened after it."""
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=1000)
+        gateway = StreamGateway(classifier, FS, n_leads=N_LEADS, journal=journal)
+        gateway.open_session("p")
+        p, q = records[0].signal, records[1].signal
+        events = feed(gateway, "p", p, self.BLOCK, stop=10 * self.BLOCK)
+        if bad_kind is not None:
+            with pytest.raises(ValueError):
+                gateway.ingest("p", self.bad_chunk(bad_kind, p[: self.BLOCK]))
+        events += feed(gateway, "p", p, self.BLOCK, start=10 * self.BLOCK, stop=20 * self.BLOCK)
+        gateway.open_session("q")
+        q_events = feed(gateway, "q", q, self.BLOCK, stop=10 * self.BLOCK)
+        return journal, {"p": events, "q": q_events}
+
+    @pytest.mark.parametrize("bad_kind", ["wrong-leads", "nan"])
+    def test_recovery_is_bit_exact_with_a_clean_journal(
+        self, bad_kind, records, embedded_classifier, reference_events,
+        assert_events_equal,
+    ):
+        journal, delivered = self.journaled_run(records, embedded_classifier, bad_kind)
+        clean, clean_delivered = self.journaled_run(records, embedded_classifier, None)
+        for sid in ("p", "q"):
+            assert_events_equal(clean_delivered[sid], delivered[sid])
+            assert [c.tobytes() for c in journal.recover(sid).chunks] == [
+                c.tobytes() for c in clean.recover(sid).chunks
+            ]
+
+        gateway = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        backlog = recover_sessions(journal, gateway)
+        clean_backlog = recover_sessions(
+            clean, StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        )
+        assert set(backlog) == {"p", "q"}
+        for sid, record, start, reference in (
+            ("p", records[0], 20 * self.BLOCK, reference_events[0]),
+            ("q", records[1], 10 * self.BLOCK, reference_events[1]),
+        ):
+            assert_events_equal(clean_backlog[sid], backlog[sid])
+            events = delivered[sid] + backlog[sid]
+            events += feed(gateway, sid, record.signal, self.BLOCK, start=start)
+            events += gateway.close_session(sid)
+            assert_events_equal(reference, events)
+
+    @pytest.mark.parametrize("bad_kind", ["wrong-leads", "nan"])
+    def test_supervised_recovery_after_a_rejected_chunk(
+        self, bad_kind, records, embedded_classifier, reference_events,
+        assert_events_equal,
+    ):
+        """The sharded tier validates in the parent, before the journal:
+        a rejected chunk raises at once, is never replayed, and a later
+        kill of every worker recovers both sessions bit-exactly."""
+        with SupervisedGateway(
+            embedded_classifier, FS, journal=MemoryJournalStore(),
+            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+            placement="round-robin",
+        ) as gateway:
+            collected = {}
+            for sid, record in zip(("p", "q"), records):
+                gateway.open_session(sid)
+                collected[sid] = feed(
+                    gateway, sid, record.signal, self.BLOCK, stop=10 * self.BLOCK
+                )
+            good = records[0].signal[10 * self.BLOCK : 11 * self.BLOCK]
+            with pytest.raises(ValueError):
+                gateway.ingest("p", self.bad_chunk(bad_kind, good))
+            assert len(gateway.journal.recover("p").chunks) == 10
+            collected["p"] += feed(
+                gateway, "p", records[0].signal, self.BLOCK,
+                start=10 * self.BLOCK, stop=20 * self.BLOCK,
+            )
+            for index in range(2):
+                kill_worker(gateway, index)
+            for sid, record, start in (
+                ("p", records[0], 20 * self.BLOCK),
+                ("q", records[1], 10 * self.BLOCK),
+            ):
+                collected[sid] += feed(
+                    gateway, sid, record.signal, self.BLOCK, start=start
+                )
+                collected[sid] += gateway.close_session(sid)
+            stats = gateway.stats()
+        assert stats["sessions_recovered"] >= 2
+        for sid, reference in zip(("p", "q"), reference_events):
+            assert_events_equal(reference, collected[sid])
+
+
 class TestShardedJournalHooks:
     """The sharded gateway's journal bookkeeping, without a supervisor."""
 

@@ -25,6 +25,7 @@ from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import StreamGateway
 from repro.serving.net import GatewayClient, serve_in_thread
 from repro.serving.net import protocol as wire
+from repro.serving.net.client import RemoteError
 
 CHUNK = 256
 
@@ -168,6 +169,54 @@ class TestMalformedPeers:
         error = peer.wait_for(wire.Error)
         assert not error.sync and "ghost" in error.message
         peer.close()
+
+    def test_non_finite_chunk_is_rejected_and_resume_stays_bit_exact(
+        self, harness, record, embedded_classifier,
+        standalone_events, assert_events_equal,
+    ):
+        """A NaN chunk never advances the session's chunk sequence.  The
+        client refuses it before sequencing it; a peer that sends it
+        anyway gets an ERROR frame.  Either way the same client keeps
+        ingesting, a successor resumes where it left off, and the event
+        stream is the standalone node's on the clean samples."""
+        signal = record.signal
+        chunks = [signal[s:s + CHUNK] for s in range(0, len(signal), CHUNK)]
+        bad_at, resume_at = 10, 15
+        first = GatewayClient(harness.host, harness.port, window=4).connect()
+        first.open_session("nan")
+        before = []
+        for piece in chunks[:bad_at]:
+            before.extend(first.ingest("nan", piece))
+        before.extend(first.poll("nan"))
+        poisoned = chunks[bad_at].copy()
+        poisoned[5] = np.nan
+        sess = first._sessions["nan"]
+        with pytest.raises(ValueError, match="finite"):
+            first.ingest("nan", poisoned)
+        assert sess.seq_next == bad_at
+        # Skip the client check: the server answers with an ERROR frame.
+        first._send_payload(
+            wire.encode_ingest("nan", bad_at, sess.events_received, poisoned)
+        )
+        with pytest.raises(RemoteError, match="finite"):
+            first.poll("nan")
+        for piece in chunks[bad_at:resume_at]:
+            before.extend(first.ingest("nan", piece))
+        before.extend(first.poll("nan"))
+        first._sock.close()  # the producer abandons the link
+
+        second = GatewayClient(
+            harness.host, harness.port, window=4, backoff_base=0.01
+        ).connect()
+        second.resume_session("nan", events_received=len(before))
+        assert second._sessions["nan"].seq_next == resume_at
+        after = []
+        for piece in chunks[resume_at:]:
+            after.extend(second.ingest("nan", piece))
+        after.extend(second.close_session("nan"))
+        second.close()
+        reference = standalone_events(embedded_classifier, signal, record.fs, 1)
+        assert_events_equal(reference, before + after)
 
 
 class TestSlowReaderBackpressure:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import (
-    EXECUTORS,
     SessionExport,
     ShardedGateway,
     StreamGateway,
@@ -331,7 +330,6 @@ class TestShardedValidation:
         from repro.serving.executors import validate_inbox_policy
 
         assert INBOX_POLICIES == ("block", "drop")
-        assert EXECUTORS == ("serial", "threads", "processes")
         assert validate_inbox_policy("block") == "block"
 
     def test_session_export_defaults_are_backward_compatible(self):

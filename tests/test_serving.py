@@ -1,17 +1,21 @@
-"""Tests for the sharded multi-record / multi-stream serving layer."""
+"""Tests for the multi-record / multi-stream batch serving layer."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dsp.peak_detection import PeakDetectorConfig
+from repro.ecg.segmentation import BeatWindow
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.platform.node_sim import NodeSimulator
 from repro.serving import (
     FleetTrace,
-    ServingEngine,
     StreamResult,
     classify_streams,
     simulate_records,
 )
+from stream_reference import assert_stream_results_identical, reference_classify_streams
 
 
 class TestServingPackageSplit:
@@ -20,9 +24,7 @@ class TestServingPackageSplit:
 
     def test_flat_imports_still_work(self):
         from repro.serving import (  # noqa: F401
-            EXECUTORS,
             FleetTrace,
-            ServingEngine,
             StreamResult,
             classify_streams,
             simulate_records,
@@ -31,10 +33,11 @@ class TestServingPackageSplit:
     def test_submodules_own_their_pieces(self):
         from repro.serving import engine, executors, gateway, results
 
-        assert engine.ServingEngine is ServingEngine
+        assert engine.classify_streams is classify_streams
+        assert engine.simulate_records is simulate_records
         assert results.FleetTrace is FleetTrace
         assert results.StreamResult is StreamResult
-        assert executors.EXECUTORS == ("serial", "threads", "processes")
+        assert executors.PLACEMENTS == ("hash", "least-loaded", "round-robin")
         assert hasattr(gateway, "StreamGateway")
 
 
@@ -129,6 +132,19 @@ class TestClassifyStreams:
         with pytest.raises(ValueError):
             classify_streams(embedded_classifier, [np.zeros((5, 2))], 360.0)
 
+    def test_empty_batches(self, embedded_classifier):
+        assert len(simulate_records(NodeSimulator(embedded_classifier), [])) == 0
+        assert classify_streams(embedded_classifier, [], 360.0) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad, records, embedded_classifier):
+        """One non-finite sample used to silence its stream for good
+        (the detector's decayed energy sums go NaN): reject it."""
+        stream = records[0].lead(0).copy()
+        stream[3600] = bad
+        with pytest.raises(ValueError, match="finite"):
+            classify_streams(embedded_classifier, [records[1].lead(0), stream], 360.0)
+
     def test_non_positive_block_rejected(self, embedded_classifier):
         """block_s <= 0 must raise, not silently clamp to 1 sample."""
         for block_s in (0.0, -0.5):
@@ -140,116 +156,133 @@ class TestClassifyStreams:
             classify_streams(embedded_classifier, [np.zeros(10)], 360.0, decimation=0)
 
 
-def assert_fleet_traces_identical(a: FleetTrace, b: FleetTrace) -> None:
-    """Byte-identical fleet outcomes: every event of every trace equal."""
-    assert len(a) == len(b)
-    for trace_a, trace_b in zip(a.traces, b.traces):
-        assert trace_a.duration_s == trace_b.duration_s
-        assert trace_a.clock_hz == trace_b.clock_hz
-        assert trace_a.events == trace_b.events
+@pytest.fixture(scope="module")
+def ragged_streams(records):
+    """Ragged, equal-length (shared tail), sub-block, empty and flat
+    streams cut from two 30 s records."""
+    a, b = (r.lead(0) for r in records)
+    return [a, b[:7777], a[:7777], b[:6001], np.empty(0), b[:100], np.zeros(3600), a[5000:]]
 
 
-def assert_stream_results_identical(a: list, b: list) -> None:
-    assert len(a) == len(b)
-    for result_a, result_b in zip(a, b):
-        np.testing.assert_array_equal(result_a.peaks, result_b.peaks)
-        np.testing.assert_array_equal(result_a.labels, result_b.labels)
+class TestRowsMatchPerStreamReference:
+    """One row pass per block over every stream gives each stream
+    exactly what its own filter/detector loop gives."""
 
-
-class TestServingEngine:
-    """Executor/shard equivalence: results are byte-identical however
-    the fleet is split and wherever the shards run."""
-
-    @pytest.fixture(scope="class")
-    def streams(self, records):
-        return [r.lead(0) for r in records]
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_simulate_records_equivalent(
-        self, executor, workers, records, embedded_classifier, fleet
+    @pytest.mark.parametrize("block_s", [0.01, 0.25, 0.5, 1.0, 1.7, 3.0])
+    @pytest.mark.parametrize("which", ["integer", "float"])
+    def test_block_sizes_and_classifiers(
+        self, block_s, which, ragged_streams, embedded_classifier, embedded_pipeline
     ):
-        engine = ServingEngine(executor=executor, workers=workers)
-        sharded = simulate_records(
-            NodeSimulator(embedded_classifier), records, engine=engine
-        )
-        assert_fleet_traces_identical(fleet, sharded)
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_classify_streams_equivalent(
-        self, executor, workers, streams, records, embedded_classifier
-    ):
-        baseline = classify_streams(embedded_classifier, streams, records[0].fs)
-        engine = ServingEngine(executor=executor, workers=workers)
-        sharded = classify_streams(
-            embedded_classifier, streams, records[0].fs, engine=engine
-        )
-        assert_stream_results_identical(baseline, sharded)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4, 16])
-    def test_shard_count_invariant(
-        self, shards, streams, records, embedded_classifier, fleet
-    ):
-        engine = ServingEngine(executor="threads", workers=2, shards=shards)
-        assert_fleet_traces_identical(
-            fleet,
-            simulate_records(NodeSimulator(embedded_classifier), records, engine=engine),
-        )
+        """The float pipeline runs with its fuzzy-value memo (a weakref
+        to the last beat matrix) populated."""
+        classifier = embedded_classifier
+        if which == "float":
+            classifier = embedded_pipeline
+            classifier.predict(np.zeros((2, classifier.projection.matrix.shape[1])))
         assert_stream_results_identical(
-            classify_streams(embedded_classifier, streams, records[0].fs),
-            classify_streams(embedded_classifier, streams, records[0].fs, engine=engine),
+            reference_classify_streams(classifier, ragged_streams, 360.0, block_s),
+            classify_streams(classifier, ragged_streams, 360.0, block_s=block_s),
         )
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError):
-            ServingEngine(executor="fibers")
-        with pytest.raises(ValueError):
-            ServingEngine(workers=0)
-        with pytest.raises(ValueError):
-            ServingEngine(shards=0)
-
-    def test_unknown_executor_error_names_allowed_values(self):
-        """The error must teach the caller what IS accepted."""
-        with pytest.raises(ValueError) as excinfo:
-            ServingEngine(executor="fibers")
-        message = str(excinfo.value)
-        assert "fibers" in message
-        for name in ("serial", "threads", "processes"):
-            assert name in message
-
-    @pytest.mark.parametrize("workers", [0, -1, -100])
-    def test_invalid_workers_error_names_the_bound(self, workers):
-        with pytest.raises(ValueError, match=r"workers must be >= 1"):
-            ServingEngine(workers=workers)
-
-    @pytest.mark.parametrize("shards", [0, -3])
-    def test_invalid_shards_error_names_the_bound(self, shards):
-        with pytest.raises(ValueError, match=r"shards must be >= 1"):
-            ServingEngine(shards=shards)
-
-    def test_empty_batches(self, embedded_classifier):
-        engine = ServingEngine(executor="threads", workers=2)
-        assert len(simulate_records(NodeSimulator(embedded_classifier), [], engine=engine)) == 0
-        assert classify_streams(embedded_classifier, [], 360.0, engine=engine) == []
-
-    def test_float_pipeline_through_process_pool(self, streams, records, embedded_pipeline):
-        """Regression: a float pipeline whose fuzzy-value memo (a
-        weakref) is populated must still pickle into process workers.
-
-        Serial and process engines are compared at the *same* shard
-        count: float matmul bitwise equality across batch sizes is a
-        BLAS property the invariance guarantee does not claim.
-        """
-        d = embedded_pipeline.projection.matrix.shape[1]
-        embedded_pipeline.predict(np.zeros((2, d)))  # populate the memo
-        fs = records[0].fs
-        serial = classify_streams(
-            embedded_pipeline, streams, fs,
-            engine=ServingEngine(executor="serial", shards=2),
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "one-stream",
+            "equal-lengths",
+            "ragged",
+            "sub-block",
+            "empty-among-live",
+            "all-empty",
+            "flat",
+            "one-past-a-block",
+        ],
+    )
+    def test_stream_shapes(self, shape, records, embedded_classifier):
+        """Each fleet shape alone, at 0.25 s (90-sample) blocks: the
+        grouping by block length sees one group, tails of every
+        length, rows that never fill a block, and rows with no
+        samples."""
+        a, b = (r.lead(0) for r in records)
+        streams = {
+            "one-stream": [a],
+            "equal-lengths": [a, b, a[::-1].copy()],
+            "ragged": [a, b[:7777], b[:6001], a[5000:]],
+            "sub-block": [b[:89], a[:1], b[:45]],
+            "empty-among-live": [np.empty(0), a, np.empty(0), b],
+            "all-empty": [np.empty(0), np.empty(0)],
+            "flat": [np.zeros(3600), np.full(3601, 0.7), b[:3600]],
+            "one-past-a-block": [a[: 40 * 90 + 1], b[: 40 * 90], a[: 40 * 90 - 1]],
+        }[shape]
+        assert_stream_results_identical(
+            reference_classify_streams(embedded_classifier, streams, 360.0, 0.25),
+            classify_streams(embedded_classifier, streams, 360.0, block_s=0.25),
         )
-        sharded = classify_streams(
-            embedded_pipeline, streams, fs,
-            engine=ServingEngine(executor="processes", workers=2, shards=2),
+
+    @pytest.mark.parametrize("dtype", ["float32", "int16", "list"])
+    def test_sample_types(self, dtype, records, embedded_classifier):
+        """Streams are taken as float64 whatever they arrive as: ADC
+        counts, single precision or plain sequences."""
+        a, b = (r.lead(0)[:6000] for r in records)
+        if dtype == "int16":
+            streams = [np.round(x * 400).astype(np.int16) for x in (a, b)]
+        elif dtype == "list":
+            streams = [a.tolist(), b.tolist()]
+        else:
+            streams = [a.astype(dtype), b.astype(dtype)]
+        as_float = [np.asarray(x, dtype=float) for x in streams]
+        assert_stream_results_identical(
+            reference_classify_streams(embedded_classifier, as_float, 360.0),
+            classify_streams(embedded_classifier, streams, 360.0),
         )
-        assert_stream_results_identical(serial, sharded)
+
+    def test_asymmetric_window_and_detector_config(self, ragged_streams, embedded_classifier):
+        """A non-default segmentation window and peak-detector config
+        reach every stream's segmenter and detector."""
+        window = BeatWindow(80, 120)
+        config = PeakDetectorConfig(threshold_factor=1.8, refractory=0.3)
+        assert_stream_results_identical(
+            reference_classify_streams(
+                embedded_classifier, ragged_streams, 360.0, 0.25, window=window, config=config
+            ),
+            classify_streams(
+                embedded_classifier, ragged_streams, 360.0, 0.25, window=window, config=config
+            ),
+        )
+
+    def test_undecimated_360hz_pipeline(self, ragged_streams, pipeline):
+        """``decimation=1`` feeds full-rate beats to a 360 Hz pipeline."""
+        assert_stream_results_identical(
+            reference_classify_streams(pipeline, ragged_streams, 360.0, decimation=1),
+            classify_streams(pipeline, ragged_streams, 360.0, decimation=1),
+        )
+
+
+@pytest.fixture(scope="module")
+def fleet_source():
+    return RecordSynthesizer(SynthesisConfig(n_leads=1), seed=33).synthesize(30.0).lead(0)
+
+
+@st.composite
+def fleets(draw):
+    """Stream lengths (repeats make shared tails) and a block size."""
+    lengths = draw(
+        st.lists(
+            st.sampled_from([0, 1, 90, 180, 1800, 4321]) | st.integers(0, 5400),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    offsets = draw(st.lists(st.integers(0, 5400), min_size=len(lengths), max_size=len(lengths)))
+    block_s = draw(st.sampled_from([0.01, 0.25, 0.5, 1.7]) | st.floats(0.003, 3.0))
+    return lengths, offsets, block_s
+
+
+@settings(max_examples=25, deadline=None)
+@given(fleets())
+def test_rows_match_reference_property(fleet_source, embedded_classifier, schedule):
+    lengths, offsets, block_s = schedule
+    streams = [fleet_source[o : o + n] for n, o in zip(lengths, offsets)]
+    assert_stream_results_identical(
+        reference_classify_streams(embedded_classifier, streams, 360.0, block_s),
+        classify_streams(embedded_classifier, streams, 360.0, block_s=block_s),
+    )
