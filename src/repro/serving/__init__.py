@@ -25,6 +25,9 @@ once; this package is that workload's engine, in two shapes:
   elastically (``add_worker`` / ``retire_worker``), and applies
   bounded-inbox backpressure (:class:`SessionInbox`) — same session
   surface, same per-session bit-exactness, for every worker count.
+  Placement, migration, the drain and the ``stats()`` rollup are one
+  :class:`~repro.serving.pool.MemberPool` (:mod:`repro.serving.pool`),
+  shared with the federation tier below.
 * **Autoscaling** (:mod:`repro.serving.autoscale`):
   :class:`AutoBalancer` evens per-worker load by live migration under
   a hysteresis band; :class:`Autoscaler` sizes the pool toward a
@@ -53,7 +56,8 @@ once; this package is that workload's engine, in two shapes:
   :class:`SessionExport` bit-exactly and rolls up through every tier's
   ``stats()`` (:func:`merge_rollups`).
 * **Federation** (:mod:`repro.serving.federation`):
-  :class:`FederatedGateway` routes sessions across N gateway hosts —
+  :class:`FederatedGateway` — the same member pool, with hosts as the
+  members — routes sessions across N gateway hosts —
   cross-host placement (:data:`PLACEMENTS`), wire-level live migration
   (``MIGRATE``), lossless ``retire_host`` drains, fleet-wide
   ``stats()`` rollup, and the across-host level of the two-tier

@@ -53,6 +53,7 @@ import os
 import pickle
 import struct
 from dataclasses import dataclass, field
+from functools import partial, wraps
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from repro.serving.sharded import ShardedGateway, WorkerCrashError
 
 __all__ = [
     "FileJournalStore",
+    "JournalCorruptError",
     "JournalStore",
     "MemoryJournalStore",
     "RecoveredSession",
@@ -101,6 +103,10 @@ def _decode_chunk(blob: bytes) -> np.ndarray:
     offset = _CHUNK_HEAD.size + 4 * ndim
     samples = np.frombuffer(blob, dtype="<f8", offset=offset)
     return samples.astype(np.float64).reshape(shape)  # a writable copy
+
+
+class JournalCorruptError(ValueError):
+    """A journal log holds a record no writer produces (a damaged file)."""
 
 
 @dataclass
@@ -339,8 +345,14 @@ class FileJournalStore(JournalStore):
             offset += length
             if rec_type == _REC_CHUNK:
                 chunks.append(payload)
-            elif rec_type == _REC_DELIVERED:
+            elif rec_type == _REC_DELIVERED and length == _DELIVERED_PAYLOAD.size:
                 delivered += _DELIVERED_PAYLOAD.unpack(payload)[0]
+            else:
+                # Skipping a damaged record would silently drop what it
+                # held (a chunk, for a flipped type byte).
+                raise JournalCorruptError(
+                    f"damaged {rec_type!r} record of {length} bytes in {path}"
+                )
         return chunks, delivered
 
     def _read_blob(self, path: str) -> bytes | None:
@@ -532,22 +544,24 @@ class SupervisedGateway:
     Construction wires a :class:`SessionJournal` into a new
     :class:`ShardedGateway` (all ``**gateway_kwargs`` pass through:
     ``workers``, ``placement``, QoS, backpressure, ...), then guards
-    the whole session surface: any call that hits a dead worker
+    the pool's whole public surface — the session calls, ``flush``,
+    ``take_*``, ``add_worker`` / ``retire_worker``, ... — so any call
+    that hits a dead worker
     (:class:`~repro.serving.sharded.WorkerCrashError` — ``kill -9``,
     OOM, a broken pipe) triggers recovery and is retried transparently.
 
     Recovery, per crash:
 
     1. every worker whose process is no longer alive (plus the one the
-       failing call touched) is respawned **in place** — same index,
-       fresh empty process — via
-       :meth:`ShardedGateway.respawn_worker`;
+       failing call touched) is salvaged and respawned **in place** —
+       same index, fresh empty process
+       (:meth:`ShardedGateway.salvage_worker`,
+       :meth:`ShardedGateway.respawn_worker`);
     2. every session the dead workers owned (plus any journaled
        session no worker owns — a move interrupted mid-import) is
-       rebuilt: import its last snapshot (or re-open), replay the
-       logged chunks, force a flush, and keep every replayed event
-       past the journal's ``delivered`` count as the session's owed
-       backlog.  Chunk-invariance makes the rebuilt stream bit-exact;
+       rebuilt by :meth:`ShardedGateway.restore_session`, running the
+       same replay as :func:`recover_sessions`.  Chunk-invariance makes
+       the rebuilt stream bit-exact;
     3. the retried call completes against the healed pool.  A chunk
        whose journal entry landed before the crash is *not* re-sent
        (the replay already applied it — re-ingesting would
@@ -614,11 +628,16 @@ class SupervisedGateway:
         return self._gateway
 
     def __getattr__(self, name: str):
-        # Read-only surface (workers, placement, session_ids, ...)
-        # delegates; the crash-guarded methods are defined explicitly.
+        # The pool's public surface delegates, and its methods run under
+        # the crash guard (read-only ones such as session_ids never
+        # crash, so the guard costs them nothing).  A wrapped method is
+        # cached on the instance, so each name is looked up once.
         if name.startswith("_"):
             raise AttributeError(name)
-        return getattr(self._gateway, name)
+        value = getattr(self._gateway, name)
+        if callable(value):
+            value = self.__dict__[name] = wraps(value)(partial(self._call, value))
+        return value
 
     # -- the crash guard -------------------------------------------------
 
@@ -648,7 +667,7 @@ class SupervisedGateway:
 
     def _drain_session(self, session_id: str) -> list:
         gw = self._gateway
-        if session_id not in gw._owner:
+        if session_id not in gw.session_ids():
             self._recover_from(None)  # finish an interrupted recovery
         return gw.poll(session_id)
 
@@ -656,43 +675,27 @@ class SupervisedGateway:
         """One recovery round: respawn every dead worker, rebuild every
         lost session.  Returns the number of sessions recovered."""
         gw = self._gateway
-        dead = set()
+        dead = gw.dead_workers()
         if crash is not None:
             dead.add(crash.worker)
-        for index, proc in enumerate(gw._procs):
-            if not proc.is_alive():
-                dead.add(index)
-        lost: list[tuple[str, object]] = []
+        lost: dict[str, object] = {}  # session id -> its old inbox
         for index in sorted(dead):
-            # Salvage first: a killed worker's already-written responses
-            # stay readable until its pipe drains.  Eviction notices in
-            # there carry final event sequences the worker-side gateway
-            # has already drained — without this pass they die with the
-            # connection (respawn_worker closes it unread) and the
-            # journal would resurrect the evicted session as live.
-            self.n_evictions_salvaged += self._salvage_responses(index)
-            for session_id in gw.sessions_on(index):
-                # Parent-side state of the dead worker's sessions is
-                # stale: undelivered buffered events regenerate on
-                # replay, the inbox restarts empty (its audit carries).
-                lost.append((session_id, gw._inboxes.get(session_id)))
-                gw._owner.pop(session_id, None)
-                gw._events.pop(session_id, None)
-                gw._errors.pop(session_id, None)
-                inbox = gw._inboxes.pop(session_id, None)
-                if inbox is not None:
-                    inbox.close()
+            salvaged, dropped = gw.salvage_worker(index)
+            self.n_evictions_salvaged += salvaged
+            lost.update(dropped)
             gw.respawn_worker(index)
-        known = {session_id for session_id, _ in lost}
+        live = set(gw.session_ids())
         for session_id in self.journal.session_ids():
-            if session_id not in gw._owner and session_id not in known:
-                # Journaled but owned by nobody: a migration the crash
-                # interrupted between release and import, or a session
-                # persisted by a previous process (full restart).
-                lost.append((session_id, None))
+            # Journaled but owned by nobody: a migration the crash
+            # interrupted between release and import, or a session
+            # persisted by a previous process (full restart).
+            if session_id not in live:
+                lost.setdefault(session_id, None)
         recovered = []
-        for session_id, old_inbox in lost:
-            if self._recover_session(session_id, old_inbox):
+        for session_id, inbox in lost.items():
+            rec = self.journal.recover(session_id)
+            if rec is not None:
+                gw.restore_session(session_id, partial(_replay, rec), inbox)
                 recovered.append(session_id)
         if dead or recovered:
             self.n_recoveries += 1
@@ -700,90 +703,6 @@ class SupervisedGateway:
             if self.on_recover is not None:
                 self.on_recover(sorted(dead), recovered)
         return len(recovered)
-
-    def _salvage_responses(self, index: int) -> int:
-        """Drain whatever a dead worker managed to write before dying.
-
-        Eviction notices are delivered for real (``take_evicted()`` /
-        ``on_evict``, journal entry dropped so recovery does not
-        resurrect a session the worker already closed) and analytics
-        alerts / final summaries are folded in.  Pipelined ingest
-        payloads route into the normal parent buffers: a session this
-        same salvage batch *evicts* needs them merged ahead of the
-        eviction notice's tail, while a session that gets *recovered*
-        has its copy scrubbed below and regenerated by replay (the
-        journal's delivered counter only covers events the caller
-        actually took).  Returns the number of evicted sessions whose
-        final sequences were saved.  Tolerant of a pipe that breaks
-        mid-read (the crash can truncate anything).
-        """
-        gw = self._gateway
-        conn = gw._conns[index]
-        salvaged = 0
-        while True:
-            try:
-                if not conn.poll():
-                    break
-                response = conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                break
-            try:
-                op, session_id, (status, value), evictions, aux = response
-            except (TypeError, ValueError, IndexError):
-                continue  # pragma: no cover - truncated frame
-            salvaged += sum(1 for sid, _ in evictions if sid in gw._owner)
-            gw._note_evictions(evictions)
-            gw._note_aux(aux)
-            if op == "ingest" and status == "ok":
-                if session_id in gw._owner:
-                    gw._events.setdefault(session_id, []).extend(value)
-                elif session_id in gw._evicted:
-                    gw._evicted[session_id].extend(value)
-        return salvaged
-
-    def _recover_session(self, session_id: str, old_inbox=None) -> bool:
-        """Rebuild one session from its journal: snapshot import (or
-        re-open), chunk replay, forced flush.  Replayed events past the
-        journal's delivered count become the session's owed backlog.
-        Never writes the journal — idempotent under repeated crashes."""
-        gw, journal = self._gateway, self.journal
-        rec = journal.recover(session_id)
-        if rec is None:
-            return False
-        # Scrub any stale half-recovered copy a previously interrupted
-        # recovery left behind (placement may pick a different target
-        # this round).
-        for index in range(gw.workers):
-            try:
-                gw._request(index, ("release", session_id))
-            except KeyError:
-                pass
-        target = gw._place(session_id)
-        if rec.export is not None:
-            gw._request(target, ("import", session_id, rec.export))
-        else:
-            gw._request(target, ("open", session_id, rec.open_kwargs or {}))
-        replayed: list = []
-        for chunk in rec.chunks:
-            replayed.extend(gw._request(target, ("ingest", session_id, chunk)))
-        # The original flushes rode other sessions' shared-clock ticks;
-        # a solo replay must force the tail out (flush boundaries never
-        # change event content — the pinned invariance).
-        gw._request(target, ("flush", None))
-        replayed.extend(gw._request(target, ("poll", session_id)))
-        if len(replayed) < rec.delivered:  # pragma: no cover - guard
-            raise RuntimeError(
-                f"journal replay of session {session_id!r} produced "
-                f"{len(replayed)} events, fewer than the {rec.delivered} "
-                "already delivered — journal accounting is broken"
-            )
-        gw._register(session_id, target)
-        if old_inbox is not None and session_id in gw._inboxes:
-            gw._inboxes[session_id].carry_audit(old_inbox)
-        residue = replayed[rec.delivered :]
-        if residue:
-            gw._events[session_id] = residue
-        return True
 
     def check_workers(self) -> int:
         """Proactive sweep: respawn dead workers, rebuild their (and
@@ -797,70 +716,6 @@ class SupervisedGateway:
                 attempts += 1
                 if attempts > self.max_recover_attempts:
                     raise
-
-    # -- the guarded session surface -------------------------------------
-
-    def open_session(self, session_id: str, **kwargs) -> None:
-        """Open a session (crash-guarded); see
-        :meth:`ShardedGateway.open_session`."""
-        return self._call(self._gateway.open_session, session_id, **kwargs)
-
-    def ingest(self, session_id: str, chunk) -> list:
-        """Journal one chunk, ship it, return resolved events.
-
-        The chunk is durable when this returns — a worker crash at any
-        point afterwards recovers it by replay.  This is the
-        acknowledged-prefix contract the chaos suite pins."""
-        return self._call(self._gateway.ingest, session_id, chunk)
-
-    def poll(self, session_id: str) -> list:
-        """Drain a session's events (crash-guarded)."""
-        return self._call(self._gateway.poll, session_id)
-
-    def close_session(self, session_id: str) -> list:
-        """End a session; its journal entry is dropped with it."""
-        return self._call(self._gateway.close_session, session_id)
-
-    def export_session(self, session_id: str) -> SessionExport:
-        """Capture a session (also refreshes its journal snapshot)."""
-        return self._call(self._gateway.export_session, session_id)
-
-    def release_session(self, session_id: str) -> SessionExport:
-        """Capture and remove a session (journal entry dropped)."""
-        return self._call(self._gateway.release_session, session_id)
-
-    def import_session(self, export: SessionExport, session_id=None) -> str:
-        """Resume an exported session (journaled as a fresh snapshot)."""
-        return self._call(self._gateway.import_session, export, session_id)
-
-    def migrate_session(self, session_id: str, worker: int) -> None:
-        """Move a session between workers; the move carries the journal
-        (its capture doubles as a snapshot)."""
-        return self._call(self._gateway.migrate_session, session_id, worker)
-
-    def flush(self) -> int:
-        """Force a batched classifier pass on every worker."""
-        return self._call(self._gateway.flush)
-
-    def take_evicted(self) -> dict[str, list]:
-        """Evicted sessions' final event sequences (crash-guarded)."""
-        return self._call(self._gateway.take_evicted)
-
-    def take_alerts(self) -> list:
-        """Fleet-wide analytics alerts (crash-guarded)."""
-        return self._call(self._gateway.take_alerts)
-
-    def take_summaries(self) -> dict[str, dict]:
-        """Final analytics summaries (crash-guarded)."""
-        return self._call(self._gateway.take_summaries)
-
-    def add_worker(self) -> int:
-        """Grow the supervised pool by one worker."""
-        return self._call(self._gateway.add_worker)
-
-    def retire_worker(self, worker: int) -> int:
-        """Drain and reap one worker (crash-guarded)."""
-        return self._call(self._gateway.retire_worker, worker)
 
     def stats(self) -> dict:
         """Pool statistics plus the supervisor's recovery counters
@@ -891,17 +746,47 @@ class SupervisedGateway:
         self.shutdown()
 
 
+def _replay(rec: RecoveredSession, gateway) -> list:
+    """Rebuild one journaled session on ``gateway``; return the events
+    it still owes.
+
+    Imports the snapshot (or re-opens the session), replays the logged
+    chunks, forces a flush and polls.  The original flushes rode other
+    sessions' shared-clock ticks; a solo replay must force the tail out
+    (flush boundaries never change event content — the pinned
+    invariance).  Events up to the journal's delivered count were
+    already handed out and are skipped, never re-delivered.
+    """
+    session_id = rec.session_id
+    if rec.export is not None:
+        gateway.import_session(rec.export, session_id)
+    else:
+        gateway.open_session(session_id, **(rec.open_kwargs or {}))
+    events: list = []
+    for chunk in rec.chunks:
+        events.extend(gateway.ingest(session_id, chunk))
+    flush = getattr(gateway, "flush_batch", None) or getattr(gateway, "flush", None)
+    if flush is not None:
+        flush()
+    events.extend(gateway.poll(session_id))
+    if len(events) < rec.delivered:  # pragma: no cover - guard
+        raise RuntimeError(
+            f"journal replay of session {session_id!r} produced "
+            f"{len(events)} events, fewer than the {rec.delivered} "
+            "already delivered — journal accounting is broken"
+        )
+    return events[rec.delivered :]
+
+
 def recover_sessions(journal: SessionJournal, gateway) -> dict[str, list]:
     """Rebuild every journaled session on a fresh gateway (the
     full-process-restart path, for any gateway tier).
 
-    For each journaled session: import its snapshot (or re-open it),
-    replay the logged chunks through the gateway's public surface,
-    force a flush, and collect the replayed events.  Returns the
-    per-session events *beyond* the journal's delivered count — the
-    backlog the previous process accepted but never handed out; events
-    before it were already delivered and are skipped (never
-    re-delivered).
+    Each journaled session is replayed through the gateway's public
+    surface — the same replay :class:`SupervisedGateway` runs on a
+    respawned worker.  Returns the per-session events *beyond* the
+    journal's delivered count: the backlog the previous process
+    accepted but never handed out.
 
     If ``gateway`` journals into the same journal, the rebuilt
     sessions are re-journaled consistently as a side effect (import
@@ -911,26 +796,6 @@ def recover_sessions(journal: SessionJournal, gateway) -> dict[str, list]:
     backlog: dict[str, list] = {}
     for session_id in journal.session_ids():
         rec = journal.recover(session_id)
-        if rec is None:  # pragma: no cover - concurrent forget
-            continue
-        if rec.export is not None:
-            gateway.import_session(rec.export, session_id)
-        else:
-            gateway.open_session(session_id, **(rec.open_kwargs or {}))
-        events: list = []
-        for chunk in rec.chunks:
-            events.extend(gateway.ingest(session_id, chunk))
-        flush = getattr(gateway, "flush_batch", None)
-        if flush is None:
-            flush = getattr(gateway, "flush", None)
-        if flush is not None:
-            flush()
-        events.extend(gateway.poll(session_id))
-        if len(events) < rec.delivered:  # pragma: no cover - guard
-            raise RuntimeError(
-                f"journal replay of session {session_id!r} produced "
-                f"{len(events)} events, fewer than the {rec.delivered} "
-                "already delivered — journal accounting is broken"
-            )
-        backlog[session_id] = events[rec.delivered :]
+        if rec is not None:  # else forgotten concurrently
+            backlog[session_id] = _replay(rec, gateway)
     return backlog

@@ -20,34 +20,24 @@ they arrive.  Aggregate events/sec then scales with hosts until the
 producer core saturates — ``benchmarks/test_federation_throughput.py``
 pins >= 1.5x for 2 hosts vs 1 on the 2-core CI job.
 
-The placement / rebalancing / drain story mirrors the sharded tier one
-level up:
+Placement, live migration, the lossless ``retire_host`` drain (the
+rolling-restart primitive: drain, restart the box, ``add_host`` it
+back) and the fleet ``stats()`` rollup are the
+:class:`~repro.serving.pool.MemberPool` this tier shares with the
+sharded one — :mod:`repro.serving.pool` describes them, with hosts as
+the members.  What is particular to the wire:
 
-* **placement** — sessions land on hosts under the same policies
-  (:data:`~repro.serving.executors.PLACEMENTS`): ``"hash"``,
-  ``"least-loaded"`` (by open sessions), ``"round-robin"``;
-* **cross-host migration** — :meth:`FederatedGateway.migrate_session`
-  moves a live session between hosts over the wire: a ``MIGRATE``
-  frame captures it off the source host (the server pickles its
-  ``SessionExport``, prepending the events the client never
-  acknowledged) and a second ``MIGRATE`` imports it on the target,
-  restarting the delivery index at the capture point so the
-  client-side dedupe keeps the event sequence exact;
+* **cross-host migration** — a ``MIGRATE`` frame captures the session
+  off the source host (the server pickles its ``SessionExport``,
+  prepending the events the client never acknowledged) and a second
+  ``MIGRATE`` imports it on the target, restarting the delivery index
+  at the capture point so the client-side dedupe keeps the event
+  sequence exact;
 * **two-level balancing** — :class:`~repro.serving.autoscale.AutoBalancer`
-  plugs in unchanged as the **across-host** level (this class exposes
-  the same ``workers`` / ``stats()`` / ``sessions_on`` /
-  ``migrate_session`` surface, with hosts as the members), while each
-  host can tick its own within-host balancer through the server's
-  ``tick_hook`` seam — hysteresis at both levels, so neither tier
-  ping-pongs sessions;
-* **rolling restarts** — :meth:`FederatedGateway.retire_host` drains a
-  host losslessly (live-migrating every session it owns onto the
-  survivors via the configured placement) exactly like
-  ``retire_worker``, and :meth:`FederatedGateway.add_host` attaches a
-  fresh host mid-flight;
-* **fleet stats** — :meth:`FederatedGateway.stats` rolls every host's
-  schema-pinned ``stats()`` into one snapshot (summed counters +
-  ``per_host``), the input the across-host policies read.
+  plugs in unchanged as the **across-host** level, while each host can
+  tick its own within-host balancer through the server's ``tick_hook``
+  seam — hysteresis at both levels, so neither tier ping-pongs
+  sessions.
 
 Per-session **bit-exactness** extends across the fleet: whatever hosts
 served whatever prefixes of a session — through placement, cross-host
@@ -66,15 +56,13 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import zlib
 from dataclasses import dataclass
 
-from repro.serving.analytics import merge_rollups
 from repro.serving.autoscale import AutoBalancer
-from repro.serving.executors import validate_placement
 from repro.serving.gateway import StreamGateway
 from repro.serving.net.client import GatewayClient, RemoteError
 from repro.serving.net.server import GatewayServer
+from repro.serving.pool import MemberPool
 from repro.serving.sharded import ShardedGateway
 
 __all__ = ["FederatedGateway", "HostProcess", "spawn_host"]
@@ -97,8 +85,13 @@ def _endpoint(spec) -> tuple[str, int]:
     return str(host), int(port)
 
 
-class FederatedGateway:
+class FederatedGateway(MemberPool):
     """Route live sessions across a fleet of gateway hosts.
+
+    :meth:`shutdown` drops every host connection; sessions still open
+    are parked on their hosts via the servers' disconnect path, so a
+    later front door (or client) can resume them — call
+    :meth:`close_session` first for clean ends.
 
     Parameters
     ----------
@@ -122,6 +115,9 @@ class FederatedGateway:
         clocks, ``max_retries``, ...).
     """
 
+    member = "host"
+    index_error = "host index {index} out of range for {n} hosts"
+
     def __init__(
         self,
         endpoints,
@@ -133,8 +129,7 @@ class FederatedGateway:
         retry_budget: float | None = None,
         client_kwargs: dict | None = None,
     ):
-        validate_placement(placement)
-        self.placement = placement
+        super().__init__(placement)
         self._client_kwargs = dict(
             window=window,
             send_buffer=send_buffer,
@@ -143,111 +138,42 @@ class FederatedGateway:
         )
         self._client_kwargs.update(client_kwargs or {})
         self._clients: list[GatewayClient] = []
-        self._owner: dict[str, int] = {}
         #: Events surfaced while a session was mid-migration (the
         #: source host's final deliveries) — returned ahead of the
         #: session's next ingest/poll/close result so the caller's
         #: event sequence stays gapless.
         self._residue: dict[str, list] = {}
-        self._rr_next = 0
-        self._closed = False
-        self.n_migrations = 0
-        self.n_scale_events = 0
         endpoints = list(endpoints)
         if not endpoints:
             raise ValueError("federation needs at least one host endpoint")
         for spec in endpoints:
-            self.add_host(spec, _initial=True)
+            self._connect(spec)
 
     # -- fleet introspection ---------------------------------------------
 
     @property
-    def hosts(self) -> int:
-        """Number of attached hosts."""
+    def workers(self) -> int:
+        """Number of attached hosts (``hosts`` is the same count; the
+        across-host :class:`~repro.serving.autoscale.AutoBalancer`
+        reads this name)."""
         return len(self._clients)
 
-    @property
-    def workers(self) -> int:
-        """Alias of :attr:`hosts` — the member count the across-host
-        :class:`~repro.serving.autoscale.AutoBalancer` reads."""
-        return len(self._clients)
+    hosts = workers
 
     @property
     def endpoints(self) -> list[tuple[str, int]]:
         """The attached hosts' addresses, in index order."""
         return [(c.host, c.port) for c in self._clients]
 
-    @property
-    def n_sessions(self) -> int:
-        """Sessions currently open through this front door."""
-        return len(self._owner)
+    #: Index of the host currently serving a session; ``worker_of``
+    #: reads placement the same way for drivers written against the
+    #: sharded surface.
+    host_of = MemberPool.worker_of
 
-    def session_ids(self) -> list[str]:
-        """Open session ids, in opening order."""
-        return list(self._owner)
-
-    def host_of(self, session_id: str) -> int:
-        """Index of the host currently serving ``session_id``."""
-        return self._owner_or_raise(session_id)
-
-    #: Alias so host-level drivers written against the sharded surface
-    #: (``worker_of``) read placement the same way.
-    worker_of = host_of
-
-    def sessions_on(self, host: int) -> list[str]:
-        """Ids of the sessions currently placed on one host (opening
-        order) — the candidate set the across-host balancer moves."""
-        index = self._validate_host(host)
-        return [sid for sid, owner in self._owner.items() if owner == index]
-
-    def session_counts(self) -> list[int]:
-        """Open sessions per host, from the router's placement map."""
-        counts = [0] * self.hosts
-        for owner in self._owner.values():
-            counts[owner] += 1
-        return counts
-
-    # -- placement -------------------------------------------------------
-
-    @staticmethod
-    def _hash(session_id: str) -> int:
-        """Stable session hash (CRC-32, not the salted ``hash``)."""
-        return zlib.crc32(session_id.encode())
-
-    def _place(self, session_id: str, exclude: int | None = None) -> int:
-        """Pick a host for a session under the configured placement
-        policy, optionally excluding one index (a draining host)."""
-        candidates = [i for i in range(self.hosts) if i != exclude]
-        if self.placement == "hash":
-            return candidates[self._hash(session_id) % len(candidates)]
-        if self.placement == "round-robin":
-            index = candidates[self._rr_next % len(candidates)]
-            self._rr_next += 1
-            return index
-        counts = self.session_counts()  # least-loaded, ties -> lowest index
-        return min(candidates, key=lambda i: (counts[i], i))
-
-    def _validate_host(self, host: int) -> int:
-        index = int(host)
-        if not 0 <= index < self.hosts:
-            raise ValueError(
-                f"host index {host} out of range for {self.hosts} hosts"
-            )
-        return index
-
-    def _owner_or_raise(self, session_id: str) -> int:
-        try:
-            return self._owner[session_id]
-        except KeyError:
-            raise KeyError(f"no open session {session_id!r}") from None
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("gateway is shut down")
-
-    def _take_residue(self, session_id: str) -> list:
-        events = self._residue.pop(session_id, None)
-        return events if events is not None else []
+    def _with_residue(self, session_id: str, returned: list) -> list:
+        """Prefix a session's events with its migration residue."""
+        residue = self._residue.pop(session_id, None)
+        return returned if residue is None else residue + returned
 
     # -- session surface -------------------------------------------------
 
@@ -260,10 +186,7 @@ class FederatedGateway:
         host: int | None = None,
     ) -> None:
         """Open a session on its policy-placed (or explicit) host."""
-        self._check_open()
-        if session_id in self._owner:
-            raise ValueError(f"session {session_id!r} is already open")
-        index = self._place(session_id) if host is None else self._validate_host(host)
+        index = self._pick(session_id, host)
         self._clients[index].open_session(
             session_id,
             max_latency_ticks=max_latency_ticks,
@@ -281,169 +204,82 @@ class FederatedGateway:
         keeps every host's pipeline full concurrently.
         """
         index = self._owner_or_raise(session_id)
-        returned = self._clients[index].ingest(session_id, chunk)
-        if session_id in self._residue:
-            return self._take_residue(session_id) + returned
-        return returned
+        return self._with_residue(session_id, self._clients[index].ingest(session_id, chunk))
 
     def poll(self, session_id: str) -> list:
         """Synchronize with the session's host; return its events."""
         index = self._owner_or_raise(session_id)
-        returned = self._clients[index].poll(session_id)
-        if session_id in self._residue:
-            return self._take_residue(session_id) + returned
-        return returned
+        return self._with_residue(session_id, self._clients[index].poll(session_id))
 
     def close_session(self, session_id: str) -> list:
         """End a session; return the remainder of its event sequence."""
         index = self._owner_or_raise(session_id)
         returned = self._clients[index].close_session(session_id)
         del self._owner[session_id]
-        return self._take_residue(session_id) + returned
+        return self._with_residue(session_id, returned)
 
     # -- cross-host migration + elasticity -------------------------------
 
     def migrate_session(self, session_id: str, host: int) -> None:
-        """Move a live session to another host, mid-stream.
+        """Move a live session to another host, mid-stream (a no-op if
+        it is already there); see :mod:`repro.serving.pool`.  Events the
+        source host delivered during the move surface on the session's
+        next call."""
+        self._migrate(session_id, host)
 
-        Wire-level ``MIGRATE`` capture on the current owner + import on
-        the target: the session's event sequence is unaffected (events
-        the source host delivered during the move are buffered as
-        residue and surface on the session's next call), only its
-        placement changes.  The across-host
-        :class:`~repro.serving.autoscale.AutoBalancer` is this call
-        driven by the fleet load statistics.
-        """
-        self._check_open()
-        index = self._owner_or_raise(session_id)
-        target = self._validate_host(host)
-        if target == index:
-            return
-        self._move(session_id, index, target)
-
-    def _move(self, session_id: str, index: int, target: int) -> None:
-        migrated = self._clients[index].migrate_out(session_id)
+    def _release(self, index: int, session_id: str):
+        client = self._clients[index]
+        try:
+            migrated = client.migrate_out(session_id)
+        except RemoteError as exc:
+            if "no open session" not in str(exc):
+                raise
+            # Evicted or closed server-side, unseen by this front door:
+            # it ends here too (the drain skips it).
+            client.discard_session(session_id)
+            self._forget(session_id)
+            raise KeyError(f"no open session {session_id!r}") from None
         if migrated.events:
             self._residue.setdefault(session_id, []).extend(migrated.events)
-        self._clients[target].migrate_in(migrated)
-        self._owner[session_id] = target
-        self.n_migrations += 1
+        return migrated
 
-    def add_host(self, endpoint, *, _initial: bool = False) -> int:
-        """Attach (and connect to) one more backend host; return its
-        index.  The new host starts empty — the across-host balancer
-        migrates load onto it, and ``least-loaded`` placement favors
-        it for new sessions immediately."""
+    def _import(self, index: int, session_id: str, migrated) -> None:
+        self._clients[index].migrate_in(migrated)
+
+    def add_host(self, endpoint) -> int:
+        """Attach (and connect to) one more, empty, backend host; return
+        its index."""
         self._check_open()
+        self._connect(endpoint)
+        return self._added()
+
+    def _connect(self, endpoint) -> None:
         host, port = _endpoint(endpoint)
         client = GatewayClient(host, port, **self._client_kwargs)
         client.connect()
         self._clients.append(client)
-        if not _initial:
-            self.n_scale_events += 1
-        return self.hosts - 1
 
     def retire_host(self, host: int) -> int:
-        """Detach one host after draining it losslessly.
+        """Detach one host after draining its sessions losslessly onto
+        the others over the wire; return the number migrated.  See
+        :mod:`repro.serving.pool`."""
+        return self._retire(host)
 
-        Every session the host serves is live-migrated onto the
-        remaining hosts via the configured placement policy — the same
-        wire-level capture/import path as :meth:`migrate_session`, so
-        per-session event sequences are unaffected.  Returns the
-        number of sessions migrated.  Host indices above the retired
-        one shift down by one.  The rolling-restart primitive: drain,
-        restart the box, :meth:`add_host` it back.
-        """
-        self._check_open()
-        index = self._validate_host(host)
-        if self.hosts == 1:
-            raise ValueError("cannot retire the last host")
-        moved = 0
-        for session_id in self.sessions_on(index):
-            if self._owner.get(session_id) != index:
-                continue  # closed under us mid-drain
-            try:
-                self._move(session_id, index, self._place(session_id, exclude=index))
-            except (KeyError, RemoteError) as exc:
-                # Evicted/closed server-side between the sessions_on
-                # snapshot and the wire capture — the same race
-                # ShardedGateway.retire_worker guards.  Skip the
-                # session and keep draining; anything else is a real
-                # failure and aborts the drain.
-                if isinstance(exc, RemoteError) and "no open session" not in str(exc):
-                    raise
-                self._clients[index].discard_session(session_id)
-                self._owner.pop(session_id, None)
-                self._residue.pop(session_id, None)
-                continue
-            moved += 1
-        client = self._clients.pop(index)
-        client.close()
-        self._owner = {
-            sid: owner - 1 if owner > index else owner
-            for sid, owner in self._owner.items()
-        }
-        self.n_scale_events += 1
-        return moved
+    def _detach(self, index: int) -> None:
+        self._clients.pop(index).close()
 
-    # -- fleet statistics ------------------------------------------------
+    def _member_stats(self, index: int) -> dict:
+        # Each host answers its own schema-pinned stats() over the
+        # wire (STATS / STATS_OK).
+        return self._clients[index].stats()
 
-    def stats(self) -> dict:
-        """Fleet-wide statistics rollup (synchronizes every host).
+    def _forget(self, session_id: str) -> None:
+        super()._forget(session_id)
+        self._residue.pop(session_id, None)
 
-        Each host answers its own schema-pinned ``stats()`` over the
-        wire (``STATS``/``STATS_OK``); the rollup sums the five load
-        counters across hosts and keeps the per-host snapshots under
-        ``per_host`` — the exact shape
-        :func:`~repro.serving.autoscale.worker_loads` reads for the
-        across-host balancing level.  ``migrations`` / ``scale_events``
-        count this router's own cross-host moves and host
-        attach/retire events (each host's rollup keeps its own
-        within-host counters).  The schema is pinned by a regression
-        test so fleet policy inputs cannot silently drift.  After
-        :meth:`shutdown` this raises a clean ``RuntimeError`` instead
-        of failing on a dead client connection.
-        """
-        self._check_open()
-        per_host = [client.stats() for client in self._clients]
-        totals = {
-            key: sum(stats[key] for stats in per_host)
-            for key in (
-                "n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted"
-            )
-        }
-        totals["analytics"] = merge_rollups(
-            stats.get("analytics") for stats in per_host
-        )
-        totals["per_host"] = per_host
-        totals["hosts"] = self.hosts
-        totals["migrations"] = self.n_migrations
-        totals["scale_events"] = self.n_scale_events
-        return totals
-
-    # -- lifecycle -------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Drop every host connection (idempotent).
-
-        Sessions still open are parked on their hosts via the servers'
-        disconnect path — a later front door (or client) can resume
-        them; call :meth:`close_session` first for clean ends."""
-        if self._closed:
-            return
-        self._closed = True
+    def _close_members(self) -> None:
         for client in self._clients:
             client.close()
-        # The routing maps go with the connections: n_sessions must
-        # read 0 on a shut-down front door, not a stale census.
-        self._owner.clear()
-        self._residue.clear()
-
-    def __enter__(self) -> "FederatedGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 # -- local host processes -------------------------------------------------

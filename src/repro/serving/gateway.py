@@ -375,6 +375,7 @@ class StreamGateway:
         self.analytics = analytics
         self.on_alert = on_alert
         self.journal = journal
+        self.n_leads = n_leads
         self._node_kwargs = dict(
             n_leads=n_leads,
             lead=lead,

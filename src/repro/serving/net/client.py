@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.dsp.streaming import check_samples
 from repro.serving.net import protocol as wire
 
 __all__ = [
@@ -113,9 +114,12 @@ class MigratedSession:
 class _SessionState:
     """Client-side reliability state for one open session."""
 
-    __slots__ = ("seq_next", "pending", "events_received", "buffered")
+    __slots__ = ("seq_next", "pending", "events_received", "buffered", "n_leads")
 
-    def __init__(self) -> None:
+    def __init__(self, n_leads: int = 0) -> None:
+        #: The gateway's lead count, from ``OPEN_OK`` / ``RESUME_OK`` /
+        #: the import ``MIGRATE_OK`` (``0`` = unknown: any lead count).
+        self.n_leads = n_leads
         self.seq_next = 0
         #: Replay buffer of ``(seq, chunk)`` not yet acknowledged —
         #: bounded by the pipelining window.
@@ -294,8 +298,8 @@ class GatewayClient:
         for _ in self._op_attempts():
             try:
                 self._send_payload(payload)
-                self._wait_for("open_ok", session_id)
-                self._sessions[session_id] = _SessionState()
+                ok = self._wait_for("open_ok", session_id)
+                self._sessions[session_id] = _SessionState(ok.n_leads)
                 return
             except _ConnectionLost:
                 self._reconnect_and_resume()
@@ -330,6 +334,7 @@ class GatewayClient:
                     )
                     resume_ok = self._wait_for("resume_ok", session_id)
                     sess.seq_next = resume_ok.next_seq
+                    sess.n_leads = resume_ok.n_leads
                     return
                 except _ConnectionLost:
                     self._reconnect_and_resume()
@@ -344,15 +349,15 @@ class GatewayClient:
         Pipelined: does not wait for the server to process the chunk.
         When the per-session window is full, one ``POLL`` round trip
         synchronizes first (collecting every ack and event the server
-        has produced), then the chunk is sent.  A chunk with non-finite
-        samples raises :class:`ValueError` before it is sequenced: the
-        server would reject it, and a sequenced reject would stall the
+        has produced), then the chunk is sent.  A chunk of the wrong
+        shape for the session's lead count, or with non-finite samples,
+        raises :class:`ValueError` before it is sequenced: the server
+        would reject it, and a sequenced reject would stall the
         session's chunk sequence.
         """
         sess = self._session(session_id)
         arr = np.ascontiguousarray(chunk, dtype="<f8")
-        if not np.isfinite(arr).all():
-            raise ValueError("chunks must hold finite samples")
+        check_samples(arr, sess.n_leads or (arr.shape[1] if arr.ndim == 2 else 1))
         self._arm_budget()
         # In write-coalescing mode the opportunistic drain happens at
         # burst boundaries (buffer empty = a flush or sync just ran),
@@ -478,7 +483,7 @@ class GatewayClient:
             for _ in self._op_attempts():
                 try:
                     self._send_payload(payload)
-                    self._wait_for("migrate_ok", session_id)
+                    sess.n_leads = self._wait_for("migrate_ok", session_id).n_leads
                     return
                 except _ConnectionLost:
                     # The import may or may not have landed before the
@@ -579,7 +584,7 @@ class GatewayClient:
             resume_ok = self._wait_for("resume_ok", session_id)
         except (RemoteError, _ConnectionLost):
             return False
-        sess = _SessionState()
+        sess = _SessionState(resume_ok.n_leads)
         sess.events_received = events_received
         sess.seq_next = resume_ok.next_seq
         self._sessions[session_id] = sess
@@ -587,19 +592,25 @@ class GatewayClient:
 
     # -- transport -------------------------------------------------------
 
+    def _budget_cap(self, bound: float, attempts: int, exc=None) -> float:
+        """``bound`` truncated to what the armed retry budget has left;
+        :class:`ConnectError` once it is spent."""
+        remaining = self._budget_remaining()
+        if remaining is None:
+            return bound
+        if remaining <= 0.0:
+            detail = f": {exc}" if exc is not None else ""
+            raise ConnectError(
+                f"could not connect to {self.host}:{self.port}: retry budget "
+                f"of {self.retry_budget:.3f} s exhausted after {attempts} "
+                f"attempts{detail}"
+            ) from exc
+        return min(bound, remaining)
+
     def _connect_raw(self) -> None:
         attempt = 0
         while True:
-            connect_timeout = self.connect_timeout
-            remaining = self._budget_remaining()
-            if remaining is not None:
-                if remaining <= 0.0:
-                    raise ConnectError(
-                        f"could not connect to {self.host}:{self.port}: retry "
-                        f"budget of {self.retry_budget:.3f} s exhausted after "
-                        f"{attempt} attempts"
-                    )
-                connect_timeout = min(connect_timeout, remaining)
+            connect_timeout = self._budget_cap(self.connect_timeout, attempt)
             try:
                 sock = self._connect_factory(
                     (self.host, self.port), connect_timeout
@@ -612,16 +623,7 @@ class GatewayClient:
                         f"{attempt + 1} attempts: {exc}"
                     ) from exc
                 delay = min(self.backoff_max, self.backoff_base * (2.0 ** attempt))
-                remaining = self._budget_remaining()
-                if remaining is not None:
-                    if remaining <= 0.0:
-                        raise ConnectError(
-                            f"could not connect to {self.host}:{self.port}: "
-                            f"retry budget of {self.retry_budget:.3f} s "
-                            f"exhausted after {attempt + 1} attempts: {exc}"
-                        ) from exc
-                    delay = min(delay, remaining)
-                self._sleep(delay)
+                self._sleep(self._budget_cap(delay, attempt + 1, exc))
                 attempt += 1
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -675,6 +677,7 @@ class GatewayClient:
                 )
                 resume_ok = self._wait_for("resume_ok", session_id)
                 next_seq = resume_ok.next_seq
+                sess.n_leads = resume_ok.n_leads
                 sess.seq_next = max(sess.seq_next, next_seq)
                 sess.pending = deque(
                     (seq, chunk) for seq, chunk in sess.pending if seq >= next_seq

@@ -103,7 +103,6 @@ __all__ = [
     "encode_stats",
     "encode_stats_ok",
     "pack_frame",
-    "read_frame",
 ]
 
 #: Protocol magic ("RPN1" — Random-Projection Net v1) and version.
@@ -184,7 +183,11 @@ class Open:
 
 @dataclass(frozen=True)
 class OpenOk:
+    """Reply to ``OPEN``.  ``n_leads`` is the gateway's lead count
+    (``0`` = unknown), so the client checks chunk shapes itself."""
+
     session_id: str
+    n_leads: int = 0
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,7 @@ class Resume:
 class ResumeOk:
     session_id: str
     next_seq: int
+    n_leads: int = 0
 
 
 @dataclass(frozen=True)
@@ -248,12 +252,14 @@ class MigrateOk:
     processed up to (every pipelined chunk before the ``MIGRATE`` —
     FIFO — so the client's replay buffer is empty by construction);
     ``0`` on an import ack, where the adopted session's chunk
-    numbering restarts.
+    numbering restarts.  ``n_leads`` is the gateway's lead count, set
+    on an import ack (``0`` = unknown).
     """
 
     session_id: str
     next_seq: int
     blob: bytes = field(repr=False, default=b"")
+    n_leads: int = 0
 
 
 @dataclass(frozen=True)
@@ -341,32 +347,6 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-async def read_frame(reader, max_frame: int = DEFAULT_MAX_FRAME) -> bytes | None:
-    """Read one frame payload from an asyncio stream reader.
-
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on a truncated frame (EOF mid-frame) and
-    :class:`FrameTooLarge` on an oversized length prefix.
-    """
-    import asyncio
-
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-frame (truncated header)") from None
-    (length,) = _LEN.unpack(header)
-    if length > max_frame:
-        raise FrameTooLarge(
-            f"incoming frame of {length} bytes exceeds max_frame={max_frame}"
-        )
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid-frame (truncated body)") from None
-
-
 # -- encoding ----------------------------------------------------------------
 
 
@@ -400,8 +380,8 @@ def encode_open(
     )
 
 
-def encode_open_ok(session_id: str) -> bytes:
-    return bytes([OP_OPEN_OK]) + _encode_sid(session_id)
+def encode_open_ok(session_id: str, n_leads: int = 0) -> bytes:
+    return bytes([OP_OPEN_OK]) + _encode_sid(session_id) + bytes([n_leads])
 
 
 def encode_ingest(session_id: str, seq: int, ack_events: int, chunk) -> bytes:
@@ -441,8 +421,13 @@ def encode_resume(session_id: str, ack_events: int) -> bytes:
     return bytes([OP_RESUME]) + _encode_sid(session_id) + _U64.pack(ack_events)
 
 
-def encode_resume_ok(session_id: str, next_seq: int) -> bytes:
-    return bytes([OP_RESUME_OK]) + _encode_sid(session_id) + _U64.pack(next_seq)
+def encode_resume_ok(session_id: str, next_seq: int, n_leads: int = 0) -> bytes:
+    return (
+        bytes([OP_RESUME_OK])
+        + _encode_sid(session_id)
+        + _U64.pack(next_seq)
+        + bytes([n_leads])
+    )
 
 
 def encode_migrate(session_id: str, ack_events: int, blob: bytes | None = None) -> bytes:
@@ -457,9 +442,15 @@ def encode_migrate(session_id: str, ack_events: int, blob: bytes | None = None) 
     )
 
 
-def encode_migrate_ok(session_id: str, next_seq: int, blob: bytes = b"") -> bytes:
+def encode_migrate_ok(
+    session_id: str, next_seq: int, blob: bytes = b"", *, n_leads: int = 0
+) -> bytes:
     return (
-        bytes([OP_MIGRATE_OK]) + _encode_sid(session_id) + _U64.pack(next_seq) + blob
+        bytes([OP_MIGRATE_OK])
+        + _encode_sid(session_id)
+        + _U64.pack(next_seq)
+        + bytes([n_leads])
+        + blob
     )
 
 
@@ -538,7 +529,10 @@ class _Cursor:
 
     def sid(self) -> str:
         (length,) = self.unpack(_SID_LEN)
-        return self.take(length).decode("utf-8")
+        try:
+            return self.take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"session id is not UTF-8: {exc}") from None
 
     def rest(self) -> bytes:
         out = self.data[self.pos :]
@@ -625,8 +619,9 @@ def decode(payload: bytes):
         )
     if op == OP_OPEN_OK:
         session_id = cursor.sid()
+        (n_leads,) = cursor.take(1)
         cursor.done()
-        return OpenOk(session_id=session_id)
+        return OpenOk(session_id=session_id, n_leads=n_leads)
     if op == OP_INGEST:
         session_id = cursor.sid()
         seq, ack_events, n_samples, n_leads = cursor.unpack(_INGEST)
@@ -656,8 +651,9 @@ def decode(payload: bytes):
     if op == OP_RESUME_OK:
         session_id = cursor.sid()
         (next_seq,) = cursor.unpack(_U64)
+        (n_leads,) = cursor.take(1)
         cursor.done()
-        return ResumeOk(session_id=session_id, next_seq=next_seq)
+        return ResumeOk(session_id=session_id, next_seq=next_seq, n_leads=n_leads)
     if op == OP_MIGRATE:
         session_id = cursor.sid()
         (ack_events,) = cursor.unpack(_U64)
@@ -671,7 +667,10 @@ def decode(payload: bytes):
     if op == OP_MIGRATE_OK:
         session_id = cursor.sid()
         (next_seq,) = cursor.unpack(_U64)
-        return MigrateOk(session_id=session_id, next_seq=next_seq, blob=cursor.rest())
+        (n_leads,) = cursor.take(1)
+        return MigrateOk(
+            session_id=session_id, next_seq=next_seq, blob=cursor.rest(), n_leads=n_leads
+        )
     if op == OP_STATS:
         cursor.done()
         return Stats()

@@ -57,7 +57,6 @@ import socket
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.serving.analytics import empty_rollup
 from repro.serving.net import protocol as wire
 
 __all__ = ["GatewayServer", "ServerHandle", "serve_in_thread"]
@@ -173,6 +172,10 @@ class GatewayServer:
         tick_every: int = 64,
     ):
         self.gateway = gateway
+        #: The fronted gateway's lead count (0 = unknown), sent to the
+        #: client on every session it adopts so it can refuse a
+        #: wrong-shape chunk before sequencing it.
+        self._n_leads = int(getattr(gateway, "n_leads", 0))
         self.host = host
         self.port = port
         self.max_frame = int(max_frame)
@@ -316,8 +319,12 @@ class GatewayServer:
         (:meth:`~repro.serving.gateway.StreamGateway.release_session`),
         so the parked export carries the full node snapshot plus every
         event resolved but not yet delivered; the reliability state
-        keeps the delivered-but-unacked tail.
+        keeps the delivered-but-unacked tail.  A parked session still
+        lives on this host, so a journaling gateway keeps it journaled:
+        the export is its snapshot, with the export's events not yet
+        delivered.
         """
+        journal = getattr(self.gateway, "journal", None)
         for session_id in list(conn.owned):
             state = self._sessions.pop(session_id, None)
             self._owners.pop(session_id, None)
@@ -327,6 +334,8 @@ class GatewayServer:
                 export = self.gateway.release_session(session_id)
             except Exception:
                 continue  # closed or evicted under us; nothing to park
+            if journal is not None:
+                journal.snapshot(session_id, export)
             self._parked[session_id] = _Parked(export=export, state=state)
         conn.owned.clear()
 
@@ -378,7 +387,9 @@ class GatewayServer:
             evict_after_ticks=message.evict_after_ticks,
         )
         self._adopt(conn, message.session_id, _NetSession(message.session_id))
-        await conn.send_burst([self._frame(wire.encode_open_ok(message.session_id))])
+        await conn.send_burst(
+            [self._frame(wire.encode_open_ok(message.session_id, self._n_leads))]
+        )
 
     async def _on_ingest(self, conn: _Connection, message: wire.Ingest) -> None:
         state = self._owned_state(conn, message.session_id)
@@ -472,7 +483,9 @@ class GatewayServer:
         self.n_resumes += 1
         await conn.send_burst(
             [
-                self._frame(wire.encode_resume_ok(session_id, state.seq)),
+                self._frame(
+                    wire.encode_resume_ok(session_id, state.seq, self._n_leads)
+                ),
                 self._frame(
                     wire.encode_events(
                         session_id, state.seq, message.ack_events, replay
@@ -508,7 +521,9 @@ class GatewayServer:
             self._adopt(conn, session_id, state)
             self.n_migrations_in += 1
             await conn.send_burst(
-                [self._frame(wire.encode_migrate_ok(session_id, state.seq))]
+                [self._frame(
+                    wire.encode_migrate_ok(session_id, state.seq, n_leads=self._n_leads)
+                )]
             )
             return
         state = self._owned_state(conn, session_id)
@@ -526,35 +541,9 @@ class GatewayServer:
         )
 
     async def _on_stats(self, conn: _Connection) -> None:
-        """Reply with the gateway's statistics snapshot as ``STATS_OK``.
-
-        Sharded gateways answer their own schema-pinned ``stats()``;
-        for a plain :class:`~repro.serving.gateway.StreamGateway` host
-        a compatible single-worker rollup is synthesized so federation
-        callers read one shape either way.
-        """
-        stats_fn = getattr(self.gateway, "stats", None)
-        if stats_fn is not None:
-            stats = stats_fn()
-        else:
-            g = self.gateway
-            rollup_fn = getattr(g, "analytics_rollup", None)
-            worker = {
-                "n_sessions": g.n_sessions,
-                "n_queued": g.n_queued,
-                "n_flushes": g.n_flushes,
-                "n_classified": g.n_classified,
-                "n_evicted": g.n_evicted,
-                "analytics": (
-                    rollup_fn() if rollup_fn is not None else empty_rollup()
-                ),
-            }
-            stats = dict(worker)
-            stats["per_worker"] = [worker]
-            stats["workers"] = 1
-            stats["migrations"] = 0
-            stats["scale_events"] = 0
-        await conn.send_burst([self._frame(wire.encode_stats_ok(stats))])
+        """Reply with the gateway's schema-pinned ``stats()`` snapshot as
+        ``STATS_OK`` (every gateway tier answers the same shape)."""
+        await conn.send_burst([self._frame(wire.encode_stats_ok(self.gateway.stats()))])
 
     def _adopt(self, conn: _Connection, session_id: str, state: _NetSession) -> None:
         conn.owned.add(session_id)

@@ -2,25 +2,15 @@
 
 :class:`~repro.serving.gateway.StreamGateway` multiplexes live sessions
 into batched classifier passes inside one process;
-:class:`ShardedGateway` scales that across a pool of worker processes:
+:class:`ShardedGateway` scales that across a pool of worker processes.
+Every worker process runs its own ``StreamGateway`` (one batched
+classifier flush per worker per tick, same size/latency policy).
+Placement, live migration, the elastic ``add_worker`` /
+``retire_worker`` drain and the ``stats()`` rollup are the
+:class:`~repro.serving.pool.MemberPool` this tier shares with the
+federated one — :mod:`repro.serving.pool` describes them.  This module
+is the pipe transport underneath:
 
-* every worker process runs its own ``StreamGateway`` (one batched
-  classifier flush per worker per tick, same size/latency policy);
-* sessions are assigned to workers at ``open_session`` by a pluggable
-  placement policy (:data:`~repro.serving.executors.PLACEMENTS`):
-  ``"hash"`` (stable CRC-32 of the session id, so an id always lands
-  on the same worker for a given pool size), ``"least-loaded"`` (the
-  worker with the fewest open sessions) or ``"round-robin"`` (cyclic).
-  Any session can be moved live with
-  :meth:`ShardedGateway.migrate_session`, built on the existing
-  :class:`~repro.serving.gateway.SessionExport` migration;
-* the pool is **elastic**: :meth:`ShardedGateway.add_worker` spawns a
-  new worker process mid-flight and :meth:`ShardedGateway.retire_worker`
-  drains one — live-migrating every session it owns onto the remaining
-  workers (losslessly, including sessions with backlogged inboxes) —
-  before reaping it.  :mod:`repro.serving.autoscale` builds the
-  load-aware policies (``AutoBalancer`` / ``Autoscaler``) that drive
-  these primitives automatically;
 * ``ingest`` is **pipelined**: the chunk is shipped to the owning
   worker and the call returns the session's already-resolved events
   without waiting for the worker to process it.  Each worker's command
@@ -58,31 +48,29 @@ Durability: with a ``journal``
 accepted chunk is journaled *before* it is shipped, snapshots refresh
 on the journal's cadence, and ownership moves carry the journal.  A
 dead worker (``kill -9``, broken pipe) surfaces as
-:class:`WorkerCrashError`;
-:class:`~repro.serving.durability.SupervisedGateway` catches it,
-respawns the worker in place (:meth:`ShardedGateway.respawn_worker`)
-and replays snapshot+log to recover its sessions bit-exactly.
+:class:`WorkerCrashError`.  Worker crash recovery is pipe work, so it
+lives here too: :meth:`ShardedGateway.salvage_worker` handles what the
+dead worker wrote and drops its sessions,
+:meth:`ShardedGateway.respawn_worker` replaces it in place, and
+:meth:`ShardedGateway.restore_session` replays a journaled session onto
+a placed worker.
+:class:`~repro.serving.durability.SupervisedGateway` keeps only the
+retry policy and the journal.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-import zlib
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
 from repro.dsp.streaming import check_samples
-from repro.serving.executors import (
-    INBOX_POLICIES,
-    PLACEMENTS,
-    validate_at_least,
-    validate_inbox_policy,
-    validate_placement,
-)
-from repro.serving.analytics import merge_rollups
+from repro.serving.executors import validate_at_least, validate_inbox_policy
 from repro.serving.gateway import SessionExport, StreamGateway
+from repro.serving.pool import MemberPool
 
 __all__ = ["SessionInbox", "ShardedGateway", "WorkerCrashError"]
 
@@ -270,6 +258,8 @@ class _WorkerState:
                 value = gateway.flush_batch()
             elif op == "stats":
                 value = gateway.stats()["per_worker"][0]
+            elif op == "call":  # e.g. a journal replay, run in one round trip
+                value = request[2](gateway)
             else:
                 raise ValueError(f"unknown worker op {op!r}")
             payload = ("ok", value)
@@ -310,7 +300,7 @@ def _worker_main(conn, parent_end, classifier, fs: float, gateway_kwargs: dict) 
     conn.close()
 
 
-class ShardedGateway:
+class ShardedGateway(MemberPool):
     """A pool of worker processes, each running a :class:`StreamGateway`.
 
     Drop-in for the single-process gateway's session surface
@@ -394,7 +384,6 @@ class ShardedGateway:
         overhead_bytes: int = 2,
     ):
         validate_at_least("workers", workers)
-        validate_placement(placement)
         validate_at_least("max_batch", max_batch)
         validate_at_least("max_latency_ticks", max_latency_ticks)
         if evict_after_ticks is not None:
@@ -403,8 +392,6 @@ class ShardedGateway:
             validate_at_least("inbox_capacity", inbox_capacity)
         validate_inbox_policy(inbox_policy)
         self.fs = fs
-        self.workers = int(workers)
-        self.placement = placement
         self.inbox_capacity = inbox_capacity
         self.inbox_policy = inbox_policy
         self.on_evict = on_evict
@@ -432,21 +419,22 @@ class ShardedGateway:
         self._gateway_kwargs = gateway_kwargs
         self._conns = []
         self._procs = []
-        for _ in range(self.workers):
-            self._spawn_worker()
-        self._owner: dict[str, int] = {}
         self._events: dict[str, list] = {}
         self._inboxes: dict[str, SessionInbox] = {}
         self._evicted: dict[str, list] = {}
         self._errors: dict[str, Exception] = {}
         self._alerts: list[tuple[str, object]] = []
         self._summaries: dict[str, dict] = {}
-        self._rr_next = 0
-        self.n_migrations = 0
-        self.n_scale_events = 0
         self.n_respawns = 0
         self.n_alerts = 0
-        self._closed = False
+        super().__init__(placement)
+        for _ in range(int(workers)):
+            self._spawn_worker()
+
+    @property
+    def workers(self) -> int:
+        """Number of worker processes in the pool."""
+        return len(self._conns)
 
     def _make_worker(self) -> tuple:
         """Build one worker's (connection, process) pair."""
@@ -468,76 +456,7 @@ class ShardedGateway:
         self._conns.append(conn)
         self._procs.append(proc)
 
-    def respawn_worker(self, worker: int) -> int:
-        """Replace a dead worker in place: same index, fresh process.
-
-        The crashed worker's sessions are *not* restored here — the
-        new process starts empty; session recovery (snapshot + replay)
-        is :class:`~repro.serving.durability.SupervisedGateway`'s job.
-        The caller must already have dropped the parent-side state of
-        the sessions the dead worker owned.
-        """
-        if self._closed:
-            raise RuntimeError("gateway is shut down")
-        index = self._validate_worker(worker)
-        conn, proc = self._conns[index], self._procs[index]
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        self._conns[index], self._procs[index] = self._make_worker()
-        self.n_respawns += 1
-        return index
-
     # -- session surface -------------------------------------------------
-
-    @property
-    def n_sessions(self) -> int:
-        """Currently open sessions, fleet-wide."""
-        return len(self._owner)
-
-    def session_ids(self) -> list[str]:
-        """Open session ids, in opening order."""
-        return list(self._owner)
-
-    def worker_of(self, session_id: str) -> int:
-        """Index of the worker currently running ``session_id``."""
-        return self._owner_or_raise(session_id)
-
-    def sessions_on(self, worker: int) -> list[str]:
-        """Ids of the sessions currently placed on one worker (opening
-        order) — the candidate set a rebalancer migrates from."""
-        index = self._validate_worker(worker)
-        return [sid for sid, owner in self._owner.items() if owner == index]
-
-    def session_counts(self) -> list[int]:
-        """Open sessions per worker, from the parent's placement map
-        (no worker round-trip; :meth:`stats` is the synchronized view)."""
-        counts = [0] * self.workers
-        for owner in self._owner.values():
-            counts[owner] += 1
-        return counts
-
-    @staticmethod
-    def _hash(session_id: str) -> int:
-        """Stable session hash (CRC-32, not the salted ``hash``)."""
-        return zlib.crc32(session_id.encode())
-
-    def _place(self, session_id: str, exclude: int | None = None) -> int:
-        """Pick a worker for a session under the configured placement
-        policy, optionally excluding one index (a draining worker)."""
-        candidates = [i for i in range(self.workers) if i != exclude]
-        if self.placement == "hash":
-            return candidates[self._hash(session_id) % len(candidates)]
-        if self.placement == "round-robin":
-            index = candidates[self._rr_next % len(candidates)]
-            self._rr_next += 1
-            return index
-        counts = self.session_counts()  # least-loaded, ties -> lowest index
-        return min(candidates, key=lambda i: (counts[i], i))
 
     def open_session(
         self,
@@ -556,9 +475,7 @@ class ShardedGateway:
         (per-session analytics specs ride the command pipe, so the
         operator prototypes must pickle).
         """
-        if session_id in self._owner:
-            raise ValueError(f"session {session_id!r} is already open")
-        index = self._place(session_id) if worker is None else self._validate_worker(worker)
+        index = self._pick(session_id, worker)
         qos = {
             "max_latency_ticks": max_latency_ticks,
             "evict_after_ticks": evict_after_ticks,
@@ -639,7 +556,7 @@ class ShardedGateway:
         # The close may have crossed an in-flight eviction notice for
         # this very session; its final events are the authoritative tail.
         events += self._evicted.pop(session_id, [])
-        self._unregister(session_id)
+        self._forget(session_id)
         if self.journal is not None:  # an ended session needs no recovery
             self.journal.forget(session_id)
         return events
@@ -664,10 +581,8 @@ class ShardedGateway:
 
     def release_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration and remove it here."""
-        index = self._owner_or_raise(session_id)
-        export = self._request(index, ("release", session_id))
-        export = self._merge_buffer(session_id, export)
-        self._unregister(session_id)
+        export, _ = self._release(self._owner_or_raise(session_id), session_id)
+        self._forget(session_id)
         if self.journal is not None:  # the session now lives elsewhere
             self.journal.forget(session_id)
         return export
@@ -675,105 +590,51 @@ class ShardedGateway:
     def import_session(self, export: SessionExport, session_id: str | None = None) -> str:
         """Resume an exported session on its policy-placed worker."""
         session_id = export.session_id if session_id is None else session_id
-        if session_id in self._owner:
-            raise ValueError(f"session {session_id!r} is already open")
-        index = self._place(session_id)
-        self._request(index, ("import", session_id, export))
-        self._register(session_id, index)
-        if self.journal is not None:
-            self.journal.snapshot(session_id, export)
+        self._import(self._pick(session_id), session_id, (export, None))
         return session_id
 
     def migrate_session(self, session_id: str, worker: int) -> None:
-        """Move a live session to another worker, mid-stream.
+        """Move a live session to another worker, mid-stream (a no-op
+        if it is already there); see :mod:`repro.serving.pool`."""
+        self._migrate(session_id, worker)
 
-        ``release`` on the current owner + ``import`` on the target:
-        the session's event sequence is unaffected (the chaos suite
-        pins this), only its placement changes.
-        :class:`repro.serving.autoscale.AutoBalancer` is this call
-        driven by the load statistics.
-        """
-        index = self._owner_or_raise(session_id)
-        target = self._validate_worker(worker)
-        if target == index:
-            return
-        self._move(session_id, index, target)
-
-    def _move(self, session_id: str, index: int, target: int) -> None:
-        """Live-migrate one session between two workers (release +
-        import), preserving buffered events and the shedding audit.
-        Every move — explicit, rebalance, or retirement drain — counts
-        in :attr:`n_migrations` / ``stats()['migrations']``."""
+    def _release(self, index: int, session_id: str) -> tuple:
         export = self._request(index, ("release", session_id))
-        export = self._merge_buffer(session_id, export)
-        old_inbox = self._inboxes.get(session_id)
-        self._unregister(session_id)
-        self._request(target, ("import", session_id, export))
-        self._register(session_id, target)
+        inbox = self._inboxes.pop(session_id, None)
+        if inbox is not None:
+            inbox.close()  # a producer blocked on it must not wait forever
+        return self._merge_buffer(session_id, export), inbox
+
+    def _import(self, index: int, session_id: str, capture: tuple) -> None:
+        export, inbox = capture
+        self._request(index, ("import", session_id, export))
+        self._register(session_id, index, inbox)
         if self.journal is not None:
-            # The ownership move carries the journal: the capture is
-            # the new snapshot, so recovery replays onto the new owner.
+            # The capture is the new snapshot: an ownership move
+            # carries the journal, and recovery replays onto the new
+            # owner.
             self.journal.snapshot(session_id, export)
-        if old_inbox is not None and session_id in self._inboxes:
-            # The full backpressure audit survives rebalancing.
-            self._inboxes[session_id].carry_audit(old_inbox)
-        self.n_migrations += 1
 
     # -- elastic pool ----------------------------------------------------
 
     def add_worker(self) -> int:
-        """Grow the pool by one worker process; return its index.
-
-        The new worker starts empty — existing sessions stay where
-        they are (a rebalancer migrates load onto it; ``least-loaded``
-        placement favors it for new sessions immediately).
-        """
-        if self._closed:
-            raise RuntimeError("gateway is shut down")
+        """Grow the pool by one (empty) worker process; return its index."""
+        self._check_open()
         self._spawn_worker()
-        self.workers += 1
-        self.n_scale_events += 1
-        return self.workers - 1
+        return self._added()
 
     def retire_worker(self, worker: int) -> int:
-        """Shrink the pool: drain one worker's sessions and reap it.
+        """Shrink the pool: drain one worker's sessions onto the others
+        (losslessly, backlogged inboxes included) and reap it.  Returns
+        the number of sessions migrated; see :mod:`repro.serving.pool`."""
+        return self._retire(worker)
 
-        Every session the worker owns is live-migrated onto the
-        remaining workers via the configured placement policy — the
-        same lossless ``release`` + ``import`` path as
-        :meth:`migrate_session`, so per-session event sequences are
-        unaffected and backlogged (even blocked-inbox) sessions drain
-        completely before the process exits.  Returns the number of
-        sessions migrated.  Worker indices above the retired one shift
-        down by one.
-        """
-        if self._closed:
-            raise RuntimeError("gateway is shut down")
-        index = self._validate_worker(worker)
-        if self.workers == 1:
-            raise ValueError("cannot retire the last worker")
-        moved = 0
-        for session_id in self.sessions_on(index):
-            # An eviction notice handled mid-drain may close a session
-            # under us; re-check ownership before each move.
-            if self._owner.get(session_id) != index:
-                continue
-            try:
-                self._move(session_id, index, self._place(session_id, exclude=index))
-            except KeyError:
-                if session_id in self._owner:
-                    raise
-                continue  # evicted between the check and the release
-            moved += 1
+    def _detach(self, index: int) -> None:
         self._stop_worker(index)
         del self._conns[index], self._procs[index]
-        self.workers -= 1
-        self._owner = {
-            sid: owner - 1 if owner > index else owner
-            for sid, owner in self._owner.items()
-        }
-        self.n_scale_events += 1
-        return moved
+
+    def _member_stats(self, index: int) -> dict:
+        return self._request(index, ("stats", None))
 
     def _stop_worker(self, index: int) -> None:
         """Synchronously stop one worker process and close its pipe."""
@@ -835,61 +696,87 @@ class ShardedGateway:
         self._summaries = {}
         return summaries
 
-    def stats(self) -> dict:
-        """Aggregate + per-worker gateway statistics (synchronizes).
+    # -- crash recovery (driven by SupervisedGateway) --------------------
 
-        The per-worker entries (``n_sessions`` open sessions,
-        ``n_queued`` beats pending in the worker's cross-session batch
-        — its queue depth — plus flush/classification/eviction
-        counters) are the inputs the autoscaling policies read; the
-        top level adds their sums, the current ``workers`` count and
-        the parent-side ``migrations`` / ``scale_events`` counters.
-        The schema is pinned by a regression test so policy inputs
-        cannot silently drift.
+    def dead_workers(self) -> set[int]:
+        """Indices of the workers whose process has exited."""
+        return {i for i, proc in enumerate(self._procs) if not proc.is_alive()}
 
-        Semantics are *current pool*: a retired worker's flush /
-        classification counters leave with it (its sessions — and
-        their events — migrate to the survivors, but work it already
-        did is not re-attributed).  The totals are therefore always
-        exactly the sum over the live ``per_worker`` entries.
+    def salvage_worker(self, worker: int) -> tuple[int, dict]:
+        """Take over a dead worker's leftovers before it is respawned.
+
+        Its already-written responses stay readable until the pipe
+        drains and are handled like any pipelined response: eviction
+        notices reach :meth:`take_evicted` / ``on_evict`` and drop
+        their journal entries (recovery must not resurrect a session
+        the worker already closed).  Then the sessions it still owned
+        are dropped; their buffered events regenerate on replay.
+        Returns ``(salvaged, lost)``: the evicted sessions saved, and
+        ``{session_id: old inbox or None}`` for the dropped ones (the
+        inbox carries its audit into :meth:`restore_session`).
         """
-        per_worker = [self._request(i, ("stats", None)) for i in range(self.workers)]
-        totals = {
-            key: sum(stats[key] for stats in per_worker)
-            for key in ("n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted")
-        }
-        totals["analytics"] = merge_rollups(
-            stats.get("analytics") for stats in per_worker
-        )
-        totals["per_worker"] = per_worker
-        totals["workers"] = self.workers
-        totals["migrations"] = self.n_migrations
-        totals["scale_events"] = self.n_scale_events
-        return totals
+        index = self._validate_member(worker)
+        owned = len(self.sessions_on(index))
+        try:
+            self._drain_one(index, block=False)
+        except WorkerCrashError:
+            pass  # the pipe ran dry: everything readable was handled
+        lost = {sid: self._inboxes.get(sid) for sid in self.sessions_on(index)}
+        for session_id in lost:
+            self._forget(session_id)
+        return owned - len(lost), lost
+
+    def respawn_worker(self, worker: int) -> int:
+        """Replace a dead worker in place: same index, fresh process.
+
+        The new process starts empty; call :meth:`salvage_worker`
+        first, and rebuild the lost sessions with
+        :meth:`restore_session`.
+        """
+        self._check_open()
+        index = self._validate_member(worker)
+        conn, proc = self._conns[index], self._procs[index]
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
+        if proc.is_alive():
+            proc.terminate()
+        proc.join(timeout=5.0)
+        self._conns[index], self._procs[index] = self._make_worker()
+        self.n_respawns += 1
+        return index
+
+    def restore_session(self, session_id: str, replay, audit=None) -> None:
+        """Rebuild one journaled session on a policy-placed worker.
+
+        A stale copy an interrupted recovery left behind is scrubbed
+        off every worker first (placement may pick another target this
+        time).  ``replay(gateway)`` — picklable — then runs inside the
+        target worker against its own gateway, beneath the parent's
+        journal hooks, and returns the events still owed, which become
+        the session's backlog.  ``audit`` is the session's old inbox.
+        """
+        for index in range(self.workers):
+            try:
+                self._request(index, ("release", session_id))
+            except KeyError:
+                pass
+        index = self._place(session_id)
+        backlog = self._request(index, ("call", session_id, replay))
+        self._register(session_id, index, audit)
+        if backlog:
+            self._events[session_id] = backlog
 
     # -- lifecycle -------------------------------------------------------
 
-    def shutdown(self) -> None:
-        """Stop and reap the worker pool (open sessions are discarded).
-
-        Idempotent and safe on a half-torn-down instance: a pipe that
-        is already closed (or breaks mid-handshake) is skipped, so the
-        best-effort ``__del__`` reap cannot raise during interpreter
-        shutdown.
-        """
-        if getattr(self, "_closed", True):
-            # Also covers an instance whose __init__ raised before any
-            # worker was spawned (the attribute is set last).
-            return
-        self._closed = True
+    def _close_members(self) -> None:
+        # Safe on a half-torn-down instance: a pipe that is already
+        # closed (or breaks mid-handshake) is skipped, so the
+        # best-effort __del__ reap cannot raise during interpreter
+        # shutdown.
         for index in range(len(self._conns)):
             self._stop_worker(index)
-
-    def __enter__(self) -> "ShardedGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def __del__(self):  # pragma: no cover - best-effort reap
         try:
@@ -901,13 +788,6 @@ class ShardedGateway:
 
     # -- plumbing --------------------------------------------------------
 
-    def _validate_worker(self, worker: int) -> int:
-        if not 0 <= worker < self.workers:
-            raise ValueError(
-                f"worker must be in [0, {self.workers}), got {worker}"
-            )
-        return worker
-
     def _raise_parked(self, session_id: str) -> None:
         error = self._errors.pop(session_id, None)
         if error is not None:
@@ -915,10 +795,7 @@ class ShardedGateway:
 
     def _owner_or_raise(self, session_id: str) -> int:
         self._raise_parked(session_id)
-        try:
-            return self._owner[session_id]
-        except KeyError:
-            raise KeyError(f"no open session {session_id!r}") from None
+        return super()._owner_or_raise(session_id)
 
     def _merge_buffer(self, session_id: str, export: SessionExport) -> SessionExport:
         """Fold parent-buffered events into an export (they precede the
@@ -926,36 +803,40 @@ class ShardedGateway:
         buffered = self._events.pop(session_id, [])
         if not buffered:
             return export
-        return SessionExport(
-            session_id=export.session_id,
-            snapshot=export.snapshot,
-            events=buffered + list(export.events),
-            max_latency_ticks=export.max_latency_ticks,
-            evict_after_ticks=export.evict_after_ticks,
-            analytics=export.analytics,
-        )
+        return replace(export, events=buffered + list(export.events))
 
-    def _register(self, session_id: str, index: int) -> None:
+    def _register(self, session_id: str, index: int, audit=None) -> None:
+        """Place a session (a moved one keeps its place in the map) and
+        give it a fresh inbox, inheriting ``audit``'s counters."""
         self._owner[session_id] = index
         if self.inbox_capacity is not None:
-            self._inboxes[session_id] = SessionInbox(
-                self.inbox_capacity, self.inbox_policy
-            )
+            inbox = SessionInbox(self.inbox_capacity, self.inbox_policy)
+            if audit is not None:
+                # The backpressure audit is per session, not per
+                # placement: it survives moves and recovery.
+                inbox.carry_audit(audit)
+            self._inboxes[session_id] = inbox
 
-    def _unregister(self, session_id: str) -> None:
-        self._owner.pop(session_id, None)
+    def _forget(self, session_id: str) -> None:
+        super()._forget(session_id)
         self._events.pop(session_id, None)
         self._errors.pop(session_id, None)  # must not leak to a reused id
         inbox = self._inboxes.pop(session_id, None)
         if inbox is not None:
             inbox.close()  # a producer blocked on it must not wait forever
 
+    def _crashed(self, index: int, exc: BaseException) -> WorkerCrashError:
+        """A pipe error: the worker died — unless the pool was shut
+        down, which closed the pipe on purpose."""
+        self._check_open()
+        return WorkerCrashError(index, exc)
+
     def _send(self, index: int, request: tuple) -> None:
         """Ship one command; a broken pipe means the worker died."""
         try:
             self._conns[index].send(request)
         except (BrokenPipeError, EOFError, OSError) as exc:
-            raise WorkerCrashError(index, exc) from exc
+            raise self._crashed(index, exc) from exc
 
     def _recv(self, index: int) -> tuple:
         """Read one response; EOF / a broken pipe means the worker died.
@@ -967,13 +848,13 @@ class ShardedGateway:
         try:
             return self._conns[index].recv()
         except (EOFError, OSError) as exc:
-            raise WorkerCrashError(index, exc) from exc
+            raise self._crashed(index, exc) from exc
 
     def _poll_conn(self, index: int) -> bool:
         try:
             return self._conns[index].poll()
         except (BrokenPipeError, EOFError, OSError) as exc:
-            raise WorkerCrashError(index, exc) from exc
+            raise self._crashed(index, exc) from exc
 
     def _take_events(self, session_id: str, extra: list | None = None) -> list:
         """Pop a session's parent-buffered events (plus ``extra``) for
@@ -1090,7 +971,7 @@ class ShardedGateway:
             if session_id not in self._owner:
                 continue
             final = self._events.pop(session_id, []) + list(events)
-            self._unregister(session_id)
+            self._forget(session_id)
             if self.journal is not None:  # an evicted session is final
                 self.journal.forget(session_id)
             self._evicted[session_id] = final

@@ -19,6 +19,7 @@ Three layers under test, bottom-up:
 import os
 import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.serving import (
     recover_sessions,
 )
 from repro.serving.gateway import SessionExport
+from repro.serving.net import GatewayClient, serve_in_thread
 
 N_LEADS = 1
 FS = 360.0
@@ -604,6 +606,45 @@ class TestRestartRecovery:
             events += second.close_session("p")
         journal.close()
         assert_events_equal(reference_events[0], events)
+
+
+class TestParkedSessions:
+    """A session parked by a client disconnect stays journaled: the host
+    still owns it, so a host crash while it is parked must not lose it."""
+
+    def test_parked_session_recovers_after_a_host_crash(
+        self, records, embedded_classifier, standalone_events,
+        assert_events_equal,
+    ):
+        record = records[0]
+        block = int(0.25 * FS)
+        upto = record.n_samples // 2 // block * block
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=3)
+        handle = serve_in_thread(
+            StreamGateway(embedded_classifier, FS, n_leads=N_LEADS, journal=journal)
+        )
+        try:
+            client = GatewayClient(handle.host, handle.port, window=4).connect()
+            client.open_session("p")
+            received = feed(client, "p", record.signal, block, stop=upto)
+            received += client.poll("p")
+            client.close()  # the producer goes away: the server parks "p"
+            deadline = time.monotonic() + 10.0
+            while "p" not in handle.server._parked:
+                assert time.monotonic() < deadline, "session was never parked"
+                time.sleep(0.01)
+            assert journal.session_ids() == ["p"]
+        finally:
+            handle.stop()  # the host crashes with "p" parked
+        fresh = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        backlog = recover_sessions(journal, fresh)
+        assert set(backlog) == {"p"}
+        assert_events_equal(
+            standalone_events(
+                embedded_classifier, record, FS, N_LEADS, upto=upto
+            ),
+            received + backlog["p"] + fresh.close_session("p"),
+        )
 
 
 class TestRejectedChunks:

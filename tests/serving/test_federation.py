@@ -108,50 +108,6 @@ class TestEndpointParsing:
             FederatedGateway([])
 
 
-class TestPlacement:
-    def test_hash_is_deterministic(self, two_hosts):
-        placements = []
-        for _ in range(2):
-            with FederatedGateway(
-                [h.address for h in two_hosts], placement="hash", window=4
-            ) as fed:
-                for sid in ("a", "b", "c", "d"):
-                    fed.open_session(sid)
-                placements.append([fed.host_of(sid) for sid in "abcd"])
-                for sid in "abcd":
-                    fed.close_session(sid)
-        assert placements[0] == placements[1]
-
-    def test_round_robin_alternates(self, two_hosts):
-        with FederatedGateway(
-            [h.address for h in two_hosts], placement="round-robin", window=4
-        ) as fed:
-            for sid in ("a", "b", "c", "d"):
-                fed.open_session(sid)
-            assert [fed.host_of(sid) for sid in "abcd"] == [0, 1, 0, 1]
-
-    def test_least_loaded_fills_the_emptiest_host(self, fed):
-        fed.open_session("pinned-0", host=0)
-        fed.open_session("pinned-1", host=0)
-        fed.open_session("floater")
-        assert fed.host_of("floater") == 1
-
-    def test_explicit_host_wins(self, fed):
-        fed.open_session("pinned", host=1)
-        assert fed.host_of("pinned") == 1
-        assert fed.worker_of("pinned") == 1  # sharded-surface alias
-
-    def test_session_bookkeeping(self, fed):
-        fed.open_session("a", host=0)
-        fed.open_session("b", host=1)
-        fed.open_session("c", host=1)
-        assert fed.n_sessions == 3
-        assert fed.session_ids() == ["a", "b", "c"]
-        assert fed.sessions_on(1) == ["b", "c"]
-        assert fed.session_counts() == [1, 2]
-        assert fed.hosts == fed.workers == 2
-
-
 class TestBitExactness:
     def test_fleet_bit_exact_across_migrate_retire_add(
         self, two_hosts, fleet, embedded_classifier,
@@ -205,41 +161,6 @@ class TestBitExactness:
         assert fed.session_counts() == [len(streams)]
         for sid in streams:
             fed.close_session(sid)
-
-
-class TestSessionSurface:
-    def test_duplicate_open_rejected(self, fed):
-        fed.open_session("dup")
-        with pytest.raises(ValueError, match="already open"):
-            fed.open_session("dup")
-
-    def test_unknown_session_rejected(self, fed):
-        with pytest.raises(KeyError, match="ghost"):
-            fed.ingest("ghost", [0.0])
-        with pytest.raises(KeyError, match="ghost"):
-            fed.migrate_session("ghost", 0)
-
-    def test_bad_host_index_rejected(self, fed):
-        fed.open_session("s")
-        with pytest.raises(ValueError, match="out of range"):
-            fed.open_session("t", host=2)
-        with pytest.raises(ValueError, match="out of range"):
-            fed.migrate_session("s", -1)
-
-    def test_migrate_to_current_host_is_a_noop(self, fed):
-        fed.open_session("s", host=0)
-        fed.migrate_session("s", 0)
-        assert fed.n_migrations == 0
-
-    def test_cannot_retire_the_last_host(self, fed):
-        fed.retire_host(0)
-        with pytest.raises(ValueError, match="last host"):
-            fed.retire_host(0)
-
-    def test_shutdown_is_idempotent(self, two_hosts):
-        fed = FederatedGateway([h.address for h in two_hosts], window=4)
-        fed.shutdown()
-        fed.shutdown()
 
 
 class TestFleetStats:

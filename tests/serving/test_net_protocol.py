@@ -78,6 +78,16 @@ class TestControlRoundTrips:
     def test_resume_ok(self):
         assert roundtrip(wire.encode_resume_ok("s", 9)) == wire.ResumeOk("s", 9)
 
+    def test_ok_frames_carry_the_lead_count(self):
+        """``OPEN_OK``, ``RESUME_OK`` and the import ``MIGRATE_OK`` tell
+        the client the session's lead count (0 = unknown)."""
+        assert roundtrip(wire.encode_open_ok("s", 3)) == wire.OpenOk("s", 3)
+        assert roundtrip(wire.encode_resume_ok("s", 9, 2)) == wire.ResumeOk("s", 9, 2)
+        imported = roundtrip(wire.encode_migrate_ok("s", 0, n_leads=12))
+        assert (imported.next_seq, imported.blob, imported.n_leads) == (0, b"", 12)
+        taken = roundtrip(wire.encode_migrate_ok("s", 4, b"capture"))
+        assert (taken.blob, taken.n_leads) == (b"capture", 0)
+
     def test_error_sync_and_async(self):
         sync = roundtrip(wire.encode_error("s", "boom", sync=True))
         assert sync == wire.Error("s", True, "boom")

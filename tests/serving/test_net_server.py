@@ -185,6 +185,29 @@ class TestSessionSurface:
             assert c._send_max_frame == 1 << 15
 
 
+class TestWrongShapeChunks:
+    def test_wrong_shape_chunk_rejected_before_sequencing(
+        self, client, fleet, embedded_classifier,
+        standalone_events, assert_events_equal,
+    ):
+        """The client knows the session's lead count from ``OPEN_OK``, so
+        a chunk of the wrong shape raises before it takes a sequence
+        number, and the session keeps serving bit-exactly."""
+        streams, _ = fleet
+        signal = streams["loadgen-0"]
+        client.open_session("q")
+        events = client.ingest("q", signal[:CHUNK])
+        with pytest.raises(ValueError, match=r"blocks must be \(n,\) or \(n, 1\)"):
+            client.ingest("q", np.zeros((90, 2)))
+        assert client._sessions["q"].seq_next == 1
+        for start in range(CHUNK, len(signal), CHUNK):
+            events.extend(client.ingest("q", signal[start : start + CHUNK]))
+        events.extend(client.close_session("q"))
+        assert_events_equal(
+            standalone_events(embedded_classifier, signal, FS, 1), events
+        )
+
+
 class TestNodelay:
     def test_nodelay_set_on_both_ends_of_the_connection(self, server):
         """Nagle stays off on both sockets: the protocol's small framed

@@ -10,7 +10,6 @@ workers (and across gateway tiers, via the shared ``SessionExport``).
 import pickle
 import time
 
-import numpy as np
 import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
@@ -212,59 +211,6 @@ class TestShardedBitExactness:
         assert stats["migrations"] == 1
         assert stats["n_classified"] == len(events)
         assert all(w["n_classified"] > 0 for w in stats["per_worker"])
-
-
-class TestShardedSessions:
-    def test_lifecycle_and_placement(self, records, embedded_classifier):
-        fs = records[0].fs
-        with ShardedGateway(
-            embedded_classifier, fs, workers=3, n_leads=N_LEADS
-        ) as gateway:
-            gateway.open_session("x")
-            assert gateway.session_ids() == ["x"]
-            assert 0 <= gateway.worker_of("x") < 3
-            with pytest.raises(ValueError, match="already open"):
-                gateway.open_session("x")
-            with pytest.raises(KeyError, match="no open session"):
-                gateway.ingest("ghost", np.zeros((10, N_LEADS)))
-            with pytest.raises(KeyError, match="no open session"):
-                gateway.close_session("ghost")
-            gateway.open_session("y", worker=2)
-            assert gateway.worker_of("y") == 2
-            assert gateway.n_sessions == 2
-            gateway.close_session("x")
-            gateway.close_session("y")
-            assert gateway.n_sessions == 0
-
-    def test_hash_assignment_is_stable(self, records, embedded_classifier):
-        """The same id lands on the same worker in any two pools of the
-        same size (CRC-32, not the per-process salted hash)."""
-        fs = records[0].fs
-        with ShardedGateway(embedded_classifier, fs, workers=4) as a:
-            with ShardedGateway(embedded_classifier, fs, workers=4) as b:
-                for sid in ("alpha", "beta", "gamma", "delta"):
-                    assert a._place(sid) == b._place(sid)
-
-    def test_import_rejects_open_id(self, records, embedded_classifier):
-        fs = records[0].fs
-        with ShardedGateway(
-            embedded_classifier, fs, workers=2, n_leads=N_LEADS
-        ) as gateway:
-            gateway.open_session("p")
-            export = gateway.export_session("p")
-            with pytest.raises(ValueError, match="already open"):
-                gateway.import_session(export)
-            gateway.close_session("p")
-
-    def test_migrate_validates_target(self, records, embedded_classifier):
-        fs = records[0].fs
-        with ShardedGateway(embedded_classifier, fs, workers=2) as gateway:
-            gateway.open_session("p")
-            with pytest.raises(ValueError, match=r"worker must be in \[0, 2\)"):
-                gateway.migrate_session("p", 2)
-            with pytest.raises(KeyError, match="no open session"):
-                gateway.migrate_session("ghost", 0)
-            gateway.migrate_session("p", gateway.worker_of("p"))  # no-op allowed
 
 
 class TestShardedValidation:

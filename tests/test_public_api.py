@@ -82,6 +82,7 @@ PUBLIC_MODULES = [
     "repro.serving.net.client",
     "repro.serving.net.protocol",
     "repro.serving.net.server",
+    "repro.serving.pool",
     "repro.serving.results",
     "repro.serving.sharded",
     "repro.io",
