@@ -13,7 +13,8 @@ once; this package is that workload's engine, in two shapes:
   (:mod:`repro.serving.results`) are their outputs.
 * **Live** (:mod:`repro.serving.gateway`): :class:`StreamGateway`
   multiplexes many concurrently open streaming sessions —
-  ``open_session`` / ``ingest`` / ``close_session`` — into
+  ``open_session`` / ``ingest`` (or a round of them,
+  ``ingest_round``) / ``close_session`` — into
   size- and latency-bounded cross-session classifier batches, with
   per-session results bit-exact with a standalone
   :class:`~repro.dsp.streaming.StreamingNode`, per-session QoS

@@ -665,6 +665,32 @@ class SupervisedGateway:
                     # re-enters recovery with a fresh liveness scan.
                     pass
 
+    def ingest_round(self, items) -> list:
+        """:meth:`ShardedGateway.ingest_round` under the crash guard.
+
+        A crash noticed before any item was shipped retries the whole
+        round.  An item whose worker died under it is settled once the
+        pool is healed: a journaled chunk (recovery replays it) drains
+        the session's events, any other chunk is ingested again.
+        """
+        items = list(items)
+        results = self._call(self._gateway.ingest_round, items)
+        for position, result in enumerate(results):
+            if not isinstance(result, WorkerCrashError):
+                continue
+            try:
+                if result.chunk_journaled:
+                    results[position] = self._call(
+                        self._drain_session, result.session_id
+                    )
+                else:
+                    results[position] = self._call(
+                        self._gateway.ingest, *items[position]
+                    )
+            except Exception as exc:
+                results[position] = exc
+        return results
+
     def _drain_session(self, session_id: str) -> list:
         gw = self._gateway
         if session_id not in gw.session_ids():

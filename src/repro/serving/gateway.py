@@ -515,7 +515,33 @@ class StreamGateway:
         returned events are exactly the ones a standalone
         ``StreamingNode`` would have emitted by this point (possibly
         later in stream time, never different in content or order).
+        This is the one-item :meth:`ingest_round`.
         """
+        result = self.ingest_round(((session_id, chunk),))[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def ingest_round(self, items) -> list:
+        """Feed a round of ``(session_id, chunk)`` items, in order.
+
+        Returns one entry per item: the events that item returned, or
+        the exception it raised.  An item that raises changes nothing,
+        and the items after it still apply.  A session may appear more
+        than once.  Each item is one tick, exactly as if :meth:`ingest`
+        were called for it, so latency budgets and idle eviction see
+        the same clock.
+        """
+        results = []
+        for session_id, chunk in items:
+            try:
+                results.append(self._ingest_one(session_id, chunk))
+            except Exception as exc:
+                results.append(exc)
+        return results
+
+    def _ingest_one(self, session_id: str, chunk) -> list[StreamBeatEvent]:
+        """Apply one round item (see :meth:`ingest`)."""
         session = self._get(session_id)
         node = session.node
         # Validate first: a journaled rejected chunk would be replayed,
@@ -964,7 +990,9 @@ def serve_round_robin(
     example and the throughput benchmark all use it): opens one
     session per stream, ingests ``chunk``-sample slices round-robin
     until every stream is exhausted, closes the sessions, and returns
-    each session's complete event sequence.
+    each session's complete event sequence.  Each pass is one
+    ``ingest_round`` call; a session surface without one (the wire
+    client) gets one ``ingest`` per slice instead.
 
     Parameters
     ----------
@@ -996,18 +1024,26 @@ def serve_round_robin(
         gateway.open_session(session_id)
     events: dict[str, list[StreamBeatEvent]] = {s: [] for s in streams}
     offsets = dict.fromkeys(streams, 0)
-    live = True
-    while live:
-        live = False
+    ingest_round = getattr(gateway, "ingest_round", None)
+    if ingest_round is None:  # a session surface without rounds (the wire client)
+        def ingest_round(items):
+            return [gateway.ingest(session_id, piece) for session_id, piece in items]
+    while True:
+        items = []
         for session_id, x in streams.items():
             i = offsets[session_id]
-            if i >= len(x):
-                continue
-            events[session_id].extend(gateway.ingest(session_id, x[i : i + chunk]))
-            offsets[session_id] = i + chunk
-            live = True
+            if i < len(x):
+                items.append((session_id, x[i : i + chunk]))
+                offsets[session_id] = i + chunk
+        if items:
+            for (session_id, _), result in zip(items, ingest_round(items)):
+                if isinstance(result, Exception):
+                    raise result
+                events[session_id].extend(result)
         if on_round is not None:
             on_round()
+        if not items:
+            break
     for session_id in streams:
         events[session_id].extend(gateway.close_session(session_id))
     return events

@@ -7,8 +7,9 @@ the throughput the in-process tier earned:
   codec that carries ingest chunks and event batches as raw numpy
   buffers behind small packed headers (no per-chunk pickle);
 * :mod:`repro.serving.net.server` — an asyncio socket server fronting
-  any gateway-shaped object, coalescing each gateway flush into one
-  framed burst per connection;
+  any gateway-shaped object: it acknowledges every ingest, applies the
+  ingest frames of each socket read as one ``ingest_round``, and
+  coalesces each gateway flush into one framed burst per connection;
 * :mod:`repro.serving.net.client` — a pipelined synchronous client
   that multiplexes sessions over one connection, with retry/backoff/
   timeout discipline and bit-exact reconnect-resume built on the

@@ -11,11 +11,15 @@ remote gateway unchanged.
 Throughput comes from **pipelining**, mirroring the sharded tier's
 pipe IPC: ``ingest`` frames a chunk, sends it and returns the events
 that have already come back — no per-chunk round trip.  Up to
-``window`` chunks per session ride unacknowledged; when the window
-fills, one ``POLL`` round trip synchronizes (the server's FIFO
-guarantees every prior chunk was processed by then) and refills it.
-Events stream back whenever the server's batch flushes, read
-opportunistically (without blocking) on every call.
+``window`` chunks per session ride unacknowledged.  The server
+acknowledges every accepted ``INGEST`` with an ``EVENTS`` frame (empty
+when the chunk resolved nothing), read opportunistically (without
+blocking) on every call, so the window drains as fast as the server
+applies chunks.  When the server falls ``window`` chunks behind, the
+next ``ingest`` waits for the oldest chunk's ack.  Only a server that
+sends none within ``timeout`` gets one ``POLL`` round trip, which
+synchronizes (the server's FIFO guarantees every prior chunk was
+processed by then) and refills the window.
 
 Reliability discipline:
 
@@ -347,9 +351,13 @@ class GatewayClient:
         """Frame and send one chunk; return already-resolved events.
 
         Pipelined: does not wait for the server to process the chunk.
-        When the per-session window is full, one ``POLL`` round trip
-        synchronizes first (collecting every ack and event the server
-        has produced), then the chunk is sent.  A chunk of the wrong
+        The server acknowledges every accepted chunk, so the window
+        normally drains on its own.  When it is full (the server is
+        ``window`` chunks behind), the call first waits for the ack of
+        the oldest chunk in flight; only if none comes within
+        ``timeout`` does one ``POLL`` round trip synchronize
+        (collecting every ack and event the server has produced).
+        Then the chunk is sent.  A chunk of the wrong
         shape for the session's lead count, or with non-finite samples,
         raises :class:`ValueError` before it is sequenced: the server
         would reject it, and a sequenced reject would stall the
@@ -367,7 +375,9 @@ class GatewayClient:
             self._pump()
         self._raise_parked(session_id)
         if len(sess.pending) >= self.window:
-            self._sync(session_id)
+            self._await_ack(session_id, sess)
+            if len(sess.pending) >= self.window:
+                self._sync(session_id)
             self._raise_parked(session_id)
         sess.pending.append((sess.seq_next, arr))
         payload = wire.encode_ingest(
@@ -554,6 +564,26 @@ class GatewayClient:
     def _budget_exhausted(self) -> bool:
         remaining = self._budget_remaining()
         return remaining is not None and remaining <= 0.0
+
+    def _await_ack(self, session_id: str, sess: _SessionState) -> None:
+        """Wait, bounded by ``timeout``, until an ack frees a slot of
+        the session's full window (or an error for it arrives).
+
+        The server acknowledges every accepted chunk as it applies it,
+        so this keeps the pipeline full where a ``POLL`` barrier would
+        drain it.  Returns with the window still full only if no ack
+        came in time; the caller then falls back to the barrier.
+        """
+        deadline = self._monotonic() + self.timeout
+        try:
+            self._flush_sendbuf()  # buffered chunks cannot be acked yet
+            while len(sess.pending) >= self.window and session_id not in self._errors:
+                remaining = deadline - self._monotonic()
+                if remaining <= 0 or not self._wait_readable(remaining):
+                    return
+                self._recv_once()
+        except _ConnectionLost:
+            self._reconnect_and_resume()  # retransmits the window
 
     def _sync(self, session_id: str) -> None:
         """One ``POLL`` round trip: the pipelining barrier.

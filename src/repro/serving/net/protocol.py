@@ -39,7 +39,11 @@ front-door router can roll up fleet-wide load.
 Reliability fields: every ``INGEST`` carries a per-session sequence
 number and every ``EVENTS`` frame acknowledges the count of chunks the
 server has processed (``acked_seq``) and states the index of its first
-event in the session's event stream (``base_index``).  Together with
+event in the session's event stream (``base_index``).  **Every
+accepted ``INGEST`` is acknowledged**: the server answers each one
+with an ``EVENTS`` frame, empty when the chunk resolved no events, so a
+pipelined client's window drains as fast as the server applies chunks
+(a refused chunk gets an asynchronous ``ERROR`` instead).  Together with
 the client's piggybacked ``ack_events`` these bound both replay
 buffers and make the reconnect-resume handshake (``RESUME`` /
 ``RESUME_OK``) bit-exact: the client retransmits exactly the chunks
@@ -475,6 +479,12 @@ def encode_events(
     """A batch of resolved beat events as parallel packed arrays."""
     events = list(events)
     n = len(events)
+    if not n:  # a bare acknowledgment: every array part is empty
+        return (
+            bytes([OP_EVENTS])
+            + _encode_sid(session_id)
+            + _EVENTS.pack(acked_seq, base_index, flags, 0, 0)
+        )
     fid_idx = [i for i, e in enumerate(events) if e.fiducials is not None]
     parts = [
         bytes([OP_EVENTS]),

@@ -2,14 +2,22 @@
 
 :class:`GatewayServer` exposes a :class:`~repro.serving.gateway.StreamGateway`
 (or a :class:`~repro.serving.sharded.ShardedGateway` — anything with the
-open/ingest/poll/close/release/import session surface) over the framed
-binary protocol of :mod:`repro.serving.net.protocol`, one asyncio task
-pair per connection:
+open/ingest_round/poll/close/release/import session surface) over the
+framed binary protocol of :mod:`repro.serving.net.protocol`, one
+asyncio task pair per connection:
 
-* the **reader** task decodes frames in order and dispatches them
-  against the gateway — ingest is pipelined exactly like the sharded
-  tier's pipe IPC: the chunk is applied and whatever events are
-  already resolved ship back without a per-chunk round trip;
+* the **reader** task decodes each socket read's frames in order and
+  dispatches them against the gateway.  Ingest is pipelined and
+  batched: the consecutive ``INGEST`` frames of one read form a
+  **round** (at most one chunk per session; a repeat starts the next
+  round), applied by one ``gateway.ingest_round`` call — on a sharded
+  gateway that is one pipe message per worker.  No client-side round
+  or round frame is needed: the rounds come from the byte stream;
+* **every accepted ``INGEST`` is acknowledged** by an ``EVENTS`` frame
+  carrying ``acked_seq`` and whatever events are already resolved —
+  empty when there are none — so a pipelined client's window drains as
+  fast as chunks apply, without a per-chunk round trip or a ``POLL``
+  barrier.  A refused chunk gets an asynchronous ``ERROR`` instead;
 * the **writer** task drains a bounded per-connection queue, joining
   everything queued into a single ``write()`` per wakeup — so all the
   events a gateway flush resolved leave as **one framed burst** per
@@ -24,7 +32,7 @@ unboundedly.
 
 **Flush coalescing**: when the fronted gateway exposes ``n_flushes``
 (the single-process tier does), the server detects
-that an ingest triggered a cross-session flush and immediately harvests
+that a round triggered a cross-session flush and immediately harvests
 *every* tracked session's newly resolved events — batching them into
 one burst per owning connection instead of waiting for each session's
 next ingest.  Process-mode sharded gateways deliver per-session on
@@ -66,6 +74,10 @@ DEFAULT_QUEUE_BURSTS = 64
 
 #: Socket read size for the bulk reader loop.
 _READ_BUF = 1 << 16
+
+#: Request failures reported to the client as an ``ERROR`` frame (a
+#: :class:`~repro.serving.net.protocol.ProtocolError` is a ValueError).
+_REPORTED = (KeyError, ValueError, RuntimeError)
 
 
 class _NetSession:
@@ -153,7 +165,8 @@ class GatewayServer:
         server-side backpressure knob for slow readers.
     tick_hook / tick_every:
         Optional control-plane callback fired from the event-loop
-        thread after every ``tick_every`` ingest dispatches.  The hook
+        thread after the round that brings the ingest count since the
+        last call to ``tick_every``.  The hook
         runs where the gateway lives, so it may safely call
         ``stats()`` / ``migrate_session()`` — the seam a within-host
         :class:`~repro.serving.autoscale.AutoBalancer` ticks through
@@ -295,6 +308,11 @@ class GatewayServer:
                 if decoder.pending_bytes:
                     raise wire.ProtocolError("connection closed mid-frame")
                 return
+            # Consecutive INGEST frames of one read form a round: one
+            # gateway call for all of them.  A round holds at most one
+            # chunk per session, so each chunk's sequence check sees
+            # the outcome of the session's previous chunk.
+            round_: dict[str, wire.Ingest] = {}
             for payload in decoder.feed(data):
                 message = wire.decode(payload)
                 if not greeted:
@@ -310,7 +328,16 @@ class GatewayServer:
                     )
                     greeted = True
                     continue
-                await self._dispatch(conn, message)
+                is_ingest = isinstance(message, wire.Ingest)
+                if round_ and (not is_ingest or message.session_id in round_):
+                    await self._on_ingest_round(conn, list(round_.values()))
+                    round_ = {}
+                if is_ingest:
+                    round_[message.session_id] = message
+                else:
+                    await self._dispatch(conn, message)
+            if round_:
+                await self._on_ingest_round(conn, list(round_.values()))
 
     def _park_connection(self, conn: _Connection) -> None:
         """Capture every session the dead connection owned, for resume.
@@ -344,14 +371,15 @@ class GatewayServer:
     def _frame(self, payload: bytes) -> bytes:
         return wire.pack_frame(payload, self.max_frame)
 
+    def _error_frame(self, session_id: str, exc: Exception, *, sync: bool) -> bytes:
+        return self._frame(wire.encode_error(session_id, str(exc), sync=sync))
+
     async def _dispatch(self, conn: _Connection, message) -> None:
-        sync = not isinstance(message, wire.Ingest)
+        """Serve one synchronous (non-``INGEST``) frame."""
         session_id = getattr(message, "session_id", "")
         try:
             if isinstance(message, wire.Open):
                 await self._on_open(conn, message)
-            elif isinstance(message, wire.Ingest):
-                await self._on_ingest(conn, message)
             elif isinstance(message, wire.Poll):
                 await self._on_poll(conn, message)
             elif isinstance(message, wire.Close):
@@ -366,10 +394,8 @@ class GatewayServer:
                 raise wire.ProtocolError(
                     f"unexpected {type(message).__name__} frame from client"
                 )
-        except (KeyError, ValueError, RuntimeError) as exc:
-            await conn.send_burst(
-                [self._frame(wire.encode_error(session_id, str(exc), sync=sync))]
-            )
+        except _REPORTED as exc:
+            await conn.send_burst([self._error_frame(session_id, exc, sync=True)])
 
     def _owned_state(self, conn: _Connection, session_id: str) -> _NetSession:
         if session_id not in conn.owned:
@@ -391,32 +417,67 @@ class GatewayServer:
             [self._frame(wire.encode_open_ok(message.session_id, self._n_leads))]
         )
 
-    async def _on_ingest(self, conn: _Connection, message: wire.Ingest) -> None:
-        state = self._owned_state(conn, message.session_id)
-        state.ack(message.ack_events)
-        if message.seq < state.seq:
-            return  # duplicate retransmit of an already-processed chunk
-        if message.seq > state.seq:
-            raise wire.ProtocolError(
-                f"ingest gap for {message.session_id!r}: expected seq "
-                f"{state.seq}, got {message.seq}"
-            )
+    async def _on_ingest_round(self, conn: _Connection, messages: list) -> None:
+        """Apply one round of ``INGEST`` frames in one gateway call.
+
+        Each frame first passes the per-frame checks: the session is
+        owned here, its piggybacked ack trims the replay tail, a
+        duplicate retransmit is only acknowledged again and a sequence
+        gap is refused.  The accepted chunks then go to
+        ``gateway.ingest_round``.  Every accepted chunk that applies is
+        acknowledged by an ``EVENTS`` frame carrying ``acked_seq`` —
+        empty when it resolved no events — so a pipelined client never
+        fills its window for want of an ack.  A refused or failed chunk
+        gets an asynchronous ``ERROR`` and does not advance the
+        session's sequence.  All the replies leave as one burst.
+        """
+        replies: list = []  # per frame: an ERROR frame, or the accepted state
+        items = []
+        for message in messages:
+            session_id = message.session_id
+            try:
+                state = self._owned_state(conn, session_id)
+                state.ack(message.ack_events)
+                if message.seq < state.seq:
+                    # A duplicate retransmit of an applied chunk: only
+                    # acknowledged again.
+                    replies.append(self._events_frame(state, []))
+                    continue
+                if message.seq > state.seq:
+                    raise wire.ProtocolError(
+                        f"ingest gap for {session_id!r}: expected seq "
+                        f"{state.seq}, got {message.seq}"
+                    )
+            except _REPORTED as exc:
+                replies.append(self._error_frame(session_id, exc, sync=False))
+                continue
+            replies.append(state)
+            items.append((session_id, message.chunk))
         flushes_before = getattr(self.gateway, "n_flushes", None)
-        events = self.gateway.ingest(message.session_id, message.chunk)
-        state.seq += 1
+        results = iter(self.gateway.ingest_round(items) if items else ())
         frames: list[bytes] = []
-        if events:
-            frames.append(self._events_frame(state, events))
+        for reply in replies:
+            if isinstance(reply, bytes):
+                frames.append(reply)
+                continue
+            result = next(results)
+            if isinstance(result, _REPORTED):
+                frames.append(self._error_frame(reply.session_id, result, sync=False))
+            elif isinstance(result, Exception):
+                raise result
+            else:
+                reply.seq += 1
+                frames.append(self._events_frame(reply, result))
         await conn.send_burst(frames)
         if flushes_before is not None and self.gateway.n_flushes != flushes_before:
-            await self._harvest_flush(exclude=message.session_id)
+            await self._harvest_flush()
         if self.tick_hook is not None:
-            self._ingests_since_tick += 1
+            self._ingests_since_tick += len(items)
             if self._ingests_since_tick >= self.tick_every:
                 self._ingests_since_tick = 0
                 self.tick_hook()
 
-    async def _harvest_flush(self, exclude: str) -> None:
+    async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.
 
         One coalesced burst per owning connection — the events a single
@@ -425,8 +486,6 @@ class GatewayServer:
         """
         per_conn: dict[int, tuple[_Connection, list[bytes]]] = {}
         for session_id, state in self._sessions.items():
-            if session_id == exclude:
-                continue
             events = self.gateway.poll(session_id)
             if not events:
                 continue

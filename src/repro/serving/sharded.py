@@ -11,28 +11,40 @@ Placement, live migration, the elastic ``add_worker`` /
 federated one — :mod:`repro.serving.pool` describes them.  This module
 is the pipe transport underneath:
 
-* ``ingest`` is **pipelined**: the chunk is shipped to the owning
-  worker and the call returns the session's already-resolved events
-  without waiting for the worker to process it.  Each worker's command
-  pipe is FIFO, so per-session ordering — and therefore the
-  per-session bit-exactness guarantee of the single-process gateway —
-  is preserved for every worker count, interleaving and chunking.
-  ``close_session`` / ``export_session`` synchronize, so a session's
-  event sequence is always complete when it ends or migrates.
+* ``ingest_round`` is **pipelined and batched**: a round of chunks
+  goes out as **one pipe message per worker** — the worker's chunks
+  back to back in one float64 array plus their lengths — and the call
+  returns each session's already-resolved events without waiting for
+  the workers.  The worker applies the round through its gateway's
+  ``ingest_round`` (one tick per chunk) and answers with one response
+  carrying a result per item.  ``ingest`` is the one-item round.
+  Each worker's command pipe is FIFO, so per-session ordering — and
+  therefore the per-session bit-exactness guarantee of the
+  single-process gateway — is preserved for every worker count,
+  interleaving, chunking and round partition.  ``close_session`` /
+  ``export_session`` synchronize, so a session's event sequence is
+  always complete when it ends or migrates.
+* **Pipe protocol.**  A request is ``(op, session_id, *args)``; the
+  one pipelined op is ``"round"`` (its ``session_id`` slot holds the
+  item ids), every other op (``open``, ``poll``, ``close``,
+  ``export``, ``release``, ``import``, ``flush``, ``stats``, ``call``)
+  is synchronous.  The parent checks for responses with one
+  persistent ``select.poll`` per pipe, so a non-blocking drain costs
+  one system call per worker.
 
 Backpressure: with ``inbox_capacity`` set, each session has a bounded
 inbox (:class:`SessionInbox`) of accepted-but-unprocessed chunks.  When
 it is full the documented overflow policy applies (the
 :data:`~repro.serving.executors.INBOX_POLICIES`):
 
-* ``"block"`` — ``ingest`` waits for the owning worker to catch up
+* ``"block"`` — ``ingest_round`` waits for the owning worker to catch up
   before accepting the chunk.  No data is ever lost; the producer is
   slowed to the worker's pace.  Progress is guaranteed because the
   worker always consumes its pipe (the wait actively drains worker
   responses, so it cannot deadlock).
 * ``"drop"`` — the chunk is rejected *and counted*
   (:meth:`ShardedGateway.dropped_chunks`,
-  :attr:`SessionInbox.n_dropped`); ``ingest`` still returns the
+  :attr:`SessionInbox.n_dropped`); ``ingest_round`` still returns the
   session's resolved events.  Load shedding is explicit and audited —
   never a silent loss — but the session's event stream then reflects
   the thinned signal (bit-exactness holds for the samples actually
@@ -61,6 +73,7 @@ retry policy and the journal.
 from __future__ import annotations
 
 import multiprocessing
+import select
 import threading
 from collections import deque
 from dataclasses import replace
@@ -81,7 +94,8 @@ class WorkerCrashError(RuntimeError):
 
     Raised by the parent when the command pipe breaks or hits EOF.
     ``worker`` is the pool index of the dead worker.  ``session_id`` /
-    ``chunk_journaled`` are set by ``ingest`` when the crash happened
+    ``chunk_journaled`` are set by ``ingest_round`` for each item whose
+    worker died under it; ``chunk_journaled`` means the crash happened
     *after* the chunk was journaled: the chunk is durable and recovery
     will replay it, so the supervisor must **not** re-send it (that
     would double-apply) — it retries as a drain instead.  Sessions the
@@ -208,7 +222,8 @@ class _WorkerState:
     The worker process loop (:func:`_worker_main`) drives it over a
     pipe.  Requests map to gateway calls; the response
     is ``(op, session_id, payload, evictions, aux)`` where ``payload``
-    is ``("ok", value)`` or ``("err", exception)``.  Evictions that
+    is ``("ok", value)`` or ``("err", exception)`` (for a round, the
+    value is one such pair per item).  Evictions that
     fired while handling a request (the gateway's idle clock advances
     on its own ingest ticks) ride along on the response, each as a
     complete ``(session_id, events)`` final sequence; ``aux`` is the
@@ -224,8 +239,8 @@ class _WorkerState:
             on_evict=lambda sid, events: self._evictions.append((sid, events)),
             **gateway_kwargs,
         )
-        # Ids evicted while a pipelined ingest for them may still be on
-        # its way (answered with no events).  Pruned at every
+        # Ids evicted while a pipelined round item for them may still
+        # be on its way (answered with no events).  Pruned at every
         # synchronous request, see handle().
         self._evicted_ids: set[str] = set()
 
@@ -234,11 +249,8 @@ class _WorkerState:
         gateway = self.gateway
         op, session_id = request[0], request[1]
         try:
-            if op == "ingest":
-                if session_id in self._evicted_ids:
-                    value = []  # chunk was in flight when the session was evicted
-                else:
-                    value = gateway.ingest(session_id, request[2])
+            if op == "round":
+                value = self._round(session_id, *request[2])
             elif op == "open":
                 value = gateway.open_session(session_id, **request[2])
             elif op == "poll":
@@ -266,7 +278,7 @@ class _WorkerState:
         except Exception as exc:  # travels back to the caller
             payload = ("err", exc)
         new_evictions, self._evictions = self._evictions, []
-        if op == "ingest":
+        if op == "round":
             self._evicted_ids.update(sid for sid, _ in new_evictions)
         else:
             # Every other op is a synchronous call: the parent sends
@@ -278,6 +290,30 @@ class _WorkerState:
         gateway.take_evicted()  # delivered via the response instead
         aux = (gateway.take_alerts(), gateway.take_summaries())
         return (op, session_id, payload, new_evictions, aux)
+
+    def _round(self, session_ids: list, samples: np.ndarray, lengths: list) -> list:
+        """Apply one round message: ``samples`` holds the chunks back to
+        back, ``lengths`` their row counts.  Returns ``("ok", events)``
+        or ``("err", exception)`` per item.  A chunk for a session
+        evicted while it was in flight, before this round or by an
+        earlier item of it, resolves to no events."""
+        bounds = np.cumsum([0, *lengths])
+        results = self.gateway.ingest_round(
+            [
+                (session_id, samples[bounds[i] : bounds[i + 1]])
+                for i, session_id in enumerate(session_ids)
+            ]
+        )
+        evicted = self._evicted_ids.union(sid for sid, _ in self._evictions)
+        out = []
+        for session_id, result in zip(session_ids, results):
+            if not isinstance(result, Exception):
+                out.append(("ok", result))
+            elif isinstance(result, KeyError) and session_id in evicted:
+                out.append(("ok", []))
+            else:
+                out.append(("err", result))
+        return out
 
 
 def _worker_main(conn, parent_end, classifier, fs: float, gateway_kwargs: dict) -> None:
@@ -419,6 +455,7 @@ class ShardedGateway(MemberPool):
         self._gateway_kwargs = gateway_kwargs
         self._conns = []
         self._procs = []
+        self._pollers = []
         self._events: dict[str, list] = {}
         self._inboxes: dict[str, SessionInbox] = {}
         self._evicted: dict[str, list] = {}
@@ -437,7 +474,7 @@ class ShardedGateway(MemberPool):
         return len(self._conns)
 
     def _make_worker(self) -> tuple:
-        """Build one worker's (connection, process) pair."""
+        """Build one worker's (connection, process, poller) triple."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
@@ -449,12 +486,15 @@ class ShardedGateway(MemberPool):
         )
         proc.start()
         child_conn.close()
-        return parent_conn, proc
+        poller = select.poll()
+        poller.register(parent_conn.fileno(), select.POLLIN)
+        return parent_conn, proc, poller
 
     def _spawn_worker(self) -> None:
-        conn, proc = self._make_worker()
+        conn, proc, poller = self._make_worker()
         self._conns.append(conn)
         self._procs.append(proc)
+        self._pollers.append(poller)
 
     # -- session surface -------------------------------------------------
 
@@ -489,53 +529,100 @@ class ShardedGateway(MemberPool):
     def ingest(self, session_id: str, chunk: np.ndarray) -> list:
         """Ship one chunk to the owning worker; return resolved events.
 
-        Pipelined: the call does not wait for the worker to process
-        the chunk — it returns the session's events that have already
-        come back.  With a bounded inbox the overflow policy applies
-        first (see the module docs); a dropped chunk is counted in
-        :meth:`dropped_chunks` and never reaches the worker.  The
-        worker rejects a chunk of the wrong shape or with non-finite
-        samples, and the session's next call raises the
-        :class:`ValueError`.  With a journal the chunk is checked here
-        instead, raises at once, and is neither queued nor journaled:
-        recovery would replay a journaled reject and fail on it.
+        The one-item :meth:`ingest_round`: its one result, with an
+        exception re-raised.
         """
-        index = self._owner_or_raise(session_id)
-        if self.journal is not None:
-            check_samples(chunk, self.n_leads)
+        result = self.ingest_round(((session_id, chunk),))[0]
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def ingest_round(self, items) -> list:
+        """Ship a round of ``(session_id, chunk)`` items, one pipe
+        message per worker; return one entry per item.
+
+        An entry is the events of the item's session that have already
+        come back, or the exception the item raised.  Pipelined: the
+        call does not wait for the workers to process the round.  Each
+        chunk is checked here (shape and finite samples); a rejected
+        chunk raises for its item at once and is neither queued nor
+        journaled, and the other items still apply.  With a bounded
+        inbox the overflow policy applies next (see the module docs); a
+        dropped chunk is counted in :meth:`dropped_chunks` and never
+        reaches the worker.  Each worker then gets its accepted chunks,
+        in round order, as one contiguous float64 array plus their
+        lengths, and answers with one response.
+
+        With a journal, a worker's chunks are journaled just before its
+        message is sent (write-ahead).  If that worker dies from then
+        on, each of its items gets a :class:`WorkerCrashError` marked
+        ``chunk_journaled``: recovery replays the chunk, so the
+        supervisor must not re-send it (that would double-apply) and
+        drains the session instead.  A worker death noticed before any
+        item is queued raises from the call.
+        """
+        items = list(items)
         self._drain(block=False)
-        self._raise_parked(session_id)  # e.g. this session's previous chunk
-        if session_id not in self._owner:  # evicted by a just-drained notice
-            raise KeyError(f"no open session {session_id!r}")
-        inbox = self._inboxes.get(session_id)
-        if inbox is not None:
-            accepted = inbox.put(
-                len(chunk), wait=lambda: self._drain_one(index, block=True)
-            )
-            if session_id not in self._owner:  # evicted while blocked
-                raise KeyError(f"no open session {session_id!r}")
-            if not accepted:
-                return self._take_events(session_id)
-        arr = np.asarray(chunk, dtype=float)
-        if self.journal is None:
-            self._send(index, ("ingest", session_id, arr))
-        else:
-            # Write-ahead: the chunk is durable before it is shipped,
-            # so the caller's acknowledged prefix survives any crash
-            # from here on.  A crash past this point is therefore
-            # marked chunk_journaled — the supervisor must not re-send
-            # the chunk (recovery replays it; re-sending would
-            # double-apply), it retries the call as a drain.
-            self.journal.log_chunk(session_id, arr)
+        results: list = [None] * len(items)
+        queued: dict[int, list] = {}  # worker -> [(position, block)]
+
+        def ship(index: int) -> None:
+            batch = queued.pop(index, None)
+            if batch:
+                crash = self._ship(index, [(*items[p], block) for p, block in batch])
+                if crash is not None:
+                    for p, _ in batch:
+                        results[p] = WorkerCrashError(
+                            index, crash.cause, session_id=items[p][0],
+                            chunk_journaled=self.journal is not None,
+                        )
+
+        for position, (session_id, chunk) in enumerate(items):
             try:
-                self._send(index, ("ingest", session_id, arr))
-                if self.journal.wants_snapshot(session_id):
-                    self._journal_snapshot(session_id)
-            except WorkerCrashError as crash:
-                crash.session_id = session_id
-                crash.chunk_journaled = True
-                raise
-        return self._take_events(session_id)
+                index = self._owner_or_raise(session_id)
+                block = check_samples(chunk, self.n_leads)
+                inbox = self._inboxes.get(session_id)
+                if inbox is not None:
+                    def wait(index=index):
+                        ship(index)  # its queued chunks may fill the inbox
+                        self._drain_one(index, block=True)
+
+                    accepted = inbox.put(len(chunk), wait=wait)
+                    if session_id not in self._owner:  # evicted while blocked
+                        raise KeyError(f"no open session {session_id!r}")
+                    if not accepted:
+                        continue  # dropped: the item returns the events
+            except Exception as exc:
+                results[position] = exc
+                continue
+            queued.setdefault(index, []).append((position, block))
+        for index in list(queued):
+            ship(index)
+        for position, (session_id, _) in enumerate(items):
+            if results[position] is None:
+                results[position] = self._take_events(session_id)
+        return results
+
+    def _ship(self, index: int, batch: list) -> WorkerCrashError | None:
+        """Send one worker its ``(session_id, chunk, block)`` round
+        items as one message, journaled first (write-ahead), with the
+        journal snapshots due after it.  Returns the crash if the worker
+        died under it."""
+        session_ids = [session_id for session_id, _, _ in batch]
+        try:
+            if self.journal is not None:
+                for session_id, chunk, _ in batch:
+                    self.journal.log_chunk(session_id, np.asarray(chunk, dtype=float))
+            samples = np.concatenate([block for _, _, block in batch])
+            lengths = [len(block) for _, _, block in batch]
+            self._send(index, ("round", session_ids, (samples, lengths)))
+            if self.journal is not None:
+                for session_id in dict.fromkeys(session_ids):
+                    if self.journal.wants_snapshot(session_id):
+                        self._journal_snapshot(session_id)
+        except WorkerCrashError as crash:
+            return crash
+        return None
 
     def poll(self, session_id: str) -> list:
         """Drain the session's queued events without ingesting samples.
@@ -631,7 +718,7 @@ class ShardedGateway(MemberPool):
 
     def _detach(self, index: int) -> None:
         self._stop_worker(index)
-        del self._conns[index], self._procs[index]
+        del self._conns[index], self._procs[index], self._pollers[index]
 
     def _member_stats(self, index: int) -> dict:
         return self._request(index, ("stats", None))
@@ -743,7 +830,9 @@ class ShardedGateway(MemberPool):
         if proc.is_alive():
             proc.terminate()
         proc.join(timeout=5.0)
-        self._conns[index], self._procs[index] = self._make_worker()
+        self._conns[index], self._procs[index], self._pollers[index] = (
+            self._make_worker()
+        )
         self.n_respawns += 1
         return index
 
@@ -851,9 +940,16 @@ class ShardedGateway(MemberPool):
             raise self._crashed(index, exc) from exc
 
     def _poll_conn(self, index: int) -> bool:
+        """Is a response (or the worker's hang-up) waiting on the pipe?
+
+        One persistent ``select.poll`` per pipe: ``Connection.poll()``
+        builds a new selector on every call.  A hang-up or a closed
+        descriptor reads as ready, so the ``recv`` that follows raises
+        :class:`WorkerCrashError`.
+        """
         try:
-            return self._conns[index].poll()
-        except (BrokenPipeError, EOFError, OSError) as exc:
+            return bool(self._pollers[index].poll(0))
+        except OSError as exc:
             raise self._crashed(index, exc) from exc
 
     def _take_events(self, session_id: str, extra: list | None = None) -> list:
@@ -926,30 +1022,35 @@ class ShardedGateway(MemberPool):
         return handled
 
     def _handle(self, response: tuple) -> None:
-        """Route one pipelined (ingest) response into the buffers.
+        """Route one pipelined (round) response into the buffers.
 
-        A worker-side ingest error (e.g. a malformed chunk) arrives
-        here asynchronously, possibly while a synchronous request for
-        another session is waiting — raising now would both blame the
-        wrong call and desynchronize the pipe's request/response
-        pairing.  It is parked instead and raised by the erroring
-        session's next call (:meth:`_owner_or_raise`).
+        The items' events go first, then the round's eviction notices:
+        a session evicted by a later item of the round keeps the events
+        of its own earlier items ahead of its final sequence.  A
+        worker-side item error arrives here asynchronously, possibly
+        while a synchronous request for another session is waiting —
+        raising now would both blame the wrong call and desynchronize
+        the pipe's request/response pairing.  It is parked instead and
+        raised by the erroring session's next call
+        (:meth:`_owner_or_raise`).
         """
-        op, session_id, (status, value), evictions, aux = response
-        self._note_evictions(evictions)
+        op, session_ids, (status, value), evictions, aux = response
         self._note_aux(aux)
-        if op != "ingest":  # pragma: no cover - protocol guard
+        if op != "round":  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected unsolicited {op!r} response")
-        inbox = self._inboxes.get(session_id)
-        if inbox is not None and len(inbox):
-            inbox.take()  # the worker consumed the chunk either way
-        if status == "err":
-            self._errors[session_id] = value
-            return
-        if session_id in self._owner:
-            self._events.setdefault(session_id, []).extend(value)
-        elif session_id in self._evicted:
-            self._evicted[session_id].extend(value)
+        if status == "err":  # pragma: no cover - the round itself failed
+            value = [(status, value)] * len(session_ids)
+        for session_id, (item_status, events) in zip(session_ids, value):
+            inbox = self._inboxes.get(session_id)
+            if inbox is not None and len(inbox):
+                inbox.take()  # the worker consumed the chunk either way
+            if item_status == "err":
+                self._errors[session_id] = events
+            elif session_id in self._owner:
+                self._events.setdefault(session_id, []).extend(events)
+            elif session_id in self._evicted:
+                self._evicted[session_id].extend(events)
+        self._note_evictions(evictions)
 
     def _note_aux(self, aux: tuple) -> None:
         """Fold one response's analytics side-channel into the parent

@@ -194,22 +194,32 @@ class TestEvictionChaos:
         rng = np.random.default_rng(1000 + chaos_seed)
         fs = records[0].fs
         evicted = {}
+        evict_after = int(rng.integers(3, 8))
         gateway = StreamGateway(
             embedded_classifier, fs, n_leads=N_LEADS,
-            evict_after_ticks=int(rng.integers(3, 8)),
+            evict_after_ticks=evict_after,
             on_evict=lambda sid, events: evicted.update({sid: events}),
             **random_gateway_kwargs(rng),
         )
+        # Every schedule evicts: one session is abandoned early, and a
+        # survivor feeds its whole record but holds back its last
+        # ``evict_after`` chunks until the abandoned one has stopped.
+        abandoned, survivor = (f"s{i}" for i in rng.permutation(len(records))[:2])
         sessions = {}
         for i, record in enumerate(records):
             # Each session abandons its stream at a random point; the
             # survivors' ticks then evict it.
+            sid = f"s{i}"
             stop_after = int(rng.integers(1, record.n_samples))
-            sessions[f"s{i}"] = dict(
+            if sid == abandoned:
+                stop_after = int(rng.integers(1, record.n_samples // 4))
+            elif sid == survivor:
+                stop_after = record.n_samples
+            sessions[sid] = dict(
                 record=record, chunks=chunk_queue(record, rng), fed=0, events=[],
                 stop_after=stop_after,
             )
-            gateway.open_session(f"s{i}")
+            gateway.open_session(sid)
         live = set(sessions)
         while live:
             still_feeding = [
@@ -218,6 +228,10 @@ class TestEvictionChaos:
                 and sessions[sid]["chunks"]
                 and sessions[sid]["fed"] < sessions[sid]["stop_after"]
             ]
+            if abandoned in still_feeding and survivor in still_feeding and (
+                len(sessions[survivor]["chunks"]) <= evict_after
+            ):
+                still_feeding.remove(survivor)
             for sid in sorted(live - set(gateway.session_ids())):
                 live.discard(sid)  # evicted under us
             if not still_feeding:

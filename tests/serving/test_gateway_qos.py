@@ -37,6 +37,12 @@ def block(record):
     return int(FS_BLOCK_S * record.fs)
 
 
+def _round(session_id, chunk):
+    """A sharded worker's one-chunk round request, as the parent sends it."""
+    block = np.asarray(chunk, dtype=float).reshape(len(chunk), -1)
+    return ("round", [session_id], (block, [len(block)]))
+
+
 class TestPerSessionLatencyBudget:
     def test_tight_budget_flushes_earlier_than_global_policy(
         self, record, block, embedded_classifier
@@ -237,18 +243,18 @@ class TestEviction:
 
         Drives the worker's request dispatch directly with the request
         sequence the parent sends: a synchronous ``open`` per churn
-        session, then pipelined ingests."""
+        session, then pipelined one-chunk rounds."""
         state = _WorkerState(embedded_classifier, record.fs, {})
         state.handle(("open", "active", {}))
         offset, sizes, evicted = 0, [], set()
         for k in range(60):
-            # Pipelined ingests only: the churn sessions go idle and
+            # Pipelined rounds only: the churn sessions go idle and
             # are evicted while the active session ticks the clock.
             state.handle(("open", f"idle-{k}", {"evict_after_ticks": 1}))
-            state.handle(("ingest", f"idle-{k}", record.signal[:block]))
+            state.handle(_round(f"idle-{k}", record.signal[:block]))
             for _ in range(2):
                 chunk = record.signal[offset % (len(record.signal) - block) :][:block]
-                response = state.handle(("ingest", "active", chunk))
+                response = state.handle(_round("active", chunk))
                 evicted.update(sid for sid, _ in response[3])
                 offset += block
             sizes.append(len(state._evicted_ids))
@@ -362,25 +368,36 @@ class TestShardedBackpressure:
     def test_pipelined_ingest_error_blames_its_own_session(
         self, record, block, embedded_classifier
     ):
-        """Regression: a worker-side ingest error (malformed chunk)
-        arrives asynchronously; it must be raised by the erroring
-        session's next call — not out of an unrelated session's call,
-        and without desyncing the pipe protocol."""
+        """Regression: a worker-side ingest error arrives
+        asynchronously; it must be raised by the erroring session's
+        next call — not out of an unrelated session's call, and without
+        desyncing the pipe protocol.  A malformed chunk never gets that
+        far: the parent checks it and raises at once, for its own
+        item."""
         with ShardedGateway(
             embedded_classifier, record.fs, workers=2, n_leads=1
         ) as gateway:
             gateway.open_session("bad", worker=0)
             gateway.open_session("good", worker=1)
-            gateway.ingest("bad", record.signal[:block].reshape(-1, 1).repeat(2, axis=1))
+            with pytest.raises(ValueError, match="blocks must be"):
+                gateway.ingest(
+                    "bad", record.signal[:block].reshape(-1, 1).repeat(2, axis=1)
+                )
+            # The worker loses the session behind the parent's back, so
+            # its next chunk fails worker-side.
+            export = gateway._request(0, ("release", "bad"))
+            assert gateway.ingest("bad", record.signal[:block]) == []
             # The unrelated session keeps working while the error is in
             # flight and after it has been parked.
             for i in range(3):
                 gateway.ingest("good", record.signal[i * block : (i + 1) * block])
             gateway.poll("good")
-            with pytest.raises(ValueError, match="blocks must be"):
+            gateway.flush()  # every worker has answered: the error is parked
+            with pytest.raises(KeyError, match="bad"):
                 gateway.ingest("bad", record.signal[:block])
-            # Protocol still in sync: the erroring session stays open
-            # (the worker-side push rejected the chunk before mutating).
+            # Protocol still in sync: the session serves again once the
+            # worker has it back.
+            gateway._request(0, ("import", "bad", export))
             assert gateway.ingest("bad", record.signal[:block]) == []
             gateway.close_session("bad")
             gateway.close_session("good")

@@ -371,3 +371,43 @@ class TestDisconnectResume:
         # resumed tail never rewrites history.
         n_prefix = len(before)
         assert_events_equal(reference[:n_prefix], before)
+
+    @pytest.mark.chaos_seeds(5, 6)
+    def test_disconnect_inside_a_multi_session_read(
+        self, harness, record, embedded_classifier, chaos_seed,
+        standalone_events, assert_events_equal,
+    ):
+        """The server forms a round from the INGEST frames of each socket
+        read.  A link cut inside the last frame of a write that holds
+        many chunks of three sessions loses only what the rounds did not
+        apply: resume retransmits exactly that, and every session's
+        events stay the standalone node's."""
+        rng = np.random.default_rng(chaos_seed)
+        signal = record.signal
+        chunks = [signal[s:s + CHUNK] for s in range(0, len(signal), CHUNK)]
+        sessions = ("m0", "m1", "m2")
+        cut_at = int(rng.integers(3, len(chunks) - 3))
+        # A window and a send buffer larger than the stream: every
+        # ingest is buffered until the cut writes them all at once.
+        client = GatewayClient(
+            harness.host, harness.port, window=len(chunks) + 1,
+            send_buffer=1 << 24, backoff_base=0.01,
+        ).connect()
+        for sid in sessions:
+            client.open_session(sid)
+        events = {sid: [] for sid in sessions}
+        for i, piece in enumerate(chunks):
+            for sid in sessions:
+                events[sid].extend(client.ingest(sid, piece))
+            if i == cut_at:
+                burst = bytes(client._sendbuf)
+                client._sendbuf.clear()
+                client._sock.sendall(burst[: len(burst) - int(rng.integers(1, 64))])
+                client._sock.close()
+        for sid in sessions:
+            events[sid].extend(client.close_session(sid))
+        client.close()
+        assert client.n_reconnects >= 1 and client.n_retransmitted >= 1
+        reference = standalone_events(embedded_classifier, signal, record.fs, 1)
+        for sid in sessions:
+            assert_events_equal(reference, events[sid])

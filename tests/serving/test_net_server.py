@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.serving import StreamGateway, replay_fleet, serve_round_robin, synthesize_fleet
-from repro.serving.net import GatewayClient, serve_in_thread
+from repro.serving.net import GatewayClient, GatewayServer, serve_in_thread
 from repro.serving.net.client import RemoteError
 
 FS = 360.0
@@ -183,6 +183,46 @@ class TestSessionSurface:
     def test_effective_max_frame_is_negotiated_minimum(self, server):
         with GatewayClient(server.host, server.port, max_frame=1 << 15) as c:
             assert c._send_max_frame == 1 << 15
+
+
+class TestEveryIngestAcked:
+    def test_quiet_chunks_never_stall_the_window(
+        self, embedded_classifier, fleet, monkeypatch,
+        standalone_events, assert_events_equal,
+    ):
+        """Every accepted INGEST is acknowledged, with an empty EVENTS
+        frame when it resolved nothing.  A window-4 client streaming a
+        record's opening chunks — more than three windows of them
+        resolve no events — never needs a POLL barrier, and its events
+        are the standalone node's."""
+        polls = []
+        on_poll = GatewayServer._on_poll
+
+        async def counting(self, conn, message):
+            polls.append(message.session_id)
+            await on_poll(self, conn, message)
+
+        monkeypatch.setattr(GatewayServer, "_on_poll", counting)
+        gateway = StreamGateway(
+            embedded_classifier, FS, n_leads=1, max_batch=16, max_latency_ticks=8
+        )
+        handle = serve_in_thread(gateway)
+        window, chunk = 4, 30
+        signal = fleet[0]["loadgen-1"]
+        try:
+            with GatewayClient(handle.host, handle.port, window=window) as client:
+                client.open_session("quiet")
+                events = []
+                for start in range(0, len(signal), chunk):
+                    returned = client.ingest("quiet", signal[start : start + chunk])
+                    if start < 3 * window * chunk:
+                        assert returned == []
+                    events.extend(returned)
+                events.extend(client.close_session("quiet"))
+        finally:
+            handle.stop()
+        assert polls == []
+        assert_events_equal(standalone_events(embedded_classifier, signal, FS, 1), events)
 
 
 class TestWrongShapeChunks:

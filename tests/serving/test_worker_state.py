@@ -5,8 +5,8 @@ over :meth:`_WorkerState.handle`, one request tuple in, one response
 tuple ``(op, session_id, payload, evictions, aux)`` out.  These tests
 drive that dispatch directly: every op, the error payloads that travel
 back instead of raising, the eviction and analytics side channels, and
-the rules for ids evicted while a pipelined ingest may still be on its
-way.
+the rules for ids evicted while a pipelined round item may still be on
+its way.
 """
 
 import pickle
@@ -41,10 +41,39 @@ def ok(response):
     return value
 
 
+def round_request(*items):
+    """The parent's pipelined request for ``(session_id, chunk)``
+    items: the chunks back to back plus their lengths."""
+    blocks = [np.asarray(chunk, dtype=float).reshape(len(chunk), -1) for _, chunk in items]
+    return (
+        "round",
+        [session_id for session_id, _ in items],
+        (np.concatenate(blocks), [len(block) for block in blocks]),
+    )
+
+
+def ingest(session_id, chunk):
+    """The one-chunk round request."""
+    return round_request((session_id, chunk))
+
+
+def item(response):
+    """The one item payload of a one-chunk round response."""
+    (payload,) = ok(response)
+    return payload
+
+
+def ok_item(response):
+    """The events of a successful one-chunk round."""
+    status, value = item(response)
+    assert status == "ok", value
+    return value
+
+
 def feed(state, session_id, signal, block=144):
     events = []
     for i in range(0, len(signal), block):
-        events += ok(state.handle(("ingest", session_id, signal[i : i + block])))
+        events += ok_item(state.handle(ingest(session_id, signal[i : i + block])))
     return events
 
 
@@ -104,13 +133,15 @@ class TestOps:
         ok(state.handle(("open", "s", {})))
         for request in (
             ("open", "s", {}),  # already open
-            ("ingest", "nope", np.zeros(10)),
             ("close", "nope"),
             ("export", "nope"),
         ):
             status, error = state.handle(request)[2]
             assert status == "err"
             assert isinstance(error, (KeyError, ValueError))
+        # A round item's error travels in its own slot.
+        status, error = item(state.handle(ingest("nope", np.zeros(10))))
+        assert status == "err" and isinstance(error, KeyError)
 
     def test_analytics_ride_the_aux_channel(self, embedded_classifier, record):
         state = _WorkerState(
@@ -119,7 +150,7 @@ class TestOps:
         ok(state.handle(("open", "s", {})))
         alerts = []
         for i in range(0, record.n_samples, 180):
-            response = state.handle(("ingest", "s", record.signal[i : i + 180]))
+            response = state.handle(ingest("s", record.signal[i : i + 180]))
             alerts += response[4][0]
         response = state.handle(("close", "s"))
         alerts += response[4][0]
@@ -140,8 +171,8 @@ class TestEvictedIds:
         Returns ``idle``'s ingest events and the eviction notices."""
         ok(state.handle(("open", "active", {})))
         ok(state.handle(("open", "idle", {"evict_after_ticks": 1})))
-        early = ok(state.handle(("ingest", "idle", record.signal[: self.FED])))
-        notices = state.handle(("ingest", "active", record.signal[:144]))[3]
+        early = ok_item(state.handle(ingest("idle", record.signal[: self.FED])))
+        notices = state.handle(ingest("active", record.signal[:144]))[3]
         return early, notices
 
     def test_eviction_notice_carries_the_final_sequence(
@@ -162,13 +193,29 @@ class TestEvictedIds:
         self, state, record
     ):
         self._evict_idle(state, record)
-        assert ok(state.handle(("ingest", "idle", record.signal[:90]))) == []
-        assert state._evicted_ids == {"idle"}  # ingests never prune
+        assert ok_item(state.handle(ingest("idle", record.signal[:90]))) == []
+        assert state._evicted_ids == {"idle"}  # rounds never prune
         assert ok(state.handle(("close", "idle"))) == []
         # The close was synchronous: nothing for the id can follow it.
         assert state._evicted_ids == set()
-        status, error = state.handle(("ingest", "idle", record.signal[:90]))[2]
+        status, error = item(state.handle(ingest("idle", record.signal[:90])))
         assert status == "err" and isinstance(error, KeyError)
+
+    def test_round_item_for_a_session_evicted_earlier_in_the_round(
+        self, state, record
+    ):
+        ok(state.handle(("open", "active", {})))
+        ok(state.handle(("open", "idle", {"evict_after_ticks": 1})))
+        response = state.handle(
+            round_request(
+                ("idle", record.signal[: self.FED]),
+                ("active", record.signal[:144]),  # its tick evicts "idle"
+                ("idle", record.signal[:90]),
+            )
+        )
+        assert [sid for sid, _ in response[3]] == ["idle"]
+        assert ok(response)[2] == ("ok", [])
+        assert state._evicted_ids == {"idle"}
 
     @pytest.mark.parametrize("op", ["poll", "flush", "stats", "export"])
     def test_synchronous_requests_clear_the_set(self, state, record, op):
