@@ -48,16 +48,12 @@ def _keyed(per_session):
 
 
 def _spawn_fleet(classifier, n_hosts):
-    # Wire-speed host config (identical for both fleet sizes): input
-    # coalescing amortizes the front-end kernels over the ~100 ms wire
-    # chunks, large batch/latency bounds keep the classifier batched.
+    # Wire-speed host config (identical for both fleet sizes): large
+    # batch/latency bounds keep the classifier batched.
     return [
         spawn_host(
             classifier, FS,
-            gateway_kwargs=dict(
-                n_leads=1, max_batch=256, max_latency_ticks=256,
-                coalesce=int(0.5 * FS),
-            ),
+            gateway_kwargs=dict(n_leads=1, max_batch=256, max_latency_ticks=256),
         )
         for _ in range(n_hosts)
     ]

@@ -59,12 +59,10 @@ def _streams(records):
 
 
 def _make_gateway(classifier, fs):
-    # Wire-speed serving config: input coalescing amortizes the
-    # front-end kernels over the tiny per-frame chunks (identical for
-    # all three transports, so the comparison isolates the wire).
+    # Wire-speed serving config (identical for all three transports,
+    # so the comparison isolates the wire).
     return StreamGateway(
-        classifier, fs, n_leads=1, max_batch=256, max_latency_ticks=256,
-        coalesce=int(0.5 * fs),
+        classifier, fs, n_leads=1, max_batch=256, max_latency_ticks=256
     )
 
 

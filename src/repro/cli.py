@@ -682,10 +682,6 @@ def cmd_federate(args) -> int:
         max_batch=args.max_batch,
         max_latency_ticks=args.max_latency_ticks,
     )
-    if args.workers == 1:
-        # Single-gateway hosts coalesce tiny wire chunks before the
-        # front-end kernels (the sharded tier has its own batching).
-        gateway_kwargs["coalesce"] = max(1, int(0.5 * fs))
     print(f"Spawning {args.hosts} local gateway host process(es) ...")
     hosts = [
         spawn_host(

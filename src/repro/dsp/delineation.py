@@ -874,6 +874,12 @@ class StreamingDelineator:
         """Current buffer occupancy (bounded, see class docs)."""
         return self._end - self._start
 
+    @property
+    def next_final(self) -> int | None:
+        """Sample count at which the earliest scheduled beat gets its
+        right context and becomes final (``None``: nothing scheduled)."""
+        return self._pending[0][0] + self._right if self._pending else None
+
     def samples(self, lead: int, start: int, stop: int) -> np.ndarray:
         """Buffered samples ``[start, stop)`` (absolute indices) of one
         lead, as a fresh contiguous array."""

@@ -44,8 +44,12 @@ This module provides that engine:
   :class:`NodeSnapshot` so live sessions can migrate between shards.
   :meth:`StreamingNode.push_rows` advances many nodes at once, running
   their front ends (filters and wavelet) as one 2-D pass per stage —
-  the gateway's per-tick batching; state stays in each node.
-  :meth:`StreamingNode.deliver_rows` is its back-end twin: labels for
+  the gateway's per-round batching; state stays in each node.  A
+  steady node stashes its raw input and runs the front end only once
+  the input reaches its *due point*, the first sample at which any
+  output can change (:attr:`StreamingNode.due`);
+  :meth:`StreamingNode.drain_rows` drains many stashes in one pass.
+  :meth:`StreamingNode.deliver_rows` is the back-end twin: labels for
   many nodes in one call, their flagged beats delineated in one pass.
   Each node keeps one signal buffer, the delineator's, which also
   serves the classifier windows.
@@ -346,6 +350,12 @@ class StreamingPeakDetector:
         self._buf = np.empty((4, max(self._capacity, live.shape[1])))
         self._buf[:, : self._n] = live
 
+    @property
+    def window_gap(self) -> int:
+        """Coefficient columns still missing before the next analysis
+        window completes (no peak is confirmed before then)."""
+        return self.window - self._n
+
     def _thresholds(self) -> np.ndarray:
         """Running per-scale thresholds from the carried energy sums."""
         if self._count <= 0.0:
@@ -583,16 +593,23 @@ class StreamingNode:
         :meth:`deliver`.  Event content and order are identical in
         both modes; only the ``predict`` batching differs (exact for
         the integer classifier).
-    coalesce:
-        Input-coalescing threshold in samples (default 1 = process
-        every push immediately).  With ``coalesce > 1``, pushes
-        smaller than the threshold are stashed and the front end runs
-        once the stash reaches it — amortizing the per-call kernel
-        overhead when callers stream tiny (per-ADC-block or per-frame)
-        chunks.  The streaming stages are partition-invariant, so the
-        event sequence is bit-identical to uncoalesced pushes; only
-        *when* events are returned shifts (by at most ``coalesce``
-        samples, and never past :meth:`flush`).
+
+    Notes
+    -----
+    Outputs change only at a few points of the stream: when a detector
+    window completes, when the next unresolved beat has ``window.post``
+    samples of right context (it is cut, or dropped), and when a
+    scheduled delineation gets its right context.  Past warm-up one
+    raw sample yields exactly one filtered sample and one wavelet
+    column, so a steady node knows the first of these points, its
+    *due point*, in samples.  Until its input reaches that point the
+    node only stashes it (:meth:`stash`); a push that reaches it, a
+    warm-up push, :meth:`flush` and :meth:`finish_input` drain the
+    stash through the front end in sub-passes of at most one second,
+    and so does a :meth:`deliver` whose flagged beat needs stashed
+    input.  Every return value — events, outbox, :attr:`n_pending` —
+    is the one a node that ran every push at once would give, and
+    the stash holds at most one detector window plus one push.
     """
 
     def __init__(
@@ -607,7 +624,6 @@ class StreamingNode:
         delineation_config: DelineationConfig | None = None,
         overhead_bytes: int = 2,
         defer_classification: bool = False,
-        coalesce: int = 1,
     ):
         from repro.ecg.segmentation import BeatWindow
         from repro.platform.radio import FULL_FIDUCIAL_PAYLOAD, PEAK_ONLY_PAYLOAD
@@ -622,8 +638,6 @@ class StreamingNode:
             raise ValueError("decimation must be >= 1")
         if overhead_bytes < 0:
             raise ValueError("overhead must be non-negative")
-        if coalesce < 1:
-            raise ValueError("coalesce must be >= 1 sample")
         self.classifier = classifier
         self.fs = fs
         self.n_leads = n_leads
@@ -652,9 +666,12 @@ class StreamingNode:
         self._peak_bytes = PEAK_ONLY_PAYLOAD + overhead_bytes
         self.defer_classification = bool(defer_classification)
         self._outbox: list[tuple[_PendingBeat, np.ndarray]] = []
-        self._coalesce = int(coalesce)
-        self._stash: list[np.ndarray] = []
+        # Raw input not yet run through the front end: _stash[:_stashed]
+        # (grown on demand).  _due is the filtered-sample count at
+        # which an output can next change (see _update_due).
+        self._stash = np.empty((0, n_leads))
         self._stashed = 0
+        self._due = 0
         self._front_steady = False
 
     @property
@@ -681,8 +698,12 @@ class StreamingNode:
         ``detached=False`` skips the copy: the snapshot then shares the
         live state and is valid only until the node next changes — for
         a caller that serializes it at once (the journal).
+
+        Stashed input rides along (only the live rows, not the spare
+        capacity), so a snapshot never forces a front-end pass.
         """
         state = {k: v for k, v in self.__dict__.items() if k != "classifier"}
+        state["_stash"] = self._stash[: self._stashed]
         return NodeSnapshot(state=copy.deepcopy(state) if detached else state)
 
     @classmethod
@@ -729,11 +750,25 @@ class StreamingNode:
         return self._front_steady
 
     def fits_rows(self, block: np.ndarray) -> bool:
-        """Whether a checked ``block`` may join a multi-row
-        :meth:`push_rows` pass: the front end is :attr:`front_steady`,
-        input is not coalesced, and the block is non-empty and shorter
-        than one second (longer pushes are chopped per node)."""
-        return 0 < block.shape[0] < self._chop and self._coalesce == 1 and self.front_steady
+        """Whether a checked ``block`` may wait in the stash for a
+        multi-row :meth:`drain_rows` pass without a due check: the
+        front end is :attr:`front_steady` and the block is non-empty
+        and shorter than one second (a caller that wants longer pushes
+        handled at once uses :meth:`push_checked`)."""
+        return 0 < block.shape[0] < self._chop and self.front_steady
+
+    @property
+    def n_stashed(self) -> int:
+        """Raw samples stashed but not yet run through the front end."""
+        return self._stashed
+
+    @property
+    def due(self) -> bool:
+        """Whether the stashed input reaches the due point: draining it
+        can change an output (an event, the outbox or
+        :attr:`n_pending`).  Meaningful for a :attr:`front_steady`
+        node; O(1)."""
+        return self._count + self._stashed >= self._due
 
     def push(self, block: np.ndarray) -> list[StreamBeatEvent]:
         """Feed raw samples ``(n,)`` or ``(n, n_leads)``; return new events."""
@@ -741,28 +776,69 @@ class StreamingNode:
 
     def push_checked(self, block: np.ndarray) -> list[StreamBeatEvent]:
         """:meth:`push` for a block :meth:`check_block` already returned
-        (a caller that validated before journaling checks only once)."""
-        if self._coalesce > 1:
-            # Stash sub-threshold pushes; run the kernels once enough
-            # samples accumulate.  The stages are partition-invariant,
-            # so this only shifts *when* events surface, never which.
-            self._stash.append(block)
-            self._stashed += block.shape[0]
-            if self._stashed < self._coalesce:
-                return []
-            block = (
-                self._stash[0] if len(self._stash) == 1
-                else np.concatenate(self._stash, axis=0)
-            )
-            self._stash.clear()
-            self._stashed = 0
-        return self._process(block)
+        (a caller that validated before journaling checks only once).
 
-    def _process(self, block: np.ndarray) -> list[StreamBeatEvent]:
-        events: list[StreamBeatEvent] = []
-        for i in range(0, block.shape[0], self._chop):
-            chunk = block[np.newaxis, i : i + self._chop]
-            events.extend(self.push_rows([self], chunk)[0])
+        Stashes the block, then drains the stash if the node is due or
+        still warming up (see the class notes)."""
+        if self.stash(block) or not self.front_steady:
+            return self._drain()
+        return []
+
+    def stash(self, block: np.ndarray) -> bool:
+        """Append a checked block to the stash without running the
+        front end (a copy: the caller may reuse its buffer); return
+        :attr:`due`.  A caller that stashes must drain the node —
+        :meth:`drain_rows` — once it is due, and must not stash into
+        a node that is not :attr:`front_steady`."""
+        n = self._stashed
+        end = n + block.shape[0]
+        if end > self._stash.shape[0]:
+            grown = np.empty((max(end, self._detector.window + self._chop), self.n_leads))
+            grown[:n] = self._stash[:n]
+            self._stash = grown
+        self._stash[n:end] = block
+        self._stashed = end
+        return self.due
+
+    def _drain(self, n: int | None = None) -> list[StreamBeatEvent]:
+        return StreamingNode.drain_rows([self], n)[0]
+
+    @staticmethod
+    def drain_rows(
+        nodes: list["StreamingNode"], n: int | None = None
+    ) -> list[list[StreamBeatEvent]]:
+        """Run the first ``n`` stashed samples of every node (default:
+        the whole stash) through the front end; return each node's new
+        events.
+
+        The nodes must hold equally many stashed samples.  They drain
+        together through :meth:`push_rows`, one pass per sub-block of
+        at most one second, so several rows need nodes of one
+        configuration that are all :attr:`front_steady`.  Events are
+        bit-exact with draining each node alone.
+        """
+        total = nodes[0]._stashed
+        n = total if n is None else n
+        events: list[list[StreamBeatEvent]] = [[] for _ in nodes]
+        if not n:
+            return events
+        if len(nodes) == 1:
+            blocks = nodes[0]._stash[np.newaxis, :n]
+        else:
+            blocks = np.stack([node._stash[:n] for node in nodes])
+        for node in nodes:
+            node._stashed = 0
+        chop = nodes[0]._chop
+        for i in range(0, n, chop):
+            for out, new in zip(events, StreamingNode.push_rows(nodes, blocks[:, i : i + chop])):
+                out.extend(new)
+        rest = total - n
+        for node in nodes:
+            if rest:
+                node._stash[:rest] = node._stash[n:total]
+                node._stashed = rest
+            elif node._stash.shape[0] > node._detector.window + chop:
+                node._stash = np.empty((0, node.n_leads))  # one oversized push
         return events
 
     @staticmethod
@@ -819,22 +895,10 @@ class StreamingNode:
                 "deliver the remaining labels, then finalize() "
                 "(StreamGateway.close_session drives this)"
             )
-        events = self._drain_stash()
+        events = self._drain()
         events += self._advance(*self._front_tail(), final=True)
         self._reset_stream()
         return events
-
-    def _drain_stash(self) -> list[StreamBeatEvent]:
-        """Process any coalesced samples still waiting in the stash."""
-        if not self._stash:
-            return []
-        block = (
-            self._stash[0] if len(self._stash) == 1
-            else np.concatenate(self._stash, axis=0)
-        )
-        self._stash.clear()
-        self._stashed = 0
-        return self._process(block)
 
     def finish_input(self) -> list[StreamBeatEvent]:
         """Deferred mode, step 1 of the stream end: flush the front end.
@@ -849,7 +913,7 @@ class StreamingNode:
         """
         if not self.defer_classification:
             raise RuntimeError("finish_input() applies to deferred-classify nodes; use flush()")
-        events = self._drain_stash()
+        events = self._drain()
         return events + self._advance(*self._front_tail(), final=True)
 
     def finalize(self) -> list[StreamBeatEvent]:
@@ -900,7 +964,7 @@ class StreamingNode:
 
     @staticmethod
     def deliver_rows(
-        nodes: list["StreamingNode"], resolved
+        nodes: list["StreamingNode"], resolved, held=None
     ) -> list[list[StreamBeatEvent]]:
         """Apply labels to many nodes' extracted beats; return each
         node's new events.
@@ -911,8 +975,12 @@ class StreamingNode:
         :meth:`~repro.dsp.delineation.StreamingDelineator.add_beats_rows`
         call, so a gateway flush delineates its sessions' beats in one
         pass; each node's pre-delivery hold floor keeps every scheduled
-        beat's left context buffered.  Events are bit-exact with
-        delivering to each node alone.
+        beat's left context buffered.  A node whose flagged beat needs
+        right context that is still stashed drains its stash here —
+        all but its last ``held[r]`` samples (default none held): a
+        gateway holds back the chunk of its open round, which its
+        callers expect to run only when the round ends.  Events are
+        bit-exact with delivering to each node alone.
         """
         from repro.core.defuzz import is_abnormal
 
@@ -945,17 +1013,20 @@ class StreamingNode:
             for r, finished in zip(rows, done):
                 nodes[r]._done.update(finished)
         events = []
-        for node in nodes:
+        for r, node in enumerate(nodes):
             node._update_hold()
-            events.append(node._emit_ready())
+            node._update_due()
+            out = node._emit_ready()
+            ready = node._stashed - (held[r] if held else 0)
+            if ready > 0 and node._count + ready >= node._due:
+                out += node._drain(ready)  # a flagged beat's right context
+            events.append(out)
         return events
 
     def _reset_stream(self) -> None:
         self._origin = self._count
         self._done.clear()
         self._last_kept = None
-        self._stash.clear()
-        self._stashed = 0
 
     def _advance(
         self, filtered: np.ndarray, columns: np.ndarray, final: bool
@@ -980,7 +1051,23 @@ class StreamingNode:
             if final:
                 for peak, fiducials in self._delineator.flush():
                     self._done[peak] = fiducials
+        self._update_due()
         return self._emit_ready()
+
+    def _update_due(self) -> None:
+        """Recompute the due point (see the class notes): the
+        filtered-sample count at which the next detector window
+        completes, the next unresolved beat's window is complete, or
+        the earliest scheduled delineation gets its right context."""
+        due = self._count + self._detector.window_gap
+        for beat in self._queue:
+            if not (beat.classified or beat.dropped or beat.extracted):
+                due = min(due, beat.peak + self.window.post)
+                break
+        final = self._delineator.next_final
+        if final is not None:
+            due = min(due, final)
+        self._due = due
 
     def _window_ready(self, beat: _PendingBeat, final: bool) -> bool | None:
         """Shared eligibility logic: can this beat's window be cut now?

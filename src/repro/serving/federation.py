@@ -381,8 +381,8 @@ def spawn_host(
     :class:`~repro.serving.net.server.GatewayServer`, and reports the
     bound address back — available as :attr:`HostProcess.address` when
     this returns.  ``gateway_kwargs`` / ``server_kwargs`` pass through
-    to the respective constructors (e.g. ``coalesce`` for
-    single-worker hosts fed tiny wire chunks).
+    to the respective constructors (e.g. ``max_batch`` /
+    ``max_latency_ticks`` for wire-speed batching).
 
     Separate processes are the point: each host owns a core, so a
     :class:`FederatedGateway` over N local hosts measures genuine

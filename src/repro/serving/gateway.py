@@ -8,8 +8,8 @@ that ingestion layer:
 * :class:`StreamGateway` — ``open_session(id)`` / ``ingest(id, chunk)``
   / ``close_session(id)``.  Each session is a
   :class:`~repro.dsp.streaming.StreamingNode` in deferred-classify
-  mode.  Its per-sample front end (filtering, wavelet) runs once per
-  tick for all sessions, as one 2-D pass per stage (see the
+  mode.  Its per-sample front end (filtering, wavelet) runs when some
+  session can change an output, as one 2-D pass per stage (see the
   :class:`StreamGateway` notes), and instead of one
   ``predict`` call per beat the pending beats of *all* sessions queue
   in a cross-session :class:`BeatBatch`.  The gateway flushes the
@@ -300,13 +300,9 @@ class StreamGateway:
         :class:`~repro.serving.analytics.Episode` an analytics
         pipeline closes (also queued for :meth:`take_alerts`).
     n_leads / lead / decimation / window / detector_config /
-    delineation_config / overhead_bytes / coalesce:
+    delineation_config / overhead_bytes:
         Per-session :class:`~repro.dsp.streaming.StreamingNode`
-        configuration, identical for every session (``coalesce``
-        amortizes the front-end kernels when producers stream tiny
-        per-frame chunks; the event sequences are unchanged.  A
-        coalescing node pushes each chunk at once instead of joining
-        the tick's front-end pass).
+        configuration, identical for every session.
     journal:
         Optional :class:`repro.serving.durability.SessionJournal`.
         When set, every ingested chunk is write-ahead journaled, the
@@ -324,21 +320,19 @@ class StreamGateway:
     ``poll``).  ``close_session`` force-flushes so its return value
     completes the session's event sequence.
 
-    The front end runs once per tick for all sessions.  ``ingest``
-    journals a chunk first (write-ahead), then stashes it — at most
-    one chunk per session.  The stash runs as one 2-D pass per stage
-    (rows = sessions, grouped by chunk length; see
-    :meth:`StreamingNode.push_rows`) when every steady session has a
-    chunk stashed, when a session with a stashed chunk ingests again,
-    and before :meth:`close_session`, :meth:`export_session`,
-    :meth:`release_session`, a journal snapshot, an eviction or
-    :meth:`flush_batch` touches any session.  A session's warm-up
-    chunks (before its filter and FIR histories are full), chunks of
-    one second (``fs`` samples) or longer, and every chunk on a
-    gateway with one live session run at once, on one row of the same
-    kernels.  Events are unchanged, but a verdict can reach its caller
-    at most one round later than pushing every chunk at once would
-    return it.
+    The front end runs only when it can change an output.  ``ingest``
+    journals a chunk first (write-ahead), then stashes it in the
+    session's node, which knows in O(1) whether the stash reached its
+    due point (see :class:`StreamingNode`).  A round ends when every
+    steady session has stashed a chunk, when one of them ingests
+    again, or at :meth:`flush_batch`; if some session is due then,
+    every stash drains, grouped by length, as one 2-D pass per stage
+    and sub-block (:meth:`StreamingNode.drain_rows`).  Warm-up chunks
+    and chunks of one second (``fs`` samples) or more are pushed at
+    once.  A close or an eviction drains only its own session; exports
+    and the journal snapshot carry the stash in the node snapshot.
+    Events are unchanged, but a verdict can reach its caller up to one
+    round later than pushing every chunk at once would return it.
     """
 
     def __init__(
@@ -359,7 +353,6 @@ class StreamGateway:
         detector_config=None,
         delineation_config=None,
         overhead_bytes: int = 2,
-        coalesce: int = 1,
         journal=None,
     ):
         validate_at_least("max_batch", max_batch)
@@ -384,17 +377,16 @@ class StreamGateway:
             detector_config=detector_config,
             delineation_config=delineation_config,
             overhead_bytes=overhead_bytes,
-            coalesce=coalesce,
         )
         self._sessions: dict[str, _Session] = {}
         # Sessions with an eviction threshold, so the per-ingest idle
         # scan touches only them (zero cost for a fleet without QoS).
         self._evictable: dict[str, _Session] = {}
-        # Tick batching of the front end: at most one journaled but not
-        # yet applied chunk per session, run as one 2-D pass per stage
-        # (see _run_stash); sessions whose front end is still warming
-        # up push at once and are tracked so they never hold a pass.
-        self._stash: dict[str, np.ndarray] = {}
+        # Round batching (see _end_round): who stashed how many samples
+        # this round and whether a stash is due.  Warming sessions push
+        # at once and never hold a round open.
+        self._round: dict[str, int] = {}
+        self._due = False
         self._warming: set[str] = set()
         self._batch = BeatBatch()
         # One tick per ingest call, any session.
@@ -506,9 +498,9 @@ class StreamGateway:
 
         The chunk is validated (a rejected chunk raises
         :class:`ValueError` and changes nothing), journaled
-        (write-ahead), then stashed for the tick's shared front-end
-        pass (see the class notes) or, during a session's warm-up and
-        for chunks of a second or more, pushed at once.  Advances the
+        (write-ahead), then stashed in the session's node (see the
+        class notes) or, during a session's warm-up and for chunks of
+        a second or more, pushed at once.  Advances the
         gateway clock by one tick, flushes the cross-session batch if
         it is full or any session's oldest beat has hit its latency
         budget, and evicts sessions idle past their threshold.  The
@@ -551,13 +543,13 @@ class StreamGateway:
             # Write-ahead: the chunk is durable before it is applied,
             # so the acknowledged prefix survives a process crash.
             self.journal.log_chunk(session_id, chunk)
-        if session_id in self._stash:
-            self._run_stash()
+        if session_id in self._round:
+            self._end_round()
         if session_id not in self._warming and node.fits_rows(block):
-            # A copy: the caller may reuse its buffer once we return.
-            self._stash[session_id] = block.copy()
-            if len(self._stash) + len(self._warming) >= len(self._sessions):
-                self._run_stash()
+            self._due = node.stash(block) or self._due
+            self._round[session_id] = block.shape[0]
+            if len(self._round) + len(self._warming) >= len(self._sessions):
+                self._end_round()
         else:
             self._feed(session_id, session, node.push_checked(block))
             self._collect(session_id, session)
@@ -569,37 +561,47 @@ class StreamGateway:
             self._classify_batch()
         self._evict_idle()
         if self.journal is not None and self.journal.wants_snapshot(session_id):
-            self._journal_snapshot(session_id)
+            # Refresh the snapshot, truncating the chunk log (the cadence
+            # bound on replay length), with no drain and no classifier
+            # pass.  Undrained events stay queued here *and* in the
+            # snapshot, whose delivered count restarts at zero.
+            capture = self._capture(session_id, drain=False, detached=False)
+            self.journal.snapshot(session_id, capture)
         return self._deliver(session_id, session.drain())
 
-    def _run_stash(self) -> None:
-        """Apply every stashed chunk: the tick's front-end pass.
-
-        Rows are grouped by chunk length; each group runs the filters
-        and the wavelet as one 2-D pass per stage
-        (:meth:`StreamingNode.push_rows`), then each session's per-row
-        rest and beat collection, with the batch size bound checked
-        after each session as it is after each ingest.  Bit-exact with
-        pushing every chunk on its own.
-        """
-        stash = self._stash
-        if not stash:
+    def _end_round(self) -> None:
+        """Close the round; if some session is due, drain every stash
+        (grouped by length, :meth:`StreamingNode.drain_rows`), then
+        collect each session in turn, checking the batch size bound
+        after each as after each ingest.  Bit-exact with pushing every
+        chunk on its own."""
+        arrived, self._round = self._round, {}
+        if not self._due:
             return
-        self._stash = {}
-        by_length: dict[int, list[str]] = {}
-        for session_id, block in stash.items():
-            by_length.setdefault(block.shape[0], []).append(session_id)
-        for session_ids in by_length.values():
-            sessions = [self._sessions[session_id] for session_id in session_ids]
-            results = StreamingNode.push_rows(
-                [session.node for session in sessions],
-                np.array([stash[session_id] for session_id in session_ids]),
-            )
-            for session_id, session, events in zip(session_ids, sessions, results):
-                self._feed(session_id, session, events)
-                self._collect(session_id, session)
-                if len(self._batch) >= self.max_batch:
-                    self._classify_batch()
+        self._due = False
+        stashed = {sid: s for sid, s in self._sessions.items() if s.node.n_stashed}
+        if not any(session.node.due for session in stashed.values()):
+            return  # the due session has closed or left since
+        groups: dict[int, list[str]] = {}
+        for session_id, session in stashed.items():
+            groups.setdefault(session.node.n_stashed, []).append(session_id)
+        # Every group drains before any flush: a delivery can drain a
+        # node on its own, which would change a later group's length.
+        drained = {}
+        for group in groups.values():
+            results = StreamingNode.drain_rows([stashed[sid].node for sid in group])
+            drained.update(zip(group, results))
+        # Collect in the order one pass per chunk length over this
+        # round's chunks would (lengths by first arrival, then arrival;
+        # only those sessions can be due), then the rest.
+        rank: dict[int, int] = {}
+        order = sorted(arrived, key=lambda sid: rank.setdefault(arrived[sid], len(rank)))
+        for session_id in order + [sid for sid in drained if sid not in arrived]:
+            session = stashed[session_id]
+            self._feed(session_id, session, drained[session_id])
+            self._collect(session_id, session)
+            if len(self._batch) >= self.max_batch:
+                self._classify_batch()
 
     def _latency_budget_hit(self) -> bool:
         """Has any session's oldest pending beat outlived its budget?
@@ -609,7 +611,7 @@ class StreamGateway:
         when its first beat entered the batch, and the batch keeps the
         minimum incrementally — this is one integer compare per ingest
         regardless of fleet size or batch depth.  Budgets cannot change
-        for queued beats (close/evict/export/import all flush first),
+        for queued beats (a session keeps its budget on this gateway),
         so the armed deadlines never go stale.
         """
         deadline = self._batch.min_deadline
@@ -664,16 +666,15 @@ class StreamGateway:
     def close_session(self, session_id: str) -> list[StreamBeatEvent]:
         """End a session; return the remainder of its event sequence.
 
-        Flushes the session's front end, force-classifies everything
-        pending fleet-wide (one last batched pass), finalizes the
-        session's delineator with the stream-end clamping of the batch
-        path, and removes the session.
+        Drains only this session's stash and flushes its front end,
+        force-classifies everything queued fleet-wide (one last batched
+        pass), finalizes the session's delineator with the stream-end
+        clamping of the batch path, and removes the session.
         """
         session = self._get(session_id)
-        self._run_stash()
         self._feed(session_id, session, session.node.finish_input())
         self._collect(session_id, session)
-        self.flush_batch()
+        self._classify_batch()
         self._feed(session_id, session, session.node.finalize())
         if session.analytics is not None:
             self._finalize_analytics(session_id, session)
@@ -686,16 +687,16 @@ class StreamGateway:
         """Classify every queued beat now (one batched pass); return
         how many beats were resolved.
 
-        Applies every stashed chunk first, so the pass covers all input
-        ingested so far; call directly to bound latency externally
-        (e.g. from a timer) or before a quiet period.
+        Ends the round first (see the class notes), so the pass covers
+        all input ingested so far; call directly to bound latency
+        externally (e.g. from a timer) or before a quiet period.
         """
-        self._run_stash()
+        self._end_round()
         return self._classify_batch()
 
     def _classify_batch(self) -> int:
         """One batched classifier pass over the queued beats (the
-        size/latency policy's flush; stashed chunks stay stashed)."""
+        size/latency policy's flush; stashed input stays stashed)."""
         session_ids, handles, rows = self._batch.drain()
         if rows is None:
             self._drain_analytics()
@@ -706,7 +707,8 @@ class StreamGateway:
         for session_id, handle, label in zip(session_ids, handles, labels):
             per_session.setdefault(session_id, []).append((handle, label))
         # One delivery over every session in the flush, so their
-        # flagged beats share one delineation pass.
+        # flagged beats share one delineation pass.  A delivery never
+        # drains the open round's chunk: that runs when the round ends.
         targets = []
         for session_id, resolved in per_session.items():
             session = self._sessions.get(session_id)
@@ -716,9 +718,12 @@ class StreamGateway:
         results = StreamingNode.deliver_rows(
             [session.node for _, session, _ in targets],
             [resolved for _, _, resolved in targets],
+            [self._round.get(session_id, 0) for session_id, _, _ in targets],
         )
         for (session_id, session, _), events in zip(targets, results):
             self._feed(session_id, session, events)
+            if session.node.n_stashed and session.node.due:
+                self._due = True  # the held chunk now reaches the due point
         self.n_flushes += 1
         self.n_classified += len(handles)
         self._drain_analytics()
@@ -850,19 +855,9 @@ class StreamGateway:
         session configuration) and continue ``ingest``-ing there —
         the combined event sequence is bit-exact with never migrating.
         """
-        session = self._get(session_id)
-        self.flush_batch()
-        # flush_batch drained this session's analytics, so the deep-
-        # copied pipeline is consistent with every event appended so
-        # far — the importing gateway resumes the fold mid-episode.
-        export = SessionExport(
-            session_id=session_id,
-            snapshot=session.node.snapshot(),
-            events=session.drain(),
-            max_latency_ticks=session.latency_budget,
-            evict_after_ticks=session.evict_after,
-            analytics=copy.deepcopy(session.analytics),
-        )
+        self._get(session_id)
+        self._classify_batch()
+        export = self._capture(session_id)
         if self.journal is not None:
             # The capture doubles as a snapshot; its drained events go
             # to the caller, so they count as delivered against it.
@@ -889,7 +884,8 @@ class StreamGateway:
 
         The export's QoS settings (latency budget, eviction threshold)
         travel with the session; its idle clock restarts at this
-        gateway's current tick.
+        gateway's current tick.  Labels in flight at the capture (a
+        journal snapshot) are requested again.
         """
         session_id = export.session_id if session_id is None else session_id
         if session_id in self._sessions:
@@ -922,45 +918,42 @@ class StreamGateway:
             self.journal.delivered(session_id, len(events))
         return events
 
-    def _journal_snapshot(self, session_id: str) -> None:
-        """Refresh one session's journal snapshot, truncating its chunk
-        log (the cadence bound on replay length).  Pending
-        classifications flush first so no in-flight handles cross the
-        capture; the session's undrained events stay queued here *and*
-        inside the snapshot — consistent, because the fresh snapshot's
-        delivered count restarts at zero with them still undelivered.
-        """
-        session = self._sessions.get(session_id)
-        if session is None:  # pragma: no cover - evicted under the cadence
-            return
-        self.flush_batch()
-        # The journal pickles the export at once, so the live state is
-        # captured without a deep copy (export_session keeps its copy:
-        # that export outlives the call).
-        self.journal.snapshot(
-            session_id,
-            SessionExport(
-                session_id=session_id,
-                snapshot=session.node.snapshot(detached=False),
-                events=list(session.events),
-                max_latency_ticks=session.latency_budget,
-                evict_after_ticks=session.evict_after,
-                analytics=session.analytics,
-            ),
+    def _capture(self, session_id: str, *, drain=True, detached=True) -> SessionExport:
+        """The session as an export: its undelivered events (moved into
+        it, or with ``drain=False`` copied) and a node snapshot, which
+        carries stashed input and labels in flight (an import requests
+        them again).  Pending analytics fold first: an import resumes
+        the fold and never re-feeds the export's events.
+        ``detached=False`` shares the live state, for a caller that
+        pickles the capture at once."""
+        session = self._get(session_id)
+        self._drain_analytics()
+        return SessionExport(
+            session_id=session_id,
+            snapshot=session.node.snapshot(detached=detached),
+            events=session.drain() if drain else list(session.events),
+            max_latency_ticks=session.latency_budget,
+            evict_after_ticks=session.evict_after,
+            analytics=copy.deepcopy(session.analytics) if detached else session.analytics,
         )
 
     def _add_session(self, session_id: str, session: _Session) -> None:
         self._sessions[session_id] = session
         if session.evict_after is not None:
             self._evictable[session_id] = session
-        if not session.node.front_steady:
+        node = session.node
+        if not node.front_steady:
             self._warming.add(session_id)
+        if node.n_stashed and node.due:
+            self._due = True
+        self._collect(session_id, session)  # labels in flight, if any
 
     def _remove_session(self, session_id: str) -> None:
         self._sessions.pop(session_id)
         self._evictable.pop(session_id, None)
         self._analytics_dirty.pop(session_id, None)
         self._warming.discard(session_id)
+        self._round.pop(session_id, None)
 
     def _get(self, session_id: str) -> _Session:
         try:

@@ -77,6 +77,7 @@ import select
 import threading
 from collections import deque
 from dataclasses import replace
+from operator import methodcaller
 
 import numpy as np
 
@@ -966,15 +967,19 @@ class ShardedGateway(MemberPool):
     def _journal_snapshot(self, session_id: str) -> None:
         """Refresh one session's journal snapshot, truncating its chunk
         log (the cadence bound on replay length).  The synchronized
-        export drains pending events; they return to the parent buffer
-        — still owed to the caller, and covered by the fresh snapshot
-        (whose delivered count restarts at zero with them undelivered).
+        capture is an export without the classifier pass first (labels
+        in flight ride in the node snapshot), sharing the worker's live
+        state, which its response pickles at once.  It drains pending
+        events; they return to the parent buffer — still owed to the
+        caller, and covered by the fresh snapshot (whose delivered count
+        restarts at zero with them undelivered).
         """
         index = self._owner.get(session_id)
         if index is None:  # pragma: no cover - evicted under the cadence
             return
         try:
-            export = self._request(index, ("export", session_id))
+            capture = methodcaller("_capture", session_id, detached=False)
+            export = self._request(index, ("call", session_id, capture))
         except KeyError:
             if session_id in self._owner:
                 raise

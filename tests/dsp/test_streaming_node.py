@@ -15,7 +15,12 @@ import pytest
 from repro.core.defuzz import is_abnormal
 from repro.dsp.delineation import delineate_multilead
 from repro.dsp.morphological import filter_lead
-from repro.dsp.streaming import NodeSnapshot, StreamingNode, StreamingPeakDetector
+from repro.dsp.streaming import (
+    BlockFilter,
+    NodeSnapshot,
+    StreamingNode,
+    StreamingPeakDetector,
+)
 from repro.ecg.resample import decimate_beats
 from repro.ecg.segmentation import BeatWindow, segment_beats
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
@@ -264,3 +269,107 @@ class TestStreamingNode:
         events += node.flush()
         np.testing.assert_array_equal([e.peak for e in events], kept_peaks)
         np.testing.assert_array_equal([e.label for e in events], labels)
+
+
+def warm_up(node, signal, chunk):
+    """Push ``chunk``-sample blocks until the front end is steady;
+    return the events and the samples consumed."""
+    events, i = [], 0
+    while not node.front_steady:
+        events += node.push(signal[i : i + chunk])
+        i += chunk
+    return events, i
+
+
+class TestDuePoint:
+    """A steady node stashes its input and runs the front end only when
+    the stash reaches its due point (see the StreamingNode notes)."""
+
+    def test_steady_pushes_run_the_front_end_once_per_due_point(
+        self, record, embedded_classifier, monkeypatch
+    ):
+        chunk = 90
+        node = StreamingNode(embedded_classifier, record.fs, n_leads=record.n_leads)
+        _, i = warm_up(node, record.signal, chunk)
+        passes = []
+        push_rows = BlockFilter.push_rows
+
+        def counting(filters, blocks):
+            passes.append(blocks.shape[1])
+            return push_rows(filters, blocks)
+
+        monkeypatch.setattr(BlockFilter, "push_rows", staticmethod(counting))
+        for _ in range(40):
+            node.push(record.signal[i : i + chunk])
+            i += chunk
+        # 40 chunks span 3,600 samples, so at most two detector windows
+        # complete (one every window - overlap samples); every beat and
+        # delineation of the default geometry is due with its window.
+        # A drain runs in sub-passes of at most one second.
+        advance = node._detector.window - node._detector.overlap
+        due_points = -(-40 * chunk // advance)
+        sub_passes = -(-(advance + chunk) // int(record.fs))
+        assert 0 < len(passes) <= due_points * sub_passes
+        assert max(passes) <= int(record.fs)
+
+    def test_snapshot_carries_stashed_input(
+        self, record, embedded_classifier, reference
+    ):
+        kept_peaks, labels, _, _ = reference
+        chunk = 90
+        node = StreamingNode(embedded_classifier, record.fs, n_leads=record.n_leads)
+        events, i = warm_up(node, record.signal, chunk)
+        while node.n_stashed < 10 * chunk:
+            events += node.push(record.signal[i : i + chunk])
+            i += chunk
+        snapshot = pickle.loads(pickle.dumps(node.snapshot()))
+        # Only the live rows travel, not the spare capacity.
+        assert snapshot.state["_stash"].shape == (node.n_stashed, record.n_leads)
+        restored = StreamingNode.restore(embedded_classifier, snapshot)
+        assert restored.n_stashed == node.n_stashed
+        for j in range(i, record.n_samples, chunk):
+            events += restored.push(record.signal[j : j + chunk])
+        events += restored.flush()
+        np.testing.assert_array_equal([e.peak for e in events], kept_peaks)
+        np.testing.assert_array_equal([e.label for e in events], labels)
+
+    def test_delivery_drains_when_a_flagged_beat_needs_stashed_input(
+        self, record, embedded_classifier
+    ):
+        """A T-wave search reaching past the detector overlap makes a
+        delivered flagged beat wait for right context that may still be
+        stashed; the delivery drains it, as a node that ran every push
+        at once would already have."""
+        from repro.dsp.delineation import DelineationConfig
+
+        config = DelineationConfig(t_search=(0.14, 2.2))
+        chunk = 90
+
+        def make():
+            return StreamingNode(
+                embedded_classifier, record.fs, n_leads=record.n_leads,
+                delineation_config=config, defer_classification=True,
+            )
+
+        node, ref = make(), make()
+        pending, ref_pending = [], []
+        drained_by_delivery = 0
+        for step, i in enumerate(range(0, record.n_samples, chunk)):
+            block = record.signal[i : i + chunk]
+            assert node.push(block) == ref.push(block) + ref._drain()
+            pending += node.take_pending()
+            ref_pending += ref.take_pending()
+            if step % 5 or not pending:
+                continue
+            labels = np.asarray(
+                embedded_classifier.predict(np.vstack([row for _, row in pending]))
+            )
+            stashed = node.n_stashed
+            got = node.deliver(list(zip((h for h, _ in pending), labels)))
+            want = ref.deliver(list(zip((h for h, _ in ref_pending), labels)))
+            pending.clear()
+            ref_pending.clear()
+            drained_by_delivery += node.n_stashed < stashed
+            assert got == want
+            assert node.n_pending == ref.n_pending
+        assert drained_by_delivery

@@ -24,6 +24,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.dsp.delineation import DelineationConfig
+from repro.dsp.streaming import StreamingPeakDetector
+from repro.ecg.segmentation import BeatWindow
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import (
     FileJournalStore,
@@ -35,6 +38,7 @@ from repro.serving import (
     open_journal,
     recover_sessions,
 )
+from repro.serving.analytics import default_pipeline
 from repro.serving.gateway import SessionExport
 from repro.serving.net import GatewayClient, serve_in_thread
 
@@ -644,6 +648,231 @@ class TestParkedSessions:
                 embedded_classifier, record, FS, N_LEADS, upto=upto
             ),
             received + backlog["p"] + fresh.close_session("p"),
+        )
+
+
+class TestStashedInput:
+    """A steady session's input waits in its node's stash until its due
+    point, so every capture — a journal snapshot, a release export, a
+    parked session — happens with input stashed; the journal snapshot
+    also with labels in flight.  A crash right after each recovers
+    bit-exactly."""
+
+    CHUNK = 90
+
+    @pytest.fixture(scope="class")
+    def long_records(self):
+        return [
+            RecordSynthesizer(SynthesisConfig(n_leads=N_LEADS), seed=s).synthesize(
+                20.0, class_mix={"N": 0.6, "V": 0.3, "L": 0.1}, name=f"stash-{s}"
+            )
+            for s in (73, 74)
+        ]
+
+    @staticmethod
+    def captured(journal, sid):
+        """``(stashed samples, labels in flight)`` of the journaled
+        snapshot."""
+        state = journal.recover(sid).export.snapshot.state
+        in_flight = sum(
+            1 for beat in state["_queue"]
+            if beat.extracted and not beat.classified and not beat.dropped
+        )
+        return state["_stash"].shape[0], in_flight
+
+    def feed_until(self, gateway, sids, records, fed, ready):
+        """Round-robin CHUNK-sample rounds from ``fed`` until ``ready()``."""
+        events = {sid: [] for sid in sids}
+        while not ready(fed):
+            for sid, record in zip(sids, records):
+                events[sid] += gateway.ingest(sid, record.signal[fed : fed + self.CHUNK])
+            fed += self.CHUNK
+            assert fed < records[0].n_samples, "capture condition never met"
+        return events, fed
+
+    def finish(self, gateway, sids, records, fed, events):
+        for sid, record in zip(sids, records):
+            events[sid] += feed(gateway, sid, record.signal, self.CHUNK, start=fed)
+            events[sid] += gateway.close_session(sid)
+
+    def test_journal_snapshot_with_stash_and_labels_in_flight(
+        self, long_records, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        sids = ["a", "b"]
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=5)
+        # Generous flush bounds keep extracted beats' labels in flight.
+        first = StreamGateway(
+            embedded_classifier, FS, n_leads=N_LEADS, journal=journal,
+            max_batch=10_000, max_latency_ticks=10_000,
+        )
+        for sid in sids:
+            first.open_session(sid)
+
+        def ready(fed):
+            return fed > 12 * FS and all(
+                min(self.captured(journal, sid)) > 0 for sid in sids
+            )
+
+        events, fed = self.feed_until(first, sids, long_records, 0, ready)
+        del first  # crash: no close, no flush
+
+        second = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS, journal=journal)
+        backlog = recover_sessions(journal, second)
+        for sid in sids:
+            events[sid] += backlog[sid]
+        self.finish(second, sids, long_records, fed, events)
+        for sid, record in zip(sids, long_records):
+            assert_events_equal(
+                standalone_events(embedded_classifier, record, FS, N_LEADS), events[sid]
+            )
+
+    def test_journal_snapshot_folds_pending_analytics(
+        self, long_records, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """Events a drain hands to a session's analytics wait for the
+        next classifier flush to fold, and an import never re-feeds a
+        snapshot's events: a journal snapshot taken in between folds
+        them first, so a crash right after it recovers the summaries
+        of a run without a crash.  (A short detector window and long
+        beat and T-wave spans make flagged beats finish in drains.)"""
+        sids = ["a", "b"]
+
+        def gateway(journal):
+            return StreamGateway(
+                embedded_classifier, FS, n_leads=N_LEADS, journal=journal,
+                max_batch=4, analytics=default_pipeline, window=BeatWindow(60, 140),
+                delineation_config=DelineationConfig(t_search=(0.14, 0.8)),
+            )
+
+        def opened(journal):
+            g = gateway(journal)
+            for sid in sids:
+                g.open_session(sid)
+                g._sessions[sid].node._detector = StreamingPeakDetector(
+                    FS, window_s=3.0, overlap_s=0.25
+                )
+            return g
+
+        def finish(g, fed, events):
+            self.finish(g, sids, long_records, fed, events)
+            return g.take_summaries()
+
+        def journal():
+            return SessionJournal(MemoryJournalStore(), snapshot_every=1)
+
+        uninterrupted = {sid: [] for sid in sids}
+        want = finish(opened(journal()), 0, uninterrupted)
+
+        crash_journal = journal()
+        first = opened(crash_journal)
+        unfolded = []
+        wants_snapshot = crash_journal.wants_snapshot
+
+        def spying(session_id):
+            unfolded.append(bool(first._sessions[session_id].analytics_pending))
+            return wants_snapshot(session_id)
+
+        crash_journal.wants_snapshot = spying
+        events, fed = self.feed_until(
+            first, sids, long_records, 0, lambda fed: fed and any(unfolded[-len(sids):])
+        )
+        del first  # crash: no close, no flush
+        del crash_journal.wants_snapshot
+
+        second = gateway(crash_journal)
+        backlog = recover_sessions(crash_journal, second)
+        for sid in sids:
+            events[sid] += backlog[sid]
+        assert finish(second, fed, events) == want
+        for sid in sids:
+            assert_events_equal(uninterrupted[sid], events[sid])
+
+    def test_supervised_kill_with_stashed_input(
+        self, long_records, embedded_classifier, standalone_events,
+        assert_events_equal, tmp_path,
+    ):
+        """The sharded tier's snapshot is a worker-side capture: like
+        the in-process one, it carries the stash and labels in flight."""
+        sids = ["a", "b"]
+        journal = open_journal(str(tmp_path), "file", snapshot_every=5)
+        with SupervisedGateway(
+            embedded_classifier, FS, journal=journal, workers=2, n_leads=N_LEADS,
+        ) as gateway:
+            for sid in sids:
+                gateway.open_session(sid)
+
+            def ready(fed):
+                return fed > 12 * FS and min(self.captured(journal, "a")) > 0
+
+            events, fed = self.feed_until(gateway, sids, long_records, 0, ready)
+            kill_worker(gateway, gateway.worker_of("a"))
+            self.finish(gateway, sids, long_records, fed, events)
+            assert gateway.stats()["recoveries"] >= 1
+        for sid, record in zip(sids, long_records):
+            assert_events_equal(
+                standalone_events(embedded_classifier, record, FS, N_LEADS), events[sid]
+            )
+
+    def test_release_export_with_stashed_input(
+        self, long_records, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        record = long_records[0]
+        origin = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        origin.open_session("p")
+        events, fed = self.feed_until(
+            origin, ["p"], [record], 0,
+            lambda fed: fed > 6 * FS and origin._sessions["p"].node.n_stashed > 0,
+        )
+        events = events["p"]
+        stashed = origin._sessions["p"].node.n_stashed
+        export = origin.release_session("p")
+        assert export.snapshot.state["_stash"].shape[0] == stashed
+
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=1000)
+        target = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS, journal=journal)
+        target.import_session(export)
+        stop = fed + 3 * self.CHUNK
+        events += feed(target, "p", record.signal, self.CHUNK, start=fed, stop=stop)
+        fed = stop
+        del target  # crash with the imported stash only in the journal snapshot
+
+        survivor = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        events += recover_sessions(journal, survivor)["p"]
+        events += feed(survivor, "p", record.signal, self.CHUNK, start=fed)
+        events += survivor.close_session("p")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, N_LEADS), events
+        )
+
+    def test_parked_session_with_stashed_input(
+        self, long_records, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        record = long_records[1]
+        upto = int(7 * FS) // self.CHUNK * self.CHUNK
+        journal = SessionJournal(MemoryJournalStore(), snapshot_every=3)
+        handle = serve_in_thread(
+            StreamGateway(embedded_classifier, FS, n_leads=N_LEADS, journal=journal)
+        )
+        try:
+            client = GatewayClient(handle.host, handle.port, window=4).connect()
+            client.open_session("p")
+            received = feed(client, "p", record.signal, self.CHUNK, stop=upto)
+            received += client.poll("p")
+            client.close()  # the producer goes away: the server parks "p"
+            deadline = time.monotonic() + 10.0
+            while "p" not in handle.server._parked:
+                assert time.monotonic() < deadline, "session was never parked"
+                time.sleep(0.01)
+            parked = handle.server._parked["p"].export
+            assert parked.snapshot.state["_stash"].shape[0] > 0
+        finally:
+            handle.stop()  # the host crashes with "p" parked
+        fresh = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)
+        received += recover_sessions(journal, fresh)["p"]
+        received += feed(fresh, "p", record.signal, self.CHUNK, start=upto)
+        received += fresh.close_session("p")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, N_LEADS), received
         )
 
 
