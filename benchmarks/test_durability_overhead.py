@@ -3,10 +3,9 @@
 Two measurements, one fleet:
 
 * **Overhead** — the same fleet replays through an unjournaled
-  two-worker :class:`~repro.serving.sharded.ShardedGateway` and then a
-  :class:`~repro.serving.durability.SupervisedGateway` journaling every
-  chunk write-ahead into a :class:`FileJournalStore` (snapshots on the
-  default cadence).  Both must produce bit-identical event sequences;
+  two-worker :class:`~repro.serving.sharded.ShardedGateway` and then
+  the same pool journaling every chunk write-ahead into a
+  :class:`FileJournalStore` (snapshots on the default cadence).  Both must produce bit-identical event sequences;
   the journaled events/sec over the unjournaled is the durability tax.
 * **Recovery** — half the fleet is ingested, one worker is
   ``SIGKILL``ed, and ``check_workers()`` is timed end to end: respawn
@@ -26,12 +25,7 @@ import time
 
 import pytest
 
-from repro.serving import (
-    ShardedGateway,
-    SupervisedGateway,
-    open_journal,
-    synthesize_fleet,
-)
+from repro.serving import ShardedGateway, open_journal, synthesize_fleet
 from repro.serving.gateway import serve_round_robin
 
 FS = 360.0
@@ -76,7 +70,7 @@ def test_journaled_vs_unjournaled_throughput(
             plain_events = replay(gateway, plain_times)
     plain_s = min(plain_times)
 
-    # -- journaled + supervised ----------------------------------------
+    # -- journaled ----------------------------------------------------
     # A fresh journal dir per round: each replay journals every chunk
     # write-ahead and snapshots on the default cadence, exactly the
     # production `repro serve --journal DIR` configuration.
@@ -87,7 +81,7 @@ def test_journaled_vs_unjournaled_throughput(
     def journaled_replay():
         rounds["n"] += 1
         journal = open_journal(str(journal_root / f"round-{rounds['n']}"))
-        with SupervisedGateway(
+        with ShardedGateway(
             bench_embedded_classifier, FS, journal=journal,
             workers=WORKERS, **GATEWAY_KWARGS,
         ) as gateway:
@@ -136,7 +130,7 @@ def test_recovery_time_after_worker_kill(
     def kill_and_recover():
         rounds["n"] += 1
         journal = open_journal(str(journal_root / f"round-{rounds['n']}"))
-        with SupervisedGateway(
+        with ShardedGateway(
             bench_embedded_classifier, FS, journal=journal,
             workers=WORKERS, **GATEWAY_KWARGS,
         ) as gateway:
@@ -153,7 +147,7 @@ def test_recovery_time_after_worker_kill(
                         events[sid].extend(gateway.ingest(sid, piece))
             victim = gateway.worker_of(next(iter(streams)))
             lost = gateway.sessions_on(victim)
-            proc = gateway.gateway._procs[victim]
+            proc = gateway._procs[victim]
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(5.0)
             start = time.perf_counter()

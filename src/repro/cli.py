@@ -274,7 +274,7 @@ def cmd_serve(args) -> int:
 
     autoscaled = args.autoscale
     sharded = autoscaled or args.workers > 1
-    context, _, supervised, tier = _local_tier(args, classifier, fs, gateway_kwargs)
+    context, journal, tier = _local_tier(args, classifier, fs, gateway_kwargs)
     print(
         f"Ingesting round-robin ({tier}, {args.chunk_ms:.0f} ms chunks, "
         f"max_batch={args.max_batch}, max_latency_ticks={args.max_latency_ticks}) ..."
@@ -324,7 +324,7 @@ def cmd_serve(args) -> int:
                     f"{stats['migrations']} session migrations; "
                     f"batching stats cover the final pool"
                 )
-            if supervised:
+            if journal is not None:
                 print(
                     "  journal: file store at "
                     f"{args.journal}, snapshot every {args.snapshot_every} "
@@ -381,20 +381,14 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
     """Build the tier ``repro serve`` runs in this process.
 
     One ``StreamGateway`` (``--workers 1``), or a ``ShardedGateway`` of
-    worker processes (``--workers N`` or ``--autoscale``), which a
-    ``SupervisedGateway`` wraps when ``--journal`` is set.  Returns
-    ``(context, journal, supervised, tier)``: a context manager that
-    yields the gateway, the journal (or ``None``), whether a
-    supervisor recovers crashed workers, and a one-line description.
+    worker processes (``--workers N`` or ``--autoscale``), which heals
+    its own worker crashes when ``--journal`` is set.  Returns
+    ``(context, journal, tier)``: a context manager that yields the
+    gateway, the journal (or ``None``) and a one-line description.
     """
     from contextlib import nullcontext
 
-    from repro.serving import (
-        ShardedGateway,
-        StreamGateway,
-        SupervisedGateway,
-        open_journal,
-    )
+    from repro.serving import ShardedGateway, StreamGateway, open_journal
 
     autoscaled = args.autoscale
     sharded = autoscaled or args.workers > 1
@@ -405,8 +399,6 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
     journal = None
     if args.journal is not None:
         journal = open_journal(args.journal, snapshot_every=args.snapshot_every)
-    # A supervisor only helps where workers can die independently.
-    supervised = journal is not None and sharded
     if autoscaled:
         tier = (
             f"elastic pool {args.min_workers}..{args.max_workers} workers, "
@@ -417,17 +409,16 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
     else:
         tier = "single process"
     if journal is not None:
-        tier += ", journaled" + (" + supervised" if supervised else "")
+        tier += ", journaled"
     if not sharded:
         gateway = StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
-        return nullcontext(gateway), journal, supervised, tier
-    pool = SupervisedGateway if supervised else ShardedGateway
-    context = pool(
+        return nullcontext(gateway), journal, tier
+    context = ShardedGateway(
         classifier, fs, journal=journal,
         workers=args.min_workers if autoscaled else args.workers,
         placement=placement, **gateway_kwargs,
     )
-    return context, journal, supervised, tier
+    return context, journal, tier
 
 
 def _serve_listen(args, classifier) -> int:
@@ -450,9 +441,7 @@ def _serve_listen(args, classifier) -> int:
         from repro.serving import default_pipeline
 
         gateway_kwargs["analytics"] = default_pipeline
-    context, journal, supervised, tier = _local_tier(
-        args, classifier, fs, gateway_kwargs
-    )
+    context, journal, tier = _local_tier(args, classifier, fs, gateway_kwargs)
 
     async def _run(gateway) -> None:
         server = GatewayServer(gateway, host=host, port=port)
@@ -471,7 +460,7 @@ def _serve_listen(args, classifier) -> int:
         if journal is not None:
             # Restart recovery: rebuild any sessions journaled by a
             # previous process before accepting connections.
-            if supervised:
+            if args.autoscale or args.workers > 1:
                 recovered = gateway.check_workers()
             else:
                 recovered = len(recover_sessions(journal, gateway))
@@ -880,9 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--journal", default=None, metavar="DIR",
                        help="write-ahead session journal directory: chunks "
                             "are journaled before processing, snapshots taken "
-                            "on a cadence, and (with --workers N) a "
-                            "supervisor respawns crashed workers and "
-                            "recovers their sessions bit-exactly")
+                            "on a cadence, and (with --workers N) the pool "
+                            "respawns crashed workers and recovers their "
+                            "sessions bit-exactly")
     serve.add_argument("--snapshot-every", type=int, default=64,
                        help="journal snapshot cadence in accepted chunks per "
                             "session (bounds recovery replay length)")

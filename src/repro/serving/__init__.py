@@ -26,6 +26,9 @@ once; this package is that workload's engine, in two shapes:
   elastically (``add_worker`` / ``retire_worker``), and applies
   bounded-inbox backpressure (:class:`SessionInbox`) — same session
   surface, same per-session bit-exactness, for every worker count.
+  Given a journal, the pool heals its own worker crashes: it respawns
+  a dead worker in place and replays snapshot+log to rebuild every
+  lost session bit-exactly.
   Placement, migration, the drain and the ``stats()`` rollup are one
   :class:`~repro.serving.pool.MemberPool` (:mod:`repro.serving.pool`),
   shared with the federation tier below.
@@ -43,10 +46,10 @@ once; this package is that workload's engine, in two shapes:
 * **Durability** (:mod:`repro.serving.durability`): a write-ahead
   :class:`SessionJournal` (periodic ``SessionExport`` snapshots + an
   append-only chunk log per session, over pluggable
-  :class:`JournalStore` backends — memory and file-per-session)
-  and a :class:`SupervisedGateway` that detects worker death, respawns
-  the worker and replays snapshot+log to recover every lost session
-  bit-exactly — chunk-invariance as the recovery contract.
+  :class:`JournalStore` backends — memory and file-per-session) and
+  the replay that rebuilds a journaled session bit-exactly, in a
+  healed worker or after a restart (:func:`recover_sessions`) —
+  chunk-invariance as the recovery contract.
 * **Analytics** (:mod:`repro.serving.analytics`): composable O(1)
   per-beat streaming operators over the gateway's beat-event bus —
   incremental RR statistics (:class:`RRStats`), frequency-domain HRV
@@ -94,7 +97,6 @@ from repro.serving.durability import (
     JournalStore,
     MemoryJournalStore,
     SessionJournal,
-    SupervisedGateway,
     open_journal,
     recover_sessions,
 )
@@ -143,7 +145,6 @@ __all__ = [
     "ShardedGateway",
     "StreamGateway",
     "StreamResult",
-    "SupervisedGateway",
     "WorkerCrashError",
     "classify_streams",
     "default_pipeline",

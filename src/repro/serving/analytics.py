@@ -602,6 +602,18 @@ class AnalyticsPipeline:
             "operators": {op.name: op.summary() for op in self.operators},
         }
 
+    def rollup(self) -> dict:
+        """This session's block of the ``stats()["analytics"]`` rollup
+        (see :func:`merge_rollups`).  Alerts are counted where they are
+        raised, by the gateway, so the block carries none."""
+        return {
+            "sessions": 1,
+            "beats": self.n_beats,
+            "episodes": self.n_episodes,
+            "alerts": 0,
+            "by_kind": dict(self.episodes_by_kind),
+        }
+
 
 def default_pipeline() -> list[StreamOperator]:
     """The standard operator set (the CLI's ``--analytics`` pipeline)."""

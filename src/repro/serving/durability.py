@@ -1,9 +1,9 @@
-"""Crash durability: write-ahead session journal + worker supervisor.
+"""Crash durability: the write-ahead session journal and its replay.
 
 A ``kill -9`` on a :class:`~repro.serving.sharded.ShardedGateway`
 worker loses every session it owns — the one failure mode the scaling
-tiers (placement, QoS, backpressure, federation) do not cover.  This
-module closes it with the classic write-ahead discipline, leaning on
+tiers (placement, QoS, backpressure, federation) do not cover.  The
+journal closes it with the classic write-ahead discipline, leaning on
 the serving stack's oldest invariant:
 
     **chunk-invariance is the recovery contract.**  A session's event
@@ -12,7 +12,7 @@ the serving stack's oldest invariant:
     sizes, interleavings and flush boundaries — so *snapshot + replay*
     reconstructs a lost session exactly, not approximately.
 
-Three layers:
+Two layers, and the replay over them:
 
 * :class:`JournalStore` — the pluggable persistence interface (the
   point of the design: swap the medium, keep the semantics).  Two
@@ -27,39 +27,36 @@ Three layers:
   the events already returned to the caller since that snapshot (so
   recovery never re-delivers).  :meth:`SessionJournal.recover` hands
   back everything needed to rebuild one session.
-* :class:`SupervisedGateway` — a :class:`ShardedGateway` wrapper that
-  journals every accepted chunk *before* it is shipped, detects worker
-  death (``Process.is_alive()`` / broken pipe, surfaced as
-  :class:`~repro.serving.sharded.WorkerCrashError`), respawns the dead
-  worker in place and rebuilds every lost session from its snapshot +
-  logged chunks — callers never see the crash, only a slightly slower
-  call.  The acknowledged prefix rule makes this exact: a chunk is
-  durable the moment ``ingest`` returns, so recovered event sequences
-  are bit-exact with a standalone node over exactly the acknowledged
-  chunks (``tests/serving/test_durability_chaos.py`` pins it under
-  seeded ``kill -9``).
+* ``_replay`` rebuilds one journaled session on a gateway: snapshot
+  import (or re-open), chunk-log replay, a forced flush, and the events
+  past the delivered count.  A journaled ``ShardedGateway`` runs it
+  inside a respawned worker when it heals a crash (see
+  :mod:`repro.serving.sharded`); :func:`recover_sessions` runs it on a
+  fresh gateway of any tier after a *full-process* restart.  The
+  acknowledged prefix rule makes this exact: a chunk is durable the
+  moment ``ingest`` returns, so recovered event sequences are bit-exact
+  with a standalone node over exactly the acknowledged chunks
+  (``tests/serving/test_durability_chaos.py`` pins it under seeded
+  ``kill -9``).
 
-Recovery never writes to the journal (replay uses the raw worker
-protocol underneath the journal hooks), so a second crash mid-recovery
-just starts recovery over from the same durable state — the whole path
-is idempotent.  :func:`recover_sessions` applies the same replay to a
-fresh gateway after a *full-process* restart.
+Recovery never writes to the journal (the replay runs beneath the
+journal hooks), so a second crash mid-recovery just starts recovery
+over from the same durable state — the whole path is idempotent.
 """
 
 from __future__ import annotations
 
 import base64
+import math
 import os
 import pickle
 import struct
 from dataclasses import dataclass, field
-from functools import partial, wraps
 
 import numpy as np
 
 from repro.serving.executors import validate_at_least
 from repro.serving.gateway import SessionExport
-from repro.serving.sharded import ShardedGateway, WorkerCrashError
 
 __all__ = [
     "FileJournalStore",
@@ -68,7 +65,6 @@ __all__ = [
     "MemoryJournalStore",
     "RecoveredSession",
     "SessionJournal",
-    "SupervisedGateway",
     "open_journal",
     "recover_sessions",
 ]
@@ -80,8 +76,7 @@ JOURNAL_BACKENDS = ("file", "memory")
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 #: Chunk records: a magic byte and the array rank, the shape as LE u32s,
-#: then the raw little-endian float64 samples.  Pickles (protocol >= 2)
-#: start with 0x80, so the magic byte tells the two record kinds apart.
+#: then the raw little-endian float64 samples.
 _CHUNK_MAGIC = b"A"
 _CHUNK_HEAD = struct.Struct("<cB")
 
@@ -96,13 +91,17 @@ def _encode_chunk(chunk) -> bytes:
 
 
 def _decode_chunk(blob: bytes) -> np.ndarray:
-    if blob[:1] != _CHUNK_MAGIC:
-        return pickle.loads(blob)  # a record from before the raw encoding
-    _, ndim = _CHUNK_HEAD.unpack_from(blob)
-    shape = struct.unpack_from(f"<{ndim}I", blob, _CHUNK_HEAD.size)
-    offset = _CHUNK_HEAD.size + 4 * ndim
-    samples = np.frombuffer(blob, dtype="<f8", offset=offset)
-    return samples.astype(np.float64).reshape(shape)  # a writable copy
+    """Decode one chunk record; a header or payload length no writer
+    produces raises :class:`JournalCorruptError`."""
+    if len(blob) >= _CHUNK_HEAD.size and blob[:1] == _CHUNK_MAGIC:
+        ndim = blob[1]
+        offset = _CHUNK_HEAD.size + 4 * ndim
+        if len(blob) >= offset:
+            shape = struct.unpack_from(f"<{ndim}I", blob, _CHUNK_HEAD.size)
+            if len(blob) - offset == 8 * math.prod(shape):
+                samples = np.frombuffer(blob, dtype="<f8", offset=offset)
+                return samples.astype(np.float64).reshape(shape)  # a writable copy
+    raise JournalCorruptError(f"damaged chunk record of {len(blob)} bytes")
 
 
 class JournalCorruptError(ValueError):
@@ -431,13 +430,14 @@ class SessionJournal:
 
     Owns the record encoding and the snapshot cadence; the gateways
     call the hooks (:meth:`open` / :meth:`log_chunk` /
-    :meth:`delivered` / :meth:`snapshot` / :meth:`forget`) and the
-    supervisor calls :meth:`recover`.  Chunk records are raw
+    :meth:`delivered` / :meth:`snapshot` / :meth:`forget`) and
+    recovery calls :meth:`recover`.  Chunk records are raw
     little-endian float64 behind a small shape header (no pickle on
-    the per-chunk path); :meth:`recover` also reads the pickled chunk
-    records older journals hold.  ``snapshot_every`` bounds replay
-    length: once a session's post-snapshot chunk log reaches it,
-    :meth:`wants_snapshot` asks the owning gateway for a fresh
+    the per-chunk path); :meth:`recover` raises
+    :class:`JournalCorruptError` for any other chunk record.
+    ``snapshot_every`` bounds replay length: once a session's
+    post-snapshot chunk log reaches it, :meth:`wants_snapshot` asks
+    the owning gateway for a fresh
     :class:`~repro.serving.gateway.SessionExport`, which truncates the
     log — recovery cost stays O(``snapshot_every``) chunks per session
     no matter how long it lives.
@@ -538,240 +538,6 @@ def open_journal(
     return SessionJournal(store, snapshot_every=snapshot_every)
 
 
-class SupervisedGateway:
-    """Crash-durable front over a :class:`ShardedGateway` worker pool.
-
-    Construction wires a :class:`SessionJournal` into a new
-    :class:`ShardedGateway` (all ``**gateway_kwargs`` pass through:
-    ``workers``, ``placement``, QoS, backpressure, ...), then guards
-    the pool's whole public surface — the session calls, ``flush``,
-    ``take_*``, ``add_worker`` / ``retire_worker``, ... — so any call
-    that hits a dead worker
-    (:class:`~repro.serving.sharded.WorkerCrashError` — ``kill -9``,
-    OOM, a broken pipe) triggers recovery and is retried transparently.
-
-    Recovery, per crash:
-
-    1. every worker whose process is no longer alive (plus the one the
-       failing call touched) is salvaged and respawned **in place** —
-       same index, fresh empty process
-       (:meth:`ShardedGateway.salvage_worker`,
-       :meth:`ShardedGateway.respawn_worker`);
-    2. every session the dead workers owned (plus any journaled
-       session no worker owns — a move interrupted mid-import) is
-       rebuilt by :meth:`ShardedGateway.restore_session`, running the
-       same replay as :func:`recover_sessions`.  Chunk-invariance makes
-       the rebuilt stream bit-exact;
-    3. the retried call completes against the healed pool.  A chunk
-       whose journal entry landed before the crash is *not* re-sent
-       (the replay already applied it — re-ingesting would
-       double-apply); the retry drains events instead.
-
-    Recovery reads the journal but never writes it, so a second crash
-    mid-recovery restarts it from the same durable state.
-
-    ``check_workers()`` runs the same sweep proactively (a supervisor
-    loop's heartbeat); on a journal directory that survived a full
-    process restart it also rebuilds every journaled session from disk.
-
-    Parameters
-    ----------
-    journal:
-        A :class:`SessionJournal`, a bare :class:`JournalStore`, or a
-        path (journaled via :func:`open_journal`'s ``"file"`` backend).
-    snapshot_every:
-        Snapshot cadence override (chunks between snapshots).
-    max_recover_attempts:
-        Crash-recovery rounds one call may consume before the
-        :class:`~repro.serving.sharded.WorkerCrashError` propagates
-        (workers dying faster than they can be respawned).
-    on_recover:
-        Optional ``hook(dead_workers, recovered_session_ids)`` called
-        after each recovery round.
-    """
-
-    def __init__(
-        self,
-        classifier,
-        fs: float,
-        *,
-        journal,
-        snapshot_every: int | None = None,
-        max_recover_attempts: int = 8,
-        on_recover=None,
-        **gateway_kwargs,
-    ):
-        validate_at_least("max_recover_attempts", max_recover_attempts)
-        self._owns_journal = False
-        if isinstance(journal, SessionJournal):
-            self.journal = journal
-        elif isinstance(journal, JournalStore):
-            self.journal = SessionJournal(journal)
-        else:
-            self.journal = open_journal(os.fspath(journal))
-            self._owns_journal = True
-        if snapshot_every is not None:
-            validate_at_least("snapshot_every", snapshot_every)
-            self.journal.snapshot_every = int(snapshot_every)
-        self.max_recover_attempts = int(max_recover_attempts)
-        self.on_recover = on_recover
-        self.n_recoveries = 0
-        self.n_sessions_recovered = 0
-        self.n_evictions_salvaged = 0
-        self._gateway = ShardedGateway(
-            classifier, fs, journal=self.journal, **gateway_kwargs
-        )
-
-    @property
-    def gateway(self) -> ShardedGateway:
-        """The supervised pool (escape hatch for tests/introspection)."""
-        return self._gateway
-
-    def __getattr__(self, name: str):
-        # The pool's public surface delegates, and its methods run under
-        # the crash guard (read-only ones such as session_ids never
-        # crash, so the guard costs them nothing).  A wrapped method is
-        # cached on the instance, so each name is looked up once.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        value = getattr(self._gateway, name)
-        if callable(value):
-            value = self.__dict__[name] = wraps(value)(partial(self._call, value))
-        return value
-
-    # -- the crash guard -------------------------------------------------
-
-    def _call(self, fn, *args, **kwargs):
-        attempts = 0
-        while True:
-            try:
-                return fn(*args, **kwargs)
-            except WorkerCrashError as crash:
-                attempts += 1
-                if attempts > self.max_recover_attempts:
-                    raise
-                if crash.chunk_journaled and crash.session_id is not None:
-                    # The chunk is durable and recovery replays it —
-                    # re-sending would double-apply.  The retry only
-                    # drains the session's events.
-                    fn, args, kwargs = (
-                        self._drain_session, (crash.session_id,), {},
-                    )
-                try:
-                    self._recover_from(crash)
-                except WorkerCrashError:
-                    # Another worker died mid-recovery.  The journal is
-                    # untouched; the retried call crashes again and
-                    # re-enters recovery with a fresh liveness scan.
-                    pass
-
-    def ingest_round(self, items) -> list:
-        """:meth:`ShardedGateway.ingest_round` under the crash guard.
-
-        A crash noticed before any item was shipped retries the whole
-        round.  An item whose worker died under it is settled once the
-        pool is healed: a journaled chunk (recovery replays it) drains
-        the session's events, any other chunk is ingested again.
-        """
-        items = list(items)
-        results = self._call(self._gateway.ingest_round, items)
-        for position, result in enumerate(results):
-            if not isinstance(result, WorkerCrashError):
-                continue
-            try:
-                if result.chunk_journaled:
-                    results[position] = self._call(
-                        self._drain_session, result.session_id
-                    )
-                else:
-                    results[position] = self._call(
-                        self._gateway.ingest, *items[position]
-                    )
-            except Exception as exc:
-                results[position] = exc
-        return results
-
-    def _drain_session(self, session_id: str) -> list:
-        gw = self._gateway
-        if session_id not in gw.session_ids():
-            self._recover_from(None)  # finish an interrupted recovery
-        return gw.poll(session_id)
-
-    def _recover_from(self, crash: WorkerCrashError | None) -> int:
-        """One recovery round: respawn every dead worker, rebuild every
-        lost session.  Returns the number of sessions recovered."""
-        gw = self._gateway
-        dead = gw.dead_workers()
-        if crash is not None:
-            dead.add(crash.worker)
-        lost: dict[str, object] = {}  # session id -> its old inbox
-        for index in sorted(dead):
-            salvaged, dropped = gw.salvage_worker(index)
-            self.n_evictions_salvaged += salvaged
-            lost.update(dropped)
-            gw.respawn_worker(index)
-        live = set(gw.session_ids())
-        for session_id in self.journal.session_ids():
-            # Journaled but owned by nobody: a migration the crash
-            # interrupted between release and import, or a session
-            # persisted by a previous process (full restart).
-            if session_id not in live:
-                lost.setdefault(session_id, None)
-        recovered = []
-        for session_id, inbox in lost.items():
-            rec = self.journal.recover(session_id)
-            if rec is not None:
-                gw.restore_session(session_id, partial(_replay, rec), inbox)
-                recovered.append(session_id)
-        if dead or recovered:
-            self.n_recoveries += 1
-            self.n_sessions_recovered += len(recovered)
-            if self.on_recover is not None:
-                self.on_recover(sorted(dead), recovered)
-        return len(recovered)
-
-    def check_workers(self) -> int:
-        """Proactive sweep: respawn dead workers, rebuild their (and
-        any orphaned journaled) sessions.  Returns sessions recovered.
-        Call it from a supervisor loop / after a full restart."""
-        attempts = 0
-        while True:
-            try:
-                return self._recover_from(None)
-            except WorkerCrashError:
-                attempts += 1
-                if attempts > self.max_recover_attempts:
-                    raise
-
-    def stats(self) -> dict:
-        """Pool statistics plus the supervisor's recovery counters
-        (``recoveries``, ``sessions_recovered``, ``respawns``,
-        ``evictions_salvaged``)."""
-        totals = self._call(self._gateway.stats)
-        totals["recoveries"] = self.n_recoveries
-        totals["sessions_recovered"] = self.n_sessions_recovered
-        totals["respawns"] = self._gateway.n_respawns
-        totals["evictions_salvaged"] = self.n_evictions_salvaged
-        return totals
-
-    # -- lifecycle -------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Reap the pool.  The journal persists (that is the point) —
-        sessions still open recover via :meth:`check_workers` on a new
-        instance over the same store; the store is closed only if this
-        wrapper created it from a path."""
-        self._gateway.shutdown()
-        if self._owns_journal:
-            self.journal.close()
-
-    def __enter__(self) -> "SupervisedGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
 def _replay(rec: RecoveredSession, gateway) -> list:
     """Rebuild one journaled session on ``gateway``; return the events
     it still owes.
@@ -809,10 +575,11 @@ def recover_sessions(journal: SessionJournal, gateway) -> dict[str, list]:
     full-process-restart path, for any gateway tier).
 
     Each journaled session is replayed through the gateway's public
-    surface — the same replay :class:`SupervisedGateway` runs on a
-    respawned worker.  Returns the per-session events *beyond* the
-    journal's delivered count: the backlog the previous process
-    accepted but never handed out.
+    surface — the same replay a journaled
+    :class:`~repro.serving.sharded.ShardedGateway` runs on a respawned
+    worker when it heals a crash.  Returns the per-session events
+    *beyond* the journal's delivered count: the backlog the previous
+    process accepted but never handed out.
 
     If ``gateway`` journals into the same journal, the rebuilt
     sessions are re-journaled consistently as a side effect (import

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dsp.streaming import NodeSnapshot, StreamBeatEvent, StreamingNode
-from repro.serving.analytics import AnalyticsPipeline, empty_rollup
+from repro.serving.analytics import AnalyticsPipeline, empty_rollup, merge_rollups
 from repro.serving.executors import validate_at_least
 
 __all__ = [
@@ -778,12 +778,7 @@ class StreamGateway:
         if closed:
             self._alert(session_id, closed)
         self._summaries[session_id] = pipeline.summary()
-        rollup = self._an_closed
-        rollup["sessions"] += 1
-        rollup["beats"] += pipeline.n_beats
-        rollup["episodes"] += pipeline.n_episodes
-        for kind, count in pipeline.episodes_by_kind.items():
-            rollup["by_kind"][kind] = rollup["by_kind"].get(kind, 0) + count
+        self._an_closed = merge_rollups((self._an_closed, pipeline.rollup()))
 
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` alerts since the last take;
@@ -803,23 +798,15 @@ class StreamGateway:
         """JSON-able fleet-rollup block of ``stats()["analytics"]``:
         closed-session accumulator plus the live pipelines' folded
         state (sessions / beats / episodes / alerts / by_kind)."""
-        closed = self._an_closed
-        total = {
-            "sessions": closed["sessions"],
-            "beats": closed["beats"],
-            "episodes": closed["episodes"],
-            "alerts": self.n_alerts,
-            "by_kind": dict(closed["by_kind"]),
-        }
-        for session in self._sessions.values():
-            pipeline = session.analytics
-            if pipeline is None:
-                continue
-            total["sessions"] += 1
-            total["beats"] += pipeline.n_beats
-            total["episodes"] += pipeline.n_episodes
-            for kind, count in pipeline.episodes_by_kind.items():
-                total["by_kind"][kind] = total["by_kind"].get(kind, 0) + count
+        total = merge_rollups([
+            self._an_closed,
+            *(
+                session.analytics.rollup()
+                for session in self._sessions.values()
+                if session.analytics is not None
+            ),
+        ])
+        total["alerts"] = self.n_alerts
         return total
 
     def stats(self) -> dict:

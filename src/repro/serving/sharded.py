@@ -58,16 +58,19 @@ back with the next response from that worker and reach the parent's
 Durability: with a ``journal``
 (:class:`repro.serving.durability.SessionJournal`) attached, every
 accepted chunk is journaled *before* it is shipped, snapshots refresh
-on the journal's cadence, and ownership moves carry the journal.  A
-dead worker (``kill -9``, broken pipe) surfaces as
-:class:`WorkerCrashError`.  Worker crash recovery is pipe work, so it
-lives here too: :meth:`ShardedGateway.salvage_worker` handles what the
-dead worker wrote and drops its sessions,
-:meth:`ShardedGateway.respawn_worker` replaces it in place, and
-:meth:`ShardedGateway.restore_session` replays a journaled session onto
-a placed worker.
-:class:`~repro.serving.durability.SupervisedGateway` keeps only the
-retry policy and the journal.
+on the journal's cadence, ownership moves carry the journal, and the
+pool heals its own crashes.  A dead worker (``kill -9``, OOM, a broken
+pipe) surfaces as :class:`WorkerCrashError`; every public call that
+talks to a worker runs under one crash guard, which then salvages and
+respawns each dead worker in place (same index, fresh process),
+rebuilds every lost session — and every journaled session no worker
+owns — by replaying its snapshot and chunk log inside a worker, and
+retries the call, up to :data:`MAX_RECOVERIES` recovery rounds.
+Chunk-invariance makes the rebuilt sessions bit-exact, and recovery
+reads the journal without writing it, so a crash during a recovery
+just starts it over.  :meth:`ShardedGateway.check_workers` runs the
+same heal as a heartbeat sweep, and after a full-process restart over
+a surviving journal.  Without a journal, the crash raises.
 """
 
 from __future__ import annotations
@@ -77,11 +80,13 @@ import select
 import threading
 from collections import deque
 from dataclasses import replace
+from functools import partial, wraps
 from operator import methodcaller
 
 import numpy as np
 
 from repro.dsp.streaming import check_samples
+from repro.serving.durability import _replay
 from repro.serving.executors import validate_at_least, validate_inbox_policy
 from repro.serving.gateway import SessionExport, StreamGateway
 from repro.serving.pool import MemberPool
@@ -89,19 +94,22 @@ from repro.serving.pool import MemberPool
 __all__ = ["SessionInbox", "ShardedGateway", "WorkerCrashError"]
 
 
+#: Recovery rounds one call of a journaled pool may use before the
+#: :class:`WorkerCrashError` propagates (workers dying faster than they
+#: can be respawned).
+MAX_RECOVERIES = 8
+
+
 class WorkerCrashError(RuntimeError):
     """A worker process died under a call (``kill -9``, OOM, broken
     pipe).
 
     Raised by the parent when the command pipe breaks or hits EOF.
-    ``worker`` is the pool index of the dead worker.  ``session_id`` /
-    ``chunk_journaled`` are set by ``ingest_round`` for each item whose
-    worker died under it; ``chunk_journaled`` means the crash happened
-    *after* the chunk was journaled: the chunk is durable and recovery
-    will replay it, so the supervisor must **not** re-send it (that
-    would double-apply) — it retries as a drain instead.  Sessions the
-    dead worker owned are lost unless a journal +
-    :class:`~repro.serving.durability.SupervisedGateway` recovers them.
+    ``worker`` is the pool index of the dead worker.  ``ingest_round``
+    sets ``session_id`` on the error of each item whose chunk was
+    shipped to the worker that died (an item whose chunk was never
+    shipped gets an error without one).  A journaled pool heals the
+    crash itself; an unjournaled one loses the dead worker's sessions.
     """
 
     def __init__(
@@ -110,14 +118,25 @@ class WorkerCrashError(RuntimeError):
         cause: BaseException | None = None,
         *,
         session_id: str | None = None,
-        chunk_journaled: bool = False,
     ):
         detail = f": {cause!r}" if cause is not None else ""
         super().__init__(f"worker {worker} crashed{detail}")
         self.worker = worker
         self.cause = cause
         self.session_id = session_id
-        self.chunk_journaled = chunk_journaled
+
+
+def _healing(method):
+    """Run a public pool call under the crash guard (a journaled pool
+    heals a :class:`WorkerCrashError` and retries the call)."""
+
+    @wraps(method)
+    def guarded(self, *args, **kwargs):
+        if self.journal is None:
+            return method(self, *args, **kwargs)
+        return self._recovering(method, self, *args, **kwargs)
+
+    return guarded
 
 
 class SessionInbox:
@@ -386,10 +405,11 @@ class ShardedGateway(MemberPool):
         Optional :class:`repro.serving.durability.SessionJournal`.
         When set, accepted chunks are write-ahead journaled, snapshots
         refresh on the journal's cadence, migrations carry the
-        journal, and closed/evicted/released sessions drop their
-        entries — everything
-        :class:`~repro.serving.durability.SupervisedGateway` needs to
-        recover a crashed worker's sessions bit-exactly.
+        journal, closed/evicted/released sessions drop their entries,
+        and the pool heals a worker crash inside the call that meets
+        it (see the module docs; :meth:`stats` then also counts
+        ``recoveries``, ``sessions_recovered``, ``respawns`` and
+        ``evictions_salvaged``).
 
     Use as a context manager (or call :meth:`shutdown`) so the worker
     processes are reaped.
@@ -463,8 +483,11 @@ class ShardedGateway(MemberPool):
         self._errors: dict[str, Exception] = {}
         self._alerts: list[tuple[str, object]] = []
         self._summaries: dict[str, dict] = {}
-        self.n_respawns = 0
         self.n_alerts = 0
+        self.n_recoveries = 0
+        self.n_sessions_recovered = 0
+        self.n_respawns = 0
+        self.n_evictions_salvaged = 0
         super().__init__(placement)
         for _ in range(int(workers)):
             self._spawn_worker()
@@ -499,6 +522,7 @@ class ShardedGateway(MemberPool):
 
     # -- session surface -------------------------------------------------
 
+    @_healing
     def open_session(
         self,
         session_id: str,
@@ -538,6 +562,7 @@ class ShardedGateway(MemberPool):
             raise result
         return result
 
+    @_healing
     def ingest_round(self, items) -> list:
         """Ship a round of ``(session_id, chunk)`` items, one pipe
         message per worker; return one entry per item.
@@ -555,12 +580,15 @@ class ShardedGateway(MemberPool):
         lengths, and answers with one response.
 
         With a journal, a worker's chunks are journaled just before its
-        message is sent (write-ahead).  If that worker dies from then
-        on, each of its items gets a :class:`WorkerCrashError` marked
-        ``chunk_journaled``: recovery replays the chunk, so the
-        supervisor must not re-send it (that would double-apply) and
-        drains the session instead.  A worker death noticed before any
-        item is queued raises from the call.
+        message is sent (write-ahead).  An item whose worker died under
+        it is settled once the pool is healed: a shipped chunk is
+        journaled and the recovery replays it, so its session's events
+        are drained and the chunk is never sent again; a chunk never
+        shipped (the worker died during the blocking-inbox wait) is
+        ingested again.  Without a journal the item's entry is the
+        :class:`WorkerCrashError`.  A worker death noticed before any
+        item is queued raises from the call (a journaled pool heals it
+        and retries the round).
         """
         items = list(items)
         self._drain(block=False)
@@ -574,8 +602,7 @@ class ShardedGateway(MemberPool):
                 if crash is not None:
                     for p, _ in batch:
                         results[p] = WorkerCrashError(
-                            index, crash.cause, session_id=items[p][0],
-                            chunk_journaled=self.journal is not None,
+                            index, crash.cause, session_id=items[p][0]
                         )
 
         for position, (session_id, chunk) in enumerate(items):
@@ -599,9 +626,18 @@ class ShardedGateway(MemberPool):
             queued.setdefault(index, []).append((position, block))
         for index in list(queued):
             ship(index)
-        for position, (session_id, _) in enumerate(items):
-            if results[position] is None:
+        for position, (session_id, chunk) in enumerate(items):
+            result = results[position]
+            if result is None:
                 results[position] = self._take_events(session_id)
+            elif isinstance(result, WorkerCrashError) and self.journal is not None:
+                try:
+                    if result.session_id is None:  # never shipped
+                        results[position] = self.ingest(session_id, chunk)
+                    else:
+                        results[position] = self.poll(session_id)
+                except Exception as exc:
+                    results[position] = exc
         return results
 
     def _ship(self, index: int, batch: list) -> WorkerCrashError | None:
@@ -625,6 +661,7 @@ class ShardedGateway(MemberPool):
             return crash
         return None
 
+    @_healing
     def poll(self, session_id: str) -> list:
         """Drain the session's queued events without ingesting samples.
 
@@ -636,6 +673,7 @@ class ShardedGateway(MemberPool):
         value = self._request(index, ("poll", session_id))
         return self._take_events(session_id, value)
 
+    @_healing
     def close_session(self, session_id: str) -> list:
         """End a session; wait for and return the rest of its events."""
         index = self._owner_or_raise(session_id)
@@ -649,6 +687,7 @@ class ShardedGateway(MemberPool):
             self.journal.forget(session_id)
         return events
 
+    @_healing
     def export_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration; it stays open here.
 
@@ -667,6 +706,7 @@ class ShardedGateway(MemberPool):
             self.journal.delivered(session_id, len(export.events))
         return export
 
+    @_healing
     def release_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration and remove it here."""
         export, _ = self._release(self._owner_or_raise(session_id), session_id)
@@ -675,12 +715,14 @@ class ShardedGateway(MemberPool):
             self.journal.forget(session_id)
         return export
 
+    @_healing
     def import_session(self, export: SessionExport, session_id: str | None = None) -> str:
         """Resume an exported session on its policy-placed worker."""
         session_id = export.session_id if session_id is None else session_id
         self._import(self._pick(session_id), session_id, (export, None))
         return session_id
 
+    @_healing
     def migrate_session(self, session_id: str, worker: int) -> None:
         """Move a live session to another worker, mid-stream (a no-op
         if it is already there); see :mod:`repro.serving.pool`."""
@@ -711,6 +753,7 @@ class ShardedGateway(MemberPool):
         self._spawn_worker()
         return self._added()
 
+    @_healing
     def retire_worker(self, worker: int) -> int:
         """Shrink the pool: drain one worker's sessions onto the others
         (losslessly, backlogged inboxes included) and reap it.  Returns
@@ -749,6 +792,7 @@ class ShardedGateway(MemberPool):
             proc.terminate()
             proc.join(timeout=1.0)
 
+    @_healing
     def flush(self) -> int:
         """Force one batched classifier pass on every worker."""
         return sum(self._request(i, ("flush", None)) for i in range(self.workers))
@@ -761,6 +805,7 @@ class ShardedGateway(MemberPool):
             return 0 if inbox is None else inbox.n_dropped
         return sum(inbox.n_dropped for inbox in self._inboxes.values())
 
+    @_healing
     def take_evicted(self) -> dict[str, list]:
         """Final event sequences of evicted sessions; clears the store."""
         self._drain(block=False)
@@ -768,6 +813,7 @@ class ShardedGateway(MemberPool):
         self._evicted = {}
         return evicted
 
+    @_healing
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` analytics alerts, fleet-wide;
         clears the queue."""
@@ -776,6 +822,7 @@ class ShardedGateway(MemberPool):
         self._alerts = []
         return alerts
 
+    @_healing
     def take_summaries(self) -> dict[str, dict]:
         """Final analytics summaries of closed/evicted sessions,
         fleet-wide; clears the store."""
@@ -784,79 +831,109 @@ class ShardedGateway(MemberPool):
         self._summaries = {}
         return summaries
 
-    # -- crash recovery (driven by SupervisedGateway) --------------------
+    # -- crash recovery (journaled pools) ---------------------------------
 
-    def dead_workers(self) -> set[int]:
-        """Indices of the workers whose process has exited."""
-        return {i for i, proc in enumerate(self._procs) if not proc.is_alive()}
+    def check_workers(self) -> int:
+        """Heal the pool now; return the number of sessions rebuilt.
 
-    def salvage_worker(self, worker: int) -> tuple[int, dict]:
-        """Take over a dead worker's leftovers before it is respawned.
-
-        Its already-written responses stay readable until the pipe
-        drains and are handled like any pipelined response: eviction
-        notices reach :meth:`take_evicted` / ``on_evict`` and drop
-        their journal entries (recovery must not resurrect a session
-        the worker already closed).  Then the sessions it still owned
-        are dropped; their buffered events regenerate on replay.
-        Returns ``(salvaged, lost)``: the evicted sessions saved, and
-        ``{session_id: old inbox or None}`` for the dropped ones (the
-        inbox carries its audit into :meth:`restore_session`).
+        The heartbeat sweep of a supervisor loop: respawn every dead
+        worker and rebuild its sessions before a call runs into it.
+        After a full-process restart over a surviving journal it also
+        rebuilds every session the previous process journaled; their
+        events still owed come out of the next :meth:`poll` or
+        :meth:`ingest`.  Needs a journal.
         """
-        index = self._validate_member(worker)
-        owned = len(self.sessions_on(index))
-        try:
-            self._drain_one(index, block=False)
-        except WorkerCrashError:
-            pass  # the pipe ran dry: everything readable was handled
-        lost = {sid: self._inboxes.get(sid) for sid in self.sessions_on(index)}
-        for session_id in lost:
-            self._forget(session_id)
-        return owned - len(lost), lost
+        if self.journal is None:
+            raise RuntimeError("crash recovery needs a journal")
+        before = self.n_sessions_recovered
+        self._recovering(self._heal)
+        return self.n_sessions_recovered - before
 
-    def respawn_worker(self, worker: int) -> int:
-        """Replace a dead worker in place: same index, fresh process.
+    @_healing
+    def stats(self) -> dict:
+        """The pool rollup (:meth:`MemberPool.stats`); a journaled pool
+        adds its recovery counters."""
+        totals = super().stats()
+        if self.journal is not None:
+            totals["recoveries"] = self.n_recoveries
+            totals["sessions_recovered"] = self.n_sessions_recovered
+            totals["respawns"] = self.n_respawns
+            totals["evictions_salvaged"] = self.n_evictions_salvaged
+        return totals
 
-        The new process starts empty; call :meth:`salvage_worker`
-        first, and rebuild the lost sessions with
-        :meth:`restore_session`.
+    def _recovering(self, fn, *args, **kwargs):
+        """Call ``fn``; on a :class:`WorkerCrashError`, heal the pool
+        and call it again, up to :data:`MAX_RECOVERIES` rounds.  A
+        crash during a heal uses up a round too, and the next round
+        heals again before ``fn`` is retried."""
+        crash = None
+        for _ in range(MAX_RECOVERIES + 1):
+            try:
+                if crash is not None:
+                    self._heal(crash.worker)
+                return fn(*args, **kwargs)
+            except WorkerCrashError as exc:
+                crash = exc
+        raise crash
+
+    def _heal(self, crashed: int | None = None) -> None:
+        """One recovery round: salvage and respawn every dead worker
+        (plus ``crashed``, whose pipe broke before its exit showed),
+        then rebuild each session they owned and each journaled session
+        no worker owns (a move a crash cut between release and import,
+        or a session of a previous process).
+
+        A dead worker's already-written responses are handled first, so
+        evictions it finished reach :meth:`take_evicted` / ``on_evict``
+        and leave the journal — the one journal write of a recovery.  A
+        rebuilt session is scrubbed off every worker (a stale copy an
+        interrupted heal left), replayed by
+        :func:`~repro.serving.durability._replay` inside its placed
+        worker, and gets the events still owed as its backlog and its
+        old inbox's audit.
         """
         self._check_open()
-        index = self._validate_member(worker)
-        conn, proc = self._conns[index], self._procs[index]
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        self._conns[index], self._procs[index], self._pollers[index] = (
-            self._make_worker()
-        )
-        self.n_respawns += 1
-        return index
-
-    def restore_session(self, session_id: str, replay, audit=None) -> None:
-        """Rebuild one journaled session on a policy-placed worker.
-
-        A stale copy an interrupted recovery left behind is scrubbed
-        off every worker first (placement may pick another target this
-        time).  ``replay(gateway)`` — picklable — then runs inside the
-        target worker against its own gateway, beneath the parent's
-        journal hooks, and returns the events still owed, which become
-        the session's backlog.  ``audit`` is the session's old inbox.
-        """
-        for index in range(self.workers):
+        dead = {i for i, proc in enumerate(self._procs) if not proc.is_alive()}
+        if crashed is not None:
+            dead.add(crashed)
+        lost: dict[str, SessionInbox | None] = {}
+        for index in sorted(dead):
+            owned = len(self.sessions_on(index))
             try:
-                self._request(index, ("release", session_id))
-            except KeyError:
-                pass
-        index = self._place(session_id)
-        backlog = self._request(index, ("call", session_id, replay))
-        self._register(session_id, index, audit)
-        if backlog:
-            self._events[session_id] = backlog
+                self._drain_one(index, block=False)
+            except WorkerCrashError:
+                pass  # the pipe ran dry: everything readable was handled
+            orphans = {sid: self._inboxes.get(sid) for sid in self.sessions_on(index)}
+            self.n_evictions_salvaged += owned - len(orphans)
+            for session_id in orphans:
+                self._forget(session_id)
+            lost.update(orphans)
+            self._stop_worker(index)
+            self._conns[index], self._procs[index], self._pollers[index] = (
+                self._make_worker()
+            )
+            self.n_respawns += 1
+        for session_id in self.journal.session_ids():
+            if session_id not in self._owner:
+                lost.setdefault(session_id, None)
+        before = self.n_sessions_recovered
+        for session_id, inbox in lost.items():
+            rec = self.journal.recover(session_id)
+            if rec is None:
+                continue
+            for index in range(self.workers):
+                try:
+                    self._request(index, ("release", session_id))
+                except KeyError:
+                    pass
+            index = self._place(session_id)
+            backlog = self._request(index, ("call", session_id, partial(_replay, rec)))
+            self._register(session_id, index, inbox)
+            if backlog:
+                self._events[session_id] = backlog
+            self.n_sessions_recovered += 1
+        if dead or self.n_sessions_recovered > before:
+            self.n_recoveries += 1
 
     # -- lifecycle -------------------------------------------------------
 

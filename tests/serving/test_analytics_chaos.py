@@ -6,7 +6,7 @@ Every test compares against the same comparator: a fresh
 sequence in *one* update call.  The gateway folds the same beats in
 per-flush batches, across random chunk sizes, session interleavings,
 live migrations (in-process and through pickle), idle evictions and
-``SIGKILL``-ed supervised workers — and the final summaries must be
+``SIGKILL``-ed workers of a journaled pool — and the final summaries must be
 ``==`` (episode sets too; ordering within an update is per-operator,
 so sets are the batching-invariant artifact).
 
@@ -28,7 +28,6 @@ from repro.serving import (
     SessionJournal,
     ShardedGateway,
     StreamGateway,
-    SupervisedGateway,
     default_pipeline,
 )
 
@@ -258,7 +257,7 @@ class TestKillChaos:
             snapshot_every=int(rng.integers(2, 9)),
         )
         n_kills = 0
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS, max_batch=int(rng.integers(4, 32)),
             analytics=default_pipeline,
@@ -276,7 +275,7 @@ class TestKillChaos:
                 if ingested == forced_kill_at:
                     ingested += 1  # fire exactly once
                     victim = gateway.worker_of(sorted(sessions)[0])
-                    proc = gateway.gateway._procs[victim]
+                    proc = gateway._procs[victim]
                     if proc.is_alive():
                         os.kill(proc.pid, signal.SIGKILL)
                         proc.join(5.0)

@@ -174,6 +174,14 @@ def test_journal_log_reader_gives_records_or_a_corruption_error(
             assert time.perf_counter() - start < SLOW_S
         assert stored is not None  # the meta file is intact
         assert all(isinstance(blob, bytes) for blob in stored.chunks)
+        # A record that loads must also decode: into chunks, or into a
+        # corruption error (a mutated chunk header or payload length).
+        try:
+            recovered = SessionJournal(store).recover("s")
+        except JournalCorruptError:
+            continue
+        assert len(recovered.chunks) == len(stored.chunks)
+        assert all(chunk.dtype == np.float64 for chunk in recovered.chunks)
 
 
 @pytest.mark.parametrize("record", [
@@ -190,3 +198,34 @@ def test_damaged_log_record_is_a_corruption_error(record, tmp_path):
         fh.write(log + record)
     with pytest.raises(JournalCorruptError):
         store.load("s")
+
+
+def _chunk_record(payload: bytes) -> bytes:
+    return struct.pack("<cI", b"C", len(payload)) + payload
+
+
+#: One good chunk record (``A``, rank 1, shape (4,), four float64s),
+#: then four ways to damage it.
+_GOOD_CHUNK = struct.pack("<cBI", b"A", 1, 4) + np.arange(4.0).tobytes()
+
+
+@pytest.mark.parametrize("payload", [
+    # A flipped magic byte was unpickled (``UnpicklingError``).
+    b"B" + _GOOD_CHUNK[1:],
+    # A 1-byte record raised ``struct.error``.
+    b"A",
+    # A rank larger than the shape fields raised ``ValueError``.
+    struct.pack("<cBI", b"A", 3, 4) + np.arange(4.0).tobytes()[:4],
+    # A shape larger than the payload raised ``ValueError`` (reshape).
+    struct.pack("<cBI", b"A", 1, 5) + np.arange(4.0).tobytes(),
+], ids=["magic", "short", "rank", "shape"])
+def test_damaged_chunk_record_is_a_corruption_error(payload, tmp_path):
+    store, log = _journal_log(tmp_path)
+    journal = SessionJournal(store)
+    with open(store._path("s", ".log"), "wb") as fh:
+        fh.write(log + _chunk_record(_GOOD_CHUNK))
+    np.testing.assert_array_equal(journal.recover("s").chunks[-1], np.arange(4.0))
+    with open(store._path("s", ".log"), "wb") as fh:
+        fh.write(log + _chunk_record(payload))
+    with pytest.raises(JournalCorruptError):
+        journal.recover("s")

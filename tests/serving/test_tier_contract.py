@@ -1,10 +1,10 @@
 """One session contract, run against every serving tier.
 
-Five classes expose the gateway session surface: the in-process
-:class:`StreamGateway`, the :class:`ShardedGateway` worker pool, the
-crash-guarded :class:`SupervisedGateway`, a :class:`GatewayClient` over
-a socket server, and the :class:`FederatedGateway` front door over
-socket hosts.  Each case below runs against every tier that has the
+Four classes expose the gateway session surface in five tiers: the
+in-process :class:`StreamGateway`, the :class:`ShardedGateway` worker
+pool, unjournaled and journaled (the crash-healing ``"supervised"``
+tier), a :class:`GatewayClient` over a socket server, and the
+:class:`FederatedGateway` front door over socket hosts.  Each case below runs against every tier that has the
 feature it pins:
 
 * open / ingest / poll / close, bit-exact with a standalone
@@ -35,7 +35,6 @@ from repro.serving import (
     SessionJournal,
     ShardedGateway,
     StreamGateway,
-    SupervisedGateway,
     synthesize_fleet,
 )
 from repro.serving.net import GatewayClient, serve_in_thread
@@ -106,7 +105,7 @@ class Tier:
         if kind == "sharded":
             return ShardedGateway(self.classifier, FS, workers=members, n_leads=1)
         if kind == "supervised":
-            return SupervisedGateway(
+            return ShardedGateway(
                 self.classifier, FS, journal=SessionJournal(MemoryJournalStore()),
                 workers=members, n_leads=1,
             )
@@ -115,11 +114,6 @@ class Tier:
         return FederatedGateway(
             [h.address for h in self.hosts[:members]], window=4
         )
-
-    @property
-    def pool(self):
-        """The member pool under the tier (the supervisor wraps one)."""
-        return self.gateway.gateway if self.kind == "supervised" else self.gateway
 
     def open_on(self, session_id: str, member: int) -> None:
         keyword = "host" if self.kind == "federated" else "worker"
@@ -168,9 +162,9 @@ def hand_off(tier, session_id) -> list:
         gateway.migrate_in(migrated)
         return list(migrated.events)
     if tier.kind in POOLS:
-        before = tier.pool.n_migrations
+        before = gateway.n_migrations
         gateway.migrate_session(session_id, 1 - gateway.worker_of(session_id))
-        assert tier.pool.n_migrations == before + 1
+        assert gateway.n_migrations == before + 1
         return []
     export = gateway.release_session(session_id)
     assert session_id not in gateway.session_ids()
@@ -261,20 +255,20 @@ class TestMemberPool:
         """A migrated session keeps its place in ``session_ids`` (and in
         ``sessions_on`` of its new member), at every pool tier."""
         a, b, c = new_ids(3)
-        gateway, pool = tier.gateway, tier.pool
+        gateway = tier.gateway
         for sid in (a, b, c):
             tier.open_on(sid, 0)
         try:
-            before = pool.n_migrations
+            before = gateway.n_migrations
             gateway.migrate_session(a, 1)
             gateway.migrate_session(c, 1)
             ids = gateway.session_ids()
             assert [sid for sid in ids if sid in (a, b, c)] == [a, b, c]
-            assert [s for s in pool.sessions_on(1) if s in (a, c)] == [a, c]
+            assert [s for s in gateway.sessions_on(1) if s in (a, c)] == [a, c]
             assert gateway.worker_of(a) == gateway.worker_of(c) == 1
             gateway.migrate_session(b, 0)  # already there: a no-op
-            assert pool.n_migrations == before + 2
-            assert pool.workers == len(pool.session_counts()) == 2
+            assert gateway.n_migrations == before + 2
+            assert gateway.workers == len(gateway.session_counts()) == 2
             if tier.kind == "federated":
                 assert gateway.hosts == 2
                 assert gateway.host_of(a) == 1
@@ -298,12 +292,12 @@ class TestMemberPool:
             gateway.close_session(sid)
 
     def test_placement_policies(self, tier):
-        gateway, pool = tier.gateway, tier.pool
-        saved = pool.placement
+        gateway = tier.gateway
+        saved = gateway.placement
         opened = []
 
         def place(policy, n):
-            pool.placement = policy
+            gateway.placement = policy
             ids = new_ids(n)
             for sid in ids:
                 gateway.open_session(sid)
@@ -321,7 +315,7 @@ class TestMemberPool:
             first, second, third, fourth = place("round-robin", 4)
             assert (first, third) == (second ^ 1, fourth ^ 1)
             assert second == third ^ 1
-            counts = pool.session_counts()
+            counts = gateway.session_counts()
             (emptiest,) = place("least-loaded", 1)
             assert emptiest == min(range(2), key=lambda i: (counts[i], i))
             (sid,) = new_ids(1)
@@ -330,7 +324,7 @@ class TestMemberPool:
             assert gateway.worker_of(sid) == 1
             assert gateway.n_sessions >= len(opened)
         finally:
-            pool.placement = saved
+            gateway.placement = saved
             for sid in opened:
                 gateway.close_session(sid)
 

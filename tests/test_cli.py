@@ -251,8 +251,8 @@ class TestCommands:
 
 class TestLocalTier:
     """``_local_tier`` builds the tier both ``serve`` paths run: one
-    ``StreamGateway``, a ``ShardedGateway`` of worker processes, or a
-    ``SupervisedGateway`` over one when a journal is set."""
+    ``StreamGateway`` or a ``ShardedGateway`` of worker processes, each
+    journaled when a journal is set."""
 
     FS = 360.0
 
@@ -263,23 +263,22 @@ class TestLocalTier:
     def test_single_process_by_default(self, embedded_classifier):
         from repro.serving import StreamGateway
 
-        context, journal, supervised, tier = self.build(embedded_classifier)
-        assert journal is None and not supervised
+        context, journal, tier = self.build(embedded_classifier)
+        assert journal is None
         assert tier == "single process"
         with context as gateway:
             assert type(gateway) is StreamGateway
             assert gateway.journal is None
 
-    def test_single_process_journal_is_not_supervised(
+    def test_single_process_journal(
         self, embedded_classifier, tmp_path
     ):
         from repro.serving import StreamGateway
 
-        context, journal, supervised, tier = self.build(
+        context, journal, tier = self.build(
             embedded_classifier, "--journal", str(tmp_path / "j"),
             "--snapshot-every", "7",
         )
-        assert not supervised
         assert tier == "single process, journaled"
         assert journal.snapshot_every == 7
         with context as gateway:
@@ -290,45 +289,44 @@ class TestLocalTier:
     def test_workers_build_a_hash_placed_process_pool(self, embedded_classifier):
         from repro.serving import ShardedGateway
 
-        context, journal, supervised, tier = self.build(
+        context, journal, tier = self.build(
             embedded_classifier, "--workers", "2"
         )
-        assert journal is None and not supervised
+        assert journal is None
         assert tier == "2 process workers, hash placement"
         with context as gateway:
             assert type(gateway) is ShardedGateway
             assert gateway.workers == 2
             assert gateway.placement == "hash"
 
-    def test_journaled_pool_is_supervised(self, embedded_classifier, tmp_path):
-        from repro.serving import SupervisedGateway
+    def test_journaled_pool_heals_itself(self, embedded_classifier, tmp_path):
+        from repro.serving import ShardedGateway
 
-        context, journal, supervised, tier = self.build(
+        context, journal, tier = self.build(
             embedded_classifier, "--workers", "2", "--journal",
             str(tmp_path / "j"), "--snapshot-every", "5",
         )
-        assert supervised
-        assert tier == "2 process workers, hash placement, journaled + supervised"
+        assert tier == "2 process workers, hash placement, journaled"
         with context as gateway:
-            assert type(gateway) is SupervisedGateway
+            assert type(gateway) is ShardedGateway
             assert gateway.journal is journal
             assert journal.snapshot_every == 5
             assert gateway.workers == 2
         journal.close()
 
     def test_autoscale_starts_at_min_workers_least_loaded(self, embedded_classifier):
-        context, journal, supervised, tier = self.build(
+        context, journal, tier = self.build(
             embedded_classifier, "--autoscale", "--min-workers", "1",
             "--max-workers", "3",
         )
-        assert journal is None and not supervised
+        assert journal is None
         assert tier == "elastic pool 1..3 workers, least-loaded placement"
         with context as gateway:
             assert gateway.workers == 1
             assert gateway.placement == "least-loaded"
 
     def test_explicit_placement_wins(self, embedded_classifier):
-        context, _, _, tier = self.build(
+        context, _, tier = self.build(
             embedded_classifier, "--workers", "2", "--placement", "round-robin"
         )
         assert tier == "2 process workers, round-robin placement"
