@@ -30,19 +30,12 @@ record these over time):
 * the multi-worker ``ShardedGateway`` vs the single-process gateway on
   the same live fleet (the cross-process sharding payoff; >= 1.3x on
   two workers, asserted on >= 2-CPU hosts under
-  ``REPRO_BENCH_ASSERT_SHARDED=1``);
-* the autoscaled gateway vs a statically hash-placed one under a
-  *skewed* load (every hot session hashes onto worker 0): the
-  ``AutoBalancer`` migrates sessions onto the idle worker, so the
-  elastic tier recovers the parallelism static placement loses
-  (>= 1.2x events/sec, asserted on >= 2-CPU hosts under
   ``REPRO_BENCH_ASSERT_SHARDED=1``).
 """
 
 import os
 import sys
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +49,11 @@ from repro.ecg.synth import RecordSynthesizer, RhythmConfig, SynthesisConfig
 from repro.platform.node_sim import NodeSimulator
 from repro.platform.opcount import OpCounter
 from repro.serving import (
-    AutoBalancer,
     ShardedGateway,
     StreamGateway,
     classify_streams,
     find_max_sustained,
     replay_fleet,
-    serve_autoscaled,
     serve_round_robin,
     simulate_records,
     synthesize_fleet,
@@ -426,93 +417,6 @@ def test_sharded_gateway_vs_single_process(
     assert n_events > 400
     if os.environ.get("REPRO_BENCH_ASSERT_SHARDED") == "1" and (os.cpu_count() or 1) >= 2:
         assert speedup >= 1.3
-
-
-@pytest.fixture(scope="module")
-def skewed_gateway_sessions():
-    """Eight hot sessions whose ids all CRC-32 hash onto worker 0 of a
-    two-worker pool — the pathological skew static hash placement
-    cannot recover from."""
-    config = SynthesisConfig(n_leads=1, rhythm=RhythmConfig(mean_rr=0.42))
-    sessions, k = {}, 0
-    while len(sessions) < 8:
-        sid = f"hot-{k}"
-        k += 1
-        if zlib.crc32(sid.encode()) % 2 == 0:
-            record = RecordSynthesizer(config, seed=200 + k).synthesize(30.0)
-            sessions[sid] = record.signal
-    return sessions
-
-
-def test_autoscaled_vs_static_skewed_load(
-    benchmark, bench_embedded_classifier, skewed_gateway_sessions
-):
-    """Autoscaled gateway vs static hash placement on a skewed load.
-
-    Every session id hashes onto worker 0, so the static two-worker
-    pool runs the whole fleet on one worker while the other idles.
-    The autoscaled run serves the *same* pool size and ids but ticks
-    an ``AutoBalancer`` between ingest rounds: it detects the load
-    spread and live-migrates sessions onto the idle worker, recovering
-    the lost parallelism.  Events are asserted identical (rebalancing
-    must never change a session's sequence); events/sec for both modes
-    land in ``extra_info``, and the ">= 1.2x" gate is opt-in via
-    ``REPRO_BENCH_ASSERT_SHARDED=1`` on >= 2-CPU hosts (like the
-    sharded-vs-single benchmark above, a single core has no
-    parallelism for rebalancing to recover).
-    """
-    streams = skewed_gateway_sessions
-    fs = 360.0
-    block = int(0.5 * fs)
-    gateway_kwargs = dict(n_leads=1, max_batch=256, max_latency_ticks=24)
-
-    def run_static():
-        with ShardedGateway(
-            bench_embedded_classifier, fs, workers=2, placement="hash",
-            **gateway_kwargs,
-        ) as gateway:
-            per_session = serve_round_robin(gateway, streams, block)
-            assert gateway.stats()["per_worker"][1]["n_flushes"] == 0  # all skewed
-        return [event for session in per_session.values() for event in session]
-
-    def run_autoscaled():
-        with ShardedGateway(
-            bench_embedded_classifier, fs, workers=2, placement="hash",
-            **gateway_kwargs,
-        ) as gateway:
-            balancer = AutoBalancer(
-                gateway, imbalance_threshold=1, cooldown_ticks=0,
-                max_migrations_per_tick=4,
-            )
-            per_session = serve_autoscaled(gateway, streams, block, balancer=balancer)
-            n_migrations = gateway.n_migrations
-        assert n_migrations >= 4  # the hot worker actually drained
-        return [event for session in per_session.values() for event in session]
-
-    static_times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        static_events = run_static()
-        static_times.append(time.perf_counter() - start)
-
-    autoscaled_events = benchmark(run_autoscaled)
-    assert [(e.peak, e.label) for e in autoscaled_events] == [
-        (e.peak, e.label) for e in static_events
-    ]
-
-    n_events = len(autoscaled_events)
-    static_s = min(static_times)
-    autoscaled_s = benchmark.stats.stats.min
-    speedup = static_s / autoscaled_s
-    benchmark.extra_info["n_sessions"] = len(streams)
-    benchmark.extra_info["workers"] = 2
-    benchmark.extra_info["n_events"] = n_events
-    benchmark.extra_info["static_events_per_s"] = n_events / static_s
-    benchmark.extra_info["autoscaled_events_per_s"] = n_events / autoscaled_s
-    benchmark.extra_info["speedup_vs_static"] = speedup
-    assert n_events > 400
-    if os.environ.get("REPRO_BENCH_ASSERT_SHARDED") == "1" and (os.cpu_count() or 1) >= 2:
-        assert speedup >= 1.2
 
 
 def test_loadgen_max_sustained_smoke(benchmark, bench_embedded_classifier):

@@ -24,19 +24,10 @@ across a ``ShardedGateway`` pool of N worker processes instead — same
 events, one batched classifier flush per worker per tick, and true
 multi-core parallelism for the per-sample front ends.
 
-With ``--autoscale`` the pool is *elastic*: it starts at
-``--min-workers``, an ``Autoscaler`` grows it (up to
-``--max-workers``) while the live load exceeds its target depth per
-worker and retires workers (draining their sessions losslessly) when
-load falls, and an ``AutoBalancer`` live-migrates sessions off hot
-workers under a hysteresis band — per-session events still
-bit-identical to standalone nodes through every scale/rebalance event.
-
 Usage::
 
     python examples/fleet_serving.py [--patients 6] [--minutes 1.0]
         [--gateway] [--gateway-workers 2] [--chunk-ms 250] [--max-batch 64]
-        [--autoscale] [--min-workers 1] [--max-workers 4]
 """
 
 from __future__ import annotations
@@ -55,12 +46,9 @@ from repro.experiments.datasets import make_embedded_datasets
 from repro.fixedpoint.convert import convert_pipeline, tune_embedded_alpha
 from repro.platform.node_sim import NodeSimulator
 from repro.serving import (
-    AutoBalancer,
-    Autoscaler,
     ShardedGateway,
     StreamGateway,
     classify_streams,
-    serve_autoscaled,
     serve_round_robin,
     simulate_records,
 )
@@ -91,14 +79,6 @@ def main() -> None:
                         help="gateway ingest chunk size in milliseconds")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="gateway cross-session batch size bound")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="serve the gateway section through an elastic "
-                             "ShardedGateway pool driven by an Autoscaler "
-                             "and AutoBalancer (implies --gateway)")
-    parser.add_argument("--min-workers", type=int, default=1,
-                        help="autoscale lower pool bound (and starting size)")
-    parser.add_argument("--max-workers", type=int, default=4,
-                        help="autoscale upper pool bound")
     args = parser.parse_args()
     if args.patients < 1:
         parser.error("--patients must be >= 1")
@@ -106,10 +86,6 @@ def main() -> None:
         parser.error("--minutes must be positive")
     if args.gateway_workers < 1:
         parser.error("--gateway-workers must be >= 1")
-    if args.autoscale:
-        args.gateway = True
-        if not 1 <= args.min_workers <= args.max_workers:
-            parser.error("need 1 <= --min-workers <= --max-workers")
 
     print("Training + quantizing the node classifier ...")
     classifier = train_node_classifier(args.seed)
@@ -153,18 +129,8 @@ def main() -> None:
     if args.gateway:
         streams = {record.name: record.signal for record in records}
         chunk = max(1, int(round(args.chunk_ms * 1e-3 * records[0].fs)))
-        sharded = args.autoscale or args.gateway_workers > 1
-        if args.autoscale:
-            print(
-                f"\n== Autoscaled session gateway (elastic pool "
-                f"{args.min_workers}..{args.max_workers} workers, "
-                f"max_batch={args.max_batch}) =="
-            )
-            context = ShardedGateway(
-                classifier, records[0].fs, workers=args.min_workers,
-                placement="least-loaded", n_leads=3, max_batch=args.max_batch,
-            )
-        elif sharded:
+        sharded = args.gateway_workers > 1
+        if sharded:
             print(
                 f"\n== Sharded session gateway ({args.gateway_workers} worker "
                 f"processes, live ingestion, max_batch={args.max_batch}) =="
@@ -180,31 +146,11 @@ def main() -> None:
             ))
         with context as gateway:
             start = time.perf_counter()
-            if args.autoscale:
-                autoscaler = Autoscaler(
-                    gateway, target_depth=4,
-                    min_workers=args.min_workers, max_workers=args.max_workers,
-                )
-                balancer = AutoBalancer(gateway)
-                events = serve_autoscaled(
-                    gateway, streams, chunk,
-                    autoscaler=autoscaler, balancer=balancer,
-                )
-            else:
-                events = serve_round_robin(gateway, streams, chunk)
+            events = serve_round_robin(gateway, streams, chunk)
             elapsed = time.perf_counter() - start
             if sharded:
                 stats = gateway.stats()
                 n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
-                if args.autoscale:
-                    # Retired workers take their counters with them, so
-                    # the batching figures describe the final pool.
-                    print(
-                        f"  autoscaler: {stats['workers']} workers at end, "
-                        f"{stats['scale_events']} scale events, "
-                        f"{stats['migrations']} session migrations; "
-                        f"batching stats cover the final pool"
-                    )
             else:
                 n_classified, n_flushes = gateway.n_classified, gateway.n_flushes
         for record in records:

@@ -23,11 +23,6 @@ Commands
     ``--workers N``, through a multi-process
     :class:`~repro.serving.sharded.ShardedGateway` pool — and report
     the fleet's throughput and batching statistics.  With
-    ``--autoscale`` the pool is elastic: an
-    :class:`~repro.serving.autoscale.Autoscaler` grows/shrinks it
-    between ``--min-workers`` and ``--max-workers`` and an
-    :class:`~repro.serving.autoscale.AutoBalancer` migrates sessions
-    off hot workers, both ticked between ingest rounds.  With
     ``--listen HOST:PORT`` the gateway is instead exposed on a TCP
     socket speaking the zero-copy framed protocol
     (:mod:`repro.serving.net`).
@@ -44,10 +39,8 @@ Commands
     Horizontal scale-out demo: spawn ``--hosts N`` local gateway host
     processes (:func:`~repro.serving.federation.spawn_host`), route a
     synthesized fleet through a
-    :class:`~repro.serving.federation.FederatedGateway` with the
-    across-host :class:`~repro.serving.autoscale.AutoBalancer` in the
-    loop, and report aggregate throughput with the per-host breakdown
-    and migration counts.
+    :class:`~repro.serving.federation.FederatedGateway`, and report
+    aggregate throughput with the per-host breakdown.
 
 Common options: ``--scale`` (fraction of the Table-I set sizes;
 ``--full`` is shorthand for the paper's exact configuration, including
@@ -218,25 +211,11 @@ def cmd_serve(args) -> int:
 
     from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
     from repro.experiments.table3 import Table3Config, build_embedded_classifier
-    from repro.serving import (
-        AutoBalancer,
-        Autoscaler,
-        serve_autoscaled,
-        serve_round_robin,
-    )
+    from repro.serving import serve_round_robin
 
     # Fail on bad serving knobs before the (slow) training, not after.
-    if args.listen and args.autoscale:
-        raise SystemExit("error: --listen does not support --autoscale yet")
-    if args.autoscale:
-        if not 1 <= args.min_workers <= args.max_workers:
-            raise SystemExit("error: need 1 <= --min-workers <= --max-workers")
-        if args.target_depth < 1:
-            raise SystemExit("error: --target-depth must be >= 1")
-    if args.placement is not None and not (args.autoscale or args.workers > 1):
-        raise SystemExit(
-            "error: --placement requires --autoscale or --workers > 1"
-        )
+    if args.placement is not None and args.workers <= 1:
+        raise SystemExit("error: --placement requires --workers > 1")
     if args.snapshot_every < 1:
         raise SystemExit("error: --snapshot-every must be >= 1")
 
@@ -272,8 +251,7 @@ def cmd_serve(args) -> int:
         # every session builds its own operator set worker-side.
         gateway_kwargs["analytics"] = default_pipeline
 
-    autoscaled = args.autoscale
-    sharded = autoscaled or args.workers > 1
+    sharded = args.workers > 1
     context, journal, tier = _local_tier(args, classifier, fs, gateway_kwargs)
     print(
         f"Ingesting round-robin ({tier}, {args.chunk_ms:.0f} ms chunks, "
@@ -288,42 +266,15 @@ def cmd_serve(args) -> int:
         if profiler is not None:
             profiler.enable()
         start = time.perf_counter()
-        if autoscaled:
-            autoscaler = Autoscaler(
-                gateway,
-                target_depth=args.target_depth,
-                min_workers=args.min_workers,
-                max_workers=args.max_workers,
-            )
-            balancer = AutoBalancer(gateway)
-            events = serve_autoscaled(
-                gateway,
-                {record.name: record.signal for record in records},
-                chunk,
-                autoscaler=autoscaler,
-                balancer=balancer,
-            )
-        else:
-            events = serve_round_robin(
-                gateway, {record.name: record.signal for record in records}, chunk
-            )
+        events = serve_round_robin(
+            gateway, {record.name: record.signal for record in records}, chunk
+        )
         elapsed = time.perf_counter() - start
         if profiler is not None:
             profiler.disable()
         if sharded:
             stats = gateway.stats()
             n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
-            if autoscaled:
-                # stats() has current-pool semantics: retired workers
-                # take their flush/classified counters with them, so
-                # the batching figures below describe the final pool.
-                print(
-                    f"  autoscaler: {stats['workers']} workers at end, "
-                    f"{stats['scale_events']} scale events "
-                    f"({autoscaler.n_scale_ups} up / {autoscaler.n_scale_downs} down), "
-                    f"{stats['migrations']} session migrations; "
-                    f"batching stats cover the final pool"
-                )
             if journal is not None:
                 print(
                     "  journal: file store at "
@@ -381,7 +332,7 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
     """Build the tier ``repro serve`` runs in this process.
 
     One ``StreamGateway`` (``--workers 1``), or a ``ShardedGateway`` of
-    worker processes (``--workers N`` or ``--autoscale``), which heals
+    worker processes (``--workers N``), which heals
     its own worker crashes when ``--journal`` is set.  Returns
     ``(context, journal, tier)``: a context manager that yields the
     gateway, the journal (or ``None``) and a one-line description.
@@ -390,21 +341,12 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
 
     from repro.serving import ShardedGateway, StreamGateway, open_journal
 
-    autoscaled = args.autoscale
-    sharded = autoscaled or args.workers > 1
-    # Mode-aware default: least-loaded suits an elastic pool (new
-    # workers fill immediately), hash keeps the static pool's stable
-    # assignment.  An explicit --placement wins in either sharded mode.
-    placement = args.placement or ("least-loaded" if autoscaled else "hash")
+    sharded = args.workers > 1
+    placement = args.placement or "hash"
     journal = None
     if args.journal is not None:
         journal = open_journal(args.journal, snapshot_every=args.snapshot_every)
-    if autoscaled:
-        tier = (
-            f"elastic pool {args.min_workers}..{args.max_workers} workers, "
-            f"{placement} placement"
-        )
-    elif sharded:
+    if sharded:
         tier = f"{args.workers} process workers, {placement} placement"
     else:
         tier = "single process"
@@ -414,8 +356,7 @@ def _local_tier(args, classifier, fs: float, gateway_kwargs: dict):
         gateway = StreamGateway(classifier, fs, journal=journal, **gateway_kwargs)
         return nullcontext(gateway), journal, tier
     context = ShardedGateway(
-        classifier, fs, journal=journal,
-        workers=args.min_workers if autoscaled else args.workers,
+        classifier, fs, journal=journal, workers=args.workers,
         placement=placement, **gateway_kwargs,
     )
     return context, journal, tier
@@ -460,7 +401,7 @@ def _serve_listen(args, classifier) -> int:
         if journal is not None:
             # Restart recovery: rebuild any sessions journaled by a
             # previous process before accepting connections.
-            if args.autoscale or args.workers > 1:
+            if args.workers > 1:
                 recovered = gateway.check_workers()
             else:
                 recovered = len(recover_sessions(journal, gateway))
@@ -646,7 +587,6 @@ def cmd_federate(args) -> int:
     """Scale-out demo: a FederatedGateway over N local host processes."""
     from repro.experiments.table3 import Table3Config, build_embedded_classifier
     from repro.serving import (
-        AutoBalancer,
         FederatedGateway,
         replay_fleet,
         spawn_host,
@@ -674,10 +614,7 @@ def cmd_federate(args) -> int:
     print(f"Spawning {args.hosts} local gateway host process(es) ...")
     hosts = [
         spawn_host(
-            classifier, fs,
-            workers=args.workers,
-            balance_every=64 if args.workers > 1 else None,
-            gateway_kwargs=gateway_kwargs,
+            classifier, fs, workers=args.workers, gateway_kwargs=gateway_kwargs
         )
         for _ in range(args.hosts)
     ]
@@ -691,17 +628,13 @@ def cmd_federate(args) -> int:
             window=args.window,
             send_buffer=1 << 14,
         ) as fed:
-            balancer = AutoBalancer(fed)
             print(
                 f"Replaying {len(streams)} sessions across {fed.hosts} "
                 f"host(s) (chunk {args.chunk_ms:.0f} ms, window "
-                f"{args.window}, across-host balancer in the loop) ..."
+                f"{args.window}) ..."
             )
-            report = replay_fleet(
-                fed, streams, fs=fs, chunk=chunk, on_round=balancer.tick
-            )
+            report = replay_fleet(fed, streams, fs=fs, chunk=chunk)
             stats = fed.stats()
-            migrations = fed.n_migrations
     finally:
         for host in hosts:
             host.stop()
@@ -716,7 +649,6 @@ def cmd_federate(args) -> int:
             f"  host {index}: {host_stats['n_flushes']} flushes, "
             f"{host_stats['n_classified']} beats classified"
         )
-    print(f"cross-host migrations: {migrations}")
     return 0
 
 
@@ -850,22 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; > 1 shards the sessions "
                             "across a ShardedGateway pool")
-    serve.add_argument("--autoscale", action="store_true",
-                       help="elastic pool: an Autoscaler grows/shrinks the "
-                            "workers and an AutoBalancer migrates sessions "
-                            "off hot workers between ingest rounds")
-    serve.add_argument("--min-workers", type=int, default=1,
-                       help="lower pool bound for --autoscale (also the "
-                            "starting size)")
-    serve.add_argument("--max-workers", type=int, default=4,
-                       help="upper pool bound for --autoscale")
-    serve.add_argument("--target-depth", type=int, default=4,
-                       help="autoscaler target load (sessions + queued beats) "
-                            "per worker")
     serve.add_argument("--placement", default=None, choices=PLACEMENTS,
                        help="session placement policy for sharded pools "
-                            "(default: least-loaded with --autoscale, "
-                            "hash with --workers N)")
+                            "(default: hash)")
     serve.add_argument("--journal", default=None, metavar="DIR",
                        help="write-ahead session journal directory: chunks "
                             "are journaled before processing, snapshots taken "
@@ -946,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flush when the oldest beat waited this many ingests")
     federate.add_argument("--workers", type=int, default=1,
                           help="workers per host; > 1 runs a ShardedGateway "
-                               "with a within-host balancer on each host")
+                               "on each host")
     federate.add_argument("--placement", default=None, choices=PLACEMENTS,
                           help="cross-host session placement policy "
                                "(default: least-loaded)")

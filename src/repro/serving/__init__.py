@@ -31,13 +31,9 @@ once; this package is that workload's engine, in two shapes:
   lost session bit-exactly.
   Placement, migration, the drain and the ``stats()`` rollup are one
   :class:`~repro.serving.pool.MemberPool` (:mod:`repro.serving.pool`),
-  shared with the federation tier below.
-* **Autoscaling** (:mod:`repro.serving.autoscale`):
-  :class:`AutoBalancer` evens per-worker load by live migration under
-  a hysteresis band; :class:`Autoscaler` sizes the pool toward a
-  target load per worker between ``min_workers`` and ``max_workers``.
-  Both read the load from :meth:`ShardedGateway.stats` and never
-  perturb per-session event sequences.
+  shared with the federation tier below.  Placement is static: no
+  policy moves sessions on its own, because every move splits a
+  worker's batched classifier pass.
 * **Off-box** (:mod:`repro.serving.net`): a zero-copy length-prefixed
   wire protocol, an asyncio :class:`GatewayServer` fronting any of the
   gateways above, and a pipelined :class:`GatewayClient` with
@@ -63,9 +59,8 @@ once; this package is that workload's engine, in two shapes:
   :class:`FederatedGateway` — the same member pool, with hosts as the
   members — routes sessions across N gateway hosts —
   cross-host placement (:data:`PLACEMENTS`), wire-level live migration
-  (``MIGRATE``), lossless ``retire_host`` drains, fleet-wide
-  ``stats()`` rollup, and the across-host level of the two-tier
-  :class:`AutoBalancer` hierarchy; :func:`spawn_host` launches local
+  (``MIGRATE``), lossless ``retire_host`` drains and a fleet-wide
+  ``stats()`` rollup; :func:`spawn_host` launches local
   backend hosts as separate processes for true multi-core scale-out.
 
 Both in-process shapes accept plain lists/arrays, so callers can queue
@@ -84,12 +79,6 @@ from repro.serving.analytics import (
     default_pipeline,
     empty_rollup,
     merge_rollups,
-)
-from repro.serving.autoscale import (
-    AutoBalancer,
-    Autoscaler,
-    serve_autoscaled,
-    worker_loads,
 )
 from repro.serving.engine import classify_streams, simulate_records
 from repro.serving.durability import (
@@ -123,8 +112,6 @@ __all__ = [
     "PLACEMENTS",
     "AnalyticsPipeline",
     "ArrhythmiaEpisodes",
-    "AutoBalancer",
-    "Autoscaler",
     "BeatBatch",
     "Episode",
     "FederatedGateway",
@@ -154,11 +141,9 @@ __all__ = [
     "open_journal",
     "recover_sessions",
     "replay_fleet",
-    "serve_autoscaled",
     "serve_in_thread",
     "serve_round_robin",
     "simulate_records",
     "spawn_host",
     "synthesize_fleet",
-    "worker_loads",
 ]

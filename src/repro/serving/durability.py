@@ -40,8 +40,9 @@ Two layers, and the replay over them:
   ``kill -9``).
 
 Recovery never writes to the journal (the replay runs beneath the
-journal hooks), so a second crash mid-recovery just starts recovery
-over from the same durable state — the whole path is idempotent.
+journal hooks; a file store only deletes files no state refers to),
+so a second crash mid-recovery just starts recovery over from the
+same durable state — the whole path is idempotent.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class JournalStore:
     * :meth:`begin` registers a session, clearing any previous state
       under the same id (a reopened id starts a fresh history);
     * :meth:`put_snapshot` replaces the snapshot, **truncates the
-      chunk log** and zeroes the delivered counter — the snapshot
-      subsumes everything before it;
+      chunk log** and zeroes the delivered counter, as one atomic
+      step — the snapshot subsumes everything before it;
     * :meth:`append_chunk` / :meth:`add_delivered` append to the
       post-snapshot state; both must be lenient about an unknown id
       (auto-register) so hooks never race registration;
@@ -238,19 +239,44 @@ def _decode_token(token: str) -> str:
     return base64.urlsafe_b64decode(padded.encode("ascii")).decode("utf-8")
 
 
+def _parse_name(name: str) -> tuple[str, int, str]:
+    """``(token, generation, kind)`` of a journal file name; kind is
+    ``meta`` / ``snapshot`` / ``log``, ``tmp`` for an unfinished atomic
+    write, or ``""`` for a file that is not the store's."""
+    if name.endswith(".tmp"):
+        token, _, kind = _parse_name(name[: -len(".tmp")])
+        return token, 0, "tmp" if kind in ("meta", "snapshot") else ""
+    token, _, rest = name.partition(".")
+    if rest == "meta":
+        return token, 0, "meta"
+    generation, _, kind = rest.partition(".")
+    if generation.isdigit() and kind in ("snapshot", "log"):
+        return token, int(generation), kind
+    return token, 0, ""
+
+
 class FileJournalStore(JournalStore):
     """File-per-session store under one directory.
 
-    Layout (``<token>`` is the url-safe base64 of the session id):
+    Layout (``<token>`` is the url-safe base64 of the session id, ``<g>``
+    the session's snapshot generation, 0 before its first snapshot):
 
     * ``<token>.meta`` — the ``begin`` blob (open kwargs);
-    * ``<token>.snapshot`` — the latest snapshot blob, replaced
-      atomically (write-to-temp + :func:`os.replace`);
-    * ``<token>.log`` — framed append-only records since the snapshot:
-      ``C`` (a chunk blob) and ``D`` (a delivered-count delta).  The
-      log is truncated by :meth:`put_snapshot`, which also resets the
-      delivered count — both live in the log, so one truncate keeps
-      them consistent.
+    * ``<token>.<g>.snapshot`` — generation ``g``'s snapshot blob;
+    * ``<token>.<g>.log`` — framed append-only records since that
+      snapshot: ``C`` (a chunk blob) and ``D`` (a delivered-count
+      delta).
+
+    :meth:`put_snapshot` writes generation ``g + 1``'s snapshot
+    atomically (write-to-temp + :func:`os.replace`) and only then
+    deletes generation ``g``'s files: the replace is the one step that
+    switches a session to the new snapshot, its empty log and a zero
+    delivered count, so a process that dies anywhere inside the call
+    recovers either the old state or the new one, never a mix.
+    :meth:`load` reads the highest generation with a snapshot and its
+    own log.  The first call that needs a generation scans the
+    directory once and deletes what a dead process left behind
+    (superseded generations, temp files).
 
     A half-written trailing record (the parent died mid-append) is
     dropped at :meth:`load`; everything before it recovers.  With
@@ -264,9 +290,46 @@ class FileJournalStore(JournalStore):
         os.makedirs(self.root, exist_ok=True)
         self._logs: dict[str, object] = {}  # open append handles
         self._counts: dict[str, int] = {}
+        self._generations: dict[str, int] | None = None  # only g > 0
 
-    def _path(self, session_id: str, suffix: str) -> str:
-        return os.path.join(self.root, _encode_token(session_id) + suffix)
+    def _generation(self, session_id: str) -> int:
+        if self._generations is None:
+            self._generations = self._scan()
+        return self._generations.get(session_id, 0)
+
+    def _scan(self) -> dict[str, int]:
+        """Each session's current generation; delete every other file."""
+        names = [
+            (name, _parse_name(name)) for name in sorted(os.listdir(self.root))
+        ]
+        current: dict[str, int] = {}
+        for _, (token, generation, kind) in names:
+            if kind == "snapshot":
+                current[token] = max(current.get(token, 0), generation)
+        for name, (token, generation, kind) in names:
+            if kind == "tmp" or (
+                kind in ("snapshot", "log") and generation != current.get(token, 0)
+            ):
+                self._remove(os.path.join(self.root, name))
+        generations = {}
+        for token, generation in current.items():
+            try:
+                generations[_decode_token(token)] = generation
+            except (ValueError, UnicodeDecodeError):  # pragma: no cover
+                continue  # not one of ours
+        return generations
+
+    def _path(
+        self, session_id: str, suffix: str, generation: int | None = None
+    ) -> str:
+        """``suffix``'s file; ``.snapshot`` and ``.log`` name the
+        current generation's unless ``generation`` is given."""
+        name = _encode_token(session_id)
+        if suffix != ".meta":
+            if generation is None:
+                generation = self._generation(session_id)
+            name += f".{generation}"
+        return os.path.join(self.root, name + suffix)
 
     def _log_handle(self, session_id: str):
         handle = self._logs.get(session_id)
@@ -297,22 +360,23 @@ class FileJournalStore(JournalStore):
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
 
+    def _remove_generation(self, session_id: str, generation: int) -> None:
+        self._remove(self._path(session_id, ".snapshot", generation))
+        self._remove(self._path(session_id, ".log", generation))
+
     def begin(self, session_id: str, open_blob: bytes) -> None:
-        self._write_atomic(self._path(session_id, ".meta"), open_blob)
-        self._remove(self._path(session_id, ".snapshot"))
         self._close_log(session_id)
-        open(self._path(session_id, ".log"), "wb").close()  # fresh history
+        self._remove_generation(session_id, self._generation(session_id))
+        self._generations.pop(session_id, None)  # fresh history
+        self._write_atomic(self._path(session_id, ".meta"), open_blob)
         self._counts[session_id] = 0
 
     def put_snapshot(self, session_id: str, blob: bytes) -> None:
-        # Snapshot first, then truncate: if the process dies between
-        # the two, recovery replays pre-snapshot chunks onto the new
-        # snapshot — a superset replay the next snapshot corrects.
-        # (The threat model is worker death; the parent owns this
-        # store, so the window is theoretical.)
-        self._write_atomic(self._path(session_id, ".snapshot"), blob)
+        old = self._generation(session_id)
+        self._write_atomic(self._path(session_id, ".snapshot", old + 1), blob)
+        self._generations[session_id] = old + 1
         self._close_log(session_id)
-        open(self._path(session_id, ".log"), "wb").close()
+        self._remove_generation(session_id, old)
         self._counts[session_id] = 0
 
     def append_chunk(self, session_id: str, blob: bytes) -> None:
@@ -387,17 +451,17 @@ class FileJournalStore(JournalStore):
 
     def forget(self, session_id: str) -> None:
         self._close_log(session_id)
-        for suffix in (".meta", ".snapshot", ".log"):
-            self._remove(self._path(session_id, suffix))
+        self._remove(self._path(session_id, ".meta"))
+        self._remove_generation(session_id, self._generation(session_id))
         self._counts.pop(session_id, None)
+        self._generations.pop(session_id, None)
 
     def session_ids(self) -> list[str]:
-        tokens: dict[str, None] = {}  # ordered de-dup across suffixes
+        tokens: dict[str, None] = {}  # ordered de-dup across files
         for name in sorted(os.listdir(self.root)):
-            for suffix in (".meta", ".snapshot", ".log"):
-                if name.endswith(suffix):
-                    tokens.setdefault(name[: -len(suffix)], None)
-                    break
+            token, _, kind = _parse_name(name)
+            if kind in ("meta", "snapshot", "log"):
+                tokens.setdefault(token, None)
         ids = []
         for token in tokens:
             try:

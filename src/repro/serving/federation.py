@@ -32,12 +32,7 @@ the members.  What is particular to the wire:
   prepending the events the client never acknowledged) and a second
   ``MIGRATE`` imports it on the target, restarting the delivery index
   at the capture point so the client-side dedupe keeps the event
-  sequence exact;
-* **two-level balancing** — :class:`~repro.serving.autoscale.AutoBalancer`
-  plugs in unchanged as the **across-host** level, while each host can
-  tick its own within-host balancer through the server's ``tick_hook``
-  seam — hysteresis at both levels, so neither tier ping-pongs
-  sessions.
+  sequence exact.
 
 Per-session **bit-exactness** extends across the fleet: whatever hosts
 served whatever prefixes of a session — through placement, cross-host
@@ -58,7 +53,6 @@ import asyncio
 import multiprocessing
 from dataclasses import dataclass
 
-from repro.serving.autoscale import AutoBalancer
 from repro.serving.gateway import StreamGateway
 from repro.serving.net.client import GatewayClient, RemoteError
 from repro.serving.net.server import GatewayServer
@@ -154,8 +148,7 @@ class FederatedGateway(MemberPool):
     @property
     def workers(self) -> int:
         """Number of attached hosts (``hosts`` is the same count; the
-        across-host :class:`~repro.serving.autoscale.AutoBalancer`
-        reads this name)."""
+        pool code reads this name)."""
         return len(self._clients)
 
     hosts = workers
@@ -309,7 +302,6 @@ def _host_main(
     classifier,
     fs,
     workers,
-    balance_every,
     gateway_kwargs,
     server_kwargs,
     host,
@@ -319,28 +311,16 @@ def _host_main(
 
     Reports the bound ``(host, port)`` back through ``conn`` once the
     listening socket is up.  With ``workers > 1`` the host fronts a
-    :class:`~repro.serving.sharded.ShardedGateway` and — when
-    ``balance_every`` is set — ticks a **within-host**
-    :class:`~repro.serving.autoscale.AutoBalancer` through the
-    server's ``tick_hook`` seam (the event-loop thread owns the
-    gateway, so the hook is the only safe place to migrate).
+    :class:`~repro.serving.sharded.ShardedGateway`.
     """
     gateway_kwargs = dict(gateway_kwargs or {})
-    server_kwargs = dict(server_kwargs or {})
     if workers > 1:
         gateway = ShardedGateway(
             classifier, fs, workers=workers, **gateway_kwargs
         )
     else:
         gateway = StreamGateway(classifier, fs, **gateway_kwargs)
-    tick_hook = None
-    if balance_every and workers > 1:
-        balancer = AutoBalancer(gateway)
-        tick_hook = balancer.tick
-        server_kwargs.setdefault("tick_every", int(balance_every))
-    server = GatewayServer(
-        gateway, host=host, port=port, tick_hook=tick_hook, **server_kwargs
-    )
+    server = GatewayServer(gateway, host=host, port=port, **(server_kwargs or {}))
 
     async def _run() -> None:
         address = await server.start()
@@ -366,7 +346,6 @@ def spawn_host(
     port: int = 0,
     workers: int = 1,
     worker_mode: str = "process",
-    balance_every: int | None = None,
     gateway_kwargs: dict | None = None,
     server_kwargs: dict | None = None,
     mp_context: str | None = None,
@@ -376,8 +355,7 @@ def spawn_host(
 
     The child builds a :class:`~repro.serving.gateway.StreamGateway`
     (``workers == 1``) or :class:`~repro.serving.sharded.ShardedGateway`
-    (``workers > 1``, with optional within-host balancing every
-    ``balance_every`` ingests), serves it through a
+    (``workers > 1``), serves it through a
     :class:`~repro.serving.net.server.GatewayServer`, and reports the
     bound address back — available as :attr:`HostProcess.address` when
     this returns.  ``gateway_kwargs`` / ``server_kwargs`` pass through
@@ -404,7 +382,7 @@ def spawn_host(
         target=_host_main,
         args=(
             child, classifier, fs, int(workers),
-            balance_every, gateway_kwargs, server_kwargs, host, port,
+            gateway_kwargs, server_kwargs, host, port,
         ),
         name="repro-fed-host",
         daemon=daemon,

@@ -812,8 +812,8 @@ class StreamGateway:
     def stats(self) -> dict:
         """Schema-pinned stats dict, shaped like the sharded tier's
         (``workers == 1``) so every serving surface — the net server's
-        STATS frame, the federation rollup, ``worker_loads`` — reads
-        any gateway the same way."""
+        STATS frame, the federation rollup, least-loaded placement —
+        reads any gateway the same way."""
         worker = {
             "n_sessions": self.n_sessions,
             "n_queued": self.n_queued,
@@ -962,7 +962,7 @@ class StreamGateway:
 
 
 def serve_round_robin(
-    gateway: StreamGateway, streams, chunk: int, *, on_round=None
+    gateway: StreamGateway, streams, chunk: int
 ) -> dict[str, list[StreamBeatEvent]]:
     """Replay complete streams through a gateway as interleaved live sessions.
 
@@ -984,11 +984,6 @@ def serve_round_robin(
         ``(n, n_leads)``), or an iterable of such pairs.
     chunk:
         Ingest slice length in samples (>= 1).
-    on_round:
-        Optional zero-argument hook called after every full
-        round-robin pass — the seam where
-        :func:`~repro.serving.autoscale.serve_autoscaled` ticks its
-        scaling policies.
 
     Returns
     -------
@@ -1015,15 +1010,12 @@ def serve_round_robin(
             if i < len(x):
                 items.append((session_id, x[i : i + chunk]))
                 offsets[session_id] = i + chunk
-        if items:
-            for (session_id, _), result in zip(items, ingest_round(items)):
-                if isinstance(result, Exception):
-                    raise result
-                events[session_id].extend(result)
-        if on_round is not None:
-            on_round()
         if not items:
             break
+        for (session_id, _), result in zip(items, ingest_round(items)):
+            if isinstance(result, Exception):
+                raise result
+            events[session_id].extend(result)
     for session_id in streams:
         events[session_id].extend(gateway.close_session(session_id))
     return events

@@ -1,7 +1,7 @@
 """Fleet load generator: paced replay, latency percentiles, ramp search.
 
 The serving tier's scaling claims (batched flushes, sharding,
-autoscaling) are only as honest as the numbers behind them.  This
+federation) are only as honest as the numbers behind them.  This
 module produces those numbers:
 
 * :func:`synthesize_fleet` — a reproducible synthetic fleet spanning
@@ -194,7 +194,6 @@ def replay_fleet(
     target_eps: float | None = None,
     nominal_eps: float | None = None,
     tolerance: float = 0.1,
-    on_round=None,
     collect_analytics: bool = False,
 ) -> LoadgenReport:
     """Replay a fleet through a live ingest target at a controlled rate.
@@ -234,14 +233,6 @@ def replay_fleet(
         set.
     tolerance:
         Relative schedule slack before a run counts as unsustained.
-    on_round:
-        Optional zero-argument callback fired after each full
-        round-robin pass, mirroring
-        :func:`~repro.serving.gateway.serve_round_robin`'s hook — the
-        seam an across-host
-        :class:`~repro.serving.autoscale.AutoBalancer` ticks through
-        when the target is a
-        :class:`~repro.serving.federation.FederatedGateway`.
     collect_analytics:
         Capture the target's ``stats()["analytics"]`` rollup into
         :attr:`LoadgenReport.analytics` after the replay completes
@@ -290,8 +281,6 @@ def replay_fleet(
             offsets[session_id] = i + chunk
             live = True
         rounds += 1
-        if on_round is not None and live:
-            on_round()
         if speed is not None and live:
             ahead = start + rounds * chunk / fs / speed - time.perf_counter()
             if ahead > 0:

@@ -163,14 +163,6 @@ class GatewayServer:
     queue_bursts:
         Outgoing-queue bound per connection (coalesced bursts); the
         server-side backpressure knob for slow readers.
-    tick_hook / tick_every:
-        Optional control-plane callback fired from the event-loop
-        thread after the round that brings the ingest count since the
-        last call to ``tick_every``.  The hook
-        runs where the gateway lives, so it may safely call
-        ``stats()`` / ``migrate_session()`` — the seam a within-host
-        :class:`~repro.serving.autoscale.AutoBalancer` ticks through
-        when the host is fronted remotely.
     """
 
     def __init__(
@@ -181,8 +173,6 @@ class GatewayServer:
         port: int = 0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         queue_bursts: int = DEFAULT_QUEUE_BURSTS,
-        tick_hook=None,
-        tick_every: int = 64,
     ):
         self.gateway = gateway
         #: The fronted gateway's lead count (0 = unknown), sent to the
@@ -193,9 +183,6 @@ class GatewayServer:
         self.port = port
         self.max_frame = int(max_frame)
         self.queue_bursts = int(queue_bursts)
-        self.tick_hook = tick_hook
-        self.tick_every = max(1, int(tick_every))
-        self._ingests_since_tick = 0
         self._server: asyncio.AbstractServer | None = None
         self._sessions: dict[str, _NetSession] = {}
         self._owners: dict[str, _Connection] = {}
@@ -471,11 +458,6 @@ class GatewayServer:
         await conn.send_burst(frames)
         if flushes_before is not None and self.gateway.n_flushes != flushes_before:
             await self._harvest_flush()
-        if self.tick_hook is not None:
-            self._ingests_since_tick += len(items)
-            if self._ingests_since_tick >= self.tick_every:
-                self._ingests_since_tick = 0
-                self.tick_hook()
 
     async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.
@@ -655,8 +637,6 @@ def serve_in_thread(
     port: int = 0,
     max_frame: int = wire.DEFAULT_MAX_FRAME,
     queue_bursts: int = DEFAULT_QUEUE_BURSTS,
-    tick_hook=None,
-    tick_every: int = 64,
 ) -> ServerHandle:
     """Run a :class:`GatewayServer` on a background event-loop thread.
 
@@ -670,8 +650,6 @@ def serve_in_thread(
         port=port,
         max_frame=max_frame,
         queue_bursts=queue_bursts,
-        tick_hook=tick_hook,
-        tick_every=tick_every,
     )
     loop = asyncio.new_event_loop()
     started = threading.Event()

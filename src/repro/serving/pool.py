@@ -20,10 +20,8 @@ how to reach one *member* (a command pipe to a worker process, or a
   last deliveries as residue for the session's next call), imports the
   capture on the target and counts the move.  The session's event
   sequence is unaffected, only its placement changes;
-  :class:`~repro.serving.autoscale.AutoBalancer` is this call driven
-  by the load statistics, at either level;
 * **elastic membership** — ``add_worker`` / ``add_host`` attach an
-  empty member (a rebalancer or ``least-loaded`` placement fills it);
+  empty member (``least-loaded`` placement fills it);
   ``retire_worker`` / ``retire_host`` drain one losslessly: every
   session it owns is live-migrated onto the survivors under the
   placement policy, a session evicted or closed under the drain is
@@ -33,8 +31,7 @@ how to reach one *member* (a command pipe to a worker process, or a
   every member's schema-pinned ``stats()``, merges their analytics
   rollups and keeps the member snapshots (``per_worker`` / ``workers``
   or ``per_host`` / ``hosts``) plus the pool's own ``migrations`` and
-  ``scale_events`` — the input :func:`~repro.serving.autoscale.worker_loads`
-  reads;
+  ``scale_events``;
 * **shutdown** — idempotent.  Afterwards the pool reads empty and
   every call raises ``RuntimeError("gateway is shut down")``.
 """
@@ -98,9 +95,7 @@ class MemberPool:
         """Open session ids, in opening order.
 
         A migrated session keeps its place: the order records when a
-        session was opened, not where it runs.  ``AutoBalancer`` moves
-        the last of ``sessions_on(busiest)`` first, so it picks the
-        same session at every pool tier.
+        session was opened, not where it runs.
         """
         return list(self._owner)
 
@@ -110,7 +105,7 @@ class MemberPool:
 
     def sessions_on(self, member: int) -> list[str]:
         """Ids of the sessions currently placed on one member (opening
-        order) — the candidate set a rebalancer migrates from."""
+        order)."""
         index = self._validate_member(member)
         return [sid for sid, owner in self._owner.items() if owner == index]
 
@@ -177,7 +172,7 @@ class MemberPool:
 
     def _move(self, session_id: str, index: int, target: int) -> None:
         """Live-migrate one session between two members.  Every move —
-        explicit, rebalance or drain — counts in ``n_migrations``."""
+        explicit or drain — counts in ``n_migrations``."""
         capture = self._release(index, session_id)
         try:
             self._import(target, session_id, capture)
@@ -229,10 +224,9 @@ class MemberPool:
 
         The per-member entries (``n_sessions`` open, ``n_queued`` beats
         pending in the member's batch — its queue depth — plus flush /
-        classification / eviction counters) are what the autoscaling
-        policies read; see the module docs for the top level.  The
-        schema is pinned by regression tests so policy inputs cannot
-        silently drift.  Semantics are *current pool*: a retired
+        classification / eviction counters); see the module docs for
+        the top level.  The schema is pinned by regression tests so
+        its readers cannot silently drift.  Semantics are *current pool*: a retired
         member's counters leave with it (its sessions migrate, its past
         work is not re-attributed), so the totals are always exactly
         the sum over the live member entries.

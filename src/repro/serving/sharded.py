@@ -381,10 +381,8 @@ class ShardedGateway(MemberPool):
         side-channel to :meth:`take_alerts` / :meth:`take_summaries`
         and the parent ``on_alert`` hook).
     workers:
-        Initial worker process count (>= 1).  The pool is elastic:
-        :meth:`add_worker` / :meth:`retire_worker` grow and shrink it
-        live (typically driven by a
-        :class:`repro.serving.autoscale.Autoscaler`).
+        Initial worker process count (>= 1).  :meth:`add_worker` /
+        :meth:`retire_worker` grow and shrink the pool live.
     placement:
         Session-to-worker assignment policy consulted by
         :meth:`open_session` and :meth:`import_session` — one of

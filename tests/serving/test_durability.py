@@ -113,6 +113,20 @@ class TestJournalStores:
         store.append_chunk("s", b"c1")
         assert store.load("s").chunks == [b"c1"]
 
+    def test_repeated_snapshots_keep_only_the_latest(self, store):
+        store.begin("s", b"meta")
+        for n in range(1, 4):
+            store.append_chunk("s", b"c%d" % n)
+            store.add_delivered("s", n)
+            store.put_snapshot("s", b"snap-%d" % n)
+        store.append_chunk("s", b"tail")
+        store.add_delivered("s", 5)
+        loaded = store.load("s")
+        assert (loaded.open_blob, loaded.snapshot) == (b"meta", b"snap-3")
+        assert (loaded.chunks, loaded.delivered) == ([b"tail"], 5)
+        assert store.chunk_count("s") == 1
+        assert store.session_ids() == ["s"]
+
     def test_begin_resets_history(self, store):
         store.begin("s", b"old")
         store.append_chunk("s", b"c0")
@@ -179,6 +193,116 @@ class TestDurableStorePersistence:
         reopened = make_store("file", tmp_path)
         assert reopened.load("s").chunks == [b"complete"]
         reopened.close()
+
+    def test_file_store_reads_the_newest_snapshot_generation(self, tmp_path):
+        """A process that died after the snapshot switch but before its
+        clean-up leaves two generations (and maybe a temp file); a
+        reopened store reads the newest with its own log and deletes
+        the rest."""
+        store = make_store("file", tmp_path)
+        store.begin("s", b"meta")
+        store.append_chunk("s", b"c0")
+        store.put_snapshot("s", b"snap-1")
+        store.append_chunk("s", b"c1")
+        store.add_delivered("s", 3)
+        old = {
+            name: (tmp_path / "journal" / name).read_bytes()
+            for name in os.listdir(tmp_path / "journal")
+        }
+        store.put_snapshot("s", b"snap-2")
+        store.append_chunk("s", b"c2")
+        store.close()
+        for name, blob in old.items():  # undo the clean-up
+            (tmp_path / "journal" / name).write_bytes(blob)
+        torn = store._path("s", ".snapshot", 3) + ".tmp"
+        with open(torn, "wb") as fh:  # an unfinished next switch
+            fh.write(b"torn")
+        reopened = make_store("file", tmp_path)
+        loaded = reopened.load("s")
+        assert (loaded.snapshot, loaded.chunks, loaded.delivered) == (
+            b"snap-2", [b"c2"], 0,
+        )
+        assert reopened.session_ids() == ["s"]
+        assert sorted(os.listdir(tmp_path / "journal")) == sorted(
+            os.path.basename(reopened._path("s", suffix))
+            for suffix in (".meta", ".snapshot", ".log")
+        )
+        reopened.close()
+
+    def test_file_store_begin_after_reopen_starts_a_fresh_history(
+        self, tmp_path
+    ):
+        """A reopened store knows a session's snapshot generation
+        without a ``load``: ``begin`` deletes the old generation's
+        files, and the next snapshot switch works from there."""
+        store = make_store("file", tmp_path)
+        store.begin("s", b"old")
+        for _ in range(2):
+            store.append_chunk("s", b"c0")
+            store.put_snapshot("s", b"snap")
+        store.append_chunk("s", b"c1")
+        store.close()
+        reopened = make_store("file", tmp_path)
+        reopened.begin("s", b"new")
+        assert os.listdir(tmp_path / "journal") == [
+            os.path.basename(reopened._path("s", ".meta"))
+        ]
+        loaded = reopened.load("s")
+        assert (loaded.open_blob, loaded.snapshot, loaded.chunks) == (
+            b"new", None, [],
+        )
+        reopened.append_chunk("s", b"c2")
+        reopened.put_snapshot("s", b"fresh")
+        reopened.append_chunk("s", b"c3")
+        assert reopened.chunk_count("s") == 1
+        reopened.close()
+        again = make_store("file", tmp_path)
+        loaded = again.load("s")
+        assert (loaded.open_blob, loaded.snapshot, loaded.chunks) == (
+            b"new", b"fresh", [b"c3"],
+        )
+        again.close()
+
+    def test_file_store_forget_after_a_crash_removes_every_generation(
+        self, tmp_path
+    ):
+        """What a process that died mid-switch left behind (a superseded
+        generation and a temp file) goes with a ``forget`` issued by
+        the next process, before anything was loaded."""
+        store = make_store("file", tmp_path)
+        store.begin("s", b"meta")
+        store.put_snapshot("s", b"snap-1")
+        store.append_chunk("s", b"c1")
+        old = {
+            name: (tmp_path / "journal" / name).read_bytes()
+            for name in os.listdir(tmp_path / "journal")
+        }
+        store.put_snapshot("s", b"snap-2")
+        store.close()
+        for name, blob in old.items():  # undo the clean-up
+            (tmp_path / "journal" / name).write_bytes(blob)
+        with open(store._path("s", ".snapshot", 3) + ".tmp", "wb") as fh:
+            fh.write(b"torn")
+        reopened = make_store("file", tmp_path)
+        reopened.forget("s")
+        assert os.listdir(tmp_path / "journal") == []
+        assert reopened.load("s") is None
+        assert reopened.session_ids() == []
+        reopened.close()
+
+    def test_file_store_keeps_no_state_after_forget(self, tmp_path):
+        store = make_store("file", tmp_path)
+        for i in range(20):
+            sid = f"s{i}"
+            store.begin(sid, b"meta")
+            store.append_chunk(sid, b"c0")
+            for _ in range(i % 3):
+                store.put_snapshot(sid, b"snap")
+                store.append_chunk(sid, b"c1")
+            store.forget(sid)
+        assert (store._logs, store._counts, store._generations) == ({}, {}, {})
+        assert os.listdir(tmp_path / "journal") == []
+        store.close()
 
     def test_file_store_tokenizes_hostile_session_ids(self, tmp_path):
         store = make_store("file", tmp_path)
@@ -742,6 +866,110 @@ class TestRestartRecovery:
             events += second.close_session("p")
         journal.close()
         assert_events_equal(reference_events[0], events)
+
+    @pytest.mark.parametrize("nth_snapshot", [1, 2])
+    def test_process_death_inside_put_snapshot(
+        self, nth_snapshot, records, embedded_classifier, reference_events,
+        assert_events_equal, tmp_path, monkeypatch,
+    ):
+        """An in-process gateway writes its own file journal, so the
+        process that dies inside ``put_snapshot`` is the writer.  A
+        death right after each filesystem step of the snapshot switch
+        recovers bit-exact: the log's delivered records never count
+        against the wrong snapshot, and no chunk is replayed twice."""
+        record = records[1]
+        block = 90
+        steps_taken = []
+        for after_step in range(1, 16):
+            directory = tmp_path / f"step-{after_step}"
+            died_at, events, steps = _run_until_death_in_put_snapshot(
+                embedded_classifier, record, block, str(directory),
+                monkeypatch, nth_snapshot=nth_snapshot, after_step=after_step,
+            )
+            steps_taken.append(steps)
+            if died_at is None:
+                break  # the snapshot switch has fewer steps than this
+            journal = open_journal(str(directory), "file", snapshot_every=8)
+            fresh = StreamGateway(
+                embedded_classifier, FS, n_leads=N_LEADS, journal=journal
+            )
+            backlog = recover_sessions(journal, fresh)
+            assert set(backlog) == {"p"}
+            events += backlog["p"]
+            events += feed(
+                fresh, "p", record.signal, block, start=(died_at + 1) * block
+            )
+            events += fresh.close_session("p")
+            journal.close()
+            assert_events_equal(reference_events[1], events)
+        else:  # pragma: no cover - guard
+            raise AssertionError("put_snapshot never completed")
+        assert len(steps_taken) >= 3  # at least two crash points exercised
+
+
+class _ProcessDeath(BaseException):
+    """Stands in for the process dying: no ``except Exception`` runs."""
+
+
+def _run_until_death_in_put_snapshot(
+    classifier, record, block, directory, monkeypatch, *, nth_snapshot,
+    after_step,
+):
+    """Serve ``record`` on a file-journaled ``StreamGateway`` and kill
+    the process right after filesystem step ``after_step`` (an ``open``
+    for writing, an ``os.replace`` or an ``os.remove``) of the
+    ``nth_snapshot``-th ``FileJournalStore.put_snapshot`` call.
+
+    Returns ``(chunk index that died or None, events delivered, steps
+    that put_snapshot call took)``.
+    """
+    from repro.serving import durability
+
+    state = {"calls": 0, "armed": False, "steps": 0}
+    real_put_snapshot = FileJournalStore.put_snapshot
+
+    def put_snapshot(self, session_id, blob):
+        state["calls"] += 1
+        state["armed"] = state["calls"] == nth_snapshot
+        try:
+            real_put_snapshot(self, session_id, blob)
+        finally:
+            state["armed"] = False
+
+    def step(fn, counts=lambda *args, **kwargs: True):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if state["armed"] and counts(*args, **kwargs):
+                state["steps"] += 1
+                if state["steps"] == after_step:
+                    if hasattr(result, "close"):
+                        result.close()
+                    raise _ProcessDeath
+            return result
+        return wrapped
+
+    def writes(file, mode="r", *args, **kwargs):
+        return any(flag in mode for flag in "wax+")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FileJournalStore, "put_snapshot", put_snapshot)
+        patch.setattr(durability, "open", step(open, writes), raising=False)
+        patch.setattr(os, "replace", step(os.replace))
+        patch.setattr(os, "remove", step(os.remove))
+        journal = open_journal(directory, "file", snapshot_every=8)
+        gateway = StreamGateway(
+            classifier, FS, n_leads=N_LEADS, journal=journal
+        )
+        gateway.open_session("p")
+        events = []
+        for index, start in enumerate(range(0, record.n_samples, block)):
+            try:
+                events += gateway.ingest("p", record.signal[start : start + block])
+            except _ProcessDeath:
+                journal.close()  # the dead process's descriptors
+                return index, events, state["steps"]
+        journal.close()
+        return None, events, state["steps"]
 
 
 class TestParkedSessions:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AutoBalancer,
     FederatedGateway,
     StreamGateway,
     spawn_host,
@@ -165,8 +164,8 @@ class TestBitExactness:
 
 class TestFleetStats:
     def test_rollup_schema_is_pinned(self, fed, fleet):
-        """The exact rollup key set, at both levels — fleet policy
-        inputs (``worker_loads``) must not silently drift."""
+        """The exact rollup key set, at both levels — the fleet
+        ``stats()`` readers must not silently drift."""
         streams, _ = fleet
         for sid in streams:
             fed.open_session(sid)
@@ -276,67 +275,6 @@ class TestSpawnHost:
         rejected before a host process is spawned."""
         with pytest.raises(ValueError, match="'process'"):
             spawn_host(embedded_classifier, FS, workers=2, worker_mode="thread")
-
-
-class TestTwoLevelBalancing:
-    def test_autobalancer_evens_a_skewed_fleet(
-        self, fed, fleet, embedded_classifier,
-        standalone_events, assert_events_equal,
-    ):
-        """The across-host level: the stock ``AutoBalancer`` reads the
-        fleet rollup and live-migrates sessions off the hot host — and
-        the moved sessions' streams stay bit-exact."""
-        streams, _ = fleet
-        for sid in streams:
-            fed.open_session(sid, host=0)  # all on one host: maximal skew
-        balancer = AutoBalancer(
-            fed, imbalance_threshold=1, cooldown_ticks=0
-        )
-        moved = balancer.tick()
-        assert moved  # spread was len(streams) - 0 > 1
-        counts = fed.session_counts()
-        assert max(counts) - min(counts) <= 1
-        assert fed.n_migrations == len(moved)
-        events = {sid: [] for sid in streams}
-        longest = max(len(x) for x in streams.values())
-        for start in range(0, longest, CHUNK):
-            for sid, signal in streams.items():
-                piece = signal[start : start + CHUNK]
-                if len(piece):
-                    events[sid].extend(fed.ingest(sid, piece))
-        for sid in streams:
-            events[sid].extend(fed.close_session(sid))
-        for sid, signal in streams.items():
-            reference = standalone_events(embedded_classifier, signal, FS, 1)
-            assert_events_equal(reference, events[sid])
-
-    def test_within_host_tick_hook_fires_per_ingest_budget(
-        self, embedded_classifier, fleet
-    ):
-        """The server seam the within-host balancing level hangs off:
-        the hook runs on the event-loop thread every ``tick_every``
-        ingests."""
-        streams, _ = fleet
-        ticks = {"n": 0}
-
-        def hook():
-            ticks["n"] += 1
-
-        gateway = StreamGateway(
-            embedded_classifier, FS, n_leads=1, max_batch=16, max_latency_ticks=8
-        )
-        handle = serve_in_thread(gateway, tick_hook=hook, tick_every=4)
-        try:
-            with GatewayClient(handle.host, handle.port, window=4) as client:
-                client.open_session("s")
-                signal = streams["loadgen-0"]
-                n_ingests = 12
-                for i in range(n_ingests):
-                    client.ingest("s", signal[i * CHUNK : (i + 1) * CHUNK])
-                client.close_session("s")
-        finally:
-            handle.stop()
-        assert ticks["n"] == n_ingests // 4
 
 
 class TestShutdownGuards:

@@ -11,9 +11,9 @@ sequences are bit-exact with a standalone inline-mode
 
 The scaling chaos class adds live **scale events** to the schedule:
 the worker pool grows 1 -> 4, shrinks 4 -> 1, or oscillates
-(``add_worker`` / ``retire_worker`` / ``AutoBalancer`` rebalance
-ticks interleaved with everything above), with the same per-session
-bit-exactness asserted on exactly the ingested prefixes.
+(``add_worker`` / ``retire_worker`` and bursts of seeded cross-worker
+migrations interleaved with everything above), with the same
+per-session bit-exactness asserted on exactly the ingested prefixes.
 
 Every schedule is derived from a seeded ``default_rng``, so failures
 replay deterministically; set ``REPRO_CHAOS_SEED=<int>[,<int>...]`` to
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
-from repro.serving import AutoBalancer, ShardedGateway, StreamGateway
+from repro.serving import ShardedGateway, StreamGateway
 
 N_LEADS = 1
 
@@ -261,8 +261,8 @@ class TestScalingChaos:
     """Random schedules with live scale events on an elastic pool.
 
     The worker pool grows 1 -> 4, shrinks 4 -> 1, or oscillates while
-    sessions open late, ingest random chunks, migrate (explicitly and
-    via ``AutoBalancer`` rebalance ticks), get evicted mid-stream and
+    sessions open late, ingest random chunks, migrate (one at a time
+    and in bursts that race undrained evictions), get evicted mid-stream and
     close early — per-session event sequences must stay bit-exact with
     a standalone node on exactly the ingested prefixes through it all.
     """
@@ -287,10 +287,6 @@ class TestScalingChaos:
             on_evict=lambda sid, events: evicted.update({sid: events}),
             **random_gateway_kwargs(rng),
         ) as gateway:
-            balancer = AutoBalancer(
-                gateway, imbalance_threshold=1, cooldown_ticks=0,
-                max_migrations_per_tick=2,
-            )
             sessions = {}
             for i in range(5):  # more sessions than records: reuse streams
                 record = records[i % len(records)]
@@ -372,8 +368,21 @@ class TestScalingChaos:
                             )
                             n_scale_downs += 1
                     continue
-                if roll < 0.22:
-                    balancer.tick()  # load-aware rebalance
+                if roll < 0.22:  # a burst of moves off a stale session list
+                    listed = gateway.session_ids()
+                    for _ in range(int(rng.integers(1, 3))):
+                        if gateway.workers < 2 or not listed:
+                            break
+                        sid = str(rng.choice(listed))
+                        shift = int(rng.integers(1, gateway.workers))
+                        try:
+                            gateway.migrate_session(
+                                sid, (gateway.worker_of(sid) + shift) % gateway.workers
+                            )
+                        except KeyError:
+                            # Evicted under the move: the release drained
+                            # an eviction notice; the sweep picks it up.
+                            assert sid not in gateway.session_ids()
                     continue
                 sid = str(rng.choice(sorted(live)))
                 state = sessions[sid]

@@ -98,8 +98,10 @@ class TestReplayFleet:
     ):
         streams, nominal_eps = fleet
         # Far below what one process classifies: trivially sustained,
-        # and the pacer must actually stretch the replay.
-        target = 40.0 * nominal_eps
+        # and the pacer must actually stretch the replay.  The 12 s
+        # fleet at 8x real time is a 1.5 s schedule, so the verdict's
+        # 10% slack (0.15 s) rides out a busy host's scheduler noise.
+        target = 8.0 * nominal_eps
         report = replay_fleet(
             _gateway(embedded_classifier), streams, fs=FS,
             chunk=int(0.25 * FS), target_eps=target, nominal_eps=nominal_eps,

@@ -41,18 +41,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--placement", "least-load"])
 
-    def test_serve_autoscale_bounds_checked_before_training(self, capsys):
-        with pytest.raises(SystemExit, match="min-workers"):
-            main(["serve", "--autoscale", "--min-workers", "3",
-                  "--max-workers", "2"])
-        with pytest.raises(SystemExit, match="target-depth"):
-            main(["serve", "--autoscale", "--target-depth", "0"])
-
     def test_serve_placement_rejected_without_sharded_mode(self):
         """--placement on a single-process serve is a no-op; refuse it
         loudly instead of silently ignoring it."""
         with pytest.raises(SystemExit, match="placement"):
             main(["serve", "--placement", "round-robin"])
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--autoscale"],
+            ["--min-workers", "1"],
+            ["--max-workers", "4"],
+            ["--target-depth", "4"],
+        ],
+    )
+    def test_serve_has_no_elastic_pool_options(self, flag, capsys):
+        """A sharded serve pool has a fixed size set by --workers; the
+        elastic-pool options are unknown to the parser, so a script that
+        still passes one fails before any training starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--workers", "2", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -215,39 +226,6 @@ class TestCommands:
         assert "sustained" in out
         assert "max sustained:" in out and "p99" in out
 
-    def test_serve_autoscale(self, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--scale",
-                    "0.02",
-                    "--ga-pop",
-                    "4",
-                    "--ga-gen",
-                    "2",
-                    "--sessions",
-                    "4",
-                    "--duration",
-                    "15",
-                    "--max-batch",
-                    "16",
-                    "--autoscale",
-                    "--min-workers",
-                    "1",
-                    "--max-workers",
-                    "3",
-                    "--target-depth",
-                    "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "elastic pool 1..3 workers" in out
-        assert "autoscaler:" in out and "scale events" in out
-        assert "events/s" in out and "session-3" in out
-
 
 class TestLocalTier:
     """``_local_tier`` builds the tier both ``serve`` paths run: one
@@ -313,17 +291,6 @@ class TestLocalTier:
             assert journal.snapshot_every == 5
             assert gateway.workers == 2
         journal.close()
-
-    def test_autoscale_starts_at_min_workers_least_loaded(self, embedded_classifier):
-        context, journal, tier = self.build(
-            embedded_classifier, "--autoscale", "--min-workers", "1",
-            "--max-workers", "3",
-        )
-        assert journal is None
-        assert tier == "elastic pool 1..3 workers, least-loaded placement"
-        with context as gateway:
-            assert gateway.workers == 1
-            assert gateway.placement == "least-loaded"
 
     def test_explicit_placement_wins(self, embedded_classifier):
         context, _, tier = self.build(

@@ -71,7 +71,6 @@ PUBLIC_MODULES = [
     "repro.experiments.table3",
     "repro.serving",
     "repro.serving.analytics",
-    "repro.serving.autoscale",
     "repro.serving.durability",
     "repro.serving.engine",
     "repro.serving.executors",
