@@ -23,8 +23,7 @@ once; this package is that workload's engine, in two shapes:
   :class:`ShardedGateway` runs one ``StreamGateway`` per worker
   process, places sessions across the pool by a pluggable policy
   (:data:`PLACEMENTS`), migrates them live, grows/shrinks the pool
-  elastically (``add_worker`` / ``retire_worker``), and applies
-  bounded-inbox backpressure (:class:`SessionInbox`) — same session
+  elastically (``add_worker`` / ``retire_worker``) — same session
   surface, same per-session bit-exactness, for every worker count.
   Given a journal, the pool heals its own worker crashes: it respawns
   a dead worker in place and replays snapshot+log to rebuild every
@@ -89,7 +88,7 @@ from repro.serving.durability import (
     open_journal,
     recover_sessions,
 )
-from repro.serving.executors import INBOX_POLICIES, PLACEMENTS
+from repro.serving.executors import PLACEMENTS
 from repro.serving.federation import FederatedGateway, HostProcess, spawn_host
 from repro.serving.gateway import (
     BeatBatch,
@@ -105,10 +104,9 @@ from repro.serving.loadgen import (
 )
 from repro.serving.net import GatewayClient, GatewayServer, serve_in_thread
 from repro.serving.results import FleetTrace, StreamResult
-from repro.serving.sharded import SessionInbox, ShardedGateway, WorkerCrashError
+from repro.serving.sharded import ShardedGateway, WorkerCrashError
 
 __all__ = [
-    "INBOX_POLICIES",
     "PLACEMENTS",
     "AnalyticsPipeline",
     "ArrhythmiaEpisodes",
@@ -127,7 +125,6 @@ __all__ = [
     "RRStats",
     "RateEpisodes",
     "SessionExport",
-    "SessionInbox",
     "SessionJournal",
     "ShardedGateway",
     "StreamGateway",

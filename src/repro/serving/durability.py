@@ -2,7 +2,7 @@
 
 A ``kill -9`` on a :class:`~repro.serving.sharded.ShardedGateway`
 worker loses every session it owns — the one failure mode the scaling
-tiers (placement, QoS, backpressure, federation) do not cover.  The
+tiers (placement, QoS, federation) do not cover.  The
 journal closes it with the classic write-ahead discipline, leaning on
 the serving stack's oldest invariant:
 

@@ -1,16 +1,11 @@
 """Serving-layer policy names and the shared knob validators.
 
-The inbox overflow policies and session placement policies the live
-gateways accept, each with a validator that raises a
-:class:`ValueError` naming the allowed values, plus the one
-lower-bound check every serving knob goes through.
+The session placement policies the live gateways accept, with a
+validator that raises a :class:`ValueError` naming the allowed values,
+plus the one lower-bound check every serving knob goes through.
 """
 
 from __future__ import annotations
-
-#: Overflow policies a bounded session inbox accepts
-#: (:class:`repro.serving.sharded.SessionInbox`).
-INBOX_POLICIES = ("block", "drop")
 
 #: Placement policies :class:`repro.serving.sharded.ShardedGateway`
 #: accepts for assigning sessions to workers (``open_session`` /
@@ -28,16 +23,6 @@ def validate_at_least(name: str, value: int, minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
-
-
-def validate_inbox_policy(policy: str) -> str:
-    """Return ``policy`` or raise a :class:`ValueError` naming the
-    allowed values."""
-    if policy not in INBOX_POLICIES:
-        raise ValueError(
-            f"unknown inbox policy {policy!r}; expected one of {INBOX_POLICIES}"
-        )
-    return policy
 
 
 def validate_placement(placement: str) -> str:

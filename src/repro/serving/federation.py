@@ -303,7 +303,6 @@ def _host_main(
     fs,
     workers,
     gateway_kwargs,
-    server_kwargs,
     host,
     port,
 ) -> None:
@@ -320,7 +319,7 @@ def _host_main(
         )
     else:
         gateway = StreamGateway(classifier, fs, **gateway_kwargs)
-    server = GatewayServer(gateway, host=host, port=port, **(server_kwargs or {}))
+    server = GatewayServer(gateway, host=host, port=port)
 
     async def _run() -> None:
         address = await server.start()
@@ -347,8 +346,6 @@ def spawn_host(
     workers: int = 1,
     worker_mode: str = "process",
     gateway_kwargs: dict | None = None,
-    server_kwargs: dict | None = None,
-    mp_context: str | None = None,
     start_timeout: float = 60.0,
 ) -> HostProcess:
     """Launch one backend gateway host in its own OS process.
@@ -358,9 +355,9 @@ def spawn_host(
     (``workers > 1``), serves it through a
     :class:`~repro.serving.net.server.GatewayServer`, and reports the
     bound address back — available as :attr:`HostProcess.address` when
-    this returns.  ``gateway_kwargs`` / ``server_kwargs`` pass through
-    to the respective constructors (e.g. ``max_batch`` /
-    ``max_latency_ticks`` for wire-speed batching).
+    this returns.  ``gateway_kwargs`` pass through to the gateway
+    constructor (e.g. ``max_batch`` / ``max_latency_ticks`` for
+    wire-speed batching).
 
     Separate processes are the point: each host owns a core, so a
     :class:`FederatedGateway` over N local hosts measures genuine
@@ -373,7 +370,7 @@ def spawn_host(
         raise ValueError(
             f"worker_mode must be 'process', got {worker_mode!r}"
         )
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context()
     parent, child = ctx.Pipe()
     # Worker processes are grandchildren — a daemonic host could not
     # spawn them, so only single-process hosts run daemonic.
@@ -382,7 +379,7 @@ def spawn_host(
         target=_host_main,
         args=(
             child, classifier, fs, int(workers),
-            gateway_kwargs, server_kwargs, host, port,
+            gateway_kwargs, host, port,
         ),
         name="repro-fed-host",
         daemon=daemon,

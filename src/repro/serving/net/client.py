@@ -173,9 +173,6 @@ class GatewayClient:
         synchronous operation flushes first, so ordering and the
         resume contract are unchanged.  Cuts per-chunk syscall cost
         when producers stream tiny high-rate chunks.
-    resume:
-        When ``False``, a dead connection raises instead of resuming
-        (for callers that manage sessions themselves).
     retry_budget:
         Optional cap in seconds on the **total** wall time one public
         operation may spend retrying (connection attempts, backoff
@@ -209,7 +206,6 @@ class GatewayClient:
         backoff_max: float = 2.0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         send_buffer: int = 0,
-        resume: bool = True,
         retry_budget: float | None = None,
         sleep=time.sleep,
         monotonic=time.monotonic,
@@ -227,7 +223,6 @@ class GatewayClient:
         self.backoff_max = float(backoff_max)
         self.max_frame = int(max_frame)
         self.send_buffer = int(send_buffer)
-        self.resume = bool(resume)
         self.retry_budget = None if retry_budget is None else float(retry_budget)
         self._retry_deadline: float | None = None
         self._sleep = sleep
@@ -694,9 +689,6 @@ class GatewayClient:
         replay ``EVENTS`` frame the server sends alongside is handled
         by the ordinary frame path.
         """
-        if not self.resume:
-            self._teardown()
-            raise ConnectError("connection lost (resume disabled)")
         self._teardown()
         self.n_reconnects += 1
         self._connect_raw()

@@ -39,6 +39,10 @@ next ingest.  Process-mode sharded gateways deliver per-session on
 their own pipelined responses, so no harvest is needed (or possible)
 there.
 
+**Idle eviction**: after each round the server drains the gateway's
+evicted sessions and stops tracking them; their final events are not
+sent over the wire.
+
 **Reconnect-resume**: sessions survive their connection.  When a
 connection dies, every session it owns is captured via the existing
 :meth:`~repro.serving.gateway.StreamGateway.release_session` /
@@ -442,6 +446,7 @@ class GatewayServer:
             items.append((session_id, message.chunk))
         flushes_before = getattr(self.gateway, "n_flushes", None)
         results = iter(self.gateway.ingest_round(items) if items else ())
+        self._forget_evicted()
         frames: list[bytes] = []
         for reply in replies:
             if isinstance(reply, bytes):
@@ -458,6 +463,16 @@ class GatewayServer:
         await conn.send_burst(frames)
         if flushes_before is not None and self.gateway.n_flushes != flushes_before:
             await self._harvest_flush()
+
+    def _forget_evicted(self) -> None:
+        """Drop the sessions the gateway evicted from the session map
+        and their connections, so no later call names them; a frame
+        for one then gets the error a closed id gets."""
+        for session_id in self.gateway.take_evicted():
+            self._sessions.pop(session_id, None)
+            owner = self._owners.pop(session_id, None)
+            if owner is not None:
+                owner.owned.discard(session_id)
 
     async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.

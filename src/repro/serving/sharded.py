@@ -32,24 +32,6 @@ is the pipe transport underneath:
   persistent ``select.poll`` per pipe, so a non-blocking drain costs
   one system call per worker.
 
-Backpressure: with ``inbox_capacity`` set, each session has a bounded
-inbox (:class:`SessionInbox`) of accepted-but-unprocessed chunks.  When
-it is full the documented overflow policy applies (the
-:data:`~repro.serving.executors.INBOX_POLICIES`):
-
-* ``"block"`` — ``ingest_round`` waits for the owning worker to catch up
-  before accepting the chunk.  No data is ever lost; the producer is
-  slowed to the worker's pace.  Progress is guaranteed because the
-  worker always consumes its pipe (the wait actively drains worker
-  responses, so it cannot deadlock).
-* ``"drop"`` — the chunk is rejected *and counted*
-  (:meth:`ShardedGateway.dropped_chunks`,
-  :attr:`SessionInbox.n_dropped`); ``ingest_round`` still returns the
-  session's resolved events.  Load shedding is explicit and audited —
-  never a silent loss — but the session's event stream then reflects
-  the thinned signal (bit-exactness holds for the samples actually
-  accepted).
-
 QoS settings (per-session latency budgets, idle eviction) are forwarded
 to the worker gateways; evicted sessions' final event sequences travel
 back with the next response from that worker and reach the parent's
@@ -77,8 +59,6 @@ from __future__ import annotations
 
 import multiprocessing
 import select
-import threading
-from collections import deque
 from dataclasses import replace
 from functools import partial, wraps
 from operator import methodcaller
@@ -87,11 +67,11 @@ import numpy as np
 
 from repro.dsp.streaming import check_samples
 from repro.serving.durability import _replay
-from repro.serving.executors import validate_at_least, validate_inbox_policy
+from repro.serving.executors import validate_at_least
 from repro.serving.gateway import SessionExport, StreamGateway
 from repro.serving.pool import MemberPool
 
-__all__ = ["SessionInbox", "ShardedGateway", "WorkerCrashError"]
+__all__ = ["ShardedGateway", "WorkerCrashError"]
 
 
 #: Recovery rounds one call of a journaled pool may use before the
@@ -107,9 +87,8 @@ class WorkerCrashError(RuntimeError):
     Raised by the parent when the command pipe breaks or hits EOF.
     ``worker`` is the pool index of the dead worker.  ``ingest_round``
     sets ``session_id`` on the error of each item whose chunk was
-    shipped to the worker that died (an item whose chunk was never
-    shipped gets an error without one).  A journaled pool heals the
-    crash itself; an unjournaled one loses the dead worker's sessions.
+    shipped to the worker that died.  A journaled pool heals the crash
+    itself; an unjournaled one loses the dead worker's sessions.
     """
 
     def __init__(
@@ -137,103 +116,6 @@ def _healing(method):
         return self._recovering(method, self, *args, **kwargs)
 
     return guarded
-
-
-class SessionInbox:
-    """Bounded inbox of accepted-but-unprocessed chunks for one session.
-
-    A thread-safe bounded queue with the serving layer's two documented
-    overflow policies (:data:`~repro.serving.executors.INBOX_POLICIES`):
-
-    * ``"block"``: :meth:`put` waits until the consumer has taken an
-      item.  Nothing is ever lost; the producer runs at the consumer's
-      pace.  The caller may supply a ``wait`` hook that *drives* the
-      consumer (how :class:`ShardedGateway` drains worker responses
-      while waiting), which guarantees progress without a second
-      thread.
-    * ``"drop"``: :meth:`put` rejects the item when full, returns
-      ``False`` and increments :attr:`n_dropped` — shedding is
-      explicit and counted, never silent.
-
-    ``high_water`` records the maximum occupancy ever reached, so tests
-    and monitoring can verify the bound actually held.
-    """
-
-    def __init__(self, capacity: int, policy: str = "block"):
-        validate_at_least("inbox_capacity", capacity)
-        validate_inbox_policy(policy)
-        self.capacity = int(capacity)
-        self.policy = policy
-        self.n_dropped = 0
-        self.n_accepted = 0
-        self.high_water = 0
-        self._items: deque = deque()
-        self._closed = False
-        self._cond = threading.Condition(threading.RLock())
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def put(self, item, wait=None) -> bool:
-        """Offer one item; apply the overflow policy when full.
-
-        Returns ``True`` when the item was accepted.  In ``"drop"``
-        mode a full inbox returns ``False`` (and counts the drop); in
-        ``"block"`` mode the call waits for space — via ``wait()`` if
-        given (called repeatedly until space frees up; it may consume
-        from this inbox or :meth:`close` it), else on the internal
-        condition until another thread calls :meth:`take`.  Offering
-        to a closed inbox (its session ended, e.g. evicted) returns
-        ``False`` without counting a drop: the caller must re-check
-        the session, not retry.
-        """
-        with self._cond:
-            while not self._closed and len(self._items) >= self.capacity:
-                if self.policy == "drop":
-                    self.n_dropped += 1
-                    return False
-                if wait is None:
-                    self._cond.wait()
-                else:
-                    wait()
-            if self._closed:
-                return False
-            self._items.append(item)
-            self.n_accepted += 1
-            self.high_water = max(self.high_water, len(self._items))
-            return True
-
-    def take(self):
-        """Consume the oldest item (FIFO); unblocks a waiting producer."""
-        with self._cond:
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
-
-    def close(self) -> None:
-        """End the inbox's session: unblock any waiting producer.
-
-        A blocked :meth:`put` returns ``False`` instead of waiting for
-        space that will never free up (the guard against a producer
-        deadlocking on a session evicted under it).
-        """
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-    def carry_audit(self, previous: "SessionInbox") -> None:
-        """Inherit a predecessor inbox's full audit (migration /
-        recovery): shed count, accept count, and high-water mark — the
-        counters are per *session*, not per placement."""
-        with self._cond:
-            self.n_dropped = previous.n_dropped
-            self.n_accepted = previous.n_accepted
-            self.high_water = max(self.high_water, previous.high_water)
 
 
 class _WorkerState:
@@ -389,16 +271,6 @@ class ShardedGateway(MemberPool):
         :data:`~repro.serving.executors.PLACEMENTS` (``"hash"``,
         ``"least-loaded"``, ``"round-robin"``).  An explicit
         ``worker=`` argument always wins.
-    inbox_capacity:
-        Bound on each session's accepted-but-unprocessed chunks
-        (>= 1, or ``None`` = unbounded).  See the module docs for the
-        backpressure contract.
-    inbox_policy:
-        Overflow policy when a session's inbox is full — one of
-        :data:`~repro.serving.executors.INBOX_POLICIES`.
-    mp_context:
-        Optional :mod:`multiprocessing` start method (e.g. ``"fork"``,
-        ``"spawn"``); default is the platform's.
     journal:
         Optional :class:`repro.serving.durability.SessionJournal`.
         When set, accepted chunks are write-ahead journaled, snapshots
@@ -426,9 +298,6 @@ class ShardedGateway(MemberPool):
         on_evict=None,
         analytics=None,
         on_alert=None,
-        inbox_capacity: int | None = None,
-        inbox_policy: str = "block",
-        mp_context: str | None = None,
         journal=None,
         n_leads: int = 1,
         lead: int = 0,
@@ -443,12 +312,7 @@ class ShardedGateway(MemberPool):
         validate_at_least("max_latency_ticks", max_latency_ticks)
         if evict_after_ticks is not None:
             validate_at_least("evict_after_ticks", evict_after_ticks)
-        if inbox_capacity is not None:
-            validate_at_least("inbox_capacity", inbox_capacity)
-        validate_inbox_policy(inbox_policy)
         self.fs = fs
-        self.inbox_capacity = inbox_capacity
-        self.inbox_policy = inbox_policy
         self.on_evict = on_evict
         self.on_alert = on_alert
         self.journal = journal
@@ -469,14 +333,13 @@ class ShardedGateway(MemberPool):
             delineation_config=delineation_config,
             overhead_bytes=overhead_bytes,
         )
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context()
         self._classifier = classifier
         self._gateway_kwargs = gateway_kwargs
         self._conns = []
         self._procs = []
         self._pollers = []
         self._events: dict[str, list] = {}
-        self._inboxes: dict[str, SessionInbox] = {}
         self._evicted: dict[str, list] = {}
         self._errors: dict[str, Exception] = {}
         self._alerts: list[tuple[str, object]] = []
@@ -545,7 +408,7 @@ class ShardedGateway(MemberPool):
             "analytics": analytics,
         }
         self._request(index, ("open", session_id, qos))
-        self._register(session_id, index)
+        self._owner[session_id] = index
         if self.journal is not None:
             self.journal.open(session_id, qos)
 
@@ -569,71 +432,47 @@ class ShardedGateway(MemberPool):
         come back, or the exception the item raised.  Pipelined: the
         call does not wait for the workers to process the round.  Each
         chunk is checked here (shape and finite samples); a rejected
-        chunk raises for its item at once and is neither queued nor
-        journaled, and the other items still apply.  With a bounded
-        inbox the overflow policy applies next (see the module docs); a
-        dropped chunk is counted in :meth:`dropped_chunks` and never
-        reaches the worker.  Each worker then gets its accepted chunks,
-        in round order, as one contiguous float64 array plus their
-        lengths, and answers with one response.
+        chunk raises for its item at once and is neither shipped nor
+        journaled, and the other items still apply.  Each worker then
+        gets its accepted chunks, in round order, as one contiguous
+        float64 array plus their lengths, and answers with one
+        response.
 
         With a journal, a worker's chunks are journaled just before its
         message is sent (write-ahead).  An item whose worker died under
-        it is settled once the pool is healed: a shipped chunk is
-        journaled and the recovery replays it, so its session's events
-        are drained and the chunk is never sent again; a chunk never
-        shipped (the worker died during the blocking-inbox wait) is
-        ingested again.  Without a journal the item's entry is the
-        :class:`WorkerCrashError`.  A worker death noticed before any
-        item is queued raises from the call (a journaled pool heals it
-        and retries the round).
+        it is settled once the pool is healed: its chunk is journaled
+        and the recovery replays it, so its session's events are
+        drained by a poll and the chunk is never sent again.  Without a
+        journal the item's entry is the :class:`WorkerCrashError`.  A
+        worker death noticed before any chunk is shipped raises from
+        the call (a journaled pool heals it and retries the round).
         """
         items = list(items)
-        self._drain(block=False)
+        self._drain()
         results: list = [None] * len(items)
         queued: dict[int, list] = {}  # worker -> [(position, block)]
-
-        def ship(index: int) -> None:
-            batch = queued.pop(index, None)
-            if batch:
-                crash = self._ship(index, [(*items[p], block) for p, block in batch])
-                if crash is not None:
-                    for p, _ in batch:
-                        results[p] = WorkerCrashError(
-                            index, crash.cause, session_id=items[p][0]
-                        )
-
         for position, (session_id, chunk) in enumerate(items):
             try:
                 index = self._owner_or_raise(session_id)
                 block = check_samples(chunk, self.n_leads)
-                inbox = self._inboxes.get(session_id)
-                if inbox is not None:
-                    def wait(index=index):
-                        ship(index)  # its queued chunks may fill the inbox
-                        self._drain_one(index, block=True)
-
-                    accepted = inbox.put(len(chunk), wait=wait)
-                    if session_id not in self._owner:  # evicted while blocked
-                        raise KeyError(f"no open session {session_id!r}")
-                    if not accepted:
-                        continue  # dropped: the item returns the events
             except Exception as exc:
                 results[position] = exc
                 continue
             queued.setdefault(index, []).append((position, block))
-        for index in list(queued):
-            ship(index)
-        for position, (session_id, chunk) in enumerate(items):
+        for index, batch in queued.items():
+            crash = self._ship(index, [(*items[p], block) for p, block in batch])
+            if crash is not None:
+                for p, _ in batch:
+                    results[p] = WorkerCrashError(
+                        index, crash.cause, session_id=items[p][0]
+                    )
+        for position, (session_id, _) in enumerate(items):
             result = results[position]
             if result is None:
                 results[position] = self._take_events(session_id)
             elif isinstance(result, WorkerCrashError) and self.journal is not None:
                 try:
-                    if result.session_id is None:  # never shipped
-                        results[position] = self.ingest(session_id, chunk)
-                    else:
-                        results[position] = self.poll(session_id)
+                    results[position] = self.poll(session_id)
                 except Exception as exc:
                     results[position] = exc
         return results
@@ -707,7 +546,7 @@ class ShardedGateway(MemberPool):
     @_healing
     def release_session(self, session_id: str) -> SessionExport:
         """Capture a live session for migration and remove it here."""
-        export, _ = self._release(self._owner_or_raise(session_id), session_id)
+        export = self._release(self._owner_or_raise(session_id), session_id)
         self._forget(session_id)
         if self.journal is not None:  # the session now lives elsewhere
             self.journal.forget(session_id)
@@ -717,7 +556,7 @@ class ShardedGateway(MemberPool):
     def import_session(self, export: SessionExport, session_id: str | None = None) -> str:
         """Resume an exported session on its policy-placed worker."""
         session_id = export.session_id if session_id is None else session_id
-        self._import(self._pick(session_id), session_id, (export, None))
+        self._import(self._pick(session_id), session_id, export)
         return session_id
 
     @_healing
@@ -726,17 +565,13 @@ class ShardedGateway(MemberPool):
         if it is already there); see :mod:`repro.serving.pool`."""
         self._migrate(session_id, worker)
 
-    def _release(self, index: int, session_id: str) -> tuple:
+    def _release(self, index: int, session_id: str) -> SessionExport:
         export = self._request(index, ("release", session_id))
-        inbox = self._inboxes.pop(session_id, None)
-        if inbox is not None:
-            inbox.close()  # a producer blocked on it must not wait forever
-        return self._merge_buffer(session_id, export), inbox
+        return self._merge_buffer(session_id, export)
 
-    def _import(self, index: int, session_id: str, capture: tuple) -> None:
-        export, inbox = capture
+    def _import(self, index: int, session_id: str, export: SessionExport) -> None:
         self._request(index, ("import", session_id, export))
-        self._register(session_id, index, inbox)
+        self._owner[session_id] = index
         if self.journal is not None:
             # The capture is the new snapshot: an ownership move
             # carries the journal, and recovery replays onto the new
@@ -754,7 +589,7 @@ class ShardedGateway(MemberPool):
     @_healing
     def retire_worker(self, worker: int) -> int:
         """Shrink the pool: drain one worker's sessions onto the others
-        (losslessly, backlogged inboxes included) and reap it.  Returns
+        (losslessly, chunks in flight included) and reap it.  Returns
         the number of sessions migrated; see :mod:`repro.serving.pool`."""
         return self._retire(worker)
 
@@ -795,18 +630,10 @@ class ShardedGateway(MemberPool):
         """Force one batched classifier pass on every worker."""
         return sum(self._request(i, ("flush", None)) for i in range(self.workers))
 
-    def dropped_chunks(self, session_id: str | None = None) -> int:
-        """Chunks rejected by the ``"drop"`` overflow policy (audited
-        loss — see the module docs), for one session or fleet-wide."""
-        if session_id is not None:
-            inbox = self._inboxes.get(session_id)
-            return 0 if inbox is None else inbox.n_dropped
-        return sum(inbox.n_dropped for inbox in self._inboxes.values())
-
     @_healing
     def take_evicted(self) -> dict[str, list]:
         """Final event sequences of evicted sessions; clears the store."""
-        self._drain(block=False)
+        self._drain()
         evicted = self._evicted
         self._evicted = {}
         return evicted
@@ -815,7 +642,7 @@ class ShardedGateway(MemberPool):
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` analytics alerts, fleet-wide;
         clears the queue."""
-        self._drain(block=False)
+        self._drain()
         alerts = self._alerts
         self._alerts = []
         return alerts
@@ -824,7 +651,7 @@ class ShardedGateway(MemberPool):
     def take_summaries(self) -> dict[str, dict]:
         """Final analytics summaries of closed/evicted sessions,
         fleet-wide; clears the store."""
-        self._drain(block=False)
+        self._drain()
         summaries = self._summaries
         self._summaries = {}
         return summaries
@@ -887,35 +714,32 @@ class ShardedGateway(MemberPool):
         rebuilt session is scrubbed off every worker (a stale copy an
         interrupted heal left), replayed by
         :func:`~repro.serving.durability._replay` inside its placed
-        worker, and gets the events still owed as its backlog and its
-        old inbox's audit.
+        worker, and gets the events still owed as its backlog.
         """
         self._check_open()
         dead = {i for i, proc in enumerate(self._procs) if not proc.is_alive()}
         if crashed is not None:
             dead.add(crashed)
-        lost: dict[str, SessionInbox | None] = {}
+        lost: list[str] = []
         for index in sorted(dead):
             owned = len(self.sessions_on(index))
             try:
-                self._drain_one(index, block=False)
+                self._drain_one(index)
             except WorkerCrashError:
                 pass  # the pipe ran dry: everything readable was handled
-            orphans = {sid: self._inboxes.get(sid) for sid in self.sessions_on(index)}
+            orphans = self.sessions_on(index)
             self.n_evictions_salvaged += owned - len(orphans)
             for session_id in orphans:
                 self._forget(session_id)
-            lost.update(orphans)
+            lost += orphans
             self._stop_worker(index)
             self._conns[index], self._procs[index], self._pollers[index] = (
                 self._make_worker()
             )
             self.n_respawns += 1
-        for session_id in self.journal.session_ids():
-            if session_id not in self._owner:
-                lost.setdefault(session_id, None)
+        lost += [sid for sid in self.journal.session_ids() if sid not in self._owner]
         before = self.n_sessions_recovered
-        for session_id, inbox in lost.items():
+        for session_id in dict.fromkeys(lost):
             rec = self.journal.recover(session_id)
             if rec is None:
                 continue
@@ -926,7 +750,7 @@ class ShardedGateway(MemberPool):
                     pass
             index = self._place(session_id)
             backlog = self._request(index, ("call", session_id, partial(_replay, rec)))
-            self._register(session_id, index, inbox)
+            self._owner[session_id] = index
             if backlog:
                 self._events[session_id] = backlog
             self.n_sessions_recovered += 1
@@ -970,25 +794,10 @@ class ShardedGateway(MemberPool):
             return export
         return replace(export, events=buffered + list(export.events))
 
-    def _register(self, session_id: str, index: int, audit=None) -> None:
-        """Place a session (a moved one keeps its place in the map) and
-        give it a fresh inbox, inheriting ``audit``'s counters."""
-        self._owner[session_id] = index
-        if self.inbox_capacity is not None:
-            inbox = SessionInbox(self.inbox_capacity, self.inbox_policy)
-            if audit is not None:
-                # The backpressure audit is per session, not per
-                # placement: it survives moves and recovery.
-                inbox.carry_audit(audit)
-            self._inboxes[session_id] = inbox
-
     def _forget(self, session_id: str) -> None:
         super()._forget(session_id)
         self._events.pop(session_id, None)
         self._errors.pop(session_id, None)  # must not leak to a reused id
-        inbox = self._inboxes.pop(session_id, None)
-        if inbox is not None:
-            inbox.close()  # a producer blocked on it must not wait forever
 
     def _crashed(self, index: int, exc: BaseException) -> WorkerCrashError:
         """A pipe error: the worker died — unless the pool was shut
@@ -1080,26 +889,15 @@ class ShardedGateway(MemberPool):
                 return value
             self._handle(response)
 
-    def _drain(self, block: bool) -> None:
+    def _drain(self) -> None:
         for index in range(self.workers):
-            self._drain_one(index, block=block)
+            self._drain_one(index)
 
-    def _drain_one(self, index: int, block: bool) -> bool:
-        """Process pending responses from one worker.
-
-        Non-blocking: handle everything already in the pipe.  Blocking:
-        wait for (at least) one response — the backpressure wait hook,
-        guaranteed to make progress because the worker consumes its
-        command queue in order.
-        """
-        handled = False
-        if block and not self._poll_conn(index):
-            self._handle(self._recv(index))
-            handled = True
+    def _drain_one(self, index: int) -> None:
+        """Handle every response already waiting on one worker's pipe,
+        without blocking."""
         while self._poll_conn(index):
             self._handle(self._recv(index))
-            handled = True
-        return handled
 
     def _handle(self, response: tuple) -> None:
         """Route one pipelined (round) response into the buffers.
@@ -1121,9 +919,6 @@ class ShardedGateway(MemberPool):
         if status == "err":  # pragma: no cover - the round itself failed
             value = [(status, value)] * len(session_ids)
         for session_id, (item_status, events) in zip(session_ids, value):
-            inbox = self._inboxes.get(session_id)
-            if inbox is not None and len(inbox):
-                inbox.take()  # the worker consumed the chunk either way
             if item_status == "err":
                 self._errors[session_id] = events
             elif session_id in self._owner:

@@ -733,45 +733,48 @@ class TestSupervisedRecovery:
             assert_events_equal(expected, collected[f"s{i}"])
 
 
-    def test_chunk_never_shipped_is_ingested_again(
-        self, records, embedded_classifier, reference_events,
+    @pytest.mark.parametrize("in_flight", [1, 3])
+    def test_kill_with_chunks_in_flight_settles_each_once(
+        self, in_flight, records, embedded_classifier, reference_events,
         assert_events_equal,
     ):
-        """The worker dies while a round waits on the session's full
-        blocking inbox: that chunk never reached the journal, so once
-        the pool is healed it is ingested again, exactly once."""
+        """The worker dies with chunks shipped but never processed.
+        Each was journaled before it was sent, so the heal replays it
+        and the session's events come out once; no chunk is sent
+        again."""
         record = records[0]
         block = 90
+        shipped = 20 * block + in_flight * block
         with ShardedGateway(
             embedded_classifier, FS,
             journal=SessionJournal(MemoryJournalStore(), snapshot_every=10_000),
-            workers=1, n_leads=N_LEADS, inbox_capacity=1,
+            workers=1, n_leads=N_LEADS,
         ) as gateway:
             gateway.open_session("p")
             events = feed(gateway, "p", record.signal, block, stop=20 * block)
-            events += gateway.poll("p")  # synchronize: the inbox is empty
-            drain_one, waits = gateway._drain_one, []
-
-            def kill_then_drain(index, block):
-                if block and not waits:  # the inbox wait: the worker dies
-                    waits.append(index)
-                    kill_worker(gateway, index)
-                return drain_one(index, block)
-
-            os.kill(gateway._procs[0].pid, signal.SIGSTOP)  # no more answers
+            events += gateway.poll("p")
+            os.kill(gateway._procs[0].pid, signal.SIGSTOP)
             try:
-                events += gateway.ingest("p", record.signal[20 * block : 21 * block])
-                gateway._drain_one = kill_then_drain
-                events += feed(gateway, "p", record.signal, block, start=21 * block)
+                events += feed(
+                    gateway, "p", record.signal, block,
+                    start=20 * block, stop=shipped,
+                )
+                assert not gateway._poll_conn(0)
             finally:
-                if not waits:  # never leave a stopped worker to the shutdown
-                    kill_worker(gateway, 0)
-            assert waits and gateway.n_respawns == 1
-            # The inbox audit survives the heal and counts every chunk once.
-            assert gateway._inboxes["p"].n_accepted == len(
-                range(0, record.n_samples, block)
-            )
+                kill_worker(gateway, 0)
+            sent = []
+            send = gateway._send
+
+            def recording_send(index, request):
+                if request[0] == "round":
+                    sent.extend(request[2][1])
+                send(index, request)
+
+            gateway._send = recording_send
+            events += feed(gateway, "p", record.signal, block, start=shipped)
             events += gateway.close_session("p")
+            assert gateway.n_respawns == 1
+            assert sum(sent) == record.n_samples - shipped
         assert_events_equal(reference_events[0], events)
 
 
@@ -1342,32 +1345,6 @@ class TestRejectedChunks:
 
 class TestShardedJournalHooks:
     """The sharded gateway's journal bookkeeping, without a crash."""
-
-    def test_counters_survive_migration(
-        self, records, embedded_classifier,
-    ):
-        """Satellite regression: ``_move`` must carry the inbox audit
-        trail (n_accepted / n_dropped / high_water), not just drops."""
-        record = records[0]
-        with ShardedGateway(
-            embedded_classifier, FS, workers=2, n_leads=N_LEADS,
-            inbox_capacity=64,
-        ) as gateway:
-            gateway.open_session("p")
-            for i in range(3):
-                gateway.ingest(
-                    "p", record.signal[i * 100 : (i + 1) * 100]
-                )
-            before = gateway._inboxes["p"]
-            accepted, high = before.n_accepted, before.high_water
-            assert accepted == 3
-            gateway.migrate_session("p", 1 - gateway.worker_of("p"))
-            after = gateway._inboxes["p"]
-            assert after is not before
-            assert after.n_accepted == accepted
-            assert after.high_water >= high
-            assert after.n_dropped == before.n_dropped
-            gateway.close_session("p")
 
     def test_eviction_forgets_the_journal(self, embedded_classifier):
         journal = SessionJournal(MemoryJournalStore())

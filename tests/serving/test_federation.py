@@ -277,6 +277,19 @@ class TestSpawnHost:
             spawn_host(embedded_classifier, FS, workers=2, worker_mode="thread")
 
 
+    @pytest.mark.parametrize("option", ["mp_context", "server_kwargs"])
+    def test_removed_options_rejected_before_spawning(self, option, embedded_classifier):
+        """A host always starts with the platform's default context and
+        serves with the server's defaults: these keywords are unknown,
+        and refusing one spawns no host process."""
+        import multiprocessing
+
+        before = len(multiprocessing.active_children())
+        with pytest.raises(TypeError, match=option):
+            spawn_host(embedded_classifier, FS, **{option: None})
+        assert len(multiprocessing.active_children()) == before
+
+
 class TestShutdownGuards:
     """The front door refuses cleanly after shutdown() — no call may
     reach a dead client connection or leave stale routing state."""

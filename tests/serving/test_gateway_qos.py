@@ -1,25 +1,19 @@
-"""Per-session QoS and backpressure: latency budgets, eviction, inboxes.
+"""Per-session QoS: latency budgets and idle eviction.
 
 The gateway's global flush policy (``max_batch`` / ``max_latency_ticks``)
-gained three per-session QoS levers in the sharded-gateway PR:
+has two per-session QoS levers:
 
 * per-session latency budgets (``open_session(max_latency_ticks=n)``)
   that flush the cross-session batch earlier than the global bound;
 * idle-session eviction (``evict_after_ticks``) that force-closes a
-  slow session and emits its complete, well-formed final event set;
-* bounded per-session inboxes (:class:`repro.serving.SessionInbox`)
-  whose documented drop/block overflow policies shed or absorb load
-  deterministically — no silent loss, no deadlock.
+  slow session and emits its complete, well-formed final event set.
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
-from repro.serving import INBOX_POLICIES, SessionInbox, ShardedGateway, StreamGateway
+from repro.serving import ShardedGateway, StreamGateway
 from repro.serving.sharded import _WorkerState
 
 FS_BLOCK_S = 0.4
@@ -264,168 +258,3 @@ class TestEviction:
         state.handle(("stats", None))  # a synchronous request: no id can still arrive
         assert not state._evicted_ids
         state.handle(("close", "active"))
-
-
-class TestSessionInbox:
-    """The documented drop/block overflow policies, deterministically."""
-
-    def test_drop_mode_sheds_loudly_and_keeps_the_rest(self):
-        """Beyond capacity: rejected, counted — the accepted items are
-        intact and in order (no silent loss, nothing blocks)."""
-        inbox = SessionInbox(capacity=3, policy="drop")
-        accepted = [inbox.put(i) for i in range(8)]
-        assert accepted == [True] * 3 + [False] * 5
-        assert inbox.n_dropped == 5 and inbox.n_accepted == 3
-        assert [inbox.take() for _ in range(3)] == [0, 1, 2]
-        assert inbox.put(99) is True  # space again after consumption
-        assert inbox.high_water == 3
-
-    def test_block_mode_never_loses_under_a_stalled_consumer(self):
-        """A consumer that stalls then drains: every put eventually
-        lands, order preserved, occupancy never exceeds capacity."""
-        inbox = SessionInbox(capacity=2, policy="block")
-        taken = []
-
-        def consumer():
-            time.sleep(0.05)  # stall first
-            for _ in range(6):
-                while len(inbox) == 0:
-                    time.sleep(0.001)
-                taken.append(inbox.take())
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        for i in range(6):
-            assert inbox.put(i) is True
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert taken == list(range(6))
-        assert inbox.n_dropped == 0
-        assert inbox.high_water <= 2
-
-    def test_block_mode_wait_hook_drives_the_consumer(self):
-        """Single-threaded block mode: the wait hook consumes (how the
-        sharded gateway drains worker responses) — no deadlock."""
-        inbox = SessionInbox(capacity=1, policy="block")
-        consumed = []
-        inbox.put("a")
-        assert inbox.put("b", wait=lambda: consumed.append(inbox.take())) is True
-        assert consumed == ["a"] and len(inbox) == 1
-
-    def test_close_unblocks_a_waiting_producer(self):
-        """A session ending (e.g. evicted) under a blocked producer
-        must not leave it waiting for space that never frees up."""
-        inbox = SessionInbox(capacity=1, policy="block")
-        inbox.put("a")
-        outcome = []
-
-        def producer():
-            outcome.append(inbox.put("b"))
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.02)  # let the producer reach the wait
-        inbox.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert outcome == [False]  # rejected, not accepted-after-death
-        assert inbox.closed and inbox.put("c") is False
-        assert inbox.n_dropped == 0  # closure is not load shedding
-
-    def test_validation_names_allowed_values(self):
-        with pytest.raises(ValueError, match=r"inbox_capacity must be >= 1"):
-            SessionInbox(capacity=0)
-        with pytest.raises(ValueError) as excinfo:
-            SessionInbox(capacity=1, policy="spill")
-        message = str(excinfo.value)
-        assert "spill" in message
-        for name in INBOX_POLICIES:
-            assert name in message
-
-
-class TestShardedBackpressure:
-    def test_block_mode_is_lossless_and_bit_exact(
-        self, record, block, embedded_classifier, assert_events_equal, standalone_events
-    ):
-        """capacity=1 block mode fully serializes producer and worker:
-        nothing dropped, nothing deadlocked, events bit-exact."""
-        with ShardedGateway(
-            embedded_classifier, record.fs, workers=2,
-            inbox_capacity=1, inbox_policy="block",
-        ) as gateway:
-            gateway.open_session("p")
-            events = []
-            for i in range(0, record.n_samples, block):
-                events += gateway.ingest("p", record.signal[i : i + block])
-            inbox = gateway._inboxes["p"]
-            assert inbox.high_water <= 1 and inbox.n_dropped == 0
-            assert gateway.dropped_chunks() == 0
-            events += gateway.close_session("p")
-        assert_events_equal(
-            standalone_events(embedded_classifier, record, record.fs, 1), events
-        )
-
-    def test_pipelined_ingest_error_blames_its_own_session(
-        self, record, block, embedded_classifier
-    ):
-        """Regression: a worker-side ingest error arrives
-        asynchronously; it must be raised by the erroring session's
-        next call — not out of an unrelated session's call, and without
-        desyncing the pipe protocol.  A malformed chunk never gets that
-        far: the parent checks it and raises at once, for its own
-        item."""
-        with ShardedGateway(
-            embedded_classifier, record.fs, workers=2, n_leads=1
-        ) as gateway:
-            gateway.open_session("bad", worker=0)
-            gateway.open_session("good", worker=1)
-            with pytest.raises(ValueError, match="blocks must be"):
-                gateway.ingest(
-                    "bad", record.signal[:block].reshape(-1, 1).repeat(2, axis=1)
-                )
-            # The worker loses the session behind the parent's back, so
-            # its next chunk fails worker-side.
-            export = gateway._request(0, ("release", "bad"))
-            assert gateway.ingest("bad", record.signal[:block]) == []
-            # The unrelated session keeps working while the error is in
-            # flight and after it has been parked.
-            for i in range(3):
-                gateway.ingest("good", record.signal[i * block : (i + 1) * block])
-            gateway.poll("good")
-            gateway.flush()  # every worker has answered: the error is parked
-            with pytest.raises(KeyError, match="bad"):
-                gateway.ingest("bad", record.signal[:block])
-            # Protocol still in sync: the session serves again once the
-            # worker has it back.
-            gateway._request(0, ("import", "bad", export))
-            assert gateway.ingest("bad", record.signal[:block]) == []
-            gateway.close_session("bad")
-            gateway.close_session("good")
-
-    def test_drop_mode_counts_every_shed_chunk(
-        self, record, block, embedded_classifier
-    ):
-        """Drop mode with an artificially saturated inbox: the chunk is
-        rejected and audited, the session keeps serving — and the audit
-        survives a rebalancing migration."""
-        with ShardedGateway(
-            embedded_classifier, record.fs, workers=2,
-            inbox_capacity=1, inbox_policy="drop",
-        ) as gateway:
-            gateway.open_session("p", worker=0)
-            # Saturate the accounting directly: the policy decision is
-            # parent-side and deterministic given a full inbox.
-            gateway._inboxes["p"].put(0)
-            events = gateway.ingest("p", record.signal[:block])
-            assert events == []
-            assert gateway.dropped_chunks("p") == 1
-            assert gateway.dropped_chunks() == 1
-            gateway._inboxes["p"].take()  # free the slot; session still live
-            for i in range(1, 6):
-                gateway.ingest("p", record.signal[i * block : (i + 1) * block])
-                gateway.poll("p")  # synchronize so no further chunk sheds
-            gateway.migrate_session("p", 1)
-            assert gateway.dropped_chunks("p") == 1  # audit not reset
-            final = gateway.close_session("p")
-        assert gateway.dropped_chunks("p") == 0  # session gone; audit per run
-        assert isinstance(final, list)

@@ -283,28 +283,6 @@ class TestShardedRounds:
             reference = standalone_events(embedded_classifier, signal[:fed], FS, 1)
             assert_events_equal(reference, events)
 
-    def test_blocking_inbox_holds_a_session_repeated_in_a_round(
-        self, records, embedded_classifier, standalone_events,
-        assert_events_equal,
-    ):
-        """With room for one chunk in flight, a round holding the same
-        session several times ships its queued chunk before waiting for
-        room, instead of waiting on a chunk it never sent."""
-        signal = records["a"].signal
-        pieces = [signal[i : i + 120] for i in range(0, len(signal), 120)]
-        with ShardedGateway(
-            embedded_classifier, FS, workers=2, inbox_capacity=1,
-            inbox_policy="block", **GATEWAY,
-        ) as gateway:
-            gateway.open_session("a")
-            events = []
-            for start in range(0, len(pieces), 4):
-                for result in gateway.ingest_round([("a", p) for p in pieces[start : start + 4]]):
-                    events.extend(result)
-            assert gateway._inboxes["a"].high_water == 1
-            events.extend(gateway.close_session("a"))
-        assert_events_equal(standalone_events(embedded_classifier, records["a"], FS, 1), events)
-
     def test_one_pipe_message_per_worker_per_round(self, records, embedded_classifier):
         with ShardedGateway(
             embedded_classifier, FS, workers=2, **GATEWAY
@@ -386,3 +364,35 @@ class TestSupervisedRounds:
             results = gateway.ingest_round([("a", chunk), ("b", chunk)])
             assert all(isinstance(r, WorkerCrashError) for r in results)
             assert [r.session_id for r in results] == ["a", "b"]
+
+    def test_round_crash_marks_only_the_dead_workers_items(
+        self, records, embedded_classifier, standalone_events,
+        assert_events_equal,
+    ):
+        """Without a journal, only the items shipped to the worker that
+        died get its crash, each naming its own session; the other
+        worker's items apply."""
+        with ShardedGateway(
+            embedded_classifier, FS, workers=2, **GATEWAY
+        ) as gateway:
+            gateway.open_session("a", worker=0)
+            gateway.open_session("b", worker=1)
+            proc = gateway._procs[0]
+            send = gateway._send
+
+            def kill_then_send(index, request):
+                if index == 0:
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join(5.0)
+                send(index, request)
+
+            gateway._send = kill_then_send
+            a, b = records["a"].signal, records["b"].signal
+            results = gateway.ingest_round(
+                [("a", a[:90]), ("b", b[:90]), ("a", a[90:180]), ("b", b[90:180])]
+            )
+            crashed = [r for r in results if isinstance(r, WorkerCrashError)]
+            assert [(r.worker, r.session_id) for r in crashed] == [(0, "a"), (0, "a")]
+            assert results[0] is crashed[0] and results[2] is crashed[1]
+            events = results[1] + results[3] + gateway.close_session("b")
+        assert_events_equal(standalone_events(embedded_classifier, b[:180], FS, 1), events)

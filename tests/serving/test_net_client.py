@@ -454,6 +454,52 @@ class TestDoubleTransportFailure:
         assert not client.connected
 
 
+class TestResume:
+    """A lost connection is always resumed: there is no opt-out."""
+
+    def test_lost_connection_resumes_and_retransmits_unprocessed_chunks(self):
+        """The client reconnects, sends ``RESUME`` for its session and
+        retransmits, under their original sequence numbers, exactly the
+        chunks the server reports it has not processed."""
+        clock = FakeClock()
+
+        class ResumingPeer(FakePeer):
+            def handle(self, message):
+                if isinstance(message, wire.Resume):
+                    self.received.append(message)
+                    # The old connection's server processed chunk 0 only.
+                    self.send(wire.encode_resume_ok(message.session_id, 1))
+                else:
+                    super().handle(message)
+
+        peers = [FakePeer(), ResumingPeer()]
+        sockets = []
+
+        def factory(address, timeout):
+            sockets.append(FakeSocket(peers[len(sockets)], clock))
+            return sockets[-1]
+
+        client = make_client(clock, factory)
+        client.connect()
+        client.open_session("s")
+        for value in range(3):
+            client.ingest("s", np.full(8, float(value)))
+        sockets[0].closed = True
+        client.ingest("s", np.full(8, 3.0))
+        assert client.n_reconnects == 1
+        assert client.n_retransmitted == 3
+        received = peers[1].received
+        assert isinstance(received[0], wire.Hello)
+        assert received[1] == wire.Resume("s", 0)
+        ingests = [m for m in received if isinstance(m, wire.Ingest)]
+        assert [m.seq for m in ingests] == [1, 2, 3]
+        assert [float(m.chunk[0]) for m in ingests] == [1.0, 2.0, 3.0]
+
+    def test_resume_cannot_be_switched_off(self):
+        with pytest.raises(TypeError, match="resume"):
+            GatewayClient("h", 1, resume=False)
+
+
 class TestDiscardSession:
     def test_discard_drops_local_state_without_wire_traffic(self):
         clock = FakeClock()

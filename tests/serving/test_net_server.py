@@ -13,7 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import StreamGateway, replay_fleet, serve_round_robin, synthesize_fleet
+from repro.serving import (
+    ShardedGateway,
+    StreamGateway,
+    replay_fleet,
+    serve_round_robin,
+    synthesize_fleet,
+)
 from repro.serving.net import GatewayClient, GatewayServer, serve_in_thread
 from repro.serving.net.client import RemoteError
 
@@ -315,3 +321,198 @@ class TestCoalescedDelivery:
                 c.close_session("b")
         finally:
             handle.stop()
+
+
+class TestGatewayEviction:
+    def test_idle_eviction_keeps_the_connection_and_other_sessions(
+        self, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """A session the gateway evicts for idleness leaves the server's
+        session map, so the flush harvest never polls it: the connection
+        stays up, the other session on it stays bit-exact, and a later
+        frame for the evicted id gets the error a closed id gets."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        gateway = StreamGateway(
+            embedded_classifier, FS, n_leads=1, max_batch=4, max_latency_ticks=4
+        )
+        handle = serve_in_thread(gateway)
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                client.open_session("b", evict_after_ticks=3)
+                client.ingest("b", signal[:90])
+                events = []
+                for start in range(0, 60 * 90, 90):
+                    events.extend(client.ingest("a", signal[start : start + 90]))
+                events.extend(client.close_session("a"))
+                assert client.n_reconnects == 0
+                assert "b" not in handle.server._sessions
+                with pytest.raises(RemoteError, match="no open session 'b'"):
+                    client.poll("b")
+        finally:
+            handle.stop()
+        assert handle.server.n_connections == 1
+        assert gateway.n_evicted == 1
+        assert gateway.take_evicted() == {}
+        reference = standalone_events(embedded_classifier, signal[: 60 * 90], FS, 1)
+        assert_events_equal(reference, events)
+
+    @staticmethod
+    def _evicting_gateway(classifier):
+        return StreamGateway(
+            classifier, FS, n_leads=1, max_batch=4, max_latency_ticks=4
+        )
+
+    def test_a_frame_for_an_evicted_id_is_refused_like_a_closed_one(
+        self, embedded_classifier,
+    ):
+        """An ingest for an id the gateway evicted is not sequenced: it
+        gets the asynchronous error of an id never opened, the client
+        raises it on the session's next call, and the connection and
+        the other session carry on."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        handle = serve_in_thread(self._evicting_gateway(embedded_classifier))
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                client.open_session("b", evict_after_ticks=3)
+                client.ingest("b", signal[:90])
+                for start in range(0, 10 * 90, 90):
+                    client.ingest("a", signal[start : start + 90])
+                client.poll("a")
+                assert "b" not in handle.server._sessions
+                client.ingest("b", signal[90:180])
+                client.poll("a")  # the refusal has arrived
+                with pytest.raises(RemoteError, match="no open session 'b'"):
+                    client.poll("b")
+                client.ingest("a", signal[10 * 90 : 11 * 90])
+                client.close_session("a")
+                assert client.n_reconnects == 0
+        finally:
+            handle.stop()
+        assert handle.server.n_connections == 1
+
+    def test_an_evicted_id_can_be_opened_again(
+        self, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """Eviction frees the id on the server: once the client drops
+        its own state for it, the id opens again and serves bit-exact."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        gateway = self._evicting_gateway(embedded_classifier)
+        handle = serve_in_thread(gateway)
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                client.open_session("b", evict_after_ticks=3)
+                client.ingest("b", signal[:90])
+                for start in range(0, 10 * 90, 90):
+                    client.ingest("a", signal[start : start + 90])
+                client.poll("a")
+                client.discard_session("b")
+                client.open_session("b")
+                events = []
+                for start in range(0, len(signal), 90):
+                    events.extend(client.ingest("b", signal[start : start + 90]))
+                events.extend(client.close_session("b"))
+                client.close_session("a")
+                assert client.n_reconnects == 0
+        finally:
+            handle.stop()
+        assert gateway.n_evicted == 1
+        assert_events_equal(
+            standalone_events(embedded_classifier, signal, FS, 1), events
+        )
+
+    def test_eviction_spares_the_other_connections(
+        self, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """The evicted session's connection stays up and keeps serving;
+        a second connection that streams the ticks never notices."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        handle = serve_in_thread(self._evicting_gateway(embedded_classifier))
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as idle, \
+                    GatewayClient(handle.host, handle.port, window=4) as busy:
+                idle.open_session("b", evict_after_ticks=3)
+                idle.ingest("b", signal[:90])
+                busy.open_session("a")
+                events = []
+                for start in range(0, 60 * 90, 90):
+                    events.extend(busy.ingest("a", signal[start : start + 90]))
+                events.extend(busy.close_session("a"))
+                assert set(handle.server._owners) == set()
+                with pytest.raises(RemoteError, match="no open session 'b'"):
+                    idle.poll("b")
+                idle.open_session("c")
+                idle.ingest("c", signal[:90])
+                idle.close_session("c")
+                assert idle.n_reconnects == busy.n_reconnects == 0
+        finally:
+            handle.stop()
+        assert handle.server.n_connections == 2
+        assert_events_equal(
+            standalone_events(embedded_classifier, signal[: 60 * 90], FS, 1), events
+        )
+
+    def test_every_eviction_leaves_the_server_and_the_gateway_store(
+        self, embedded_classifier,
+    ):
+        """Sessions evicted at different times each leave the session
+        map, the owner map and the gateway's evicted store: nothing
+        accumulates behind a long-running server."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        gateway = self._evicting_gateway(embedded_classifier)
+        handle = serve_in_thread(gateway)
+        idle = [f"idle-{i}" for i in range(4)]
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                for i, sid in enumerate(idle):
+                    client.open_session(sid, evict_after_ticks=2 + 3 * i)
+                    client.ingest(sid, signal[:90])
+                for start in range(0, 30 * 90, 90):
+                    client.ingest("a", signal[start : start + 90])
+                client.poll("a")
+                assert set(handle.server._sessions) == {"a"}
+                assert set(handle.server._owners) == {"a"}
+                client.close_session("a")
+                assert client.n_reconnects == 0
+        finally:
+            handle.stop()
+        assert gateway.n_evicted == len(idle)
+        assert gateway.take_evicted() == {}
+
+    def test_eviction_behind_a_sharded_pool_leaves_the_server(
+        self, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """A pool's eviction notices ride its workers' responses; the
+        server still learns of each one and stops tracking the id."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        with ShardedGateway(
+            embedded_classifier, FS, workers=1, n_leads=1, max_batch=4,
+            max_latency_ticks=4,
+        ) as gateway:
+            handle = serve_in_thread(gateway)
+            try:
+                with GatewayClient(handle.host, handle.port, window=4) as client:
+                    client.open_session("a")
+                    client.open_session("b", evict_after_ticks=3)
+                    client.ingest("b", signal[:90])
+                    events = []
+                    for start in range(0, 60 * 90, 90):
+                        events.extend(client.ingest("a", signal[start : start + 90]))
+                    events.extend(client.poll("a"))
+                    events.extend(client.ingest("a", signal[60 * 90 : 61 * 90]))
+                    assert "b" not in handle.server._sessions
+                    with pytest.raises(RemoteError, match="no open session 'b'"):
+                        client.poll("b")
+                    events.extend(client.close_session("a"))
+                    assert client.n_reconnects == 0
+            finally:
+                handle.stop()
+            assert gateway.stats()["n_evicted"] == 1
+            assert gateway.take_evicted() == {}
+        assert handle.server.n_connections == 1
+        assert_events_equal(
+            standalone_events(embedded_classifier, signal[: 61 * 90], FS, 1), events
+        )

@@ -10,10 +10,13 @@ Contracts on top of the sharded tier's bit-exactness:
   its own worker, and of a session evicted under an undrained notice
   raises ``KeyError`` and leaves the placement map consistent;
 * the elastic pool drains losslessly: ``retire_worker`` of a worker
-  with backlogged (blocked-inbox) sessions migrates them with no
-  event loss, a pool grown and shrunk mid-stream keeps every session
+  with chunks still in flight migrates its sessions with no event
+  loss, a pool grown and shrunk mid-stream keeps every session
   bit-exact, and the ``stats()`` schema is pinned.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -299,28 +302,31 @@ class TestElasticPool:
         with pytest.raises(RuntimeError, match="shut down"):
             gateway.retire_worker(0)
 
-    def test_retire_drains_blocked_inbox_sessions_losslessly(
+    def test_retire_drains_in_flight_chunks_losslessly(
         self, record, embedded_classifier, assert_events_equal, standalone_events
     ):
-        """Retiring a worker whose sessions have backlogged bounded
-        inboxes (chunks accepted but not yet processed) loses nothing:
-        the drain waits for the worker, folds every buffered event into
-        the migration, and the inbox audit survives on the new owner."""
+        """Retiring a worker whose sessions have chunks shipped but not
+        yet processed loses nothing: the drain waits for the worker and
+        folds every buffered event into the migration."""
         fs = record.fs
         block = int(0.5 * fs)
         with ShardedGateway(
-            embedded_classifier, fs, workers=2, n_leads=N_LEADS,
-            inbox_capacity=1, inbox_policy="block", max_batch=4,
+            embedded_classifier, fs, workers=2, n_leads=N_LEADS, max_batch=4,
         ) as gateway:
             gateway.open_session("p", worker=0)
             gateway.open_session("q", worker=0)
             events, i = [], 0
-            # Backlog worker 0: each session has an in-flight chunk.
-            for _ in range(3):
-                events += gateway.ingest("p", record.signal[i : i + block])
-                gateway.ingest("q", record.signal[:block])
-                i += block
-            assert len(gateway._inboxes["p"]) + len(gateway._inboxes["q"]) > 0
+            # Stop worker 0 so that every chunk stays in flight.
+            pid = gateway._procs[0].pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for _ in range(3):
+                    events += gateway.ingest("p", record.signal[i : i + block])
+                    gateway.ingest("q", record.signal[:block])
+                    i += block
+                assert not gateway._poll_conn(0)
+            finally:
+                os.kill(pid, signal.SIGCONT)
             moved = gateway.retire_worker(0)
             assert moved == 2
             assert gateway.workers == 1
@@ -330,6 +336,51 @@ class TestElasticPool:
                 i += block
             events += gateway.close_session("p")
             gateway.close_session("q")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, fs, N_LEADS), events
+        )
+
+    @pytest.mark.parametrize("move", ["migrate", "release", "close"])
+    def test_chunks_in_flight_follow_a_move_or_close(
+        self, move, record, embedded_classifier, assert_events_equal,
+        standalone_events,
+    ):
+        """Chunks shipped to a worker but not yet processed belong to
+        the session: a migration or a release/import carries their
+        events to the new owner, and a close returns them."""
+        fs = record.fs
+        block = int(0.5 * fs)
+        with ShardedGateway(
+            embedded_classifier, fs, workers=2, n_leads=N_LEADS, max_batch=4,
+        ) as gateway:
+            gateway.open_session("p", worker=0)
+            events, i = [], 0
+            pid = gateway._procs[0].pid
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                for _ in range(3):
+                    events += gateway.ingest("p", record.signal[i : i + block])
+                    i += block
+                assert not gateway._poll_conn(0)
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            if move == "close":
+                events += gateway.close_session("p")
+                reference = standalone_events(
+                    embedded_classifier, record, fs, N_LEADS, upto=i
+                )
+                assert_events_equal(reference, events)
+                return
+            if move == "migrate":
+                gateway.migrate_session("p", 1)
+            else:
+                export = gateway.release_session("p")
+                assert gateway.n_sessions == 0
+                gateway.import_session(export)
+            while i < record.n_samples:
+                events += gateway.ingest("p", record.signal[i : i + block])
+                i += block
+            events += gateway.close_session("p")
         assert_events_equal(
             standalone_events(embedded_classifier, record, fs, N_LEADS), events
         )
@@ -375,21 +426,6 @@ class TestElasticPool:
         expected = standalone_events(embedded_classifier, record, fs, N_LEADS)
         for sid in everyone:
             assert_events_equal(expected, events[sid])
-
-    def test_retire_preserves_drop_audit(self, record, embedded_classifier):
-        """The shedding audit (n_dropped) survives the drain migration."""
-        fs = record.fs
-        with ShardedGateway(
-            embedded_classifier, fs, workers=2, n_leads=N_LEADS,
-            inbox_capacity=1, inbox_policy="drop",
-        ) as gateway:
-            gateway.open_session("p", worker=0)
-            for _ in range(6):  # overrun the inbox; some chunks shed
-                gateway.ingest("p", record.signal[: int(0.5 * fs)])
-            dropped = gateway.dropped_chunks("p")
-            gateway.retire_worker(0)
-            assert gateway.dropped_chunks("p") == dropped
-            gateway.close_session("p")
 
 
 class TestStatsSchema:

@@ -228,21 +228,11 @@ class TestShardedValidation:
             (dict(max_batch=0), r"max_batch must be >= 1, got 0"),
             (dict(max_latency_ticks=0), r"max_latency_ticks must be >= 1, got 0"),
             (dict(evict_after_ticks=0), r"evict_after_ticks must be >= 1, got 0"),
-            (dict(inbox_capacity=0), r"inbox_capacity must be >= 1, got 0"),
         ],
     )
     def test_bounds_named(self, kwargs, match, embedded_classifier):
         with pytest.raises(ValueError, match=match):
             ShardedGateway(embedded_classifier, 360.0, **kwargs)
-
-    def test_unknown_inbox_policy_names_allowed_values(self, embedded_classifier):
-        """The error must teach the caller what IS accepted."""
-        with pytest.raises(ValueError) as excinfo:
-            ShardedGateway(embedded_classifier, 360.0, inbox_policy="spill")
-        message = str(excinfo.value)
-        assert "spill" in message
-        for name in ("block", "drop"):
-            assert name in message
 
     def test_stream_gateway_bounds_named(self, embedded_classifier):
         """StreamGateway phrases its bounds the same way (shared
@@ -266,23 +256,77 @@ class TestShardedValidation:
         import multiprocessing
 
         before = len(multiprocessing.active_children())
-        for kwargs in (dict(workers=0), dict(max_batch=0), dict(inbox_policy="x")):
+        for kwargs in (dict(workers=0), dict(max_batch=0)):
             with pytest.raises(ValueError):
                 ShardedGateway(embedded_classifier, 360.0, **kwargs)
         assert len(multiprocessing.active_children()) == before
 
-    def test_executors_export_inbox_policies(self):
-        from repro.serving import INBOX_POLICIES
-        from repro.serving.executors import validate_inbox_policy
+    @pytest.mark.parametrize("option", ["inbox_capacity", "inbox_policy", "mp_context"])
+    def test_removed_options_rejected_before_spawning(self, option, embedded_classifier):
+        """The pool has no bounded inboxes and starts its workers with
+        the platform's default context: these keywords are unknown,
+        and refusing one spawns no worker."""
+        import multiprocessing
 
-        assert INBOX_POLICIES == ("block", "drop")
-        assert validate_inbox_policy("block") == "block"
+        before = len(multiprocessing.active_children())
+        with pytest.raises(TypeError, match=option):
+            ShardedGateway(embedded_classifier, 360.0, **{option: None})
+        assert len(multiprocessing.active_children()) == before
 
     def test_session_export_defaults_are_backward_compatible(self):
         """Old-style three-field exports (pre-QoS pickles) still load."""
         export = SessionExport(session_id="s", snapshot=None)
         assert export.max_latency_ticks is None
         assert export.evict_after_ticks is None
+
+
+class TestPipelinedErrors:
+    @pytest.fixture(scope="class")
+    def record(self):
+        return RecordSynthesizer(SynthesisConfig(n_leads=1), seed=81).synthesize(
+            18.0, class_mix={"N": 0.6, "V": 0.3, "L": 0.1}, name="qos"
+        )
+
+    @pytest.fixture(scope="class")
+    def block(self, record):
+        return int(0.4 * record.fs)
+
+    def test_pipelined_ingest_error_blames_its_own_session(
+        self, record, block, embedded_classifier
+    ):
+        """Regression: a worker-side ingest error arrives
+        asynchronously; it must be raised by the erroring session's
+        next call — not out of an unrelated session's call, and without
+        desyncing the pipe protocol.  A malformed chunk never gets that
+        far: the parent checks it and raises at once, for its own
+        item."""
+        with ShardedGateway(
+            embedded_classifier, record.fs, workers=2, n_leads=1
+        ) as gateway:
+            gateway.open_session("bad", worker=0)
+            gateway.open_session("good", worker=1)
+            with pytest.raises(ValueError, match="blocks must be"):
+                gateway.ingest(
+                    "bad", record.signal[:block].reshape(-1, 1).repeat(2, axis=1)
+                )
+            # The worker loses the session behind the parent's back, so
+            # its next chunk fails worker-side.
+            export = gateway._request(0, ("release", "bad"))
+            assert gateway.ingest("bad", record.signal[:block]) == []
+            # The unrelated session keeps working while the error is in
+            # flight and after it has been parked.
+            for i in range(3):
+                gateway.ingest("good", record.signal[i * block : (i + 1) * block])
+            gateway.poll("good")
+            gateway.flush()  # every worker has answered: the error is parked
+            with pytest.raises(KeyError, match="bad"):
+                gateway.ingest("bad", record.signal[:block])
+            # Protocol still in sync: the session serves again once the
+            # worker has it back.
+            gateway._request(0, ("import", "bad", export))
+            assert gateway.ingest("bad", record.signal[:block]) == []
+            gateway.close_session("bad")
+            gateway.close_session("good")
 
 
 class TestLifecycleTeardown:

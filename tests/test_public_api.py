@@ -114,6 +114,20 @@ def test_package_all_exports_resolve():
             assert hasattr(package, name), f"{package.__name__}.{name} missing"
 
 
+def test_serving_exports_resolve_without_the_inbox_layer():
+    """``repro.serving`` exports only what exists: the sharded pool's
+    bounded inboxes are gone, names and validator alike."""
+    import repro.serving
+    import repro.serving.executors
+
+    for name in repro.serving.__all__:
+        assert hasattr(repro.serving, name), f"repro.serving.{name} missing"
+    for name in ("SessionInbox", "INBOX_POLICIES"):
+        assert name not in repro.serving.__all__
+        assert not hasattr(repro.serving, name)
+    assert not hasattr(repro.serving.executors, "validate_inbox_policy")
+
+
 def test_public_classes_have_docstrings():
     from repro.core.nfc import NeuroFuzzyClassifier
     from repro.core.pipeline import RPClassifierPipeline
