@@ -12,8 +12,10 @@ the throughput the in-process tier earned:
   coalesces each gateway flush into one framed burst per connection;
 * :mod:`repro.serving.net.client` — a pipelined synchronous client
   that multiplexes sessions over one connection, with retry/backoff/
-  timeout discipline and bit-exact reconnect-resume built on the
-  gateway's :class:`~repro.serving.gateway.SessionExport` handshake.
+  timeout discipline, bit-exact reconnect-resume of the sessions a
+  dead connection left parked (still open) in the gateway, and
+  ``MIGRATE`` built on the gateway's
+  :class:`~repro.serving.gateway.SessionExport` handshake.
 
 The client mirrors the gateway session surface, so fleet drivers such
 as :func:`repro.serving.loadgen.replay_fleet` run unmodified against a

@@ -38,7 +38,8 @@ Reliability discipline:
   its bounded replay buffer, while the server replays exactly the
   events the client never acknowledged.  The combined per-session
   event sequence is bit-exact with an uninterrupted connection — the
-  chaos suite pins it.
+  chaos suite pins it.  A session the server evicted meanwhile is
+  refused and dropped; the others still resume.
 
 Server-side errors arrive either as the reply to a synchronous request
 (raised immediately as :class:`RemoteError`) or asynchronously for a
@@ -257,9 +258,10 @@ class GatewayClient:
         return self
 
     def close(self) -> None:
-        """Drop the connection.  Open sessions are parked server-side
-        (resumable by a later client); call :meth:`close_session` first
-        for a clean end-of-stream."""
+        """Drop the connection.  Open sessions are parked server-side:
+        they stay open in the remote gateway, resumable by a later
+        client; call :meth:`close_session` first for a clean
+        end-of-stream."""
         self._teardown()
         self._sessions.clear()
         self._errors.clear()
@@ -309,12 +311,14 @@ class GatewayClient:
         """Adopt a session parked on the server and continue it bit-exactly.
 
         A producer that vanishes (process crash, dropped link) leaves
-        its sessions parked server-side via the ``SessionExport``
-        migration path; a successor calls this with the number of the
-        session's events it already holds (``0`` for a fresh adopter
-        that persisted nothing) and receives a replay of everything
-        after that index — the combined event sequence across both
-        producers is exactly the standalone node's.
+        its sessions parked server-side: still open in the remote
+        gateway, which keeps journaling them and idle-evicts those with
+        an ``evict_after_ticks`` threshold.  A successor calls this
+        with the number of the session's events it already holds
+        (``0`` for a fresh adopter that persisted nothing) and
+        receives a replay of everything after that index — the
+        combined event sequence across both producers is exactly the
+        standalone node's.
         """
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} is already open")
@@ -337,7 +341,8 @@ class GatewayClient:
                     return
                 except _ConnectionLost:
                     self._reconnect_and_resume()
-                    return  # the resume loop above re-attached it
+                    self._session(session_id)  # re-attached, or refused
+                    return
         except BaseException:
             self._sessions.pop(session_id, None)
             raise
@@ -687,17 +692,23 @@ class GatewayClient:
         buffer is retransmitted (with its original sequence number),
         and the buffer drops what the server already processed.  The
         replay ``EVENTS`` frame the server sends alongside is handled
-        by the ordinary frame path.
+        by the ordinary frame path.  A session the server refuses to
+        resume (it evicted the session meanwhile) is dropped like a
+        closed one; the others still resume.
         """
         self._teardown()
         self.n_reconnects += 1
         self._connect_raw()
         try:
-            for session_id, sess in self._sessions.items():
+            for session_id, sess in list(self._sessions.items()):
                 self._send_payload(
                     wire.encode_resume(session_id, sess.events_received)
                 )
-                resume_ok = self._wait_for("resume_ok", session_id)
+                try:
+                    resume_ok = self._wait_for("resume_ok", session_id)
+                except RemoteError:
+                    self.discard_session(session_id)
+                    continue
                 next_seq = resume_ok.next_seq
                 sess.n_leads = resume_ok.n_leads
                 sess.seq_next = max(sess.seq_next, next_seq)

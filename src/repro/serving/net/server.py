@@ -44,17 +44,19 @@ evicted sessions and stops tracking them; their final events are not
 sent over the wire.
 
 **Reconnect-resume**: sessions survive their connection.  When a
-connection dies, every session it owns is captured via the existing
-:meth:`~repro.serving.gateway.StreamGateway.release_session` /
-:class:`~repro.serving.gateway.SessionExport` migration path and
-parked, together with its chunk sequence number and the recently
-delivered-but-unacknowledged events.  A client that reconnects and
-sends ``RESUME`` gets the session imported back bit-exactly:
-``RESUME_OK`` tells it the next chunk sequence the server expects (so
-it retransmits exactly the chunks that were lost in flight) and a
-replay ``EVENTS`` frame re-sends exactly the events it never
-acknowledged.  The chaos suite pins that a forced mid-stream
-disconnect is invisible in the per-session event sequence.
+connection dies, every session it owns is **parked**: it stays open in
+its gateway — journaled, batched and idle-evicted like any other open
+session — and the server only forgets which connection owns it, keeping
+its chunk sequence number and its delivered-but-unacknowledged events.
+A client that reconnects and sends ``RESUME`` adopts the session again
+bit-exactly: ``RESUME_OK`` tells it the next chunk sequence the server
+expects (so it retransmits exactly the chunks that were lost in flight)
+and a replay ``EVENTS`` frame re-sends exactly the events it never
+acknowledged; events resolved while it was parked wait in the gateway
+for its next call.  The chaos suite pins that a forced mid-stream
+disconnect is invisible in the per-session event sequence.  The server
+writes no journal itself: a journaling gateway keeps every session it
+holds durable, parked ones included.
 
 :func:`serve_in_thread` runs a server on a background event-loop
 thread — the harness the benchmarks, the chaos suite and the
@@ -67,7 +69,7 @@ import asyncio
 import pickle
 import socket
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.serving.net import protocol as wire
 
@@ -85,20 +87,24 @@ _REPORTED = (KeyError, ValueError, RuntimeError)
 
 
 class _NetSession:
-    """Server-side reliability state for one live or parked session.
+    """Server-side reliability state for one session open in the gateway.
 
-    ``seq`` counts the chunks the gateway has processed (the next
-    expected :attr:`~repro.serving.net.protocol.Ingest.seq`);
+    ``owner`` is the connection that owns the session, or ``None``
+    while it is parked (its connection died; the session stays open in
+    the gateway until a ``RESUME`` adopts it); ``seq`` counts the
+    chunks the gateway has processed (the next expected
+    :attr:`~repro.serving.net.protocol.Ingest.seq`);
     ``delivered`` counts the events written toward the client;
     ``retained`` keeps the delivered-but-unacknowledged tail for
     resume replay (bounded by the client's acks, which ride on every
     ingest/poll/close/resume frame).
     """
 
-    __slots__ = ("session_id", "seq", "delivered", "retained")
+    __slots__ = ("session_id", "owner", "seq", "delivered", "retained")
 
-    def __init__(self, session_id: str):
+    def __init__(self, session_id: str, owner: _Connection):
         self.session_id = session_id
+        self.owner: _Connection | None = owner
         self.seq = 0
         self.delivered = 0
         self.retained: list = []
@@ -128,19 +134,10 @@ class _NetSession:
         return self.retained[start:]
 
 
-@dataclass
-class _Parked:
-    """A disconnected connection's session, waiting for a ``RESUME``."""
-
-    export: object
-    state: _NetSession = field(repr=False)
-
-
 class _Connection:
-    """Per-connection bookkeeping: owned sessions + the outgoing queue."""
+    """Per-connection bookkeeping: the outgoing queue."""
 
     def __init__(self, queue_bursts: int):
-        self.owned: set[str] = set()
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_bursts)
         self.alive = True
 
@@ -189,8 +186,6 @@ class GatewayServer:
         self.queue_bursts = int(queue_bursts)
         self._server: asyncio.AbstractServer | None = None
         self._sessions: dict[str, _NetSession] = {}
-        self._owners: dict[str, _Connection] = {}
-        self._parked: dict[str, _Parked] = {}
         self.n_connections = 0
         self.n_resumes = 0
         self.n_migrations_in = 0
@@ -331,31 +326,16 @@ class GatewayServer:
                 await self._on_ingest_round(conn, list(round_.values()))
 
     def _park_connection(self, conn: _Connection) -> None:
-        """Capture every session the dead connection owned, for resume.
+        """Park every session the dead connection owned.
 
-        Uses the gateway's own migration path
-        (:meth:`~repro.serving.gateway.StreamGateway.release_session`),
-        so the parked export carries the full node snapshot plus every
-        event resolved but not yet delivered; the reliability state
-        keeps the delivered-but-unacked tail.  A parked session still
-        lives on this host, so a journaling gateway keeps it journaled:
-        the export is its snapshot, with the export's events not yet
-        delivered.
+        Only the ownership goes: each session stays open in the
+        gateway, which keeps resolving (and, if it journals, journaling)
+        it, and its reliability state keeps the delivered-but-unacked
+        tail for the ``RESUME`` that adopts it again.
         """
-        journal = getattr(self.gateway, "journal", None)
-        for session_id in list(conn.owned):
-            state = self._sessions.pop(session_id, None)
-            self._owners.pop(session_id, None)
-            if state is None:
-                continue
-            try:
-                export = self.gateway.release_session(session_id)
-            except Exception:
-                continue  # closed or evicted under us; nothing to park
-            if journal is not None:
-                journal.snapshot(session_id, export)
-            self._parked[session_id] = _Parked(export=export, state=state)
-        conn.owned.clear()
+        for state in self._sessions.values():
+            if state.owner is conn:
+                state.owner = None
 
     # -- dispatch --------------------------------------------------------
 
@@ -389,21 +369,18 @@ class GatewayServer:
             await conn.send_burst([self._error_frame(session_id, exc, sync=True)])
 
     def _owned_state(self, conn: _Connection, session_id: str) -> _NetSession:
-        if session_id not in conn.owned:
+        state = self._sessions.get(session_id)
+        if state is None or state.owner is not conn:
             raise KeyError(f"no open session {session_id!r} on this connection")
-        return self._sessions[session_id]
+        return state
 
     async def _on_open(self, conn: _Connection, message: wire.Open) -> None:
-        if message.session_id in self._parked:
-            raise ValueError(
-                f"session {message.session_id!r} is parked awaiting RESUME"
-            )
         self.gateway.open_session(
             message.session_id,
             max_latency_ticks=message.max_latency_ticks,
             evict_after_ticks=message.evict_after_ticks,
         )
-        self._adopt(conn, message.session_id, _NetSession(message.session_id))
+        self._sessions[message.session_id] = _NetSession(message.session_id, conn)
         await conn.send_burst(
             [self._frame(wire.encode_open_ok(message.session_id, self._n_leads))]
         )
@@ -465,28 +442,28 @@ class GatewayServer:
             await self._harvest_flush()
 
     def _forget_evicted(self) -> None:
-        """Drop the sessions the gateway evicted from the session map
-        and their connections, so no later call names them; a frame
-        for one then gets the error a closed id gets."""
+        """Drop the sessions the gateway evicted (parked ones included)
+        from the session map, so no later call names them; a frame for
+        one then gets the error a closed id gets."""
         for session_id in self.gateway.take_evicted():
             self._sessions.pop(session_id, None)
-            owner = self._owners.pop(session_id, None)
-            if owner is not None:
-                owner.owned.discard(session_id)
 
     async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.
 
         One coalesced burst per owning connection — the events a single
         batched classifier pass resolved leave the box together instead
-        of trickling out on each session's next ingest.
+        of trickling out on each session's next ingest.  A parked
+        session's events wait in the gateway until it is resumed.
         """
         per_conn: dict[int, tuple[_Connection, list[bytes]]] = {}
         for session_id, state in self._sessions.items():
+            owner = state.owner
+            if owner is None:
+                continue
             events = self.gateway.poll(session_id)
             if not events:
                 continue
-            owner = self._owners[session_id]
             frames = per_conn.setdefault(id(owner), (owner, []))[1]
             frames.append(self._events_frame(state, events))
         for owner, frames in per_conn.values():
@@ -505,37 +482,27 @@ class GatewayServer:
         state.ack(message.ack_events)
         events = self.gateway.close_session(message.session_id)
         frame = self._events_frame(state, events, flags=wire.FLAG_FINAL)
-        conn.owned.discard(message.session_id)
-        self._sessions.pop(message.session_id, None)
-        self._owners.pop(message.session_id, None)
+        del self._sessions[message.session_id]
         await conn.send_burst([frame])
 
     async def _on_resume(self, conn: _Connection, message: wire.Resume) -> None:
-        """Re-attach a parked (or orphaned live) session to this connection.
+        """Adopt a parked session on this connection.
 
+        The session may also still belong to a connection that has not
+        been reaped yet (an abrupt disconnect is only detected on its
+        next read): it is taken over, and the stale owner loses it.
         The reply burst is ``RESUME_OK`` (carrying ``next_seq``, the
         chunk count already processed — the client retransmits from
         there) followed by a replay ``EVENTS`` frame holding exactly
         the events the client has not acknowledged.
         """
         session_id = message.session_id
-        parked = self._parked.pop(session_id, None)
-        if parked is not None:
-            self.gateway.import_session(parked.export)
-            state = parked.state
-        elif session_id in self._sessions:
-            # The old connection has not been reaped yet (an abrupt
-            # disconnect is only detected on its next read) — take the
-            # session over; the stale owner loses it.
-            state = self._sessions[session_id]
-            old = self._owners.get(session_id)
-            if old is not None and old is not conn:
-                old.owned.discard(session_id)
-        else:
+        state = self._sessions.get(session_id)
+        if state is None:
             raise KeyError(f"no parked or live session {session_id!r} to resume")
         replay = state.replay_from(message.ack_events)
         state.ack(message.ack_events)
-        self._adopt(conn, session_id, state)
+        state.owner = conn
         self.n_resumes += 1
         await conn.send_burst(
             [
@@ -566,15 +533,11 @@ class GatewayServer:
         """
         session_id = message.session_id
         if message.blob is not None:
-            if session_id in self._parked or session_id in self._sessions:
-                raise ValueError(
-                    f"cannot import {session_id!r}: session already exists here"
-                )
             export = pickle.loads(message.blob)
             self.gateway.import_session(export)
-            state = _NetSession(session_id)
+            state = _NetSession(session_id, conn)
             state.delivered = message.ack_events
-            self._adopt(conn, session_id, state)
+            self._sessions[session_id] = state
             self.n_migrations_in += 1
             await conn.send_burst(
                 [self._frame(
@@ -587,9 +550,7 @@ class GatewayServer:
         export = self.gateway.release_session(session_id)
         if replay:
             export = replace(export, events=list(replay) + list(export.events))
-        conn.owned.discard(session_id)
-        self._sessions.pop(session_id, None)
-        self._owners.pop(session_id, None)
+        del self._sessions[session_id]
         self.n_migrations_out += 1
         blob = pickle.dumps(export, protocol=pickle.HIGHEST_PROTOCOL)
         await conn.send_burst(
@@ -600,11 +561,6 @@ class GatewayServer:
         """Reply with the gateway's schema-pinned ``stats()`` snapshot as
         ``STATS_OK`` (every gateway tier answers the same shape)."""
         await conn.send_burst([self._frame(wire.encode_stats_ok(self.gateway.stats()))])
-
-    def _adopt(self, conn: _Connection, session_id: str, state: _NetSession) -> None:
-        conn.owned.add(session_id)
-        self._sessions[session_id] = state
-        self._owners[session_id] = conn
 
     def _events_frame(self, state: _NetSession, events: list, *, flags: int = 0) -> bytes:
         frame = self._frame(

@@ -8,6 +8,7 @@ the same way everywhere, so the comparison helpers live here.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,20 @@ def _standalone_events(classifier, record_or_signal, fs, n_leads, upto=None):
         signal = signal[:upto]
     node = StreamingNode(classifier, fs, n_leads=n_leads)
     return node.push(signal) + node.flush()
+
+
+def _wait_parked(server, session_id, timeout=10.0) -> None:
+    """Wait until a :class:`GatewayServer` has reaped the dead
+    connection that owned ``session_id``, leaving the session parked."""
+    deadline = time.monotonic() + timeout
+    while server._sessions[session_id].owner is not None:
+        assert time.monotonic() < deadline, "session was never parked"
+        time.sleep(0.01)
+
+
+@pytest.fixture(scope="session")
+def wait_parked():
+    return _wait_parked
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ Three layers under test, bottom-up:
 import os
 import pickle
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -976,12 +975,13 @@ def _run_until_death_in_put_snapshot(
 
 
 class TestParkedSessions:
-    """A session parked by a client disconnect stays journaled: the host
-    still owns it, so a host crash while it is parked must not lose it."""
+    """A session parked by a client disconnect stays open in its gateway
+    and journaled like any other, so neither a host crash nor a worker
+    crash while it is parked may lose it."""
 
     def test_parked_session_recovers_after_a_host_crash(
         self, records, embedded_classifier, standalone_events,
-        assert_events_equal,
+        assert_events_equal, wait_parked,
     ):
         record = records[0]
         block = int(0.25 * FS)
@@ -996,10 +996,7 @@ class TestParkedSessions:
             received = feed(client, "p", record.signal, block, stop=upto)
             received += client.poll("p")
             client.close()  # the producer goes away: the server parks "p"
-            deadline = time.monotonic() + 10.0
-            while "p" not in handle.server._parked:
-                assert time.monotonic() < deadline, "session was never parked"
-                time.sleep(0.01)
+            wait_parked(handle.server, "p")
             assert journal.session_ids() == ["p"]
         finally:
             handle.stop()  # the host crashes with "p" parked
@@ -1011,6 +1008,45 @@ class TestParkedSessions:
                 embedded_classifier, record, FS, N_LEADS, upto=upto
             ),
             received + backlog["p"] + fresh.close_session("p"),
+        )
+
+    def test_parked_session_survives_a_pool_heal(
+        self, records, embedded_classifier, standalone_events,
+        assert_events_equal, wait_parked,
+    ):
+        """A parked session stays open in its worker, so when the worker
+        dies the pool's heal rebuilds it like any other open session,
+        and the next producer's ``RESUME`` adopts it bit-exactly."""
+        record, other = records
+        block = int(0.25 * FS)
+        upto = record.n_samples // 2 // block * block
+        with ShardedGateway(
+            embedded_classifier, FS, workers=1, n_leads=N_LEADS,
+            journal=SessionJournal(MemoryJournalStore(), snapshot_every=4),
+        ) as gateway:
+            handle = serve_in_thread(gateway)
+            try:
+                first = GatewayClient(handle.host, handle.port, window=4).connect()
+                second = GatewayClient(handle.host, handle.port, window=4).connect()
+                first.open_session("p")
+                second.open_session("q")
+                received = feed(first, "p", record.signal, block, stop=upto)
+                received += first.poll("p")
+                first.close()  # the producer goes away: the server parks "p"
+                wait_parked(handle.server, "p")
+                kill_worker(gateway, 0)
+                feed(second, "q", other.signal, block, stop=4 * block)  # heals
+                second.poll("q")
+                second.resume_session("p", events_received=len(received))
+                received += feed(second, "p", record.signal, block, start=upto)
+                received += second.close_session("p")
+                second.close_session("q")
+                second.close()
+            finally:
+                handle.stop()
+            assert gateway.stats()["recoveries"] >= 1
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, N_LEADS), received
         )
 
 
@@ -1208,7 +1244,8 @@ class TestStashedInput:
         )
 
     def test_parked_session_with_stashed_input(
-        self, long_records, embedded_classifier, standalone_events, assert_events_equal,
+        self, long_records, embedded_classifier, standalone_events,
+        assert_events_equal, wait_parked,
     ):
         record = long_records[1]
         upto = int(7 * FS) // self.CHUNK * self.CHUNK
@@ -1222,12 +1259,8 @@ class TestStashedInput:
             received = feed(client, "p", record.signal, self.CHUNK, stop=upto)
             received += client.poll("p")
             client.close()  # the producer goes away: the server parks "p"
-            deadline = time.monotonic() + 10.0
-            while "p" not in handle.server._parked:
-                assert time.monotonic() < deadline, "session was never parked"
-                time.sleep(0.01)
-            parked = handle.server._parked["p"].export
-            assert parked.snapshot.state["_stash"].shape[0] > 0
+            wait_parked(handle.server, "p")
+            assert handle.server.gateway._get("p").node.n_stashed > 0
         finally:
             handle.stop()  # the host crashes with "p" parked
         fresh = StreamGateway(embedded_classifier, FS, n_leads=N_LEADS)

@@ -440,7 +440,7 @@ class TestGatewayEviction:
                 for start in range(0, 60 * 90, 90):
                     events.extend(busy.ingest("a", signal[start : start + 90]))
                 events.extend(busy.close_session("a"))
-                assert set(handle.server._owners) == set()
+                assert set(handle.server._sessions) == set()
                 with pytest.raises(RemoteError, match="no open session 'b'"):
                     idle.poll("b")
                 idle.open_session("c")
@@ -458,8 +458,8 @@ class TestGatewayEviction:
         self, embedded_classifier,
     ):
         """Sessions evicted at different times each leave the session
-        map, the owner map and the gateway's evicted store: nothing
-        accumulates behind a long-running server."""
+        map and the gateway's evicted store: nothing accumulates behind
+        a long-running server."""
         signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
         gateway = self._evicting_gateway(embedded_classifier)
         handle = serve_in_thread(gateway)
@@ -474,12 +474,78 @@ class TestGatewayEviction:
                     client.ingest("a", signal[start : start + 90])
                 client.poll("a")
                 assert set(handle.server._sessions) == {"a"}
-                assert set(handle.server._owners) == {"a"}
+                assert handle.server._sessions["a"].owner is not None
                 client.close_session("a")
                 assert client.n_reconnects == 0
         finally:
             handle.stop()
         assert gateway.n_evicted == len(idle)
+        assert gateway.take_evicted() == {}
+
+    def test_a_refused_resume_spares_the_other_sessions(
+        self, embedded_classifier, standalone_events, assert_events_equal,
+    ):
+        """A session the gateway evicted is refused on the reconnect's
+        ``RESUME``: the client drops it and resumes the others, which
+        stay bit-exact; the dropped id then fails like a closed one."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        handle = serve_in_thread(self._evicting_gateway(embedded_classifier))
+        events = {"a": [], "c": []}
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                client.open_session("b", evict_after_ticks=3)
+                client.open_session("c")
+                client.ingest("b", signal[:90])
+                for start in range(0, 20 * 90, 90):
+                    if start == 10 * 90:
+                        for sid in events:
+                            events[sid].extend(client.poll(sid))
+                        assert "b" not in handle.server._sessions
+                        client._sock.close()  # the link drops
+                    for sid in events:
+                        events[sid].extend(
+                            client.ingest(sid, signal[start : start + 90])
+                        )
+                for sid in events:
+                    events[sid].extend(client.close_session(sid))
+                assert client.n_reconnects == 1
+                with pytest.raises(KeyError, match="no open session 'b'"):
+                    client.poll("b")
+        finally:
+            handle.stop()
+        reference = standalone_events(embedded_classifier, signal[: 20 * 90], FS, 1)
+        for sid in events:
+            assert_events_equal(reference, events[sid])
+
+    def test_idle_eviction_reaches_a_parked_session(
+        self, embedded_classifier, wait_parked,
+    ):
+        """A parked session with an idle threshold is evicted like any
+        other: it leaves the server's session map and the gateway's
+        evicted store, and a later resume of it is refused."""
+        signal = synthesize_fleet(1, 15.0, fs=FS, seed=22)[0]["loadgen-0"]
+        gateway = self._evicting_gateway(embedded_classifier)
+        handle = serve_in_thread(gateway)
+        try:
+            gone = GatewayClient(handle.host, handle.port, window=4).connect()
+            gone.open_session("b", evict_after_ticks=3)
+            gone.ingest("b", signal[:90])
+            gone.poll("b")
+            gone.close()
+            wait_parked(handle.server, "b")
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("a")
+                for start in range(0, 10 * 90, 90):
+                    client.ingest("a", signal[start : start + 90])
+                client.poll("a")
+                assert set(handle.server._sessions) == {"a"}
+                with pytest.raises(RemoteError, match="session 'b' to resume"):
+                    client.resume_session("b")
+                client.close_session("a")
+        finally:
+            handle.stop()
+        assert gateway.n_evicted == 1
         assert gateway.take_evicted() == {}
 
     def test_eviction_behind_a_sharded_pool_leaves_the_server(
@@ -515,4 +581,39 @@ class TestGatewayEviction:
         assert handle.server.n_connections == 1
         assert_events_equal(
             standalone_events(embedded_classifier, signal[: 61 * 90], FS, 1), events
+        )
+
+
+class TestParkedSessions:
+    """A dead connection's sessions stay open in the gateway, with no
+    owner, until a ``RESUME`` adopts them."""
+
+    def test_a_parked_session_stays_open_in_its_gateway(
+        self, server, fleet, embedded_classifier, standalone_events,
+        assert_events_equal, wait_parked,
+    ):
+        """It counts in the gateway's sessions, its id cannot be opened
+        again, and a resume on another connection continues it
+        bit-exactly."""
+        signal = fleet[0]["loadgen-0"]
+        half = len(signal) // 2 // CHUNK * CHUNK
+        gone = GatewayClient(server.host, server.port, window=4).connect()
+        gone.open_session("p")
+        received = []
+        for start in range(0, half, CHUNK):
+            received.extend(gone.ingest("p", signal[start : start + CHUNK]))
+        received.extend(gone.poll("p"))
+        gone.close()
+        wait_parked(server.server, "p")
+        assert server.server.gateway.stats()["n_sessions"] == 1
+        with GatewayClient(server.host, server.port, window=4) as client:
+            with pytest.raises(RemoteError, match="'p' is already open"):
+                client.open_session("p")
+            client.resume_session("p", events_received=len(received))
+            for start in range(half, len(signal), CHUNK):
+                received.extend(client.ingest("p", signal[start : start + CHUNK]))
+            received.extend(client.close_session("p"))
+        assert server.server.gateway.stats()["n_sessions"] == 0
+        assert_events_equal(
+            standalone_events(embedded_classifier, signal, FS, 1), received
         )
