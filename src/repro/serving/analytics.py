@@ -32,12 +32,14 @@ how the updates were batched — so analytics inherit the serving
 stack's chunk-invariance contract for free.  Pipelines pickle and
 deep-copy, ride :class:`~repro.serving.gateway.SessionExport` through
 migration/eviction/crash-recovery bit-exactly, and close with a final
-:meth:`~AnalyticsPipeline.summary`.
+:meth:`~AnalyticsPipeline.summary`.  Closed episodes and final
+summaries leave a gateway only through its ``take_alerts`` /
+``take_summaries`` queues.
 
 :func:`default_pipeline` builds the standard operator set (the CLI's
 ``--analytics``); :func:`empty_rollup` / :func:`merge_rollups` define
 the schema-pinned ``stats()["analytics"]`` rollup that aggregates
-through the sharded, supervised and federated tiers.
+through the sharded and federated tiers.
 """
 
 from __future__ import annotations

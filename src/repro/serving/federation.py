@@ -100,10 +100,10 @@ class FederatedGateway(MemberPool):
         ``"least-loaded"`` — joins land on the emptiest host, which
         favors a freshly attached one).  An explicit ``host=`` at
         :meth:`open_session` always wins.
-    window / send_buffer / timeout / retry_budget:
+    window / send_buffer / timeout:
         Forwarded to every per-host
         :class:`~repro.serving.net.client.GatewayClient` (pipelining
-        depth, write coalescing, sync-wait bound, total-retry budget).
+        depth, write coalescing, sync-wait bound).
     client_kwargs:
         Extra keyword arguments for the per-host clients (injectable
         clocks, ``max_retries``, ...).
@@ -120,7 +120,6 @@ class FederatedGateway(MemberPool):
         window: int = 8,
         send_buffer: int = 0,
         timeout: float = 30.0,
-        retry_budget: float | None = None,
         client_kwargs: dict | None = None,
     ):
         super().__init__(placement)
@@ -128,7 +127,6 @@ class FederatedGateway(MemberPool):
             window=window,
             send_buffer=send_buffer,
             timeout=timeout,
-            retry_budget=retry_budget,
         )
         self._client_kwargs.update(client_kwargs or {})
         self._clients: list[GatewayClient] = []

@@ -48,15 +48,14 @@ Per-session QoS overrides the global flush policy:
   default) evicts a session that has not ingested for ``n`` gateway
   ticks: its stream is closed exactly like :meth:`close_session`
   (front-end flush, final batched classification, delineator
-  finalization) and the complete remaining event sequence goes to the
-  ``on_evict`` hook and :meth:`take_evicted` — well-formed, never
-  silently dropped.
+  finalization) and the complete remaining event sequence waits in
+  :meth:`take_evicted` — well-formed, never silently dropped.
 
 Sessions can attach a :mod:`repro.serving.analytics` pipeline
 (``open_session(..., analytics=[...])``, or the gateway-wide
 ``analytics=`` default): finalized events additionally fold through
 the session's streaming operators in **one batched update pass per
-gateway flush**, closed episodes surface through ``on_alert`` /
+gateway flush**, closed episodes surface through
 :meth:`StreamGateway.take_alerts`, closed/evicted sessions leave a
 final summary in :meth:`StreamGateway.take_summaries`, and pipeline
 state rides :class:`SessionExport` so analytics migrate bit-exactly
@@ -277,16 +276,8 @@ class StreamGateway:
         Default idle-eviction threshold for every session (>= 1, or
         ``None`` = never evict): a session that has not ingested for
         this many gateway ticks is closed on its behalf and its final
-        event sequence routed to ``on_evict`` / :meth:`take_evicted`.
+        event sequence kept for :meth:`take_evicted`.
         Per-session values passed to :meth:`open_session` override it.
-    on_evict:
-        Optional ``hook(session_id, events)`` called when a session is
-        evicted, with its complete remaining event sequence (identical
-        to what :meth:`close_session` would have returned).  A raising
-        hook never loses events or aborts the eviction scan: the
-        events are stored for :meth:`take_evicted` first, every stale
-        session is still evicted, and the first hook error re-raises
-        after the scan completes.
     analytics:
         Default analytics for every session: a list of
         :mod:`repro.serving.analytics` operator prototypes (deep-copied
@@ -295,10 +286,6 @@ class StreamGateway:
         (default) attaches nothing; per-session ``analytics=`` passed
         to :meth:`open_session` overrides it (``[]`` opts a session
         out).
-    on_alert:
-        Optional ``hook(session_id, episode)`` called for every
-        :class:`~repro.serving.analytics.Episode` an analytics
-        pipeline closes (also queued for :meth:`take_alerts`).
     n_leads / lead / decimation / window / detector_config /
     delineation_config / overhead_bytes:
         Per-session :class:`~repro.dsp.streaming.StreamingNode`
@@ -343,9 +330,7 @@ class StreamGateway:
         max_batch: int = 64,
         max_latency_ticks: int = 8,
         evict_after_ticks: int | None = None,
-        on_evict=None,
         analytics=None,
-        on_alert=None,
         n_leads: int = 1,
         lead: int = 0,
         decimation: int = 4,
@@ -364,9 +349,7 @@ class StreamGateway:
         self.max_batch = int(max_batch)
         self.max_latency_ticks = int(max_latency_ticks)
         self.evict_after_ticks = evict_after_ticks
-        self.on_evict = on_evict
         self.analytics = analytics
-        self.on_alert = on_alert
         self.journal = journal
         self.n_leads = n_leads
         self._node_kwargs = dict(
@@ -622,8 +605,8 @@ class StreamGateway:
 
         Eviction is a forced :meth:`close_session` on the gateway's
         initiative: the final event sequence is complete and
-        well-formed, handed to ``on_evict`` and kept for
-        :meth:`take_evicted` — never silently dropped.
+        well-formed, and kept for :meth:`take_evicted` — never
+        silently dropped.
         """
         if not self._evictable:
             return
@@ -633,25 +616,9 @@ class StreamGateway:
             for session_id, session in self._evictable.items()
             if tick - session.last_active >= session.evict_after
         ]
-        # Exception-safe delivery: events land in the take_evicted()
-        # store *before* the user hook runs, every stale session is
-        # evicted even if a hook raises, and the first hook error
-        # re-raises only after the scan completes — a crashing hook
-        # can never lose a final event sequence or starve a peer
-        # session's eviction.
-        hook_error: Exception | None = None
         for session_id in stale:
-            events = self.close_session(session_id)
-            self._evicted[session_id] = events
+            self._evicted[session_id] = self.close_session(session_id)
             self.n_evicted += 1
-            if self.on_evict is not None:
-                try:
-                    self.on_evict(session_id, events)
-                except Exception as exc:
-                    if hook_error is None:
-                        hook_error = exc
-        if hook_error is not None:
-            raise hook_error
 
     def take_evicted(self) -> dict[str, list[StreamBeatEvent]]:
         """Final event sequences of evicted sessions; clears the store."""
@@ -756,14 +723,10 @@ class StreamGateway:
                 self._alert(session_id, closed)
 
     def _alert(self, session_id: str, episodes: list) -> None:
-        """Queue closed episodes for :meth:`take_alerts` and fire the
-        ``on_alert`` hook."""
+        """Queue closed episodes for :meth:`take_alerts`."""
         for episode in episodes:
             self._alerts.append((session_id, episode))
         self.n_alerts += len(episodes)
-        if self.on_alert is not None:
-            for episode in episodes:
-                self.on_alert(session_id, episode)
 
     def _finalize_analytics(self, session_id: str, session: _Session) -> None:
         """Close a session's pipeline at end of stream: fold any
@@ -782,7 +745,7 @@ class StreamGateway:
 
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` alerts since the last take;
-        clears the queue (the pull-based twin of ``on_alert``)."""
+        clears the queue."""
         alerts = self._alerts
         self._alerts = []
         return alerts

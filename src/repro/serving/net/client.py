@@ -77,7 +77,7 @@ class ClientError(RuntimeError):
 
 
 class ConnectError(ClientError):
-    """Could not establish a connection within the retry budget."""
+    """Could not establish a connection within ``max_retries`` retries."""
 
 
 class ClientTimeout(ClientError):
@@ -174,16 +174,6 @@ class GatewayClient:
         synchronous operation flushes first, so ordering and the
         resume contract are unchanged.  Cuts per-chunk syscall cost
         when producers stream tiny high-rate chunks.
-    retry_budget:
-        Optional cap in seconds on the **total** wall time one public
-        operation may spend retrying (connection attempts, backoff
-        sleeps and reconnect-resume rounds combined).  ``timeout``
-        bounds each synchronous wait individually, so against a
-        flapping host the per-attempt bounds compound; the budget is
-        armed when the operation enters the SDK and every retry seam
-        checks it — backoff sleeps and connect timeouts are truncated
-        to what remains, and exhaustion raises :class:`ConnectError`.
-        ``None`` (default) preserves the per-op-only behavior.
     sleep / monotonic:
         Injectable clock (defaults :func:`time.sleep` /
         :func:`time.monotonic`) so retry/backoff/timeout behavior is
@@ -207,7 +197,6 @@ class GatewayClient:
         backoff_max: float = 2.0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         send_buffer: int = 0,
-        retry_budget: float | None = None,
         sleep=time.sleep,
         monotonic=time.monotonic,
         connect_factory=_default_connect,
@@ -224,8 +213,6 @@ class GatewayClient:
         self.backoff_max = float(backoff_max)
         self.max_frame = int(max_frame)
         self.send_buffer = int(send_buffer)
-        self.retry_budget = None if retry_budget is None else float(retry_budget)
-        self._retry_deadline: float | None = None
         self._sleep = sleep
         self._monotonic = monotonic
         self._connect_factory = connect_factory
@@ -253,7 +240,6 @@ class GatewayClient:
     def connect(self) -> "GatewayClient":
         """Establish the connection (retry/backoff) and handshake."""
         if self._sock is None:
-            self._arm_budget()
             self._connect_raw()
         return self
 
@@ -290,7 +276,6 @@ class GatewayClient:
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} is already open")
         self.connect()
-        self._arm_budget()
         payload = wire.encode_open(
             session_id,
             max_latency_ticks=max_latency_ticks,
@@ -323,7 +308,6 @@ class GatewayClient:
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} is already open")
         self.connect()
-        self._arm_budget()
         sess = _SessionState()
         sess.events_received = int(events_received)
         # Registered before the RESUME so the replay EVENTS frame (and
@@ -366,7 +350,6 @@ class GatewayClient:
         sess = self._session(session_id)
         arr = np.ascontiguousarray(chunk, dtype="<f8")
         check_samples(arr, sess.n_leads or (arr.shape[1] if arr.ndim == 2 else 1))
-        self._arm_budget()
         # In write-coalescing mode the opportunistic drain happens at
         # burst boundaries (buffer empty = a flush or sync just ran),
         # not per chunk — one readiness syscall per burst, not per 10 ms
@@ -393,7 +376,6 @@ class GatewayClient:
     def poll(self, session_id: str) -> list:
         """Synchronize with the server; return the session's events."""
         self._session(session_id)
-        self._arm_budget()
         self._raise_parked(session_id)
         self._sync(session_id)
         self._raise_parked(session_id)
@@ -402,7 +384,6 @@ class GatewayClient:
     def close_session(self, session_id: str) -> list:
         """End a session; return the remainder of its event sequence."""
         sess = self._session(session_id)
-        self._arm_budget()
         self._raise_parked(session_id)
         for _ in self._op_attempts():
             try:
@@ -447,7 +428,6 @@ class GatewayClient:
         tier treats the move as an atomic control-plane step).
         """
         sess = self._session(session_id)
-        self._arm_budget()
         self._raise_parked(session_id)
         ok = None
         base = sess.events_received
@@ -482,7 +462,6 @@ class GatewayClient:
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} is already open")
         self.connect()
-        self._arm_budget()
         payload = wire.encode_migrate(
             session_id, migrated.base_events, migrated.blob
         )
@@ -514,7 +493,6 @@ class GatewayClient:
     def stats(self) -> dict:
         """Fetch the remote gateway's statistics snapshot."""
         self.connect()
-        self._arm_budget()
         for _ in self._op_attempts():
             try:
                 self._send_payload(wire.encode_stats())
@@ -536,34 +514,11 @@ class GatewayClient:
             raise RemoteError(message)
 
     def _op_attempts(self):
-        """At most ``1 + max_retries`` tries for one synchronous op,
-        abandoned early when the armed retry budget runs out."""
-        for attempt in range(1 + self.max_retries):
-            if attempt and self._budget_exhausted():
-                raise ConnectError(
-                    f"operation abandoned after {attempt} attempts: retry "
-                    f"budget of {self.retry_budget:.3f} s exhausted"
-                )
-            yield attempt
+        """At most ``1 + max_retries`` tries for one synchronous op."""
+        yield from range(1 + self.max_retries)
         raise ConnectError(
             f"operation failed after {1 + self.max_retries} attempts"
         )
-
-    # -- retry budget ----------------------------------------------------
-
-    def _arm_budget(self) -> None:
-        """Start the total-retry-wall-time clock for one public op."""
-        if self.retry_budget is not None:
-            self._retry_deadline = self._monotonic() + self.retry_budget
-
-    def _budget_remaining(self) -> float | None:
-        if self.retry_budget is None or self._retry_deadline is None:
-            return None
-        return self._retry_deadline - self._monotonic()
-
-    def _budget_exhausted(self) -> bool:
-        remaining = self._budget_remaining()
-        return remaining is not None and remaining <= 0.0
 
     def _await_ack(self, session_id: str, sess: _SessionState) -> None:
         """Wait, bounded by ``timeout``, until an ack frees a slot of
@@ -622,28 +577,12 @@ class GatewayClient:
 
     # -- transport -------------------------------------------------------
 
-    def _budget_cap(self, bound: float, attempts: int, exc=None) -> float:
-        """``bound`` truncated to what the armed retry budget has left;
-        :class:`ConnectError` once it is spent."""
-        remaining = self._budget_remaining()
-        if remaining is None:
-            return bound
-        if remaining <= 0.0:
-            detail = f": {exc}" if exc is not None else ""
-            raise ConnectError(
-                f"could not connect to {self.host}:{self.port}: retry budget "
-                f"of {self.retry_budget:.3f} s exhausted after {attempts} "
-                f"attempts{detail}"
-            ) from exc
-        return min(bound, remaining)
-
     def _connect_raw(self) -> None:
         attempt = 0
         while True:
-            connect_timeout = self._budget_cap(self.connect_timeout, attempt)
             try:
                 sock = self._connect_factory(
-                    (self.host, self.port), connect_timeout
+                    (self.host, self.port), self.connect_timeout
                 )
                 break
             except OSError as exc:
@@ -653,7 +592,7 @@ class GatewayClient:
                         f"{attempt + 1} attempts: {exc}"
                     ) from exc
                 delay = min(self.backoff_max, self.backoff_base * (2.0 ** attempt))
-                self._sleep(self._budget_cap(delay, attempt + 1, exc))
+                self._sleep(delay)
                 attempt += 1
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -39,9 +39,10 @@ next ingest.  Process-mode sharded gateways deliver per-session on
 their own pipelined responses, so no harvest is needed (or possible)
 there.
 
-**Idle eviction**: after each round the server drains the gateway's
-evicted sessions and stops tracking them; their final events are not
-sent over the wire.
+**Idle eviction and analytics**: after each round the server drains
+the gateway's evicted sessions and stops tracking them, and drops its
+queued alerts and closed-session summaries; the wire carries none of
+them (the ``STATS`` rollup still counts them).
 
 **Reconnect-resume**: sessions survive their connection.  When a
 connection dies, every session it owns is **parked**: it stays open in
@@ -185,6 +186,8 @@ class GatewayServer:
         self.max_frame = int(max_frame)
         self.queue_bursts = int(queue_bursts)
         self._server: asyncio.AbstractServer | None = None
+        #: Live connection handlers and their transports, for stop().
+        self._handlers: dict[asyncio.Task, asyncio.Transport] = {}
         self._sessions: dict[str, _NetSession] = {}
         self.n_connections = 0
         self.n_resumes = 0
@@ -208,9 +211,18 @@ class GatewayServer:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting, close the listening socket and end every live
+        connection: its transport is closed and its handler parks its
+        sessions, as for a client that hung up."""
         if self._server is not None:
             self._server.close()
+            handlers = dict(self._handlers)
+            for transport in handlers.values():
+                transport.abort()
+            if handlers:
+                # Bounded: a handler stuck behind a full queue is left
+                # to the caller's cancellation.
+                await asyncio.wait(handlers, timeout=1.0)
             await self._server.wait_closed()
             self._server = None
 
@@ -229,6 +241,8 @@ class GatewayServer:
                 sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             )
         self.n_connections += 1
+        handler = asyncio.current_task()
+        self._handlers[handler] = writer.transport
         conn = _Connection(self.queue_bursts)
         writer_task = asyncio.ensure_future(self._writer_loop(conn, writer))
         try:
@@ -265,6 +279,7 @@ class GatewayServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            del self._handlers[handler]
 
     async def _writer_loop(self, conn: _Connection, writer) -> None:
         """Drain the queue, joining everything pending into one write.
@@ -423,7 +438,7 @@ class GatewayServer:
             items.append((session_id, message.chunk))
         flushes_before = getattr(self.gateway, "n_flushes", None)
         results = iter(self.gateway.ingest_round(items) if items else ())
-        self._forget_evicted()
+        self._drain_gateway()
         frames: list[bytes] = []
         for reply in replies:
             if isinstance(reply, bytes):
@@ -441,12 +456,18 @@ class GatewayServer:
         if flushes_before is not None and self.gateway.n_flushes != flushes_before:
             await self._harvest_flush()
 
-    def _forget_evicted(self) -> None:
-        """Drop the sessions the gateway evicted (parked ones included)
-        from the session map, so no later call names them; a frame for
-        one then gets the error a closed id gets."""
+    def _drain_gateway(self) -> None:
+        """Empty the gateway's ``take_*`` queues, once per round.
+
+        The sessions it evicted (parked ones included) leave the
+        session map, so no later call names them; a frame for one then
+        gets the error a closed id gets.  Alerts and closed-session
+        summaries are dropped: the wire has no frame for them, and
+        left queued they would grow without bound."""
         for session_id in self.gateway.take_evicted():
             self._sessions.pop(session_id, None)
+        self.gateway.take_alerts()
+        self.gateway.take_summaries()
 
     async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.

@@ -34,8 +34,8 @@ is the pipe transport underneath:
 
 QoS settings (per-session latency budgets, idle eviction) are forwarded
 to the worker gateways; evicted sessions' final event sequences travel
-back with the next response from that worker and reach the parent's
-``on_evict`` hook / :meth:`ShardedGateway.take_evicted`.
+back with the next response from that worker and wait in the parent's
+:meth:`ShardedGateway.take_evicted`.
 
 Durability: with a ``journal``
 (:class:`repro.serving.durability.SessionJournal`) attached, every
@@ -134,13 +134,10 @@ class _WorkerState:
     """
 
     def __init__(self, classifier, fs: float, gateway_kwargs: dict):
-        self._evictions: list[tuple[str, list]] = []
-        self.gateway = StreamGateway(
-            classifier,
-            fs,
-            on_evict=lambda sid, events: self._evictions.append((sid, events)),
-            **gateway_kwargs,
-        )
+        self.gateway = StreamGateway(classifier, fs, **gateway_kwargs)
+        # Evictions a round took from the gateway early (to resolve its
+        # own items); handle() ships them with any later ones.
+        self._evictions: dict[str, list] = {}
         # Ids evicted while a pipelined round item for them may still
         # be on its way (answered with no events).  Pruned at every
         # synchronous request, see handle().
@@ -179,19 +176,17 @@ class _WorkerState:
             payload = ("ok", value)
         except Exception as exc:  # travels back to the caller
             payload = ("err", exc)
-        new_evictions, self._evictions = self._evictions, []
-        if op == "round":
-            self._evicted_ids.update(sid for sid, _ in new_evictions)
-        else:
+        new_evictions, self._evictions = self._evictions, {}
+        new_evictions.update(gateway.take_evicted())
+        if op != "round":
             # Every other op is a synchronous call: the parent sends
             # this worker nothing more until it has read this response
             # and all earlier ones, whose eviction notices unregister
             # the ids — so no request for any id evicted so far can
             # still arrive.
             self._evicted_ids.clear()
-        gateway.take_evicted()  # delivered via the response instead
         aux = (gateway.take_alerts(), gateway.take_summaries())
-        return (op, session_id, payload, new_evictions, aux)
+        return (op, session_id, payload, list(new_evictions.items()), aux)
 
     def _round(self, session_ids: list, samples: np.ndarray, lengths: list) -> list:
         """Apply one round message: ``samples`` holds the chunks back to
@@ -206,12 +201,13 @@ class _WorkerState:
                 for i, session_id in enumerate(session_ids)
             ]
         )
-        evicted = self._evicted_ids.union(sid for sid, _ in self._evictions)
+        self._evictions = self.gateway.take_evicted()
+        self._evicted_ids.update(self._evictions)
         out = []
         for session_id, result in zip(session_ids, results):
             if not isinstance(result, Exception):
                 out.append(("ok", result))
-            elif isinstance(result, KeyError) and session_id in evicted:
+            elif isinstance(result, KeyError) and session_id in self._evicted_ids:
                 out.append(("ok", []))
             else:
                 out.append(("err", result))
@@ -253,15 +249,13 @@ class ShardedGateway(MemberPool):
     Parameters
     ----------
     classifier / fs / max_batch / max_latency_ticks /
-    evict_after_ticks / on_evict / analytics / on_alert /
-    node configuration:
+    evict_after_ticks / analytics / node configuration:
         As for :class:`~repro.serving.gateway.StreamGateway`; applied
         per worker (each worker's gateway batches and flushes its own
         sessions — one batched classifier pass per worker per tick;
         analytics fold worker-side in one batched pass per flush, and
         alerts / final summaries travel back on the response
-        side-channel to :meth:`take_alerts` / :meth:`take_summaries`
-        and the parent ``on_alert`` hook).
+        side-channel to :meth:`take_alerts` / :meth:`take_summaries`).
     workers:
         Initial worker process count (>= 1).  :meth:`add_worker` /
         :meth:`retire_worker` grow and shrink the pool live.
@@ -295,9 +289,7 @@ class ShardedGateway(MemberPool):
         max_batch: int = 64,
         max_latency_ticks: int = 8,
         evict_after_ticks: int | None = None,
-        on_evict=None,
         analytics=None,
-        on_alert=None,
         journal=None,
         n_leads: int = 1,
         lead: int = 0,
@@ -313,8 +305,6 @@ class ShardedGateway(MemberPool):
         if evict_after_ticks is not None:
             validate_at_least("evict_after_ticks", evict_after_ticks)
         self.fs = fs
-        self.on_evict = on_evict
-        self.on_alert = on_alert
         self.journal = journal
         self.n_leads = n_leads
         gateway_kwargs = dict(
@@ -344,7 +334,6 @@ class ShardedGateway(MemberPool):
         self._errors: dict[str, Exception] = {}
         self._alerts: list[tuple[str, object]] = []
         self._summaries: dict[str, dict] = {}
-        self.n_alerts = 0
         self.n_recoveries = 0
         self.n_sessions_recovered = 0
         self.n_respawns = 0
@@ -709,8 +698,8 @@ class ShardedGateway(MemberPool):
         or a session of a previous process).
 
         A dead worker's already-written responses are handled first, so
-        evictions it finished reach :meth:`take_evicted` / ``on_evict``
-        and leave the journal — the one journal write of a recovery.  A
+        evictions it finished reach :meth:`take_evicted` and leave the
+        journal — the one journal write of a recovery.  A
         rebuilt session is scrubbed off every worker (a stale copy an
         interrupted heal left), replayed by
         :func:`~repro.serving.durability._replay` inside its placed
@@ -929,16 +918,11 @@ class ShardedGateway(MemberPool):
 
     def _note_aux(self, aux: tuple) -> None:
         """Fold one response's analytics side-channel into the parent
-        buffers: alerts queue for :meth:`take_alerts` (and fire the
-        parent ``on_alert`` hook), summaries merge for
-        :meth:`take_summaries`."""
+        buffers: alerts queue for :meth:`take_alerts`, summaries merge
+        for :meth:`take_summaries`."""
         alerts, summaries = aux
         if alerts:
             self._alerts.extend(alerts)
-            self.n_alerts += len(alerts)
-            if self.on_alert is not None:
-                for session_id, episode in alerts:
-                    self.on_alert(session_id, episode)
         if summaries:
             self._summaries.update(summaries)
 
@@ -951,5 +935,3 @@ class ShardedGateway(MemberPool):
             if self.journal is not None:  # an evicted session is final
                 self.journal.forget(session_id)
             self._evicted[session_id] = final
-            if self.on_evict is not None:
-                self.on_evict(session_id, final)

@@ -193,12 +193,10 @@ class TestEvictionChaos:
     ):
         rng = np.random.default_rng(1000 + chaos_seed)
         fs = records[0].fs
-        evicted = {}
         evict_after = int(rng.integers(3, 8))
         gateway = StreamGateway(
             embedded_classifier, fs, n_leads=N_LEADS,
             evict_after_ticks=evict_after,
-            on_evict=lambda sid, events: evicted.update({sid: events}),
             **random_gateway_kwargs(rng),
         )
         # Every schedule evicts: one session is abandoned early, and a
@@ -245,6 +243,7 @@ class TestEvictionChaos:
             chunk = state["chunks"].pop(0)
             state["events"] += gateway.ingest(sid, chunk)
             state["fed"] += len(chunk)
+        evicted = gateway.take_evicted()
         for sid, state in sessions.items():
             events = state["events"] + evicted.get(sid, [])
             assert_events_equal(
@@ -265,26 +264,34 @@ class TestScalingChaos:
     and in bursts that race undrained evictions), get evicted mid-stream and
     close early — per-session event sequences must stay bit-exact with
     a standalone node on exactly the ingested prefixes through it all.
+    Evictions leave the pool through ``take_evicted``, pulled on some
+    steps only, and each burst first races a short-lived session's
+    eviction against a move.
     """
+
+    @pytest.fixture(scope="class")
+    def raced(self):
+        """Moves that met an eviction notice not read yet, per run."""
+        return {}
 
     @pytest.mark.parametrize("trajectory", ["grow", "shrink", "oscillate"])
     @pytest.mark.chaos_seeds(0, 1)
     def test_scale_events_preserve_bit_exactness(
         self, trajectory, chaos_seed, records, embedded_classifier,
-        assert_events_equal, standalone_events,
+        assert_events_equal, standalone_events, raced,
     ):
-        rng = np.random.default_rng(
-            5000 + 10 * chaos_seed + {"grow": 0, "shrink": 1, "oscillate": 2}[trajectory]
-        )
+        seed = 5000 + 10 * chaos_seed + {"grow": 0, "shrink": 1, "oscillate": 2}[trajectory]
+        rng = np.random.default_rng(seed)
+        # Pulls and eviction races draw from their own stream, so the
+        # rest of the schedule draws the numbers it drew without them.
+        race_rng = np.random.default_rng([seed, 1])
         fs = records[0].fs
         start_workers = {"grow": 1, "shrink": 4, "oscillate": 2}[trajectory]
-        evicted = {}
         placement = str(rng.choice(["hash", "least-loaded", "round-robin"]))
         with ShardedGateway(
             embedded_classifier, fs, workers=start_workers, n_leads=N_LEADS,
             placement=placement,
             evict_after_ticks=int(rng.integers(25, 60)),
-            on_evict=lambda sid, events: evicted.update({sid: events}),
             **random_gateway_kwargs(rng),
         ) as gateway:
             sessions = {}
@@ -294,13 +301,58 @@ class TestScalingChaos:
                     record=record, chunks=chunk_queue(record, rng), fed=0,
                     events=[], open=False, done=False,
                 )
+            n_scale_ups = n_scale_downs = n_raced = 0
+            max_workers = 4
+
+            def move(sid, target):
+                nonlocal n_raced
+                try:
+                    gateway.migrate_session(sid, target)
+                except KeyError:
+                    # Evicted under the move: the release drained an
+                    # eviction notice; the sweep picks it up.
+                    assert sid not in gateway.session_ids()
+                    n_raced += 1
+                    return False
+                return True
+
+            def feed(sid):
+                state = sessions[sid]
+                chunk = state["chunks"][0]
+                got = gateway.ingest(sid, chunk)
+                state["chunks"].pop(0)
+                state["events"] += got
+                state["fed"] += len(chunk)
+
+            def race_eviction(live):
+                """Open a short-lived session beside a live host and
+                feed the host until the worker evicts it.  The notice
+                rides a response not read yet, so the move that follows
+                meets it and fails."""
+                evict_after = int(race_rng.integers(1, 3))
+                hosts = [h for h in live if len(sessions[h]["chunks"]) >= evict_after]
+                if gateway.workers < 2 or not hosts:
+                    return
+                host = str(race_rng.choice(hosts))
+                index = gateway.worker_of(host)
+                sid = f"race{len(sessions)}"
+                sessions[sid] = dict(
+                    record=records[0], chunks=[], fed=0, events=[], open=True,
+                    done=False,
+                )
+                gateway.open_session(sid, evict_after_ticks=evict_after, worker=index)
+                try:
+                    for _ in range(evict_after):
+                        feed(host)
+                except KeyError:
+                    return  # the host was evicted first: no race
+                assert not move(sid, (index + 1) % gateway.workers)
+
             # A couple of sessions are live from the start; the rest
             # open at random points of the schedule.
             for sid in ("s0", "s1"):
                 gateway.open_session(sid)
                 sessions[sid]["open"] = True
-            n_scale_ups = n_scale_downs = 0
-            max_workers = 4
 
             def finish(sid, final_events):
                 state = sessions[sid]
@@ -315,25 +367,21 @@ class TestScalingChaos:
                 )
 
             def close_out(sid):
-                events = gateway.close_session(sid)
-                # An eviction that crossed this close in flight already
-                # has its tail folded into the close's return value.
-                evicted.pop(sid, None)
-                finish(sid, events)
+                # An eviction that crossed this close in flight has its
+                # tail folded into the close's return value.
+                finish(sid, gateway.close_session(sid))
 
             def sweep_evicted():
-                for sid in list(sessions):
-                    state = sessions[sid]
-                    if (
-                        state["open"] and not state["done"]
-                        and sid not in gateway.session_ids()
-                    ):
-                        # The on_evict hook carried the complete final
-                        # event sequence when the notice was drained.
-                        finish(sid, evicted.pop(sid))
+                # The pull drains every worker's pipe first; each final
+                # event sequence completes its session.
+                for sid, final_events in gateway.take_evicted().items():
+                    finish(sid, final_events)
 
             while any(not s["done"] for s in sessions.values()):
-                sweep_evicted()
+                # Pull on some steps only, so that an undrained eviction
+                # notice can still meet a move.
+                if race_rng.random() < 0.3:
+                    sweep_evicted()
                 unopened = [
                     sid for sid, s in sessions.items() if not s["open"]
                 ]
@@ -342,7 +390,8 @@ class TestScalingChaos:
                     if s["open"] and not s["done"] and sid in gateway.session_ids()
                 ]
                 if not live and not unopened:
-                    continue  # remaining sessions are being evicted
+                    sweep_evicted()  # the rest were evicted
+                    continue
                 roll = rng.random()
                 if (roll < 0.08 or not live) and unopened:
                     sid = str(rng.choice(unopened))
@@ -369,20 +418,16 @@ class TestScalingChaos:
                             n_scale_downs += 1
                     continue
                 if roll < 0.22:  # a burst of moves off a stale session list
+                    race_eviction(live)
                     listed = gateway.session_ids()
                     for _ in range(int(rng.integers(1, 3))):
                         if gateway.workers < 2 or not listed:
                             break
                         sid = str(rng.choice(listed))
+                        if sid not in gateway.session_ids():
+                            continue  # a move before it drained the notice
                         shift = int(rng.integers(1, gateway.workers))
-                        try:
-                            gateway.migrate_session(
-                                sid, (gateway.worker_of(sid) + shift) % gateway.workers
-                            )
-                        except KeyError:
-                            # Evicted under the move: the release drained
-                            # an eviction notice; the sweep picks it up.
-                            assert sid not in gateway.session_ids()
+                        move(sid, (gateway.worker_of(sid) + shift) % gateway.workers)
                     continue
                 sid = str(rng.choice(sorted(live)))
                 state = sessions[sid]
@@ -392,15 +437,9 @@ class TestScalingChaos:
                         if not state["chunks"]:
                             close_out(sid)
                             continue
-                        chunk = state["chunks"][0]
-                        got = gateway.ingest(sid, chunk)
-                        state["chunks"].pop(0)
-                        state["events"] += got
-                        state["fed"] += len(chunk)
+                        feed(sid)
                     elif roll < 0.82:
-                        gateway.migrate_session(
-                            sid, int(rng.integers(0, gateway.workers))
-                        )
+                        move(sid, int(rng.integers(0, gateway.workers)))
                     elif roll < 0.92:
                         state["events"] += gateway.poll(sid)
                     elif roll < 0.96:
@@ -420,3 +459,11 @@ class TestScalingChaos:
             else:
                 assert n_scale_ups > 0 and n_scale_downs > 0
             assert gateway.stats()["scale_events"] == n_scale_ups + n_scale_downs
+            raced[(trajectory, chaos_seed)] = n_raced
+
+    def test_a_move_meets_an_undrained_eviction(self, raced):
+        """Over the seed set, the schedules above (run first) reach the
+        branch where a move meets an eviction notice not read yet."""
+        if not raced:
+            pytest.skip("no scaling schedule ran")
+        assert sum(raced.values()) > 0

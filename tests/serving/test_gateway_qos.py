@@ -104,19 +104,15 @@ class TestEviction:
         self, record, block, embedded_classifier
     ):
         """Idle for threshold - 1 ticks: still open.  One more: evicted."""
-        evicted = {}
-        gateway = StreamGateway(
-            embedded_classifier, record.fs,
-            on_evict=lambda sid, events: evicted.update({sid: events}),
-        )
+        gateway = StreamGateway(embedded_classifier, record.fs)
         gateway.open_session("active")
         gateway.open_session("idle", evict_after_ticks=3)
         gateway.ingest("idle", record.signal[:block])  # tick 1
         gateway.ingest("active", record.signal[:block])  # tick 2: idle for 1
         gateway.ingest("active", record.signal[block : 2 * block])  # tick 3: 2
-        assert "idle" not in evicted and gateway.n_sessions == 2
+        assert gateway.take_evicted() == {} and gateway.n_sessions == 2
         gateway.ingest("active", record.signal[2 * block : 3 * block])  # tick 4: 3
-        assert "idle" in evicted
+        assert "idle" in gateway.take_evicted()
         assert gateway.n_sessions == 1 and gateway.n_evicted == 1
 
     def test_evicted_events_are_well_formed_and_complete(
@@ -201,12 +197,8 @@ class TestEviction:
         self, record, block, embedded_classifier, assert_events_equal, standalone_events
     ):
         """Worker-side evictions ride back on responses: the parent's
-        hook fires and the final set matches a standalone node."""
-        evicted = {}
-        with ShardedGateway(
-            embedded_classifier, record.fs, workers=2,
-            on_evict=lambda sid, events: evicted.update({sid: events}),
-        ) as gateway:
+        store gets them and the final set matches a standalone node."""
+        with ShardedGateway(embedded_classifier, record.fs, workers=2) as gateway:
             # Same-worker pair so the active session ticks the idle one.
             gateway.open_session("active", worker=0)
             gateway.open_session("idle", worker=0, evict_after_ticks=2)
@@ -218,8 +210,9 @@ class TestEviction:
                 gateway.ingest("active", record.signal[offset : offset + block])
                 offset += block
             gateway.poll("active")  # drains the eviction notice
-            assert "idle" in evicted
             assert gateway.n_sessions == 1
+            evicted = gateway.take_evicted()
+            assert "idle" in evicted
             with pytest.raises(KeyError, match="no open session"):
                 gateway.ingest("idle", record.signal[:10])
             gateway.close_session("active")

@@ -101,6 +101,24 @@ def partition(items, seed, largest=9):
     return rounds
 
 
+class ItemClockGateway(StreamGateway):
+    """Reads :meth:`take_evicted` after each round item, so every
+    eviction is stamped with the tick it fired at."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evictions: list[tuple[str, int]] = []
+        self.evicted: dict[str, list] = {}
+
+    def _ingest_one(self, session_id, chunk):
+        try:
+            return super()._ingest_one(session_id, chunk)
+        finally:
+            for sid, events in self.take_evicted().items():
+                self.evictions.append((sid, self._tick))
+                self.evicted[sid] = events
+
+
 def open_all(gateway):
     gateway.open_session("a", max_latency_ticks=2)
     gateway.open_session("b")
@@ -168,20 +186,14 @@ class TestStreamGatewayRounds:
         ), "the partition should repeat a session inside some round"
 
         def run(as_rounds):
-            evictions = []
-            gateway = StreamGateway(
-                embedded_classifier, FS,
-                on_evict=lambda sid, events: evictions.append((sid, gateway._tick)),
-                **GATEWAY,
-            )
+            gateway = ItemClockGateway(embedded_classifier, FS, **GATEWAY)
             open_all(gateway)
             results, checkpoints = drive(
                 gateway, rounds, as_rounds=as_rounds,
                 checkpoint=lambda g: {k: g.stats()[k] for k in COUNTERS},
             )
-            evicted = gateway.take_evicted()
             closed = {sid: gateway.close_session(sid) for sid in LIVE}
-            return results, checkpoints, evictions, evicted, closed
+            return results, checkpoints, gateway.evictions, gateway.evicted, closed
 
         per_chunk = run(as_rounds=False)
         batched = run(as_rounds=True)

@@ -194,84 +194,6 @@ class TestConnectRetryBackoff:
         assert factory.attempts["n"] == 1
 
 
-class TestRetryBudget:
-    def test_budget_caps_total_connect_wall_time(self):
-        clock = FakeClock()
-        factory = scripted_factory(clock, FakePeer(), failures=99)
-        client = make_client(
-            clock,
-            factory,
-            max_retries=50,
-            backoff_base=1.0,
-            backoff_max=10.0,
-            retry_budget=2.5,
-        )
-        with pytest.raises(ConnectError, match="retry budget"):
-            client.connect()
-        # Per-attempt retries would have burned ~50 sleeps; the budget
-        # bounds the whole operation's wall clock instead.
-        assert clock.now <= 2.5 + 1e-9
-        assert sum(clock.sleeps) <= 2.5 + 1e-9
-        assert factory.attempts["n"] < 50
-
-    def test_budget_truncates_the_final_backoff_sleep(self):
-        clock = FakeClock()
-        factory = scripted_factory(clock, FakePeer(), failures=99)
-        client = make_client(
-            clock,
-            factory,
-            max_retries=10,
-            backoff_base=0.1,
-            backoff_max=1.0,
-            retry_budget=0.15,
-        )
-        with pytest.raises(ConnectError, match="retry budget"):
-            client.connect()
-        # First backoff runs in full (0.1), the second is clipped to the
-        # 0.05 s of budget remaining, then the deadline trips.
-        assert clock.sleeps == pytest.approx([0.1, 0.05])
-
-    def test_budget_none_preserves_full_backoff_schedule(self):
-        clock = FakeClock()
-        factory = scripted_factory(clock, FakePeer(), failures=3)
-        client = make_client(clock, factory, backoff_base=0.1, backoff_max=10.0)
-        assert client.retry_budget is None
-        client.connect()
-        assert clock.sleeps == pytest.approx([0.1, 0.2, 0.4])
-
-    def test_budget_rearmed_per_operation(self):
-        clock = FakeClock()
-        peer = FakePeer()
-        factory = scripted_factory(clock, peer, failures=2)
-        client = make_client(
-            clock,
-            factory,
-            max_retries=5,
-            backoff_base=0.1,
-            backoff_max=1.0,
-            retry_budget=1.0,
-        )
-        client.connect()  # two refusals, well inside budget
-        # A long pause between operations must not count against the
-        # next one: the deadline re-arms at every public entry point.
-        clock.now += 100.0
-        client.open_session("s0")
-        out = client.close_session("s0")
-        assert out == []
-
-    def test_exhausted_budget_abandons_op_retries(self):
-        clock = FakeClock()
-        client = make_client(
-            clock, scripted_factory(clock, FakePeer()), retry_budget=1.0
-        )
-        client._arm_budget()
-        attempts = client._op_attempts()
-        assert next(attempts) == 0
-        clock.now += 2.0
-        with pytest.raises(ConnectError, match="retry budget"):
-            next(attempts)
-
-
 class TestTimeouts:
     def test_open_times_out_when_server_is_mute(self):
         clock = FakeClock()

@@ -10,12 +10,15 @@ a real :class:`GatewayServer` over loopback TCP with the pipelined
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.serving import (
     ShardedGateway,
     StreamGateway,
+    default_pipeline,
     replay_fleet,
     serve_round_robin,
     synthesize_fleet,
@@ -617,3 +620,60 @@ class TestParkedSessions:
         assert_events_equal(
             standalone_events(embedded_classifier, signal, FS, 1), received
         )
+
+    def test_stopping_the_server_parks_a_connected_client_quietly(
+        self, embedded_classifier, fleet, caplog,
+    ):
+        """Stopping a server with a client still connected ends each
+        connection through its normal park path: asyncio logs no
+        error, and the client's session is parked, not lost."""
+        signal = fleet[0]["loadgen-0"]
+        gateway = StreamGateway(embedded_classifier, FS, n_leads=1)
+        handle = serve_in_thread(gateway)
+        client = GatewayClient(handle.host, handle.port, window=4).connect()
+        try:
+            client.open_session("p")
+            client.ingest("p", signal[:CHUNK])
+            client.poll("p")
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                handle.stop()
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            assert handle.server._sessions["p"].owner is None
+            assert gateway.session_ids() == ["p"]
+        finally:
+            client.close()
+
+
+class TestBoundedAnalyticsState:
+    def test_closed_sessions_leave_no_summary_or_alert_behind(
+        self, embedded_classifier, fleet,
+    ):
+        """The wire carries no summaries or alerts, so the server drops
+        them every round: after many open/ingest/close cycles the
+        gateway holds none, while the ``STATS`` rollup still counts
+        every session and alert."""
+        signal = fleet[0]["loadgen-0"]
+        gateway = StreamGateway(
+            embedded_classifier, FS, n_leads=1, max_batch=16,
+            analytics=default_pipeline,
+        )
+        handle = serve_in_thread(gateway)
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                client.open_session("keeper")
+                for cycle in range(20):
+                    sid = f"cycle-{cycle}"
+                    client.open_session(sid)
+                    for start in range(0, len(signal), 4 * CHUNK):
+                        client.ingest(sid, signal[start : start + 4 * CHUNK])
+                    client.close_session(sid)
+                # One more round drains the last cycle's summary.
+                client.ingest("keeper", signal[:CHUNK])
+                client.poll("keeper")
+                rollup = client.stats()["analytics"]
+        finally:
+            handle.stop()
+        assert rollup["sessions"] == 21
+        assert rollup["alerts"] > 0
+        assert gateway.take_summaries() == {}
+        assert gateway.take_alerts() == []
