@@ -137,6 +137,30 @@ class TestEviction:
         )
         assert any(e.flagged for e in early + final["slow"])
 
+    def test_one_scan_evicts_every_stale_session(
+        self, record, block, embedded_classifier
+    ):
+        """Two sessions going stale on the same tick are both evicted by
+        that tick's scan, both final sets reach the pull queue, and the
+        gateway keeps serving the live session afterwards."""
+        gateway = StreamGateway(embedded_classifier, record.fs)
+        # Thresholds staggered against last-active ticks so both go
+        # stale on tick 4.
+        gateway.open_session("stale-a", evict_after_ticks=3)
+        gateway.open_session("stale-b", evict_after_ticks=2)
+        gateway.open_session("busy")
+        gateway.ingest("stale-a", record.signal[: 5 * block])  # tick 1
+        gateway.ingest("stale-b", record.signal[: 5 * block])  # tick 2
+        gateway.ingest("busy", record.signal[:block])  # tick 3
+        assert gateway.take_evicted() == {} and gateway.n_sessions == 3
+        gateway.ingest("busy", record.signal[block : 2 * block])  # tick 4
+        evicted = gateway.take_evicted()
+        assert sorted(evicted) == ["stale-a", "stale-b"]
+        assert all(len(events) > 0 for events in evicted.values())
+        assert gateway.n_evicted == 2 and gateway.session_ids() == ["busy"]
+        gateway.ingest("busy", record.signal[2 * block : 3 * block])
+        gateway.close_session("busy")
+
     def test_evicted_session_is_gone(self, record, block, embedded_classifier):
         gateway = StreamGateway(embedded_classifier, record.fs, evict_after_ticks=2)
         gateway.open_session("a")

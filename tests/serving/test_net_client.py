@@ -194,6 +194,58 @@ class TestConnectRetryBackoff:
         assert factory.attempts["n"] == 1
 
 
+class TestRetryBounds:
+    """``max_retries`` and ``connect_timeout`` bound a retry; elapsed
+    wall-clock time between or during attempts does not."""
+
+    def test_op_attempts_stop_after_max_retries(self):
+        clock = FakeClock()
+        client = make_client(
+            clock, scripted_factory(clock, FakePeer()), max_retries=2
+        )
+        attempts = client._op_attempts()
+        assert next(attempts) == 0
+        clock.now += 100.0  # a slow attempt does not cut the retries short
+        assert next(attempts) == 1
+        assert next(attempts) == 2
+        with pytest.raises(ConnectError, match="after 3 attempts"):
+            next(attempts)
+
+    def test_connect_timeout_reaches_every_attempt(self):
+        clock = FakeClock()
+        seen = []
+        factory = scripted_factory(clock, FakePeer(), failures=2)
+
+        def recording(address, timeout):
+            seen.append((address, timeout))
+            return factory(address, timeout)
+
+        client = make_client(clock, recording, connect_timeout=0.75)
+        client.connect()
+        assert seen == [(("fake-host", 1), 0.75)] * 3
+
+    def test_retry_count_restarts_per_connect(self):
+        clock = FakeClock()
+        peer = FakePeer()
+        outcomes = iter([False] * 3 + [True] + [False] * 3 + [True])
+
+        def factory(address, timeout):
+            if not next(outcomes):
+                raise ConnectionRefusedError("scripted refusal")
+            return FakeSocket(peer, clock)
+
+        client = make_client(clock, factory, max_retries=3)
+        client.connect()  # spends every retry, then succeeds
+        client.close()
+        # A long pause and a spent earlier connect leave the next one
+        # its full retry count and backoff schedule.
+        clock.now += 100.0
+        clock.sleeps.clear()
+        client.connect()
+        assert client.connected and client.n_connects == 2
+        assert clock.sleeps == pytest.approx([0.1, 0.2, 0.4])
+
+
 class TestTimeouts:
     def test_open_times_out_when_server_is_mute(self):
         clock = FakeClock()
