@@ -621,7 +621,7 @@ def _replay(rec: RecoveredSession, gateway) -> list:
     events: list = []
     for chunk in rec.chunks:
         events.extend(gateway.ingest(session_id, chunk))
-    flush = getattr(gateway, "flush_batch", None) or getattr(gateway, "flush", None)
+    flush = getattr(gateway, "flush_batch", None)
     if flush is not None:
         flush()
     events.extend(gateway.poll(session_id))

@@ -30,13 +30,12 @@ to chunk sizes, session interleaving order and batch-flush boundaries
 (exact by construction for the integer classifier, whose rows are
 independent; the float caveat of :mod:`repro.serving.engine` applies).
 
-Sessions migrate: :meth:`StreamGateway.export_session` captures a live
-session as a picklable :class:`SessionExport`
+Sessions migrate: :meth:`StreamGateway.release_session` captures a
+live session as a picklable :class:`SessionExport`
 (:class:`~repro.dsp.streaming.NodeSnapshot` + undrained events + QoS
-settings) and :meth:`StreamGateway.import_session` resumes it on
-another gateway — another shard, another host — mid-stream,
-bit-exactly (:meth:`StreamGateway.release_session` is the same capture
-but also removes the session, for a clean hand-off).
+settings) and removes it, and :meth:`StreamGateway.import_session`
+resumes it on another gateway — another shard, another host —
+mid-stream, bit-exactly.
 
 Per-session QoS overrides the global flush policy:
 
@@ -793,37 +792,22 @@ class StreamGateway:
             "scale_events": 0,
         }
 
-    def export_session(self, session_id: str) -> SessionExport:
-        """Capture a live session for migration; the session stays open.
+    def release_session(self, session_id: str) -> SessionExport:
+        """Capture a live session for migration and remove it here.
 
         Pending classifications are flushed first so no in-flight
         handles cross the boundary; the export then carries the node
-        snapshot plus the session's undrained events, which *move*
-        into the export (a later ``poll`` here returns nothing — the
-        migrated gateway delivers them).  Feed it to
-        :meth:`import_session` on another gateway (same ``fs`` and
-        session configuration) and continue ``ingest``-ing there —
-        the combined event sequence is bit-exact with never migrating.
+        snapshot plus the session's undrained events.  The session is
+        gone from this gateway afterwards, without the stream-end
+        finalization of :meth:`close_session`, and its journal entry
+        goes with it.  Feed the export to :meth:`import_session` on
+        another gateway (same ``fs`` and session configuration) and
+        continue ``ingest``-ing there — the combined event sequence is
+        bit-exact with never migrating.
         """
         self._get(session_id)
         self._classify_batch()
         export = self._capture(session_id)
-        if self.journal is not None:
-            # The capture doubles as a snapshot; its drained events go
-            # to the caller, so they count as delivered against it.
-            self.journal.snapshot(session_id, export)
-            self.journal.delivered(session_id, len(export.events))
-        return export
-
-    def release_session(self, session_id: str) -> SessionExport:
-        """Capture a live session for migration and remove it here.
-
-        :meth:`export_session` plus the hand-off: the session is gone
-        from this gateway afterwards (without the stream-end
-        finalization of :meth:`close_session` — it continues on the
-        gateway that imports the export).
-        """
-        export = self.export_session(session_id)
         self._remove_session(session_id)
         if self.journal is not None:  # the session now lives elsewhere
             self.journal.forget(session_id)

@@ -457,7 +457,8 @@ class GatewayServer:
             await self._harvest_flush()
 
     def _drain_gateway(self) -> None:
-        """Empty the gateway's ``take_*`` queues, once per round.
+        """Empty the gateway's ``take_*`` queues, once per round and
+        once per close.
 
         The sessions it evicted (parked ones included) leave the
         session map, so no later call names them; a frame for one then
@@ -505,6 +506,7 @@ class GatewayServer:
         frame = self._events_frame(state, events, flags=wire.FLAG_FINAL)
         del self._sessions[message.session_id]
         await conn.send_burst([frame])
+        self._drain_gateway()  # the close left a summary (and alerts)
 
     async def _on_resume(self, conn: _Connection, message: wire.Resume) -> None:
         """Adopt a parked session on this connection.

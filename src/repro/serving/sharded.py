@@ -22,20 +22,22 @@ is the pipe transport underneath:
   therefore the per-session bit-exactness guarantee of the
   single-process gateway — is preserved for every worker count,
   interleaving, chunking and round partition.  ``close_session`` /
-  ``export_session`` synchronize, so a session's event sequence is
+  ``release_session`` synchronize, so a session's event sequence is
   always complete when it ends or migrates.
-* **Pipe protocol.**  A request is ``(op, session_id, *args)``; the
-  one pipelined op is ``"round"`` (its ``session_id`` slot holds the
-  item ids), every other op (``open``, ``poll``, ``close``,
-  ``export``, ``release``, ``import``, ``flush``, ``stats``, ``call``)
-  is synchronous.  The parent checks for responses with one
+* **Pipe protocol.**  A request is ``(op, session_id, arg)`` with two
+  ops: the pipelined ``"round"`` (its ``session_id`` slot holds the
+  item ids) and the synchronous ``"call"``, whose ``arg`` is a
+  picklable ``fn(gateway)`` — a method of the worker's gateway, or a
+  journal replay.  The parent checks for responses with one
   persistent ``select.poll`` per pipe, so a non-blocking drain costs
   one system call per worker.
 
 QoS settings (per-session latency budgets, idle eviction) are forwarded
 to the worker gateways; evicted sessions' final event sequences travel
 back with the next response from that worker and wait in the parent's
-:meth:`ShardedGateway.take_evicted`.
+:meth:`ShardedGateway.take_evicted`.  A chunk shipped before its
+session's eviction notice arrived resolves empty, and a close that
+crosses the notice returns the final sequence.
 
 Durability: with a ``journal``
 (:class:`repro.serving.durability.SessionJournal`) attached, every
@@ -119,29 +121,25 @@ def _healing(method):
 
 
 class _WorkerState:
-    """One worker's gateway + its request dispatch.
+    """One worker's gateway behind its two requests.
 
     The worker process loop (:func:`_worker_main`) drives it over a
-    pipe.  Requests map to gateway calls; the response
-    is ``(op, session_id, payload, evictions, aux)`` where ``payload``
-    is ``("ok", value)`` or ``("err", exception)`` (for a round, the
-    value is one such pair per item).  Evictions that
-    fired while handling a request (the gateway's idle clock advances
-    on its own ingest ticks) ride along on the response, each as a
-    complete ``(session_id, events)`` final sequence; ``aux`` is the
-    analytics side-channel ``(alerts, summaries)`` drained from the
-    worker gateway the same way.
+    pipe.  ``("round", session_ids, (samples, lengths))`` applies the
+    chunks, back to back in ``samples``, through the gateway's
+    ``ingest_round`` and answers its per-item list (events or
+    exception); ``("call", None, fn)`` answers ``fn(gateway)``.  The
+    response is ``(op, session_id, payload, evictions, aux)`` where
+    ``payload`` is ``("ok", value)`` or ``("err", exception)``.
+    Evictions that fired while handling a request (the gateway's idle
+    clock advances on its own ingest ticks) ride along on the
+    response, each as a complete ``(session_id, events)`` final
+    sequence; ``aux`` is the analytics side-channel
+    ``(alerts, summaries)`` drained from the worker gateway the same
+    way.
     """
 
     def __init__(self, classifier, fs: float, gateway_kwargs: dict):
         self.gateway = StreamGateway(classifier, fs, **gateway_kwargs)
-        # Evictions a round took from the gateway early (to resolve its
-        # own items); handle() ships them with any later ones.
-        self._evictions: dict[str, list] = {}
-        # Ids evicted while a pipelined round item for them may still
-        # be on its way (answered with no events).  Pruned at every
-        # synchronous request, see handle().
-        self._evicted_ids: set[str] = set()
 
     def handle(self, request: tuple) -> tuple:
         """Serve one request; return its wire response (never raises)."""
@@ -149,69 +147,24 @@ class _WorkerState:
         op, session_id = request[0], request[1]
         try:
             if op == "round":
-                value = self._round(session_id, *request[2])
-            elif op == "open":
-                value = gateway.open_session(session_id, **request[2])
-            elif op == "poll":
-                value = gateway.poll(session_id)
-            elif op == "close":
-                if session_id in self._evicted_ids:
-                    value = []
-                else:
-                    value = gateway.close_session(session_id)
-            elif op == "export":
-                value = gateway.export_session(session_id)
-            elif op == "release":
-                value = gateway.release_session(session_id)
-            elif op == "import":
-                value = gateway.import_session(request[2], session_id)
-            elif op == "flush":
-                value = gateway.flush_batch()
-            elif op == "stats":
-                value = gateway.stats()["per_worker"][0]
-            elif op == "call":  # e.g. a journal replay, run in one round trip
+                samples, lengths = request[2]
+                bounds = np.cumsum([0, *lengths])
+                value = gateway.ingest_round(
+                    [
+                        (sid, samples[bounds[i] : bounds[i + 1]])
+                        for i, sid in enumerate(session_id)
+                    ]
+                )
+            elif op == "call":
                 value = request[2](gateway)
             else:
                 raise ValueError(f"unknown worker op {op!r}")
             payload = ("ok", value)
         except Exception as exc:  # travels back to the caller
             payload = ("err", exc)
-        new_evictions, self._evictions = self._evictions, {}
-        new_evictions.update(gateway.take_evicted())
-        if op != "round":
-            # Every other op is a synchronous call: the parent sends
-            # this worker nothing more until it has read this response
-            # and all earlier ones, whose eviction notices unregister
-            # the ids — so no request for any id evicted so far can
-            # still arrive.
-            self._evicted_ids.clear()
+        evictions = list(gateway.take_evicted().items())
         aux = (gateway.take_alerts(), gateway.take_summaries())
-        return (op, session_id, payload, list(new_evictions.items()), aux)
-
-    def _round(self, session_ids: list, samples: np.ndarray, lengths: list) -> list:
-        """Apply one round message: ``samples`` holds the chunks back to
-        back, ``lengths`` their row counts.  Returns ``("ok", events)``
-        or ``("err", exception)`` per item.  A chunk for a session
-        evicted while it was in flight, before this round or by an
-        earlier item of it, resolves to no events."""
-        bounds = np.cumsum([0, *lengths])
-        results = self.gateway.ingest_round(
-            [
-                (session_id, samples[bounds[i] : bounds[i + 1]])
-                for i, session_id in enumerate(session_ids)
-            ]
-        )
-        self._evictions = self.gateway.take_evicted()
-        self._evicted_ids.update(self._evictions)
-        out = []
-        for session_id, result in zip(session_ids, results):
-            if not isinstance(result, Exception):
-                out.append(("ok", result))
-            elif isinstance(result, KeyError) and session_id in self._evicted_ids:
-                out.append(("ok", []))
-            else:
-                out.append(("err", result))
-        return out
+        return (op, session_id, payload, evictions, aux)
 
 
 def _worker_main(conn, parent_end, classifier, fs: float, gateway_kwargs: dict) -> None:
@@ -239,7 +192,7 @@ class ShardedGateway(MemberPool):
 
     Drop-in for the single-process gateway's session surface
     (``open_session`` / ``ingest`` / ``poll`` / ``close_session`` /
-    ``export_session`` / ``import_session``, so
+    ``release_session`` / ``import_session``, so
     :func:`~repro.serving.gateway.serve_round_robin` drives it
     unchanged), with sessions sharded across ``workers`` processes.
     Per-session event sequences stay bit-exact with a standalone
@@ -396,7 +349,7 @@ class ShardedGateway(MemberPool):
             "evict_after_ticks": evict_after_ticks,
             "analytics": analytics,
         }
-        self._request(index, ("open", session_id, qos))
+        self._call(index, "open_session", session_id, **qos)
         self._owner[session_id] = index
         if self.journal is not None:
             self.journal.open(session_id, qos)
@@ -435,6 +388,11 @@ class ShardedGateway(MemberPool):
         journal the item's entry is the :class:`WorkerCrashError`.  A
         worker death noticed before any chunk is shipped raises from
         the call (a journaled pool heals it and retries the round).
+
+        A chunk shipped before its session's eviction notice arrived
+        is not applied: the worker had already closed the session, and
+        the item resolves empty.  :meth:`take_evicted` then holds the
+        events of the chunks that were applied only.
         """
         items = list(items)
         self._drain()
@@ -496,45 +454,32 @@ class ShardedGateway(MemberPool):
         otherwise only sees a session's events on its own responses).
         """
         index = self._owner_or_raise(session_id)
-        value = self._request(index, ("poll", session_id))
+        value = self._call(index, "poll", session_id)
         return self._take_events(session_id, value)
 
     @_healing
     def close_session(self, session_id: str) -> list:
         """End a session; wait for and return the rest of its events."""
         index = self._owner_or_raise(session_id)
-        value = self._request(index, ("close", session_id))
+        try:
+            value = self._call(index, "close_session", session_id)
+        except KeyError:
+            # The close crossed the session's eviction notice: its final
+            # sequence is the rest of its events.
+            if session_id in self._owner or session_id not in self._evicted:
+                raise
+            return self._evicted.pop(session_id)
         events = self._events.pop(session_id, []) + value
-        # The close may have crossed an in-flight eviction notice for
-        # this very session; its final events are the authoritative tail.
-        events += self._evicted.pop(session_id, [])
         self._forget(session_id)
         if self.journal is not None:  # an ended session needs no recovery
             self.journal.forget(session_id)
         return events
 
     @_healing
-    def export_session(self, session_id: str) -> SessionExport:
-        """Capture a live session for migration; it stays open here.
-
-        Synchronizes with the owning worker first (every accepted
-        chunk is processed before the snapshot), then merges the
-        parent-buffered events into the export so nothing is left
-        behind.
-        """
-        index = self._owner_or_raise(session_id)
-        export = self._request(index, ("export", session_id))
-        export = self._merge_buffer(session_id, export)
-        if self.journal is not None:
-            # The capture doubles as a snapshot; its drained events go
-            # to the caller, so they count as delivered against it.
-            self.journal.snapshot(session_id, export)
-            self.journal.delivered(session_id, len(export.events))
-        return export
-
-    @_healing
     def release_session(self, session_id: str) -> SessionExport:
-        """Capture a live session for migration and remove it here."""
+        """Capture a live session for migration and remove it here.
+        The worker applies every accepted chunk first, and the
+        parent-buffered events merge into the export."""
         export = self._release(self._owner_or_raise(session_id), session_id)
         self._forget(session_id)
         if self.journal is not None:  # the session now lives elsewhere
@@ -555,11 +500,11 @@ class ShardedGateway(MemberPool):
         self._migrate(session_id, worker)
 
     def _release(self, index: int, session_id: str) -> SessionExport:
-        export = self._request(index, ("release", session_id))
+        export = self._call(index, "release_session", session_id)
         return self._merge_buffer(session_id, export)
 
     def _import(self, index: int, session_id: str, export: SessionExport) -> None:
-        self._request(index, ("import", session_id, export))
+        self._call(index, "import_session", export, session_id)
         self._owner[session_id] = index
         if self.journal is not None:
             # The capture is the new snapshot: an ownership move
@@ -587,7 +532,7 @@ class ShardedGateway(MemberPool):
         del self._conns[index], self._procs[index], self._pollers[index]
 
     def _member_stats(self, index: int) -> dict:
-        return self._request(index, ("stats", None))
+        return self._call(index, "stats")["per_worker"][0]
 
     def _stop_worker(self, index: int) -> None:
         """Synchronously stop one worker process and close its pipe."""
@@ -599,7 +544,7 @@ class ShardedGateway(MemberPool):
                 response = conn.recv()
                 if response[0] == "stop":
                     break
-                self._handle(response)
+                self._handle(index, response)
             stopped = True
         except (BrokenPipeError, EOFError, OSError):
             # The worker never got (or never acknowledged) the stop
@@ -615,9 +560,10 @@ class ShardedGateway(MemberPool):
             proc.join(timeout=1.0)
 
     @_healing
-    def flush(self) -> int:
-        """Force one batched classifier pass on every worker."""
-        return sum(self._request(i, ("flush", None)) for i in range(self.workers))
+    def flush_batch(self) -> int:
+        """Force one batched classifier pass on every worker; return
+        how many beats were resolved."""
+        return sum(self._call(i, "flush_batch") for i in range(self.workers))
 
     @_healing
     def take_evicted(self) -> dict[str, list]:
@@ -734,11 +680,11 @@ class ShardedGateway(MemberPool):
                 continue
             for index in range(self.workers):
                 try:
-                    self._request(index, ("release", session_id))
+                    self._call(index, "release_session", session_id)
                 except KeyError:
                     pass
             index = self._place(session_id)
-            backlog = self._request(index, ("call", session_id, partial(_replay, rec)))
+            backlog = self._request(index, ("call", None, partial(_replay, rec)))
             self._owner[session_id] = index
             if backlog:
                 self._events[session_id] = backlog
@@ -840,7 +786,8 @@ class ShardedGateway(MemberPool):
     def _journal_snapshot(self, session_id: str) -> None:
         """Refresh one session's journal snapshot, truncating its chunk
         log (the cadence bound on replay length).  The synchronized
-        capture is an export without the classifier pass first (labels
+        capture is a :class:`SessionExport` taken without the
+        classifier pass first and without removing the session (labels
         in flight ride in the node snapshot), sharing the worker's live
         state, which its response pickles at once.  It drains pending
         events; they return to the parent buffer — still owed to the
@@ -851,8 +798,7 @@ class ShardedGateway(MemberPool):
         if index is None:  # pragma: no cover - evicted under the cadence
             return
         try:
-            capture = methodcaller("_capture", session_id, detached=False)
-            export = self._request(index, ("call", session_id, capture))
+            export = self._call(index, "_capture", session_id, detached=False)
         except KeyError:
             if session_id in self._owner:
                 raise
@@ -861,6 +807,13 @@ class ShardedGateway(MemberPool):
         self.journal.snapshot(session_id, export)
         if export.events:
             self._events[session_id] = list(export.events)
+
+    def _call(self, index: int, method: str, *args, **kwargs):
+        """Call one method of a worker's gateway and return its value
+        (its exception is raised here)."""
+        return self._request(
+            index, ("call", None, methodcaller(method, *args, **kwargs))
+        )
 
     def _request(self, index: int, request: tuple):
         """Send one synchronous command; handle interleaved pipelined
@@ -876,7 +829,7 @@ class ShardedGateway(MemberPool):
                 if status == "err":
                     raise value
                 return value
-            self._handle(response)
+            self._handle(index, response)
 
     def _drain(self) -> None:
         for index in range(self.workers):
@@ -886,14 +839,18 @@ class ShardedGateway(MemberPool):
         """Handle every response already waiting on one worker's pipe,
         without blocking."""
         while self._poll_conn(index):
-            self._handle(self._recv(index))
+            self._handle(index, self._recv(index))
 
-    def _handle(self, response: tuple) -> None:
-        """Route one pipelined (round) response into the buffers.
+    def _handle(self, index: int, response: tuple) -> None:
+        """Route one pipelined (round) response of worker ``index``
+        into the buffers.
 
         The items' events go first, then the round's eviction notices:
         a session evicted by a later item of the round keeps the events
-        of its own earlier items ahead of its final sequence.  A
+        of its own earlier items ahead of its final sequence.  An item
+        for an id worker ``index`` no longer owns is dropped: the
+        session was evicted while its chunk was in flight (a reused id
+        may already live again, on this worker or another).  Any other
         worker-side item error arrives here asynchronously, possibly
         while a synchronous request for another session is waiting —
         raising now would both blame the wrong call and desynchronize
@@ -906,14 +863,14 @@ class ShardedGateway(MemberPool):
         if op != "round":  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected unsolicited {op!r} response")
         if status == "err":  # pragma: no cover - the round itself failed
-            value = [(status, value)] * len(session_ids)
-        for session_id, (item_status, events) in zip(session_ids, value):
-            if item_status == "err":
-                self._errors[session_id] = events
-            elif session_id in self._owner:
-                self._events.setdefault(session_id, []).extend(events)
-            elif session_id in self._evicted:
-                self._evicted[session_id].extend(events)
+            value = [value] * len(session_ids)
+        for session_id, result in zip(session_ids, value):
+            if self._owner.get(session_id) != index:
+                continue
+            if isinstance(result, Exception):
+                self._errors[session_id] = result
+            else:
+                self._events.setdefault(session_id, []).extend(result)
         self._note_evictions(evictions)
 
     def _note_aux(self, aux: tuple) -> None:

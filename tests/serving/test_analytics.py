@@ -378,12 +378,11 @@ class TestGatewayAnalytics:
         signal = records[0].signal
         for i in range(0, len(signal), block):
             gateway.ingest("s", signal[i : i + block])
-        export = gateway.export_session("s")
+        export = gateway.release_session("s")
         # The pipeline folded once per classifier flush, never per
         # event or per ingest: |updates| tracks flushes, not beats.
         assert 1 <= export.analytics.n_updates <= gateway.n_flushes
         assert export.analytics.n_beats > export.analytics.n_updates
-        gateway.close_session("s")
 
     def test_stats_rollup_counts_live_and_closed(
         self, records, embedded_classifier, standalone_events

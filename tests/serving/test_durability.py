@@ -1376,6 +1376,45 @@ class TestRejectedChunks:
             assert_events_equal(reference, collected[sid])
 
 
+class _RecordingStore(MemoryJournalStore):
+    """A memory store that records its snapshot, delivered and forget
+    writes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[tuple[str, str]] = []
+
+    def put_snapshot(self, session_id: str, blob: bytes) -> None:
+        self.writes.append(("put_snapshot", session_id))
+        super().put_snapshot(session_id, blob)
+
+    def add_delivered(self, session_id: str, n: int) -> None:
+        self.writes.append(("add_delivered", session_id))
+        super().add_delivered(session_id, n)
+
+    def forget(self, session_id: str) -> None:
+        self.writes.append(("forget", session_id))
+        super().forget(session_id)
+
+
+class TestStreamJournalHooks:
+    def test_release_writes_no_snapshot(self, records, embedded_classifier):
+        """A released session leaves the journal at once: the release
+        only forgets it, with no snapshot or delivered record first."""
+        store = _RecordingStore()
+        journal = SessionJournal(store, snapshot_every=1000)
+        gateway = StreamGateway(
+            embedded_classifier, FS, n_leads=N_LEADS, journal=journal
+        )
+        gateway.open_session("m")
+        feed(gateway, "m", records[0].signal, 180, stop=int(4 * FS))
+        del store.writes[:]
+        export = gateway.release_session("m")
+        assert store.writes == [("forget", "m")]
+        assert journal.session_ids() == []
+        assert export.session_id == "m"
+
+
 class TestShardedJournalHooks:
     """The sharded gateway's journal bookkeeping, without a crash."""
 
@@ -1389,7 +1428,7 @@ class TestShardedJournalHooks:
             gateway.open_session("busy")
             for i in range(8):
                 gateway.ingest("busy", np.zeros(64))
-            gateway.flush()  # synchronous: drains the eviction notice
+            gateway.flush_batch()  # synchronous: drains the eviction notice
             assert "idle" not in gateway.session_ids()
             assert journal.session_ids() == ["busy"]
             gateway.close_session("busy")

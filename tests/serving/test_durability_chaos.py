@@ -141,7 +141,7 @@ class TestKillChaos:
                 elif roll < 0.95:
                     gateway.migrate_session(sid, int(rng.integers(0, 2)))
                 else:
-                    gateway.flush()
+                    gateway.flush_batch()
             stats = gateway.stats()
             # Every session closed cleanly: nothing is left to recover.
             assert journal.session_ids() == []

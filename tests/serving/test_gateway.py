@@ -254,8 +254,8 @@ class TestGatewaySessions:
         while i < record.n_samples // 2:
             events += source.ingest("p", record.signal[i : i + block])
             i += block
-        export = pickle.loads(pickle.dumps(source.export_session("p")))
-        assert source.poll("p") == []  # events moved into the export
+        export = pickle.loads(pickle.dumps(source.release_session("p")))
+        assert source.session_ids() == []  # released, its events in the export
         target.import_session(export)
         events += target.poll("p")
         while i < record.n_samples:
@@ -267,6 +267,7 @@ class TestGatewaySessions:
     def test_import_rejects_open_id(self, records, embedded_classifier):
         gateway = StreamGateway(embedded_classifier, records[0].fs, n_leads=N_LEADS)
         gateway.open_session("p")
-        export = gateway.export_session("p")
+        export = gateway.release_session("p")
+        gateway.import_session(export)
         with pytest.raises(ValueError, match="already open"):
             gateway.import_session(export)

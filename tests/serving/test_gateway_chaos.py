@@ -176,7 +176,7 @@ class TestShardedChaos:
                 elif roll < 0.94:
                     state["events"] += gateway.poll(sid)
                 elif roll < 0.97:
-                    gateway.flush()
+                    gateway.flush_batch()
                 else:
                     close(sid)
             if workers > 1:
@@ -443,7 +443,7 @@ class TestScalingChaos:
                     elif roll < 0.92:
                         state["events"] += gateway.poll(sid)
                     elif roll < 0.96:
-                        gateway.flush()
+                        gateway.flush_batch()
                     else:
                         close_out(sid)
                 except KeyError:

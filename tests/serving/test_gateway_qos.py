@@ -9,12 +9,10 @@ has two per-session QoS levers:
   slow session and emits its complete, well-formed final event set.
 """
 
-import numpy as np
 import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
 from repro.serving import ShardedGateway, StreamGateway
-from repro.serving.sharded import _WorkerState
 
 FS_BLOCK_S = 0.4
 
@@ -29,12 +27,6 @@ def record():
 @pytest.fixture(scope="module")
 def block(record):
     return int(FS_BLOCK_S * record.fs)
-
-
-def _round(session_id, chunk):
-    """A sharded worker's one-chunk round request, as the parent sends it."""
-    block = np.asarray(chunk, dtype=float).reshape(len(chunk), -1)
-    return ("round", [session_id], (block, [len(block)]))
 
 
 class TestPerSessionLatencyBudget:
@@ -245,33 +237,84 @@ class TestEviction:
             early + evicted["idle"],
         )
 
+    def _evict_behind_the_parent(self, gateway, record, block):
+        """Open ``active`` and ``idle`` (budget 1 tick) on worker 0 and
+        feed ``idle`` four blocks; then, with the parent's non-blocking
+        drain stubbed out, ship an ``active`` chunk whose tick evicts
+        ``idle`` on the worker.  Returns ``idle``'s ingest events; its
+        eviction notice is still unread on the pipe."""
+        gateway.open_session("active", worker=0)
+        gateway.open_session("idle", worker=0, evict_after_ticks=1)
+        early = gateway.ingest("idle", record.signal[: 4 * block])
+        gateway._drain = lambda: None
+        gateway.ingest("active", record.signal[:block])
+        return early
 
-    def test_worker_evicted_id_set_stays_bounded(self, record, block, embedded_classifier):
-        """A worker remembers evicted ids only while a request for one
-        can still be in flight: churning through many distinct evicted
-        ids leaves the set bounded by the sessions evicted since the
-        parent's last synchronous request, and empty right after one.
+    def test_a_chunk_shipped_before_the_eviction_notice_resolves_empty(
+        self, record, block, embedded_classifier, assert_events_equal,
+        standalone_events,
+    ):
+        """The chunk reaches a worker that has already evicted its
+        session: the item resolves empty, the late worker error is
+        dropped, and the final sequence covers the applied chunks."""
+        with ShardedGateway(embedded_classifier, record.fs, workers=1) as gateway:
+            early = self._evict_behind_the_parent(gateway, record, block)
+            assert gateway.ingest("idle", record.signal[4 * block : 4 * block + 90]) == []
+            del gateway._drain
+            gateway.poll("active")  # synchronous: reads every answer
+            evicted = gateway.take_evicted()
+            assert list(evicted) == ["idle"]
+            with pytest.raises(KeyError, match="no open session 'idle'"):
+                gateway.ingest("idle", record.signal[:10])
+            gateway.close_session("active")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, record.fs, 1, upto=4 * block),
+            early + evicted["idle"],
+        )
 
-        Drives the worker's request dispatch directly with the request
-        sequence the parent sends: a synchronous ``open`` per churn
-        session, then pipelined one-chunk rounds."""
-        state = _WorkerState(embedded_classifier, record.fs, {})
-        state.handle(("open", "active", {}))
-        offset, sizes, evicted = 0, [], set()
-        for k in range(60):
-            # Pipelined rounds only: the churn sessions go idle and
-            # are evicted while the active session ticks the clock.
-            state.handle(("open", f"idle-{k}", {"evict_after_ticks": 1}))
-            state.handle(_round(f"idle-{k}", record.signal[:block]))
-            for _ in range(2):
-                chunk = record.signal[offset % (len(record.signal) - block) :][:block]
-                response = state.handle(_round("active", chunk))
-                evicted.update(sid for sid, _ in response[3])
-                offset += block
-            sizes.append(len(state._evicted_ids))
-        assert evicted == {f"idle-{k}" for k in range(60)}
-        assert state.gateway.n_sessions == 1  # every churn session was evicted
-        assert max(sizes) <= 2
-        state.handle(("stats", None))  # a synchronous request: no id can still arrive
-        assert not state._evicted_ids
-        state.handle(("close", "active"))
+    def test_a_close_that_crosses_the_eviction_notice_returns_the_final_sequence(
+        self, record, block, embedded_classifier, assert_events_equal,
+        standalone_events,
+    ):
+        """The worker no longer has the session when the close arrives;
+        the close reads the eviction notice on its way and returns that
+        final sequence, which then no longer waits in take_evicted."""
+        with ShardedGateway(embedded_classifier, record.fs, workers=1) as gateway:
+            early = self._evict_behind_the_parent(gateway, record, block)
+            final = gateway.close_session("idle")
+            del gateway._drain
+            assert gateway.take_evicted() == {}
+            assert gateway.session_ids() == ["active"]
+            gateway.close_session("active")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, record.fs, 1, upto=4 * block),
+            early + final,
+        )
+
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_a_reused_id_is_served_despite_a_late_answer(
+        self, record, block, embedded_classifier, assert_events_equal,
+        standalone_events, worker,
+    ):
+        """The id is reopened, on the evicting worker or the other one,
+        before the evicting worker's error for the in-flight chunk is
+        read.  That error belongs to the evicted session: the new one
+        must not raise it."""
+        with ShardedGateway(embedded_classifier, record.fs, workers=2) as gateway:
+            self._evict_behind_the_parent(gateway, record, block)
+            gateway.ingest("idle", record.signal[4 * block : 4 * block + 90])
+            while "idle" in gateway.session_ids():  # up to the notice
+                gateway._handle(0, gateway._recv(0))
+            gateway.open_session("idle", worker=worker)
+            if worker == 1:  # worker 0's late answer is still unread
+                gateway._handle(0, gateway._recv(0))
+            del gateway._drain
+            events = []
+            for i in range(0, record.n_samples, block):
+                events += gateway.ingest("idle", record.signal[i : i + block])
+            events += gateway.close_session("idle")
+            assert "idle" in gateway.take_evicted()  # the first session's
+            gateway.close_session("active")
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, record.fs, 1), events
+        )

@@ -125,9 +125,9 @@ def test_round_robin_with_churn_matches_standalone(
 def test_close_drains_only_its_own_session(
     records, embedded_classifier, standalone_events, assert_events_equal, rounds
 ):
-    """Nobody is due: flush_batch leaves every stash alone, export and
-    release carry it inside the node snapshot, and a close drains only
-    the closing session.  Every event sequence stays bit-exact."""
+    """Nobody is due: flush_batch leaves every stash alone, a release
+    carries it inside the node snapshot, and a close drains only the
+    closing session.  Every event sequence stays bit-exact."""
     gateway = StreamGateway(embedded_classifier, FS)
     sids = [f"s{i}" for i in range(4)]
     for sid in sids:
@@ -149,10 +149,6 @@ def test_close_drains_only_its_own_session(
     assert all(before.values())
 
     gateway.flush_batch()
-    assert stashed(gateway) == before
-
-    export = gateway.export_session(sids[0])
-    assert export.snapshot.state["_stash"].shape[0] == before[sids[0]]
     assert stashed(gateway) == before
 
     export = gateway.release_session(sids[1])

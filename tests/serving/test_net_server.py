@@ -677,3 +677,28 @@ class TestBoundedAnalyticsState:
         assert rollup["alerts"] > 0
         assert gateway.take_summaries() == {}
         assert gateway.take_alerts() == []
+
+    def test_a_close_with_no_later_round_leaves_nothing_behind(
+        self, embedded_classifier,
+    ):
+        """The server also drains the gateway after each close, so
+        sessions that open and close with no ingest round after them
+        leave no summary behind; ``STATS`` still counts every one."""
+        gateway = StreamGateway(
+            embedded_classifier, FS, n_leads=1, max_batch=16,
+            analytics=default_pipeline,
+        )
+        handle = serve_in_thread(gateway)
+        try:
+            with GatewayClient(handle.host, handle.port, window=4) as client:
+                for cycle in range(20):
+                    sid = f"cycle-{cycle}"
+                    client.open_session(sid)
+                    client.close_session(sid)
+                rollup = client.stats()["analytics"]
+        finally:
+            handle.stop()
+        assert rollup["sessions"] == 20
+        assert gateway.take_summaries() == {}
+        assert gateway.take_alerts() == []
+        assert gateway.take_evicted() == {}

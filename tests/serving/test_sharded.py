@@ -173,7 +173,7 @@ class TestShardedBitExactness:
             }
             queued = [w["n_queued"] for w in gateway.stats()["per_worker"]]
             assert all(n > 0 for n in queued)
-            assert gateway.flush() == sum(queued)
+            assert gateway.flush_batch() == sum(queued)
             stats = gateway.stats()
             assert [w["n_queued"] for w in stats["per_worker"]] == [0, 0]
             assert all(w["n_flushes"] >= 1 for w in stats["per_worker"])
@@ -311,19 +311,19 @@ class TestPipelinedErrors:
                 )
             # The worker loses the session behind the parent's back, so
             # its next chunk fails worker-side.
-            export = gateway._request(0, ("release", "bad"))
+            export = gateway._call(0, "release_session", "bad")
             assert gateway.ingest("bad", record.signal[:block]) == []
             # The unrelated session keeps working while the error is in
             # flight and after it has been parked.
             for i in range(3):
                 gateway.ingest("good", record.signal[i * block : (i + 1) * block])
             gateway.poll("good")
-            gateway.flush()  # every worker has answered: the error is parked
+            gateway.flush_batch()  # every worker has answered: the error is parked
             with pytest.raises(KeyError, match="bad"):
                 gateway.ingest("bad", record.signal[:block])
             # Protocol still in sync: the session serves again once the
             # worker has it back.
-            gateway._request(0, ("import", "bad", export))
+            gateway._call(0, "import_session", export, "bad")
             assert gateway.ingest("bad", record.signal[:block]) == []
             gateway.close_session("bad")
             gateway.close_session("good")

@@ -46,6 +46,9 @@ TIERS = ("stream", "sharded", "supervised", "client", "federated")
 #: Tiers built on the member pool: placement, migrate_session, drains
 #: and the shutdown guard.
 POOLS = ("sharded", "supervised", "federated")
+#: Tiers whose sessions move as a ``SessionExport``
+#: (``release_session`` / ``import_session``).
+CAPTURE_TIERS = ("stream", "sharded", "supervised")
 
 WORKER_KEYS = {
     "n_sessions", "n_queued", "n_flushes", "n_classified", "n_evicted",
@@ -199,8 +202,9 @@ class TestSessionLifecycle:
         try:
             with pytest.raises(ValueError, match="already open"):
                 gateway.open_session(sid)
-            if hasattr(gateway, "export_session"):
-                export = gateway.export_session(sid)
+            if tier.kind in CAPTURE_TIERS:
+                export = gateway.release_session(sid)
+                assert gateway.import_session(export) == sid
                 with pytest.raises(ValueError, match="already open"):
                     gateway.import_session(export)
         finally:

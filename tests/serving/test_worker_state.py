@@ -1,15 +1,19 @@
-"""The sharded worker's request dispatch, run in the test process.
+"""The sharded worker's two pipe requests, run in the test process.
 
 A :class:`~repro.serving.sharded.ShardedGateway` worker process loops
 over :meth:`_WorkerState.handle`, one request tuple in, one response
-tuple ``(op, session_id, payload, evictions, aux)`` out.  These tests
-drive that dispatch directly: every op, the error payloads that travel
-back instead of raising, the eviction and analytics side channels, and
-the rules for ids evicted while a pipelined round item may still be on
-its way.
+tuple ``(op, session_id, payload, evictions, aux)`` out.  A request is
+either the pipelined ``round`` or a synchronous ``call`` of one method
+of the worker's gateway.  These tests drive that dispatch directly:
+the session lifecycle through both, the error payloads that travel
+back instead of raising, and the eviction and analytics side channels.
+What the parent does with an eviction that crosses a request in
+flight is pinned at the pool level, in
+``tests/serving/test_gateway_qos.py``.
 """
 
 import pickle
+from operator import methodcaller
 
 import numpy as np
 import pytest
@@ -32,6 +36,11 @@ def record():
 @pytest.fixture()
 def state(embedded_classifier):
     return _WorkerState(embedded_classifier, FS, {"max_batch": 8})
+
+
+def call(method, *args, **kwargs):
+    """The parent's synchronous request for one gateway method."""
+    return ("call", None, methodcaller(method, *args, **kwargs))
 
 
 def ok(response):
@@ -58,16 +67,17 @@ def ingest(session_id, chunk):
 
 
 def item(response):
-    """The one item payload of a one-chunk round response."""
-    (payload,) = ok(response)
-    return payload
+    """The one item result of a one-chunk round response: its events,
+    or the exception it raised."""
+    (result,) = ok(response)
+    return result
 
 
 def ok_item(response):
     """The events of a successful one-chunk round."""
-    status, value = item(response)
-    assert status == "ok", value
-    return value
+    result = item(response)
+    assert not isinstance(result, Exception), result
+    return result
 
 
 def feed(state, session_id, signal, block=144):
@@ -82,38 +92,36 @@ class TestOps:
         self, state, record, embedded_classifier, standalone_events,
         assert_events_equal,
     ):
-        response = state.handle(("open", "s", {}))
-        assert response[:2] == ("open", "s")
+        response = state.handle(call("open_session", "s"))
+        assert response[:2] == ("call", None)
         assert ok(response) is None
         assert response[3] == [] and response[4] == ([], {})
         events = feed(state, "s", record.signal)
-        events += ok(state.handle(("poll", "s")))
-        assert ok(state.handle(("flush", None))) >= 0
-        events += ok(state.handle(("close", "s")))
+        events += ok(state.handle(call("poll", "s")))
+        assert ok(state.handle(call("flush_batch"))) >= 0
+        events += ok(state.handle(call("close_session", "s")))
         assert_events_equal(
             standalone_events(embedded_classifier, record, FS, 1), events
         )
         assert state.gateway.n_sessions == 0
 
-    def test_export_release_import(self, state, record):
-        ok(state.handle(("open", "s", {"max_latency_ticks": 3})))
+    def test_release_import(self, state, record):
+        ok(state.handle(call("open_session", "s", max_latency_ticks=3)))
         feed(state, "s", record.signal[: int(4 * FS)])
-        export = ok(state.handle(("export", "s")))
-        assert isinstance(export, SessionExport)
-        assert export.max_latency_ticks == 3
-        assert state.gateway.session_ids() == ["s"]  # export keeps it open
-        released = ok(state.handle(("release", "s")))
+        released = ok(state.handle(call("release_session", "s")))
+        assert isinstance(released, SessionExport)
+        assert released.max_latency_ticks == 3
         assert state.gateway.session_ids() == []
         # The import payload crosses a pipe, so it must survive pickle.
         released = pickle.loads(pickle.dumps(released))
-        assert ok(state.handle(("import", "t", released))) == "t"
+        assert ok(state.handle(call("import_session", released, "t"))) == "t"
         assert state.gateway.session_ids() == ["t"]
-        ok(state.handle(("close", "t")))
+        ok(state.handle(call("close_session", "t")))
 
     def test_stats_is_the_gateway_per_worker_schema(self, state, record):
-        ok(state.handle(("open", "s", {})))
+        ok(state.handle(call("open_session", "s")))
         feed(state, "s", record.signal[: int(3 * FS)])
-        stats = ok(state.handle(("stats", None)))
+        stats = ok(state.handle(call("stats")))["per_worker"][0]
         assert stats == state.gateway.stats()["per_worker"][0]
         assert set(stats) == {
             "n_sessions", "n_queued", "n_flushes", "n_classified",
@@ -130,29 +138,55 @@ class TestOps:
         assert "unknown worker op 'teleport'" in str(error)
 
     def test_gateway_errors_travel_back_instead_of_raising(self, state):
-        ok(state.handle(("open", "s", {})))
+        ok(state.handle(call("open_session", "s")))
         for request in (
-            ("open", "s", {}),  # already open
-            ("close", "nope"),
-            ("export", "nope"),
+            call("open_session", "s"),  # already open
+            call("close_session", "nope"),
+            call("release_session", "nope"),
         ):
             status, error = state.handle(request)[2]
             assert status == "err"
             assert isinstance(error, (KeyError, ValueError))
-        # A round item's error travels in its own slot.
-        status, error = item(state.handle(ingest("nope", np.zeros(10))))
-        assert status == "err" and isinstance(error, KeyError)
+        # A round item's error travels in its own slot, as raised.
+        assert isinstance(item(state.handle(ingest("nope", np.zeros(10)))), KeyError)
+
+    def test_an_eviction_rides_the_response_of_its_round(
+        self, state, record, embedded_classifier, standalone_events,
+        assert_events_equal,
+    ):
+        """A round whose tick evicts a session carries the final
+        sequence on its own response, once; a later item of the round
+        for the evicted id gets the gateway's ``KeyError`` as is."""
+        fed = int(4 * FS)
+        ok(state.handle(call("open_session", "active")))
+        ok(state.handle(call("open_session", "idle", evict_after_ticks=1)))
+        response = state.handle(
+            round_request(
+                ("idle", record.signal[:fed]),
+                ("active", record.signal[:144]),  # its tick evicts "idle"
+                ("idle", record.signal[:90]),
+            )
+        )
+        early, _, late = ok(response)
+        assert isinstance(late, KeyError)
+        assert [sid for sid, _ in response[3]] == ["idle"]
+        assert state.gateway.take_evicted() == {}  # shipped, not kept
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, 1, upto=fed),
+            early + response[3][0][1],
+        )
+        assert state.handle(call("poll", "active"))[3] == []
 
     def test_analytics_ride_the_aux_channel(self, embedded_classifier, record):
         state = _WorkerState(
             embedded_classifier, FS, {"analytics": default_pipeline}
         )
-        ok(state.handle(("open", "s", {})))
+        ok(state.handle(call("open_session", "s")))
         alerts = []
         for i in range(0, record.n_samples, 180):
             response = state.handle(ingest("s", record.signal[i : i + 180]))
             alerts += response[4][0]
-        response = state.handle(("close", "s"))
+        response = state.handle(call("close_session", "s"))
         alerts += response[4][0]
         summaries = response[4][1]
         assert set(summaries) == {"s"}
@@ -160,80 +194,3 @@ class TestOps:
         # Drained into the response, so nothing is left worker-side.
         assert state.gateway.take_alerts() == []
         assert state.gateway.take_summaries() == {}
-
-
-class TestEvictedIds:
-    FED = int(4 * FS)
-
-    def _evict_idle(self, state, record):
-        """Open ``active`` and ``idle`` (budget 1 tick), feed ``idle``
-        one chunk, then let a pipelined ``active`` ingest evict it.
-        Returns ``idle``'s ingest events and the eviction notices."""
-        ok(state.handle(("open", "active", {})))
-        ok(state.handle(("open", "idle", {"evict_after_ticks": 1})))
-        early = ok_item(state.handle(ingest("idle", record.signal[: self.FED])))
-        notices = state.handle(ingest("active", record.signal[:144]))[3]
-        return early, notices
-
-    def test_eviction_notice_carries_the_final_sequence(
-        self, state, record, embedded_classifier, standalone_events,
-        assert_events_equal,
-    ):
-        early, notices = self._evict_idle(state, record)
-        assert [sid for sid, _ in notices] == ["idle"]
-        assert state._evicted_ids == {"idle"}
-        # Delivered via the response, not kept for take_evicted.
-        assert state.gateway.take_evicted() == {}
-        assert_events_equal(
-            standalone_events(embedded_classifier, record, FS, 1, upto=self.FED),
-            early + notices[0][1],
-        )
-
-    def test_in_flight_ingest_and_close_for_an_evicted_id_are_empty(
-        self, state, record
-    ):
-        self._evict_idle(state, record)
-        assert ok_item(state.handle(ingest("idle", record.signal[:90]))) == []
-        assert state._evicted_ids == {"idle"}  # rounds never prune
-        assert ok(state.handle(("close", "idle"))) == []
-        # The close was synchronous: nothing for the id can follow it.
-        assert state._evicted_ids == set()
-        status, error = item(state.handle(ingest("idle", record.signal[:90])))
-        assert status == "err" and isinstance(error, KeyError)
-
-    def test_round_item_for_a_session_evicted_earlier_in_the_round(
-        self, state, record
-    ):
-        ok(state.handle(("open", "active", {})))
-        ok(state.handle(("open", "idle", {"evict_after_ticks": 1})))
-        response = state.handle(
-            round_request(
-                ("idle", record.signal[: self.FED]),
-                ("active", record.signal[:144]),  # its tick evicts "idle"
-                ("idle", record.signal[:90]),
-            )
-        )
-        assert [sid for sid, _ in response[3]] == ["idle"]
-        assert ok(response)[2] == ("ok", [])
-        assert state._evicted_ids == {"idle"}
-
-    @pytest.mark.parametrize("op", ["poll", "flush", "stats", "export"])
-    def test_synchronous_requests_clear_the_set(self, state, record, op):
-        self._evict_idle(state, record)
-        request = (op, "active") if op in ("poll", "export") else (op, None)
-        ok(state.handle(request))
-        assert state._evicted_ids == set()
-
-    @pytest.mark.parametrize("reopen", ["open", "import"])
-    def test_a_reused_id_is_served_again(self, state, record, reopen):
-        ok(state.handle(("open", "spare", {})))
-        export = ok(state.handle(("release", "spare")))
-        self._evict_idle(state, record)
-        if reopen == "open":
-            ok(state.handle(("open", "idle", {})))
-        else:
-            ok(state.handle(("import", "idle", export)))
-        assert state._evicted_ids == set()
-        # The reused id's chunks reach its new session again.
-        feed(state, "idle", record.signal[: self.FED])
-        assert ok(state.handle(("close", "idle")))
