@@ -194,3 +194,73 @@ class TestOps:
         # Drained into the response, so nothing is left worker-side.
         assert state.gateway.take_alerts() == []
         assert state.gateway.take_summaries() == {}
+
+
+class TestEvictedSessions:
+    """What the worker itself still owes an evicted session: its final
+    sequence ships once, on the next response of any kind, and its id
+    is free for a new session straight away."""
+
+    FED = int(4 * FS)
+
+    def _evict_idle(self, state, record, *, through_handle=True):
+        """Open ``active`` and ``idle`` (budget 1 tick), feed ``idle``
+        one chunk, then let an ``active`` ingest evict it.  Through
+        ``handle`` the notice rides that round's response; directly on
+        the gateway it stays pending there.  Returns ``idle``'s ingest
+        events and the round's eviction notices."""
+        ok(state.handle(call("open_session", "active")))
+        ok(state.handle(call("open_session", "idle", evict_after_ticks=1)))
+        chunk, tick = record.signal[: self.FED], record.signal[:144]
+        if not through_handle:
+            early = state.gateway.ingest("idle", chunk)
+            state.gateway.ingest("active", tick)
+            return early, []
+        early = ok_item(state.handle(ingest("idle", chunk)))
+        return early, state.handle(ingest("active", tick))[3]
+
+    @pytest.mark.parametrize(
+        "request_", [
+            call("poll", "active"),
+            call("flush_batch"),
+            call("stats"),
+            call("release_session", "active"),
+        ],
+        ids=["poll", "flush_batch", "stats", "release_session"],
+    )
+    def test_every_call_ships_the_pending_evictions(
+        self, state, record, embedded_classifier, standalone_events,
+        assert_events_equal, request_,
+    ):
+        early, _ = self._evict_idle(state, record, through_handle=False)
+        response = state.handle(request_)
+        ok(response)
+        assert [sid for sid, _ in response[3]] == ["idle"]
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, 1, upto=self.FED),
+            early + response[3][0][1],
+        )
+        # Shipped once: the gateway keeps nothing, the next call is bare.
+        assert state.gateway.take_evicted() == {}
+        assert state.handle(call("stats"))[3] == []
+
+    @pytest.mark.parametrize("reopen", ["open", "import"])
+    def test_a_reused_id_is_served_again(
+        self, state, record, embedded_classifier, standalone_events,
+        assert_events_equal, reopen,
+    ):
+        ok(state.handle(call("open_session", "spare")))
+        export = ok(state.handle(call("release_session", "spare")))
+        _, notices = self._evict_idle(state, record)
+        assert [sid for sid, _ in notices] == ["idle"]
+        if reopen == "open":
+            ok(state.handle(call("open_session", "idle")))
+        else:
+            assert ok(state.handle(call("import_session", export, "idle"))) == "idle"
+        # The reused id's chunks reach its new session, from sample 0.
+        events = feed(state, "idle", record.signal[: self.FED])
+        events += ok(state.handle(call("close_session", "idle")))
+        assert_events_equal(
+            standalone_events(embedded_classifier, record, FS, 1, upto=self.FED),
+            events,
+        )
