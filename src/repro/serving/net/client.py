@@ -12,11 +12,12 @@ Throughput comes from **pipelining**, mirroring the sharded tier's
 pipe IPC: ``ingest`` frames a chunk, sends it and returns the events
 that have already come back — no per-chunk round trip.  Up to
 ``window`` chunks per session ride unacknowledged.  The server
-acknowledges every accepted ``INGEST`` with an ``EVENTS`` frame (empty
-when the chunk resolved nothing), read opportunistically (without
-blocking) on every call, so the window drains as fast as the server
-applies chunks.  When the server falls ``window`` chunks behind, the
-next ``ingest`` waits for the oldest chunk's ack.  Only a server that
+acknowledges each round of ``INGEST`` frames it applies with one
+``EVENTS`` frame (a section per chunk, empty when it resolved nothing),
+read opportunistically (without blocking) on every call, so the window
+drains as fast as the server applies chunks.  When the server falls
+``window`` chunks behind, the next ``ingest`` waits for the oldest
+chunk's ack.  Only a server that
 sends none within ``timeout`` gets one ``POLL`` round trip, which
 synchronizes (the server's FIFO guarantees every prior chunk was
 processed by then) and refills the window.
@@ -335,17 +336,17 @@ class GatewayClient:
         """Frame and send one chunk; return already-resolved events.
 
         Pipelined: does not wait for the server to process the chunk.
-        The server acknowledges every accepted chunk, so the window
-        normally drains on its own.  When it is full (the server is
-        ``window`` chunks behind), the call first waits for the ack of
-        the oldest chunk in flight; only if none comes within
-        ``timeout`` does one ``POLL`` round trip synchronize
-        (collecting every ack and event the server has produced).
-        Then the chunk is sent.  A chunk of the wrong
-        shape for the session's lead count, or with non-finite samples,
-        raises :class:`ValueError` before it is sequenced: the server
-        would reject it, and a sequenced reject would stall the
-        session's chunk sequence.
+        The server acknowledges each round it applies in one frame, a
+        section per chunk, so the window normally drains on its own.
+        When it is full (the server is ``window`` chunks behind), the
+        call first waits for the ack of the oldest chunk in flight; only
+        if none comes within ``timeout`` does one ``POLL`` round trip
+        synchronize (collecting every ack and event the server has
+        produced).  Then the chunk is sent.  A chunk of the wrong shape
+        for the session's lead count, or with non-finite samples, raises
+        :class:`ValueError` before it is sequenced: the server would
+        reject it, and a sequenced reject would stall the session's
+        chunk sequence.
         """
         sess = self._session(session_id)
         arr = np.ascontiguousarray(chunk, dtype="<f8")
@@ -766,7 +767,7 @@ class GatewayClient:
     # -- frame handling --------------------------------------------------
 
     def _handle(self, message) -> None:
-        if isinstance(message, wire.Events):
+        if isinstance(message, list):  # the sections of an EVENTS frame
             self._handle_events(message)
         elif isinstance(message, wire.HelloOk):
             self._mail.append(("hello_ok", "", message))
@@ -788,24 +789,25 @@ class GatewayClient:
                 f"unexpected {type(message).__name__} frame from server"
             )
 
-    def _handle_events(self, message: wire.Events) -> None:
-        sess = self._sessions.get(message.session_id)
-        if sess is not None:
-            # Dedupe against what we already have: a resume replay
-            # starts exactly at our ack, but be defensive about
-            # overlap; a gap is a protocol violation.
-            skip = sess.events_received - message.base_index
-            if skip < 0:
-                raise wire.ProtocolError(
-                    f"event gap for {message.session_id!r}: have "
-                    f"{sess.events_received}, frame starts at {message.base_index}"
-                )
-            fresh = message.events[skip:] if skip else message.events
-            sess.buffered.extend(fresh)
-            sess.events_received += len(fresh)
-            while sess.pending and sess.pending[0][0] < message.acked_seq:
-                sess.pending.popleft()
-        if message.sync:
-            self._mail.append(("sync", message.session_id, message))
-        if message.final:
-            self._mail.append(("final", message.session_id, message))
+    def _handle_events(self, sections: list) -> None:
+        for section in sections:
+            sess = self._sessions.get(section.session_id)
+            if sess is not None:
+                # Dedupe against what we already have: a resume replay
+                # starts exactly at our ack, but be defensive about
+                # overlap; a gap is a protocol violation.
+                skip = sess.events_received - section.base_index
+                if skip < 0:
+                    raise wire.ProtocolError(
+                        f"event gap for {section.session_id!r}: have "
+                        f"{sess.events_received}, section starts at {section.base_index}"
+                    )
+                fresh = section.events[skip:] if skip else section.events
+                sess.buffered.extend(fresh)
+                sess.events_received += len(fresh)
+                while sess.pending and sess.pending[0][0] < section.acked_seq:
+                    sess.pending.popleft()
+            if section.flags & wire.FLAG_SYNC:
+                self._mail.append(("sync", section.session_id, section))
+            if section.flags & wire.FLAG_FINAL:
+                self._mail.append(("final", section.session_id, section))

@@ -16,12 +16,13 @@ byte:
   array without copying.  Shape is ``(n_samples,)`` or
   ``(n_samples, n_leads)``; dtype and byte order are pinned by the
   protocol, not the host.
-* **Event batches** (:func:`encode_events`): structure-of-arrays —
-  parallel ``<i8`` peaks, ``<i4`` labels, ``<u1`` flags and ``<i4``
-  payload sizes, plus a sparse fiducial block (``<u4`` indices into
-  the batch and 9 ``<i8`` fiducials per flagged beat) — so a burst of
-  dozens of events is a handful of ``frombuffer`` calls, not dozens
-  of pickled objects.
+* **Event batches** (:func:`encode_events`): one frame holds a list
+  of per-session *sections*, each a ``(sid, acked_seq, base_index,
+  flags, n, n_fid)`` header plus structure-of-arrays rows — parallel
+  ``<i8`` peaks, ``<i4`` labels, ``<u1`` flags and ``<i4`` payload
+  sizes, plus a sparse fiducial block (``<u4`` indices into the
+  section and 9 ``<i8`` fiducials per flagged beat).  A section with
+  no events is only its header and decodes with no numpy call.
 
 Control-plane frames (the federation tier, PR 8): ``MIGRATE`` /
 ``MIGRATE_OK`` move one live session between hosts over the wire.  A
@@ -37,18 +38,19 @@ statistics snapshot (JSON — small, infrequent, schema-pinned) so a
 front-door router can roll up fleet-wide load.
 
 Reliability fields: every ``INGEST`` carries a per-session sequence
-number and every ``EVENTS`` frame acknowledges the count of chunks the
-server has processed (``acked_seq``) and states the index of its first
-event in the session's event stream (``base_index``).  **Every
-accepted ``INGEST`` is acknowledged**: the server answers each one
-with an ``EVENTS`` frame, empty when the chunk resolved no events, so a
-pipelined client's window drains as fast as the server applies chunks
-(a refused chunk gets an asynchronous ``ERROR`` instead).  Together with
-the client's piggybacked ``ack_events`` these bound both replay
-buffers and make the reconnect-resume handshake (``RESUME`` /
-``RESUME_OK``) bit-exact: the client retransmits exactly the chunks
-the server never processed, the server re-sends exactly the events the
-client never received.
+number and every ``EVENTS`` section acknowledges the count of chunks the
+server has processed for its session (``acked_seq``) and states the
+index of its first event in the session's event stream
+(``base_index``).  **Every applied round is acknowledged in one
+frame**: the server answers the ``INGEST`` frames it applies together
+with one ``EVENTS`` frame holding a section per accepted chunk, empty
+when the chunk resolved no events, so a pipelined client's window
+drains as fast as the server applies chunks (a refused chunk gets an
+asynchronous ``ERROR`` instead).  Together with the client's
+piggybacked ``ack_events`` these bound both replay buffers and make
+the reconnect-resume handshake (``RESUME`` / ``RESUME_OK``) bit-exact:
+the client retransmits exactly the chunks the server never processed,
+the server re-sends exactly the events the client never received.
 
 The opcode map, header layouts and the resume handshake are documented
 in the README's wire-protocol spec; this module is the single source
@@ -59,7 +61,9 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,7 +115,7 @@ __all__ = [
 
 #: Protocol magic ("RPN1" — Random-Projection Net v1) and version.
 PROTOCOL_MAGIC = 0x52504E31
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default bound on one frame's payload size (4 MiB).  A 250 ms chunk
 #: of 3-lead 360 Hz float64 signal is ~2 KiB; this leaves three
@@ -139,8 +143,8 @@ OP_STATS_OK = 0x1A
 OP_EVENTS = 0x20
 OP_ERROR = 0x30
 
-#: ``EVENTS`` frame flags: ``SYNC`` marks the (exactly one) reply to a
-#: ``POLL`` — the client's synchronization barrier — and ``FINAL`` the
+#: ``EVENTS`` section flags: ``SYNC`` marks the (exactly one) reply to
+#: a ``POLL`` — the client's synchronization barrier — and ``FINAL`` the
 #: reply to a ``CLOSE``, carrying the tail of the session's stream.
 FLAG_SYNC = 0x01
 FLAG_FINAL = 0x02
@@ -149,7 +153,8 @@ _HELLO = struct.Struct("<IHQ")  # magic, version, max_frame
 _QOS = struct.Struct("<II")  # max_latency_ticks, evict_after_ticks (0 = unset)
 _INGEST = struct.Struct("<QQIB")  # seq, ack_events, n_samples, n_leads (0 = 1-D)
 _U64 = struct.Struct("<Q")
-_EVENTS = struct.Struct("<QQBII")  # acked_seq, base_index, flags, n, n_fid
+_U32 = struct.Struct("<I")
+_SECTION = struct.Struct("<QQBII")  # acked_seq, base_index, flags, n, n_fid
 _SID_LEN = struct.Struct("<H")
 
 _N_FIDUCIALS = 9
@@ -278,13 +283,15 @@ class StatsOk:
     stats: dict = field(repr=False, default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Events:
+class Events(NamedTuple):
+    """One session's section of an ``EVENTS`` frame, which decodes to a
+    list of them (a tuple: an empty ack costs no dataclass set-up)."""
+
     session_id: str
     acked_seq: int
     base_index: int
-    flags: int
-    events: list[StreamBeatEvent] = field(repr=False, default_factory=list)
+    flags: int = 0
+    events: Sequence[StreamBeatEvent] = ()
 
     @property
     def sync(self) -> bool:
@@ -468,37 +475,32 @@ def encode_stats_ok(stats: dict) -> bytes:
     ).encode("utf-8")
 
 
-def encode_events(
-    session_id: str,
-    acked_seq: int,
-    base_index: int,
-    events,
-    *,
-    flags: int = 0,
-) -> bytes:
-    """A batch of resolved beat events as parallel packed arrays."""
-    events = list(events)
-    n = len(events)
-    if not n:  # a bare acknowledgment: every array part is empty
-        return (
-            bytes([OP_EVENTS])
-            + _encode_sid(session_id)
-            + _EVENTS.pack(acked_seq, base_index, flags, 0, 0)
+def encode_events(sections: list[Events]) -> bytes:
+    """One ``EVENTS`` frame of per-session sections, each a header plus
+    its events as parallel packed arrays (nothing more when empty)."""
+    parts = [bytes([OP_EVENTS]), _U32.pack(len(sections))]
+    for section in sections:
+        events = section.events
+        n = len(events)
+        fid_idx = [i for i, e in enumerate(events) if e.fiducials is not None]
+        parts += (
+            _encode_sid(section.session_id),
+            _SECTION.pack(
+                section.acked_seq, section.base_index, section.flags, n, len(fid_idx)
+            ),
         )
-    fid_idx = [i for i, e in enumerate(events) if e.fiducials is not None]
-    parts = [
-        bytes([OP_EVENTS]),
-        _encode_sid(session_id),
-        _EVENTS.pack(acked_seq, base_index, flags, n, len(fid_idx)),
-        np.fromiter((e.peak for e in events), dtype="<i8", count=n).tobytes(),
-        np.fromiter((e.label for e in events), dtype="<i4", count=n).tobytes(),
-        np.fromiter((e.flagged for e in events), dtype="<u1", count=n).tobytes(),
-        np.fromiter((e.tx_bytes for e in events), dtype="<i4", count=n).tobytes(),
-        np.asarray(fid_idx, dtype="<u4").tobytes(),
-    ]
-    if fid_idx:
-        fid = np.stack([events[i].fiducials.as_array() for i in fid_idx])
-        parts.append(np.ascontiguousarray(fid, dtype="<i8").tobytes())
+        if not n:
+            continue
+        parts += (
+            np.fromiter((e.peak for e in events), dtype="<i8", count=n).tobytes(),
+            np.fromiter((e.label for e in events), dtype="<i4", count=n).tobytes(),
+            np.fromiter((e.flagged for e in events), dtype="<u1", count=n).tobytes(),
+            np.fromiter((e.tx_bytes for e in events), dtype="<i4", count=n).tobytes(),
+            np.asarray(fid_idx, dtype="<u4").tobytes(),
+        )
+        if fid_idx:
+            fid = np.stack([events[i].fiducials.as_array() for i in fid_idx])
+            parts.append(np.ascontiguousarray(fid, dtype="<i8").tobytes())
     return b"".join(parts)
 
 
@@ -572,48 +574,55 @@ def _decode_array(cursor: _Cursor, dtype: str, n: int) -> np.ndarray:
     return np.frombuffer(cursor.take(n * itemsize), dtype=dtype)
 
 
-def _decode_events(cursor: _Cursor) -> Events:
-    session_id = cursor.sid()
-    acked_seq, base_index, flags, n, n_fid = cursor.unpack(_EVENTS)
-    if n_fid > n:
-        raise ProtocolError(f"fiducial count {n_fid} exceeds event count {n}")
-    peaks = _decode_array(cursor, "<i8", n)
-    labels = _decode_array(cursor, "<i4", n)
-    flagged = _decode_array(cursor, "<u1", n)
-    tx = _decode_array(cursor, "<i4", n)
-    fid_idx = _decode_array(cursor, "<u4", n_fid)
-    fid = _decode_array(cursor, "<i8", n_fid * _N_FIDUCIALS).reshape(
-        n_fid, _N_FIDUCIALS
-    )
-    cursor.done()
-    fiducials: dict[int, BeatFiducials] = {
-        int(i): BeatFiducials.from_array(row) for i, row in zip(fid_idx, fid)
-    }
-    events = [
-        StreamBeatEvent(
-            peak=int(peaks[i]),
-            label=int(labels[i]),
-            flagged=bool(flagged[i]),
-            tx_bytes=int(tx[i]),
-            fiducials=fiducials.get(i),
+#: Bytes of the smallest section: an empty id and a bare header.
+_MIN_SECTION = _SID_LEN.size + _SECTION.size
+
+
+def _decode_events(cursor: _Cursor) -> list[Events]:
+    (count,) = cursor.unpack(_U32)
+    if count * _MIN_SECTION > len(cursor.data) - cursor.pos:
+        raise ProtocolError(
+            f"{count} sections cannot fit in {len(cursor.data) - cursor.pos} bytes"
         )
-        for i in range(n)
-    ]
-    return Events(
-        session_id=session_id,
-        acked_seq=acked_seq,
-        base_index=base_index,
-        flags=flags,
-        events=events,
-    )
+    sections = []
+    for _ in range(count):
+        session_id = cursor.sid()
+        acked_seq, base_index, flags, n, n_fid = cursor.unpack(_SECTION)
+        if n_fid > n:
+            raise ProtocolError(f"fiducial count {n_fid} exceeds event count {n}")
+        events = []
+        if n:  # an empty ack is only its header: no numpy call
+            peaks = _decode_array(cursor, "<i8", n).tolist()
+            labels = _decode_array(cursor, "<i4", n).tolist()
+            flagged = _decode_array(cursor, "<u1", n).tolist()
+            tx = _decode_array(cursor, "<i4", n).tolist()
+            fid_idx = _decode_array(cursor, "<u4", n_fid).tolist()
+            fid = _decode_array(cursor, "<i8", n_fid * _N_FIDUCIALS)
+            rows = map(BeatFiducials.from_array, fid.reshape(n_fid, _N_FIDUCIALS))
+            fiducials = dict(zip(fid_idx, rows))
+            events = [
+                StreamBeatEvent(peak=peaks[i], label=labels[i], flagged=bool(flagged[i]),
+                                tx_bytes=tx[i], fiducials=fiducials.get(i))
+                for i in range(n)
+            ]
+        sections.append(Events(session_id, acked_seq, base_index, flags, events))
+    cursor.done()
+    return sections
+
+
+#: The requests that carry only a session id and its ``ack_events``.
+_ACK_REQUESTS = {OP_POLL: Poll, OP_CLOSE: Close, OP_RESUME: Resume}
 
 
 def decode(payload: bytes):
-    """Decode one frame payload into its message object."""
+    """Decode one frame payload into its message object (an ``EVENTS``
+    frame into its list of :class:`Events` sections)."""
     if not payload:
         raise ProtocolError("empty frame payload")
     op = payload[0]
     cursor = _Cursor(payload, 1)
+    if op == OP_EVENTS:  # the hottest frame a client reads
+        return _decode_events(cursor)
     if op == OP_HELLO:
         return _decode_hello(cursor, ok=False)
     if op == OP_HELLO_OK:
@@ -643,21 +652,11 @@ def decode(payload: bytes):
         return Ingest(
             session_id=session_id, seq=seq, ack_events=ack_events, chunk=chunk
         )
-    if op == OP_POLL:
+    if op in _ACK_REQUESTS:
         session_id = cursor.sid()
         (ack_events,) = cursor.unpack(_U64)
         cursor.done()
-        return Poll(session_id=session_id, ack_events=ack_events)
-    if op == OP_CLOSE:
-        session_id = cursor.sid()
-        (ack_events,) = cursor.unpack(_U64)
-        cursor.done()
-        return Close(session_id=session_id, ack_events=ack_events)
-    if op == OP_RESUME:
-        session_id = cursor.sid()
-        (ack_events,) = cursor.unpack(_U64)
-        cursor.done()
-        return Resume(session_id=session_id, ack_events=ack_events)
+        return _ACK_REQUESTS[op](session_id=session_id, ack_events=ack_events)
     if op == OP_RESUME_OK:
         session_id = cursor.sid()
         (next_seq,) = cursor.unpack(_U64)
@@ -693,8 +692,6 @@ def decode(payload: bytes):
         if not isinstance(stats, dict):
             raise ProtocolError("STATS_OK payload is not a JSON object")
         return StatsOk(stats=stats)
-    if op == OP_EVENTS:
-        return _decode_events(cursor)
     if op == OP_ERROR:
         session_id = cursor.sid()
         (sync,) = cursor.take(1)

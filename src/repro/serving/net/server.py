@@ -13,11 +13,12 @@ asyncio task pair per connection:
   round), applied by one ``gateway.ingest_round`` call — on a sharded
   gateway that is one pipe message per worker.  No client-side round
   or round frame is needed: the rounds come from the byte stream;
-* **every accepted ``INGEST`` is acknowledged** by an ``EVENTS`` frame
-  carrying ``acked_seq`` and whatever events are already resolved —
-  empty when there are none — so a pipelined client's window drains as
-  fast as chunks apply, without a per-chunk round trip or a ``POLL``
-  barrier.  A refused chunk gets an asynchronous ``ERROR`` instead;
+* **each applied round is acknowledged in one frame**: an ``EVENTS``
+  frame with one section per accepted chunk, carrying its session's
+  ``acked_seq`` and whatever events are already resolved — empty when
+  there are none — so a pipelined client's window drains as fast as
+  chunks apply, without a per-chunk round trip or a ``POLL`` barrier.
+  A refused chunk gets an asynchronous ``ERROR`` in the same burst;
 * the **writer** task drains a bounded per-connection queue, joining
   everything queued into a single ``write()`` per wakeup — so all the
   events a gateway flush resolved leave as **one framed burst** per
@@ -136,11 +137,14 @@ class _NetSession:
 
 
 class _Connection:
-    """Per-connection bookkeeping: the outgoing queue."""
+    """Per-connection bookkeeping: the outgoing queue, and the bound on
+    the ``EVENTS`` frames sent to the peer (the smaller of the server's
+    and the peer's ``HELLO`` ``max_frame``)."""
 
-    def __init__(self, queue_bursts: int):
+    def __init__(self, queue_bursts: int, max_frame: int):
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_bursts)
         self.alive = True
+        self.max_frame = max_frame
 
     async def send_burst(self, frames: list[bytes]) -> None:
         if frames and self.alive:
@@ -161,7 +165,9 @@ class GatewayServer:
     max_frame:
         Payload bound for both directions, advertised in the
         ``HELLO_OK`` handshake and enforced on every incoming length
-        prefix before allocation.
+        prefix before allocation.  A round's ``EVENTS`` sections split
+        across frames to stay within it, or within the client's
+        ``HELLO`` bound where that is smaller.
     queue_bursts:
         Outgoing-queue bound per connection (coalesced bursts); the
         server-side backpressure knob for slow readers.
@@ -243,7 +249,7 @@ class GatewayServer:
         self.n_connections += 1
         handler = asyncio.current_task()
         self._handlers[handler] = writer.transport
-        conn = _Connection(self.queue_bursts)
+        conn = _Connection(self.queue_bursts, self.max_frame)
         writer_task = asyncio.ensure_future(self._writer_loop(conn, writer))
         try:
             await self._reader_loop(conn, reader)
@@ -324,6 +330,7 @@ class GatewayServer:
                             )]
                         )
                         return
+                    conn.max_frame = min(self.max_frame, message.max_frame)
                     await conn.send_burst(
                         [self._frame(wire.encode_hello_ok(self.max_frame))]
                     )
@@ -407,14 +414,18 @@ class GatewayServer:
         owned here, its piggybacked ack trims the replay tail, a
         duplicate retransmit is only acknowledged again and a sequence
         gap is refused.  The accepted chunks then go to
-        ``gateway.ingest_round``.  Every accepted chunk that applies is
-        acknowledged by an ``EVENTS`` frame carrying ``acked_seq`` —
-        empty when it resolved no events — so a pipelined client never
-        fills its window for want of an ack.  A refused or failed chunk
-        gets an asynchronous ``ERROR`` and does not advance the
-        session's sequence.  All the replies leave as one burst.
+        ``gateway.ingest_round``.  The round is acknowledged by one
+        ``EVENTS`` frame holding a section per accepted chunk that
+        applied (carrying ``acked_seq``, empty when it resolved no
+        events) and per duplicate, so a pipelined client never fills
+        its window for want of an ack.  A refused or failed chunk gets
+        an asynchronous ``ERROR`` in the same burst and does not
+        advance the session's sequence; a round holds at most one
+        chunk per session, so each session gets exactly one reply.
         """
-        replies: list = []  # per frame: an ERROR frame, or the accepted state
+        sections: list = []  # (state, events) per acknowledged chunk
+        errors: list[bytes] = []
+        accepted: list[_NetSession] = []
         items = []
         for message in messages:
             session_id = message.session_id
@@ -424,7 +435,7 @@ class GatewayServer:
                 if message.seq < state.seq:
                     # A duplicate retransmit of an applied chunk: only
                     # acknowledged again.
-                    replies.append(self._events_frame(state, []))
+                    sections.append((state, []))
                     continue
                 if message.seq > state.seq:
                     raise wire.ProtocolError(
@@ -432,27 +443,22 @@ class GatewayServer:
                         f"{state.seq}, got {message.seq}"
                     )
             except _REPORTED as exc:
-                replies.append(self._error_frame(session_id, exc, sync=False))
+                errors.append(self._error_frame(session_id, exc, sync=False))
                 continue
-            replies.append(state)
+            accepted.append(state)
             items.append((session_id, message.chunk))
         flushes_before = getattr(self.gateway, "n_flushes", None)
-        results = iter(self.gateway.ingest_round(items) if items else ())
+        results = self.gateway.ingest_round(items) if items else ()
         self._drain_gateway()
-        frames: list[bytes] = []
-        for reply in replies:
-            if isinstance(reply, bytes):
-                frames.append(reply)
-                continue
-            result = next(results)
+        for state, result in zip(accepted, results):
             if isinstance(result, _REPORTED):
-                frames.append(self._error_frame(reply.session_id, result, sync=False))
+                errors.append(self._error_frame(state.session_id, result, sync=False))
             elif isinstance(result, Exception):
                 raise result
             else:
-                reply.seq += 1
-                frames.append(self._events_frame(reply, result))
-        await conn.send_burst(frames)
+                state.seq += 1
+                sections.append((state, result))
+        await conn.send_burst(self._events_frames(conn, sections) + errors)
         if flushes_before is not None and self.gateway.n_flushes != flushes_before:
             await self._harvest_flush()
 
@@ -473,12 +479,12 @@ class GatewayServer:
     async def _harvest_flush(self) -> None:
         """Ship every session's newly resolved events after a flush.
 
-        One coalesced burst per owning connection — the events a single
+        One ``EVENTS`` frame per owning connection — the events a single
         batched classifier pass resolved leave the box together instead
         of trickling out on each session's next ingest.  A parked
         session's events wait in the gateway until it is resumed.
         """
-        per_conn: dict[int, tuple[_Connection, list[bytes]]] = {}
+        per_conn: dict[int, tuple[_Connection, list]] = {}
         for session_id, state in self._sessions.items():
             owner = state.owner
             if owner is None:
@@ -486,26 +492,25 @@ class GatewayServer:
             events = self.gateway.poll(session_id)
             if not events:
                 continue
-            frames = per_conn.setdefault(id(owner), (owner, []))[1]
-            frames.append(self._events_frame(state, events))
-        for owner, frames in per_conn.values():
-            await owner.send_burst(frames)
+            per_conn.setdefault(id(owner), (owner, []))[1].append((state, events))
+        for owner, sections in per_conn.values():
+            await owner.send_burst(self._events_frames(owner, sections))
 
     async def _on_poll(self, conn: _Connection, message: wire.Poll) -> None:
         state = self._owned_state(conn, message.session_id)
         state.ack(message.ack_events)
         events = self.gateway.poll(message.session_id)
         await conn.send_burst(
-            [self._events_frame(state, events, flags=wire.FLAG_SYNC)]
+            self._events_frames(conn, [(state, events)], flags=wire.FLAG_SYNC)
         )
 
     async def _on_close(self, conn: _Connection, message: wire.Close) -> None:
         state = self._owned_state(conn, message.session_id)
         state.ack(message.ack_events)
         events = self.gateway.close_session(message.session_id)
-        frame = self._events_frame(state, events, flags=wire.FLAG_FINAL)
+        frames = self._events_frames(conn, [(state, events)], flags=wire.FLAG_FINAL)
         del self._sessions[message.session_id]
-        await conn.send_burst([frame])
+        await conn.send_burst(frames)
         self._drain_gateway()  # the close left a summary (and alerts)
 
     async def _on_resume(self, conn: _Connection, message: wire.Resume) -> None:
@@ -516,8 +521,8 @@ class GatewayServer:
         next read): it is taken over, and the stale owner loses it.
         The reply burst is ``RESUME_OK`` (carrying ``next_seq``, the
         chunk count already processed — the client retransmits from
-        there) followed by a replay ``EVENTS`` frame holding exactly
-        the events the client has not acknowledged.
+        there) followed by a one-section replay ``EVENTS`` frame holding
+        exactly the events the client has not acknowledged.
         """
         session_id = message.session_id
         state = self._sessions.get(session_id)
@@ -527,18 +532,11 @@ class GatewayServer:
         state.ack(message.ack_events)
         state.owner = conn
         self.n_resumes += 1
-        await conn.send_burst(
-            [
-                self._frame(
-                    wire.encode_resume_ok(session_id, state.seq, self._n_leads)
-                ),
-                self._frame(
-                    wire.encode_events(
-                        session_id, state.seq, message.ack_events, replay
-                    )
-                ),
-            ]
-        )
+        section = wire.Events(session_id, state.seq, message.ack_events, 0, replay)
+        await conn.send_burst([
+            self._frame(wire.encode_resume_ok(session_id, state.seq, self._n_leads)),
+            self._frame(wire.encode_events([section])),
+        ])
 
     async def _on_migrate(self, conn: _Connection, message: wire.Migrate) -> None:
         """Ship a session out of — or import one into — this host.
@@ -585,14 +583,27 @@ class GatewayServer:
         ``STATS_OK`` (every gateway tier answers the same shape)."""
         await conn.send_burst([self._frame(wire.encode_stats_ok(self.gateway.stats()))])
 
-    def _events_frame(self, state: _NetSession, events: list, *, flags: int = 0) -> bytes:
-        frame = self._frame(
-            wire.encode_events(
-                state.session_id, state.seq, state.delivered, events, flags=flags
-            )
-        )
-        state.deliver(events)
-        return frame
+    def _events_frames(
+        self, conn: _Connection, sections: list, *, flags: int = 0
+    ) -> list[bytes]:
+        """``EVENTS`` frames for ``(state, events)`` sections, each
+        stamped with its session's ``acked_seq`` and ``base_index``; the
+        events count as delivered.  One frame, unless it would pass the
+        connection's ``max_frame``: then the sections split in halves."""
+        if not sections:
+            return []
+        payload = wire.encode_events([
+            wire.Events(state.session_id, state.seq, state.delivered, flags, events)
+            for state, events in sections
+        ])
+        if len(payload) > conn.max_frame and len(sections) > 1:
+            half = len(sections) // 2
+            head = self._events_frames(conn, sections[:half], flags=flags)
+            return head + self._events_frames(conn, sections[half:], flags=flags)
+        frame = self._frame(payload)
+        for state, events in sections:
+            state.deliver(events)
+        return [frame]
 
 
 @dataclass

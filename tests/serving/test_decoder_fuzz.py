@@ -61,7 +61,14 @@ def corpus() -> list[bytes]:
         wire.encode_migrate_ok("s", 0, n_leads=2),
         wire.encode_stats(),
         wire.encode_stats_ok({"n_sessions": 2, "per_worker": [{"n_queued": 1}]}),
-        wire.encode_events("s", 3, 10, events, flags=wire.FLAG_SYNC),
+        wire.encode_events([wire.Events("s", 3, 10, wire.FLAG_SYNC, events)]),
+        # A round's reply: empty acks, an event-carrying and a FINAL section.
+        wire.encode_events([
+            wire.Events("a", 5, 0),
+            wire.Events("b", 2, 7, 0, events),
+            wire.Events("c", 9, 3),
+            wire.Events("d", 1, 1, wire.FLAG_FINAL, events[1:]),
+        ]),
         wire.encode_error("s", "boom", sync=True),
     ]
 
@@ -140,6 +147,28 @@ def test_non_utf8_session_id_is_a_protocol_error():
     payload[3] = 0xFF  # the one id byte, after the opcode and u16 length
     with pytest.raises(wire.ProtocolError, match="session id"):
         wire.decode(bytes(payload))
+
+
+def test_a_section_count_past_the_body_is_a_protocol_error():
+    """The u32 section count of an ``EVENTS`` frame is checked against
+    the bytes that follow before any section is read: a count of
+    2**32 - 1 over one real section raises at once, with no allocation
+    sized by the count."""
+    import tracemalloc
+
+    body = wire.encode_events([wire.Events("s", 1, 0)])
+    for count in (2, 2**16, 2**32 - 1):
+        payload = body[:1] + struct.pack("<I", count) + body[5:]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(wire.ProtocolError, match="sections cannot fit"):
+                wire.decode(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < SLOW_S
+        assert peak < 64 * 1024
 
 
 def _journal_log(tmp_path) -> tuple[FileJournalStore, bytes]:

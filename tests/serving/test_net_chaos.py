@@ -73,7 +73,11 @@ class RawPeer:
             if not data:
                 raise ConnectionError("server closed the connection")
             for payload in self.decoder.feed(data):
-                self.inbox.append(wire.decode(payload))
+                message = wire.decode(payload)
+                if isinstance(message, list):  # an EVENTS frame's sections
+                    self.inbox.extend(message)
+                else:
+                    self.inbox.append(message)
 
     def wait_for(self, kind, timeout: float = 5.0):
         deadline = time.monotonic() + timeout

@@ -76,23 +76,21 @@ class FakePeer:
                 )
         elif isinstance(message, wire.Poll):
             self.send(
-                wire.encode_events(
+                wire.encode_events([wire.Events(
                     message.session_id,
                     self.seq_seen.get(message.session_id, 0),
                     message.ack_events,
-                    [],
-                    flags=wire.FLAG_SYNC,
-                )
+                    wire.FLAG_SYNC,
+                )])
             )
         elif isinstance(message, wire.Close):
             self.send(
-                wire.encode_events(
+                wire.encode_events([wire.Events(
                     message.session_id,
                     self.seq_seen.get(message.session_id, 0),
                     message.ack_events,
-                    [],
-                    flags=wire.FLAG_FINAL,
-                )
+                    wire.FLAG_FINAL,
+                )])
             )
 
 

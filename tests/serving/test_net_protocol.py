@@ -159,8 +159,8 @@ class TestIngestCodec:
 class TestEventsCodec:
     def test_round_trip_mixed_fiducials(self):
         events = [make_event(i, with_fiducials=(i % 2 == 0)) for i in range(7)]
-        message = roundtrip(
-            wire.encode_events("s", 12, 30, events, flags=wire.FLAG_SYNC)
+        (message,) = roundtrip(
+            wire.encode_events([wire.Events("s", 12, 30, wire.FLAG_SYNC, events)])
         )
         assert isinstance(message, wire.Events)
         assert (message.acked_seq, message.base_index) == (12, 30)
@@ -179,14 +179,34 @@ class TestEventsCodec:
                 )
 
     def test_empty_batch(self):
-        message = roundtrip(wire.encode_events("s", 0, 0, []))
+        (message,) = roundtrip(wire.encode_events([wire.Events("s", 0, 0)]))
         assert message.events == [] and not message.sync and not message.final
 
     def test_final_flag(self):
-        message = roundtrip(
-            wire.encode_events("s", 1, 2, [], flags=wire.FLAG_FINAL)
+        (message,) = roundtrip(
+            wire.encode_events([wire.Events("s", 1, 2, wire.FLAG_FINAL)])
         )
         assert message.final and not message.sync
+
+    def test_sections_keep_their_order_headers_and_events(self):
+        """A round's frame: empty acks, an event-carrying section and a
+        ``FINAL`` one, each decoded with its own header."""
+        events = [make_event(i, with_fiducials=(i == 1)) for i in range(3)]
+        sent = [
+            wire.Events("quiet", 4, 10),
+            wire.Events("busy", 7, 20, 0, events),
+            wire.Events("séance", 2, 0),
+            wire.Events("ending", 9, 5, wire.FLAG_FINAL, events[:1]),
+        ]
+        got = roundtrip(wire.encode_events(sent))
+        assert [s[:4] for s in got] == [s[:4] for s in sent]
+        assert [len(s.events) for s in got] == [0, 3, 0, 1]
+        assert [e.peak for e in got[1].events] == [e.peak for e in events]
+        assert [e.fiducials is None for e in got[1].events] == [True, False, True]
+        assert got[3].final and not any(s.final for s in got[:3])
+
+    def test_no_sections(self):
+        assert roundtrip(wire.encode_events([])) == []
 
 
 class TestFraming:
@@ -267,6 +287,7 @@ class TestDecodeRejection:
 
         payload = (
             bytes([0x20])
+            + struct.Struct("<I").pack(1)
             + struct.Struct("<H").pack(1) + b"s"
             + struct.Struct("<QQBII").pack(0, 0, 0, 1, 2)
         )

@@ -11,6 +11,7 @@ a real :class:`GatewayServer` over loopback TCP with the pipelined
 from __future__ import annotations
 
 import logging
+import socket
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.serving import (
     synthesize_fleet,
 )
 from repro.serving.net import GatewayClient, GatewayServer, serve_in_thread
+from repro.serving.net import protocol as wire
 from repro.serving.net.client import RemoteError
 
 FS = 360.0
@@ -200,7 +202,7 @@ class TestEveryIngestAcked:
         standalone_events, assert_events_equal,
     ):
         """Every accepted INGEST is acknowledged, with an empty EVENTS
-        frame when it resolved nothing.  A window-4 client streaming a
+        section when it resolved nothing.  A window-4 client streaming a
         record's opening chunks — more than three windows of them
         resolve no events — never needs a POLL barrier, and its events
         are the standalone node's."""
@@ -232,6 +234,120 @@ class TestEveryIngestAcked:
             handle.stop()
         assert polls == []
         assert_events_equal(standalone_events(embedded_classifier, signal, FS, 1), events)
+
+
+class RawLink:
+    """A hand-driven connection that counts the server's reply frames."""
+
+    def __init__(self, address, max_frame: int = wire.DEFAULT_MAX_FRAME):
+        self.sock = socket.create_connection(address, timeout=5.0)
+        self.decoder = wire.FrameDecoder(max_frame)
+        self.ready: list = []
+        self.sock.sendall(wire.pack_frame(wire.encode_hello(max_frame)))
+        assert isinstance(self.next_message(), wire.HelloOk)
+
+    def next_message(self):
+        while not self.ready:
+            data = self.sock.recv(1 << 16)
+            assert data, "the server closed the connection"
+            self.ready = [wire.decode(p) for p in self.decoder.feed(data)]
+        return self.ready.pop(0)
+
+    def open(self, *session_ids) -> None:
+        for sid in session_ids:
+            self.sock.sendall(wire.pack_frame(wire.encode_open(sid)))
+            assert isinstance(self.next_message(), wire.OpenOk)
+
+    def round_replies(self, ingests, fence: str) -> list:
+        """Write the ``(sid, seq, chunk)`` INGEST frames in one
+        ``sendall`` (one socket read, one round), then ``POLL`` ``fence``:
+        the server answers in order, so every frame before the ``SYNC``
+        reply is the round's."""
+        self.sock.sendall(b"".join(
+            wire.pack_frame(wire.encode_ingest(sid, seq, 0, chunk))
+            for sid, seq, chunk in ingests
+        ))
+        self.sock.sendall(wire.pack_frame(wire.encode_poll(fence, 0)))
+        replies = []
+        while True:
+            message = self.next_message()
+            if isinstance(message, list) and any(s.sync for s in message):
+                assert [s.session_id for s in message] == [fence]
+                return replies
+            replies.append(message)
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+class TestOneFramePerRound:
+    """The wire-frames-per-round gate: an applied round is acknowledged
+    by one ``EVENTS`` frame with a section per chunk.  The count does
+    not depend on host speed."""
+
+    def test_k_ingests_in_one_write_get_one_frame_of_k_sections(self, server):
+        sids = [f"round-{i}" for i in range(5)]
+        quiet = np.zeros(CHUNK)  # resolves nothing: no flush harvest
+        link = RawLink(server.address)
+        try:
+            link.open(*sids)
+            replies = link.round_replies([(sid, 0, quiet) for sid in sids], sids[0])
+            assert len(replies) == 1
+            (frame,) = replies
+            assert isinstance(frame, list)
+            assert [s.session_id for s in frame] == sids
+            assert [(s.acked_seq, s.base_index, s.flags) for s in frame] == [
+                (1, 0, 0)
+            ] * len(sids)
+            assert all(s.events == [] for s in frame)
+
+            # A duplicate retransmit is acked again, a gap is refused
+            # with an asynchronous ERROR in the same burst.
+            duplicate, advance, gap, other = sids[:4]
+            replies = link.round_replies(
+                [(duplicate, 0, quiet), (advance, 1, quiet), (gap, 3, quiet),
+                 (other, 1, quiet)],
+                sids[4],
+            )
+            assert len(replies) == 2
+            frame, error = replies
+            assert {s.session_id: s.acked_seq for s in frame} == {
+                duplicate: 1, advance: 2, other: 2,
+            }
+            assert isinstance(error, wire.Error)
+            assert (error.session_id, error.sync) == (gap, False)
+            assert "ingest gap" in error.message
+        finally:
+            link.close()
+
+    @pytest.mark.parametrize("server_bound", [True, False], ids=["server", "client"])
+    def test_a_round_past_max_frame_splits_into_bounded_frames(
+        self, embedded_classifier, server_bound
+    ):
+        """A round whose sections would not fit one ``max_frame`` — the
+        server's, or the smaller one the client sent in its ``HELLO`` —
+        goes out as several frames, each within the bound, every chunk
+        acknowledged once."""
+        max_frame = 512
+        gateway = StreamGateway(embedded_classifier, FS, n_leads=1)
+        if server_bound:
+            handle = serve_in_thread(gateway, max_frame=max_frame)
+        else:
+            handle = serve_in_thread(gateway)
+        sids = [f"split-{i:02d}" for i in range(40)]
+        link = RawLink(handle.address, max_frame=max_frame)
+        try:
+            link.open(*sids)
+            replies = link.round_replies(
+                [(sid, 0, np.zeros(8)) for sid in sids], sids[0]
+            )
+        finally:
+            link.close()
+            handle.stop()
+        assert len(replies) > 1
+        assert all(len(wire.encode_events(frame)) <= max_frame for frame in replies)
+        assert [s.session_id for frame in replies for s in frame] == sids
+        assert {s.acked_seq for frame in replies for s in frame} == {1}
 
 
 class TestWrongShapeChunks:
