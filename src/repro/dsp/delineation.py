@@ -414,26 +414,28 @@ def _detrend_rows(block: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_detrend` of the windows ``block[r, offset[r]:]``.
 
     Each row uses the scalar path's exact arithmetic: the endpoint
-    means over its own edge width (rows with one edge width share a
-    ``mean`` call), and the line ``j * step + start`` with the last
-    sample pinned to the end mean, as :func:`numpy.linspace` builds it
-    for one window — so a row's values never depend on the other rows
-    (``linspace`` over stacked endpoints switches every row to its
-    zero-step formula when any one step is zero).  Columns before a
-    row's window are left unspecified.
+    means over its own edge width (rows with one edge width share one
+    sum, divided by the width as ``mean`` does), and the line
+    ``j * step + start`` with the last sample pinned to the end mean,
+    as :func:`numpy.linspace` builds it for one window — so a row's
+    values never depend on the other rows (``linspace`` over stacked
+    endpoints switches every row to its zero-step formula when any one
+    step is zero).  Columns before a row's window are left unspecified.
     """
-    width = block.shape[1] - offset
+    n_rows, n = block.shape
+    width = n - offset
     edge = np.maximum(2, width // 10)
-    first = np.empty(block.shape[0])
-    last = np.empty(block.shape[0])
-    for e in np.unique(edge).tolist():
-        sel = np.flatnonzero(edge == e)
-        head = block[sel[:, np.newaxis], offset[sel, np.newaxis] + np.arange(e)]
-        first[sel] = head.mean(axis=1)
-        last[sel] = block[sel, block.shape[1] - e :].mean(axis=1)
+    first = np.empty(n_rows)
+    last = np.empty(n_rows)
+    edges = edge.tolist()
+    for e in set(edges):
+        sel = [r for r, value in enumerate(edges) if value == e]
+        head = block[np.array(sel)[:, np.newaxis], offset[sel, np.newaxis] + np.arange(e)]
+        first[sel] = np.add.reduce(head, axis=1) / e
+        last[sel] = np.add.reduce(block[sel, n - e :], axis=1) / e
     step = (last - first) / (width - 1)
-    position = np.arange(block.shape[1]) - offset[:, np.newaxis]
-    trend = position * step[:, np.newaxis] + first[:, np.newaxis]
+    trend = (np.arange(n) - offset[:, np.newaxis]) * step[:, np.newaxis]
+    trend += first[:, np.newaxis]
     trend[:, -1] = last
     return block - trend
 
@@ -455,39 +457,36 @@ def _wave_scan_batch(
     scalar scan, row by row.
     """
     out = np.full(segments.shape[0], -1, dtype=np.int64)
-    rows = np.flatnonzero(hi > lo + 3)
+    rows = (hi > lo + 3).nonzero()[0]
     if not rows.size:
         return out
     start = lo[rows]
-    base = int(start.min())
+    base = int(np.minimum.reduce(start))
     offset = start - base  # window start within the block
     deflection = np.abs(_detrend_rows(segments[rows, base:hi], offset))
     deflection[np.arange(hi - base) < offset[:, np.newaxis]] = -1.0  # never the peak
-    peak = np.argmax(deflection, axis=1) - offset  # window coordinates
-    value = deflection[np.arange(rows.size), peak + offset]
+    peak = deflection.argmax(axis=1) - offset  # window coordinates
     width = hi - start
     margin = np.maximum(1, width // 10)
-    found = (
-        ~(value < min_relative * reference[rows])
-        & (peak >= margin)
-        & (peak < width - margin)
-    )
+    found = ~(deflection.max(axis=1) < min_relative * reference[rows])
+    found &= (peak >= margin) & (peak < width - margin)
     out[rows[found]] = start[found] + peak[found]
     return out
 
 
-def _masked_argmax(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _masked_argmax(rows: np.ndarray, lo: np.ndarray, hi) -> np.ndarray:
     """Per-row ``lo[i] + argmax(rows[i, lo[i]:hi[i]])``; ``-1`` where empty.
 
-    Masking out-of-window columns to ``-inf`` preserves the first-max
+    ``hi`` is per row or one bound for every row.  Masking
+    out-of-window columns to ``-inf`` preserves the first-max
     tie-breaking of the sliced scalar argmax, so the result is
-    bit-identical to :func:`_boundary_before` / :func:`_boundary_after`
-    window by window.
+    bit-identical to :func:`_boundary_before` /
+    :func:`_boundary_after` window by window.
     """
-    lo, hi = np.broadcast_to(lo, rows.shape[:1]), np.broadcast_to(hi, rows.shape[:1])
     cols = np.arange(rows.shape[1])
-    mask = (cols >= lo[:, None]) & (cols < hi[:, None])
-    idx = np.argmax(np.where(mask, rows, -np.inf), axis=1)
+    hi_col = hi[:, np.newaxis] if isinstance(hi, np.ndarray) else hi
+    inside = (cols >= lo[:, np.newaxis]) & (cols < hi_col)
+    idx = np.where(inside, rows, -np.inf).argmax(axis=1)
     return np.where(hi > lo, idx, -1)
 
 
@@ -506,18 +505,24 @@ def _boundaries_batch(
     those rows and only over the columns the scans read.
     """
     onset = np.full(found.size, -1, dtype=np.int64)
-    end = np.full(found.size, -1, dtype=np.int64)
-    rows = np.flatnonzero(found >= 0)
+    end = onset.copy()
+    rows = (found >= 0).nonzero()[0]
     if not rows.size:
         return onset, end
-    peak, lo = found[rows], onset_lo[rows]
-    first = int(lo.min())
+    peak = found[rows]
+    lo = onset_lo[rows]
+    first = int(np.minimum.reduce(lo))
     mmd = mmd_rows(segments[rows], scale, first, end_hi)
-    before = _masked_argmax(mmd, lo - first, peak - first)
-    after = _masked_argmax(mmd, peak + 1 - first, end_hi - first)
+    peak_col = peak - first
+    before = _masked_argmax(mmd, lo - first, peak_col)
+    after = _masked_argmax(mmd, peak_col + 1, end_hi - first)
     onset[rows] = np.where(before >= 0, before + first, -1)
     end[rows] = np.where(after >= 0, after + first, -1)
     return onset, end
+
+
+#: Column of each fiducial in a ``(k, 9)`` fiducial array.
+_COLUMN = {name: j for j, name in enumerate(FIDUCIAL_NAMES)}
 
 
 def _locate_fiducials_batch(
@@ -540,50 +545,50 @@ def _locate_fiducials_batch(
     presence tests one masked detrend pass per wave, and each MMD
     scale is computed (:func:`~repro.dsp.mmd.mmd_rows`) only over the
     columns its scans read — bit-exact with the scalar core, beat for
-    beat, whose MMDs cover the whole segment.
+    beat, whose MMDs cover the whole segment.  The fiducials are
+    written straight into one ``(k, 9)`` array.
 
     Returns the ``(k, 9)`` fiducials in record coordinates.
     """
     k, L = segments.shape
     qrs_scale, p_scale, t_scale = config.mmd_scales(fs)
+    local = np.full((k, len(FIDUCIAL_NAMES)), -1, dtype=np.int64)
+    local[:, _COLUMN["r_peak"]] = local_peak
 
     qo_lo, qo_hi = _window_indices(local_peak, config.qrs_onset_search, fs, L)
     qe_lo, qe_hi = _window_indices(local_peak, config.qrs_end_search, fs, L)
-    qrs_onset = np.full(k, -1, dtype=np.int64)
-    qrs_end = np.full(k, -1, dtype=np.int64)
     first, stop = min(qo_lo, qe_lo + 1), max(qo_hi, qe_hi)
     if stop > first:
         mmd_qrs = mmd_rows(segments, qrs_scale, first, stop)
         if qo_hi > qo_lo:
-            qrs_onset[:] = qo_lo + np.argmax(mmd_qrs[:, qo_lo - first : qo_hi - first], axis=1)
+            local[:, _COLUMN["qrs_onset"]] = qo_lo + mmd_qrs[
+                :, qo_lo - first : qo_hi - first
+            ].argmax(axis=1)
         if qe_hi > qe_lo + 1:
-            qrs_end[:] = (
-                qe_lo + 1 + np.argmax(mmd_qrs[:, qe_lo + 1 - first : qe_hi - first], axis=1)
-            )
+            local[:, _COLUMN["qrs_end"]] = qe_lo + 1 + mmd_qrs[
+                :, qe_lo + 1 - first : qe_hi - first
+            ].argmax(axis=1)
 
     p_lo, p_hi = _window_indices(local_peak, config.p_search, fs, L)
-    guard = previous + int(round(PREVIOUS_BEAT_GUARD_S * fs)) - seg_lo
-    p_lo_b = np.where(previous >= 0, np.maximum(p_lo, guard), p_lo).astype(np.int64)
-    p_peak = _wave_scan_batch(segments, p_lo_b, p_hi, r_amps, min_relative=0.08)
-    p_onset, p_end = _boundaries_batch(
-        segments, p_peak, p_scale, np.maximum(0, p_lo_b - p_scale), min(L, p_hi + p_scale)
-    )
-
+    guard = previous + (int(round(PREVIOUS_BEAT_GUARD_S * fs)) - seg_lo)
+    p_start = np.where(previous >= 0, np.maximum(p_lo, guard), p_lo)
     t_lo, t_hi = _window_indices(local_peak, config.t_search, fs, L)
     t_start = np.full(k, t_lo, dtype=np.int64)
-    t_peak = _wave_scan_batch(segments, t_start, t_hi, r_amps, min_relative=0.05)
-    t_onset, t_end = _boundaries_batch(
-        segments, t_peak, t_scale, np.maximum(0, t_start - t_scale), min(L, t_hi + t_scale)
-    )
+    for wave, start, hi, scale, min_relative in (
+        ("p", p_start, p_hi, p_scale, 0.08),
+        ("t", t_start, t_hi, t_scale, 0.05),
+    ):
+        peak = _wave_scan_batch(segments, start, hi, r_amps, min_relative)
+        onset, end = _boundaries_batch(
+            segments, peak, scale, np.maximum(0, start - scale), min(L, hi + scale)
+        )
+        local[:, _COLUMN[f"{wave}_onset"]] = onset
+        local[:, _COLUMN[f"{wave}_peak"]] = peak
+        local[:, _COLUMN[f"{wave}_end"]] = end
 
-    local = np.stack(
-        [p_onset, p_peak, p_end, qrs_onset, np.full(k, local_peak), qrs_end,
-         t_onset, t_peak, t_end],
-        axis=1,
-    )
-    out = np.where(local >= 0, local + seg_lo[:, None], -1)
-    out[:, FIDUCIAL_NAMES.index("r_peak")] = peaks
-    return out.astype(np.int64)
+    out = np.where(local >= 0, local + seg_lo[:, np.newaxis], -1)
+    out[:, _COLUMN["r_peak"]] = peaks
+    return out
 
 
 def _combine_leads_batch(per_lead: np.ndarray) -> np.ndarray:
@@ -630,11 +635,11 @@ def _delineate_interior(
     located = _locate_fiducials_batch(
         rows,
         left,
-        np.tile(peaks - left, n_leads),
-        np.tile(peaks, n_leads),
+        np.concatenate((peaks - left,) * n_leads),
+        np.concatenate((peaks,) * n_leads),
         fs,
         config,
-        np.tile(previous, n_leads),
+        np.concatenate((previous,) * n_leads),
         r_amps,
     )
     return _combine_leads_batch(located.reshape(n_leads, k, -1).transpose(1, 0, 2))

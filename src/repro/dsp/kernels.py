@@ -1,33 +1,37 @@
-"""O(n) sliding-extremum kernels (batch and streaming forms).
+"""Sliding-extremum kernels (batch and streaming forms).
 
 The morphological operators in :mod:`repro.dsp.morphological` are
 sliding minima/maxima over flat structuring elements of m = 5..109
 samples.  A naive implementation performs ``m - 1`` comparisons per
-output sample; the van Herk–Gil-Werman (vHGW) algorithm needs only
-three, *independent of m*:
+output sample.
 
-1. partition the input into chunks of ``m`` samples;
-2. compute running extrema forward within each chunk (*head*) and
-   backward within each chunk (*tail*);
-3. every window of ``m`` consecutive samples spans at most two chunks,
-   so its extremum is ``op(tail[i], head[i + m - 1])``.
-
-:func:`sliding_extremum` is the batch form: three vectorized passes
-over the data (along the last axis, so independent rows share one
-pass), used by :func:`repro.dsp.morphological.erosion` and
-:func:`~repro.dsp.morphological.dilation`.
+:func:`sliding_extremum` is the batch form, by window doubling: the
+extrema of windows of 2, 4, 8, ... samples are each one elementwise
+``np.maximum``/``np.minimum`` of two shifted copies of the previous
+level, and one last such step joins two overlapping power-of-two
+windows into the ``m``-sample one — ``ceil(log2 m)`` vectorized passes
+(along the last axis, so independent rows share each pass) and nothing
+else, which keeps the per-call cost of short rows (the delineator's
+few-beat MMD batches) low as well.  It backs
+:func:`repro.dsp.morphological.erosion` /
+:func:`~repro.dsp.morphological.dilation` and the MMD of
+:mod:`repro.dsp.mmd`.
 
 :class:`StreamingExtremum` is the incremental form: it carries the
-last ``m - 1`` inputs and runs the recurrence over ``[carry | block]``
-on each push (at most ``m - 1`` extra samples per push), with chunks
-aligned to the carry so the carry's suffix extrema seed the block's
-windows.  One row is one stream;
+last ``m - 1`` inputs.  A push longer than that runs
+:func:`sliding_extremum` over ``[carry | block]``; a shorter one — the
+steady state of small ingest chunks — is one step of the van
+Herk–Gil-Werman recurrence: carry and block are two adjacent chunks,
+every window spans both, so its extremum is ``op(suffix extremum of
+the carry, prefix extremum of the block)``, two accumulations and one
+comparison per sample.  One row is one stream;
 :meth:`StreamingExtremum.push_rows` advances many streams at once.
 Edge handling replicates the batch operators' edge-replicated centered
 window: the first sample is virtually replicated ``length // 2`` times
 before the stream and ``flush`` replicates the last sample, which
 makes a cascade of streaming stages *bit-exact* with the batch cascade
-from the very first output sample.
+from the very first output sample (min and max select a sample, so
+the grouping of the comparisons never changes a value).
 
 Neither form is what the op counters model: the counters keep charging
 the naive ``m - 1`` comparisons per sample of the reference embedded C
@@ -58,37 +62,35 @@ def sliding_extremum(values: np.ndarray, length: int, maximum: bool = False) -> 
     np.ndarray
         ``values.shape[-1] - length + 1`` outputs per row;
         ``out[..., i] == op(values[..., i : i + length])``.
+
+    Notes
+    -----
+    Window doubling: the extrema of windows of 2, 4, 8, ... samples
+    each come from two overlapping windows of half the span, and the
+    last step joins two windows of the largest power of two that
+    overlap to cover ``m``.  That is ``ceil(log2 m)`` whole-array
+    passes — one ``np.maximum``/``np.minimum`` call each, 4 for the
+    13-sample QRS element of the delineator, 7 for the 109-sample
+    baseline element — with no padding, reshaping or accumulation.
+    Min and max select a sample, so the result does not depend on
+    how the comparisons are grouped.
     """
     values = np.asarray(values)
     m = int(length)
     if m < 1:
         raise ValueError("window length must be >= 1")
-    n = values.shape[-1]
-    if n < m:
+    if values.shape[-1] < m:
         raise ValueError("need at least one full window of samples")
     if m == 1:
         return values.copy()
     op = np.maximum if maximum else np.minimum
-    n_out = n - m + 1
-    if m <= 16:
-        # Short windows: m - 1 fused elementwise passes beat the
-        # chunked recurrence's bookkeeping.
-        out = op(values[..., :n_out], values[..., 1 : 1 + n_out])
-        for k in range(2, m):
-            op(out, values[..., k : k + n_out], out=out)
-        return out
-    rows = values.shape[:-1]
-    n_chunks = -(-n // m)
-    # Filling the last partial chunk with copies of the final sample
-    # keeps the suffix extrema exact without dtype-breaking sentinels.
-    fill = n_chunks * m - n
-    if fill:
-        pad = np.broadcast_to(values[..., -1:], rows + (fill,))
-        values = np.concatenate([values, pad], axis=-1)
-    chunks = values.reshape(rows + (n_chunks, m))
-    head = op.accumulate(chunks, axis=-1).reshape(rows + (-1,))
-    tail = op.accumulate(chunks[..., ::-1], axis=-1)[..., ::-1].reshape(rows + (-1,))
-    return op(tail[..., :n_out], head[..., m - 1 : m - 1 + n_out])
+    out, span = values, 1
+    while 2 * span <= m:
+        out = op(out[..., :-span], out[..., span:])
+        span *= 2
+    if span < m:
+        out = op(out[..., : span - m], out[..., m - span :])
+    return out
 
 
 class StreamingExtremum:
@@ -140,9 +142,22 @@ class StreamingExtremum:
 
     def flush(self) -> np.ndarray:
         """Emit the final outputs (trailing edge replication)."""
-        if self.length == 1 or self._carry is None or self.right == 0:
+        return self.finish(np.empty(0))
+
+    def finish(self, block: np.ndarray) -> np.ndarray:
+        """``push(block)`` then :meth:`flush`, as one push: the block
+        followed by ``right`` copies of the last input (the stage is
+        chunk-invariant, so the outputs are the same)."""
+        block = np.asarray(block, dtype=float)
+        if self.length == 1 or self.right == 0:
+            return self.push(block)
+        if block.size:
+            last = block[-1]
+        elif self._carry is not None:
+            last = self._carry[-1]
+        else:
             return np.empty(0)
-        return self.push(np.full(self.right, self._carry[-1]))
+        return self.push(np.concatenate([block, np.full(self.right, last)]))
 
     @staticmethod
     def push_rows(stages: list["StreamingExtremum"], blocks: np.ndarray) -> np.ndarray:
@@ -167,52 +182,33 @@ class StreamingExtremum:
             carry = np.array([stage._carry for stage in stages])
         s = m - 1
         n = blocks.shape[1]
-        if m <= 16:
-            ext = np.concatenate([carry, blocks], axis=1)
-            out = ext[:, :0] if ext.shape[1] < m else sliding_extremum(ext, m, first.maximum)
-            carry = ext[:, -s:]
-        else:
+        if n <= s:
             op = np.maximum if first.maximum else np.minimum
             out = _carried_extremum(carry, blocks, s, op)
+            carry = np.concatenate([carry, blocks], axis=1)[:, -s:]
+        else:
+            out = sliding_extremum(np.concatenate([carry, blocks], axis=1), m, first.maximum)
             # A fresh array: the carry must not alias the caller's block.
-            carry = (
-                blocks[:, n - s :].copy() if n >= s
-                else np.concatenate([carry, blocks], axis=1)[:, -s:]
-            )
+            carry = blocks[:, n - s :].copy()
         for stage, row in zip(stages, carry):
             stage._carry = row
         return out
 
 
 def _carried_extremum(carry: np.ndarray, block: np.ndarray, s: int, op) -> np.ndarray:
-    """Sliding extremum over ``s + 1``-sample windows of ``[carry | block]``.
+    """Sliding extremum over ``s + 1``-sample windows of ``[carry | block]``
+    for a block of at most ``s`` samples (a short steady push).
 
-    The vHGW recurrence with chunks of ``s`` samples aligned to the
-    carry boundary: the carry (at most ``s`` samples) is the first
-    chunk and the block is cut into ``s``-sample pieces.  A window of
-    ``s + 1`` samples spans exactly two adjacent chunks, so it is
-    ``op(suffix extremum of the earlier chunk, prefix extremum of the
-    later one)``.  Rows are independent.  Returns the
-    ``carry + block - s`` outputs per row (none during warm-up).
+    One step of the vHGW recurrence: the carry (at most ``s`` samples)
+    and the block are two adjacent chunks, and a window spans both, so
+    it is ``op(suffix extremum of the carry, prefix extremum of the
+    block)``.  Rows are independent.  Returns the ``carry + block - s``
+    outputs per row (none during warm-up).
     """
     n = block.shape[1]
-    # Windows ending at piece index < lead would start before the carry.
+    # Windows ending at block index < lead would start before the carry.
     lead = s - carry.shape[1]
+    if n <= lead:
+        return block[:, :0]
     tail = op.accumulate(carry[:, ::-1], axis=1)[:, ::-1]
-    if n <= s:  # one piece: the steady-state case for short pushes
-        if n <= lead:
-            return block[:, :0]
-        return op(tail[:, : n - lead], op.accumulate(block, axis=1)[:, lead:])
-    out = np.empty((block.shape[0], n - lead))
-    done = 0
-    for pos in range(0, n, s):
-        piece = block[:, pos : pos + s]
-        p = piece.shape[1]
-        if p > lead:
-            head = op.accumulate(piece, axis=1)[:, lead:]
-            op(tail[:, : p - lead], head, out=out[:, done : done + p - lead])
-            done += p - lead
-        if pos + s < n:
-            tail = op.accumulate(piece[:, ::-1], axis=1)[:, ::-1]
-            lead = 0
-    return out
+    return op(tail[:, : n - lead], op.accumulate(block, axis=1)[:, lead:])

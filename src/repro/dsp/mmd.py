@@ -75,19 +75,19 @@ def mmd_rows(rows: np.ndarray, scale: int, lo: int = 0, hi: int | None = None) -
 
     Each row is edge-replicated at its own ends, exactly as
     :func:`mmd_transform` pads a segment, and only the inputs the
-    requested columns see are padded and scanned: the dilation and
-    erosion run as one 2-D sliding-extremum call each.  Min and max
-    are exact, so every output row is bit-identical to the same
-    columns of ``mmd_transform`` of that row.  Records no op counts
-    (see :func:`charge_mmd_ops`).
+    requested columns see are gathered — one clamped column index, one
+    take — and scanned: the dilation and erosion run as one 2-D
+    sliding-extremum call each.  Min and max are exact, so every
+    output row is bit-identical to the same columns of
+    ``mmd_transform`` of that row.  Records no op counts (see
+    :func:`charge_mmd_ops`).
     """
     n = rows.shape[-1]
     hi = n if hi is None else hi
-    first, stop = max(0, lo - scale), min(n, hi + scale)
-    window = rows[..., first:stop]
-    left = np.repeat(window[..., :1], scale - (lo - first), axis=-1)
-    right = np.repeat(window[..., -1:], scale - (stop - hi), axis=-1)
-    padded = np.concatenate([left, window, right], axis=-1)
+    columns = np.arange(lo - scale, hi + scale)
+    np.maximum(columns, 0, out=columns)
+    np.minimum(columns, n - 1, out=columns)
+    padded = rows.take(columns, axis=-1)
     length = 2 * scale + 1
     out = sliding_extremum(padded, length, maximum=True)
     out += sliding_extremum(padded, length, maximum=False)

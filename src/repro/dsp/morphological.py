@@ -21,12 +21,12 @@ comparisons per output sample), matching the reference C code's
 behaviour rather than an asymptotically optimal algorithm.
 
 The Python implementation itself, however, is *not* naive: erosion and
-dilation run the van Herk–Gil-Werman kernel from
-:mod:`repro.dsp.kernels` (three vectorized passes, independent of the
-structuring-element length), which is bit-exact with the sliding
-window — min/max involve no rounding — while being O(n) instead of
-O(n·m).  The op counters deliberately keep reporting the naive counts:
-they model the reference C firmware's work, not this implementation's.
+dilation run the window-doubling kernel from :mod:`repro.dsp.kernels`
+(``ceil(log2 m)`` vectorized passes), which is bit-exact with the
+sliding window — min/max involve no rounding — while being
+O(n·log m) instead of O(n·m).  The op counters deliberately keep
+reporting the naive counts: they model the reference C firmware's
+work, not this implementation's.
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ from repro.dsp.delineation import (
 from repro.dsp.kernels import StreamingExtremum
 from repro.dsp.morphological import structuring_element_length
 from repro.dsp.peak_detection import PeakDetectorConfig, detect_peaks_from_wavelet
-from repro.dsp.wavelet import StreamingWavelet
+from repro.dsp.wavelet import StreamingWavelet, scale_delay
 
 #: Window durations (seconds) of the filter_lead chain, shared with
 #: :mod:`repro.dsp.morphological`'s defaults.
@@ -190,12 +190,6 @@ class BlockFilter:
         one state shape (see :meth:`push_rows`)."""
         return all(stage.steady for stage in self._baseline + self._open + self._close)
 
-    @staticmethod
-    def _through(stages: list[StreamingExtremum], block: np.ndarray) -> np.ndarray:
-        for stage in stages:
-            block = stage.push(block)
-        return block
-
     def push(self, block: np.ndarray) -> np.ndarray:
         """Feed a block; return newly finalized filtered samples."""
         block = np.asarray(block, dtype=float)
@@ -239,25 +233,32 @@ class BlockFilter:
         Resets the filter afterwards: a subsequent ``push`` starts a
         fresh stream.
         """
-        baseline = self._flush_cascade(self._baseline)
-        debased = self._raw[: baseline.size] - baseline
-        opened = np.concatenate(
-            [self._through(self._open, debased), self._flush_cascade(self._open)]
-        )
-        closed = np.concatenate(
-            [self._through(self._close, debased), self._flush_cascade(self._close)]
-        )
+        return self.finish(np.empty(0))
+
+    def finish(self, block: np.ndarray) -> np.ndarray:
+        """``push(block)`` then :meth:`flush`, in one push per stage.
+
+        Each stage takes its input and its own trailing edge
+        replication as one block (:meth:`StreamingExtremum.finish`);
+        the stages are chunk-invariant, so the output is the
+        concatenation ``push`` and ``flush`` would return.
+        """
+        baseline = self._finish_cascade(self._baseline, block)
+        raw = np.concatenate([self._raw, block])
+        debased = raw[: baseline.size] - baseline
+        opened = self._finish_cascade(self._open, debased)
+        closed = self._finish_cascade(self._close, debased)
         out = (opened + closed) / 2.0
         self._reset_stages()
         return out
 
     @staticmethod
-    def _flush_cascade(stages: list[StreamingExtremum]) -> np.ndarray:
-        """Flush a stage cascade in order, forwarding tails downstream."""
-        out = np.empty(0)
+    def _finish_cascade(stages: list[StreamingExtremum], block: np.ndarray) -> np.ndarray:
+        """Finish a stage cascade in order, each stage's output and tail
+        feeding the next."""
         for stage in stages:
-            out = np.concatenate([stage.push(out), stage.flush()])
-        return out
+            block = stage.finish(block)
+        return block
 
 
 class StreamingPeakDetector:
@@ -604,10 +605,11 @@ class StreamingNode:
     column, so a steady node knows the first of these points, its
     *due point*, in samples.  Until its input reaches that point the
     node only stashes it (:meth:`stash`); a push that reaches it, a
-    warm-up push, :meth:`flush` and :meth:`finish_input` drain the
-    stash through the front end in sub-passes of at most one second,
-    and so does a :meth:`deliver` whose flagged beat needs stashed
-    input.  Every return value — events, outbox, :attr:`n_pending` —
+    warm-up push and a :meth:`deliver` whose flagged beat needs
+    stashed input drain the stash through the front end in sub-passes
+    of at most one second.  :meth:`flush` and :meth:`finish_input`
+    run the stash's last stretch together with the filter tails in
+    one final pass.  Every return value — events, outbox, :attr:`n_pending` —
     is the one a node that ran every push at once would give, and
     the stash holds at most one detector window plus one push.
     """
@@ -657,6 +659,13 @@ class StreamingNode:
         self._delineator = StreamingDelineator(
             fs, config=delineation_config, lookback_s=keep / fs
         )
+        # A stream end runs the last stashed samples together with the
+        # filter tails as one pass (see _end_input).  That pass stays
+        # within the lookback's three seconds of slack past a detector
+        # window, less the filter tail and the wavelet's column lag, so
+        # every peak it confirms still has its left context buffered.
+        tails = self._filters[0].context + scale_delay(self._detector.wavelet.n_scales)
+        self._end_span = max(0, 3 * self._chop - tails)
         self._count = 0  # filtered samples consumed so far
         self._origin = 0  # absolute index where the current stream began
         self._queue: deque[_PendingBeat] = deque()
@@ -870,11 +879,27 @@ class StreamingNode:
             for node, f, c in zip(nodes, filtered, columns)
         ]
 
-    def _front_tail(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flush the filters; return the filtered tail and its columns."""
+    def _end_input(self) -> list[StreamBeatEvent]:
+        """Run the stash and the front end's tail through the node.
+
+        The stash's last ``_end_span`` samples go through the filters
+        together with their edge-replicated tails
+        (:meth:`BlockFilter.finish`) and then through the final
+        :meth:`_advance` with the detector's tail window — one
+        front-end pass where draining and flushing took two or more;
+        any older stashed input drains first, in the usual one-second
+        sub-blocks.  The stream is chunk-invariant, so the events are
+        those of draining and then flushing.
+        """
+        events = self._drain(max(0, self._stashed - self._end_span))
+        block = self._stash[: self._stashed]
+        self._stashed = 0
         self._front_steady = False  # the flushes restart the front end
-        tail = np.column_stack([f.flush() for f in self._filters])
-        return tail, self._detector.wavelet.push(tail[:, self.lead])
+        tail = np.column_stack(
+            [f.finish(block[:, i]) for i, f in enumerate(self._filters)]
+        )
+        columns = self._detector.wavelet.push(tail[:, self.lead])
+        return events + self._advance(tail, columns, final=True)
 
     def flush(self) -> list[StreamBeatEvent]:
         """Finalize the stream; return the remaining events.
@@ -895,8 +920,7 @@ class StreamingNode:
                 "deliver the remaining labels, then finalize() "
                 "(StreamGateway.close_session drives this)"
             )
-        events = self._drain()
-        events += self._advance(*self._front_tail(), final=True)
+        events = self._end_input()
         self._reset_stream()
         return events
 
@@ -913,8 +937,7 @@ class StreamingNode:
         """
         if not self.defer_classification:
             raise RuntimeError("finish_input() applies to deferred-classify nodes; use flush()")
-        events = self._drain()
-        return events + self._advance(*self._front_tail(), final=True)
+        return self._end_input()
 
     def finalize(self) -> list[StreamBeatEvent]:
         """Deferred mode, step 3 of the stream end: emit the tail events.

@@ -75,20 +75,21 @@ def block_fuzzify(grades: np.ndarray, counter=None) -> np.ndarray:
         raise ValueError("need at least one coefficient")
 
     acc = grades[:, 0, :].copy()
-    for j in range(1, k):
+    for factor in grades.transpose(1, 0, 2)[1:]:
         # Both operands are < 2^16 (grades by definition, acc by the
         # previous truncation), so the product is < 2^32: exactly the
         # 32-bit envelope of the modelled multiplier.
-        acc = acc * grades[:, j, :]
+        acc = acc * factor
         # Shared normalization shift: align the per-beat max to bit 31.
-        peak = acc.max(axis=1)
-        shift = np.where(peak > 0, 31 - ilog2(np.maximum(peak, 1)), 0)
-        shift = np.maximum(shift, 0)
+        # The max is < 2^32, so the shift is >= 0; an all-zero row
+        # (max 0, shift 32) stays zero whatever it is shifted by.
+        shift = 31 - ilog2(acc.max(axis=1))
         acc = (acc << shift[:, np.newaxis]) >> 16
-        if counter is not None:
-            counter.add("mul", n * n_classes)
-            counter.add("cmp", n * (n_classes - 1))  # max scan
-            counter.add("shift", n * (n_classes + 1))  # clz + normalize
+    if counter is not None and k > 1:
+        steps = (k - 1) * n
+        counter.add("mul", steps * n_classes)
+        counter.add("cmp", steps * (n_classes - 1))  # max scan
+        counter.add("shift", steps * (n_classes + 1))  # clz + normalize
     # 32-bit envelope check of the modelled hardware.
     if acc.size and acc.max() >= (np.int64(1) << 32):
         raise OverflowError("fuzzification accumulator exceeded 32 bits")
@@ -139,18 +140,15 @@ def integer_defuzzify(
     fuzzy = np.asarray(fuzzy, dtype=np.int64)
     if fuzzy.ndim != 2 or fuzzy.shape[1] < 2:
         raise ValueError("fuzzy must be (n, L) with L >= 2")
-    if np.any(fuzzy < 0):
+    if fuzzy.size and fuzzy.min() < 0:
         raise ValueError("fuzzy values must be non-negative")
     if not 0 <= alpha_q16 <= (1 << ALPHA_FRAC_BITS):
         raise ValueError("alpha_q16 must encode an alpha in [0, 1]")
     order = np.sort(fuzzy, axis=1)
-    m1 = order[:, -1]
-    m2 = order[:, -2]
-    total = fuzzy.sum(axis=1)
-    confident = ((m1 - m2) << ALPHA_FRAC_BITS) >= alpha_q16 * total
-    alive = total > 0
-    winners = fuzzy.argmax(axis=1)
-    labels = np.where(alive & confident, winners, UNKNOWN_LABEL)
+    total = np.add.reduce(fuzzy, axis=1)
+    confident = ((order[:, -1] - order[:, -2]) << ALPHA_FRAC_BITS) >= alpha_q16 * total
+    confident &= total > 0
+    labels = np.where(confident, fuzzy.argmax(axis=1), UNKNOWN_LABEL)
     if counter is not None:
         n, n_classes = fuzzy.shape
         counter.add("cmp", n * (2 * n_classes))  # find M1, M2
@@ -219,14 +217,10 @@ class IntegerNFC:
         x = U[:, :, np.newaxis]
         if self.shape == "linear":
             grades = evaluate_linearized(
-                x,
-                self.centers[np.newaxis],
-                self.s_values[np.newaxis],
-                self.slope_inner_q16[np.newaxis],
-                self.slope_outer_q16[np.newaxis],
+                x, self.centers, self.s_values, self.slope_inner_q16, self.slope_outer_q16
             )
         else:
-            grades = evaluate_triangular(x, self.centers[np.newaxis], self.s_values[np.newaxis])
+            grades = evaluate_triangular(x, self.centers, self.s_values)
         if counter is not None:
             n = U.shape[0]
             per_mf = n * self.n_coefficients * self.n_classes

@@ -119,20 +119,19 @@ def evaluate_linearized(
     fixed-point multiply so every intermediate fits in 32 + 16 bits on
     the target, independent of how far an outlier coefficient lands.
     """
-    r = np.minimum(np.abs(x - center), 4 * s)
+    four_s = 4 * s
+    r = np.minimum(np.abs(x - center), four_s)
     # Every branch value is computed with the exact arithmetic the
     # segment-selected path used, then selected per element — no
     # boolean gather/scatter on the hot path.  The clamp above bounds
     # r * slope at 4S * slope < 2^35, so evaluating the inner product
-    # outside its own segment cannot overflow int64.
+    # outside its own segment cannot overflow int64.  Past 2S the
+    # grade is the floor test itself: 1 below 4S, 0 from there on.
     inner = GRADE_MAX - ((r * slope_inner_q16) >> SLOPE_FRAC_BITS)
     middle = GRADE_AT_S - (((r - s) * slope_outer_q16) >> SLOPE_FRAC_BITS)
-    grades = np.where(
-        r < s,
-        inner,
-        np.where(r < 2 * s, middle, np.where(r < 4 * s, np.int64(1), np.int64(0))),
-    )
-    return np.clip(grades, 0, GRADE_MAX)
+    grades = np.where(r < s, inner, np.where(r < 2 * s, middle, r < four_s))
+    np.maximum(grades, 0, out=grades)
+    return np.minimum(grades, GRADE_MAX, out=grades)
 
 
 def evaluate_triangular(x: np.ndarray, center: np.ndarray, s: np.ndarray) -> np.ndarray:

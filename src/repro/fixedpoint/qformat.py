@@ -26,7 +26,9 @@ def quantize(values: np.ndarray, scale: float) -> np.ndarray:
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return np.rint(np.asarray(values, dtype=float) * scale).astype(np.int64)
+    scaled = np.asarray(values, dtype=float) * scale
+    # Round and convert in one pass: rint writes its int64 output directly.
+    return np.rint(scaled, out=np.empty(scaled.shape, dtype=np.int64), casting="unsafe")
 
 
 def saturate(values: np.ndarray, bits: int, signed: bool = True) -> np.ndarray:
@@ -50,25 +52,29 @@ def fits(values: np.ndarray, bits: int, signed: bool = True) -> bool:
 
 
 def ilog2(values: np.ndarray) -> np.ndarray:
-    """Floor of log2 for positive integers (0 maps to -1).
+    """Floor of log2 for non-negative integers (0 maps to -1).
 
     ``ilog2(v)`` is the index of the most significant set bit — the
     quantity a WBSN CPU obtains with a count-leading-zeros instruction
     (or a short shift loop), used to compute the block-normalization
     shift of the fuzzification layer.
+
+    numpy has no CLZ; the binary exponent of ``np.frexp`` stands in for
+    it.  ``frexp`` writes ``v = m * 2**e`` with ``0.5 <= m < 1``, so
+    ``e - 1`` is the answer whenever ``v`` converts to float64 exactly,
+    i.e. below ``2**53``.  Above that, the conversion may round ``v``
+    up to the next power of two, one too high: clamping the result
+    ``r`` at 62 and subtracting 1 where ``1 << r > v`` corrects it,
+    exactly.  ``0`` has exponent 0, hence -1 (numpy defines the shift
+    by -1 as 0, so the check leaves it alone).
     """
     values = np.asarray(values, dtype=np.int64)
-    if np.any(values < 0):
+    if values.size and values.min() < 0:
         raise ValueError("ilog2 is defined for non-negative integers")
-    # Exact binary search on the bit position (no float log2, which
-    # loses precision above ~2^52).  Six masked halvings cover int64.
-    remaining = values.copy()
-    out = np.zeros(values.shape, dtype=np.int64)
-    for step in (32, 16, 8, 4, 2, 1):
-        big = remaining >= (np.int64(1) << step)
-        out[big] += step
-        remaining[big] >>= step
-    out[values == 0] = -1
+    out = np.empty(values.shape, dtype=np.int64)
+    np.subtract(np.frexp(values)[1], 1, out=out)
+    np.minimum(out, 62, out=out)
+    out -= (np.int64(1) << out) > values
     return out
 
 

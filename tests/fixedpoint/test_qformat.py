@@ -78,6 +78,46 @@ class TestIlog2:
             ilog2(np.array([-1]))
 
 
+def _ilog2_by_halving(values: np.ndarray) -> np.ndarray:
+    """The oracle: an exact binary search on the bit position, six
+    masked halvings over int64 (the form ``ilog2`` had before it took
+    its exponent from ``np.frexp``)."""
+    values = np.asarray(values, dtype=np.int64)
+    remaining = values.copy()
+    out = np.zeros(values.shape, dtype=np.int64)
+    for step in (32, 16, 8, 4, 2, 1):
+        big = remaining >= (np.int64(1) << step)
+        out[big] += step
+        remaining[big] >>= step
+    out[values == 0] = -1
+    return out
+
+
+class TestIlog2MatchesHalving:
+    """The ``np.frexp`` exponent equals the exact bit search on every
+    value where a float64 conversion can round: around each power of
+    two, at the int64 top and over the full range."""
+
+    def test_zero_powers_and_their_neighbours(self):
+        powers = np.int64(1) << np.arange(63, dtype=np.int64)
+        values = np.concatenate([[0, 2**63 - 1], powers, powers - 1, powers + 1])
+        np.testing.assert_array_equal(ilog2(values), _ilog2_by_halving(values))
+        assert ilog2(np.array([2**63 - 1]))[0] == 62
+
+    @pytest.mark.parametrize("high", [2**33, 2**63 - 1])
+    def test_random_values(self, high):
+        values = np.random.default_rng(high % 1000).integers(
+            0, high, size=100_000, dtype=np.int64, endpoint=True
+        )
+        np.testing.assert_array_equal(ilog2(values), _ilog2_by_halving(values))
+
+    def test_shape_and_dtype_follow_the_input(self):
+        assert ilog2(5).shape == () and int(ilog2(5)) == 2
+        assert ilog2(np.zeros((2, 3), dtype=np.int64)).shape == (2, 3)
+        assert ilog2(np.array([7])).dtype == np.int64
+        assert ilog2(np.array([], dtype=np.int64)).shape == (0,)
+
+
 class TestQConversions:
     def test_roundtrip(self):
         q = float_to_q(0.625, 16)
@@ -95,7 +135,7 @@ class TestQConversions:
 
 
 @settings(max_examples=100, deadline=None)
-@given(v=st.integers(1, 2**62))
+@given(v=st.integers(1, 2**63 - 1))
 def test_ilog2_definition(v):
     """Property: 2^ilog2(v) <= v < 2^(ilog2(v) + 1)."""
     e = int(ilog2(np.array([v]))[0])
