@@ -287,6 +287,9 @@ class ShardedGateway(MemberPool):
         self._errors: dict[str, Exception] = {}
         self._alerts: list[tuple[str, object]] = []
         self._summaries: dict[str, dict] = {}
+        # The take_* queues that have not been taken since the last
+        # drain: they can serve what that drain collected (see _catch_up).
+        self._untaken: set[str] = set()
         self.n_recoveries = 0
         self.n_sessions_recovered = 0
         self.n_respawns = 0
@@ -568,7 +571,7 @@ class ShardedGateway(MemberPool):
     @_healing
     def take_evicted(self) -> dict[str, list]:
         """Final event sequences of evicted sessions; clears the store."""
-        self._drain()
+        self._catch_up("evicted")
         evicted = self._evicted
         self._evicted = {}
         return evicted
@@ -577,7 +580,7 @@ class ShardedGateway(MemberPool):
     def take_alerts(self) -> list:
         """Closed ``(session_id, Episode)`` analytics alerts, fleet-wide;
         clears the queue."""
-        self._drain()
+        self._catch_up("alerts")
         alerts = self._alerts
         self._alerts = []
         return alerts
@@ -586,7 +589,7 @@ class ShardedGateway(MemberPool):
     def take_summaries(self) -> dict[str, dict]:
         """Final analytics summaries of closed/evicted sessions,
         fleet-wide; clears the store."""
-        self._drain()
+        self._catch_up("summaries")
         summaries = self._summaries
         self._summaries = {}
         return summaries
@@ -834,6 +837,19 @@ class ShardedGateway(MemberPool):
     def _drain(self) -> None:
         for index in range(self.workers):
             self._drain_one(index)
+        self._untaken = {"evicted", "alerts", "summaries"}
+
+    def _catch_up(self, queue: str) -> None:
+        """Bring one ``take_*`` queue up to date before it is taken.
+
+        The pipes are drained unless this queue has not been taken
+        since the last drain: a take then serves what that drain
+        collected.  So a served round — ``ingest_round``, which drains
+        before it routes, then the three takes — polls the pipes once,
+        and a take that follows its own queue's take drains again."""
+        if queue not in self._untaken:
+            self._drain()
+        self._untaken.discard(queue)
 
     def _drain_one(self, index: int) -> None:
         """Handle every response already waiting on one worker's pipe,

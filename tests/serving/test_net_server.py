@@ -703,6 +703,55 @@ class TestGatewayEviction:
         )
 
 
+class TestOneDrainPerRound:
+    def test_a_served_round_drains_the_worker_pipes_once(
+        self, embedded_classifier, fleet, standalone_events, assert_events_equal,
+    ):
+        """A served round is one ``ingest_round`` plus the server's
+        ``take_evicted`` / ``take_alerts`` / ``take_summaries``; the
+        takes share the round's own pipe drain, so a sharded pool polls
+        its worker pipes at most once per round (it used to be four
+        times: the round's drain and one per take)."""
+        streams, _ = fleet
+        with ShardedGateway(embedded_classifier, FS, workers=2, n_leads=1) as gateway:
+            counts = {"rounds": 0, "drains": 0}
+            ingest_round, drain = gateway.ingest_round, gateway._drain
+
+            def counted_round(items):
+                counts["rounds"] += 1
+                return ingest_round(items)
+
+            def counted_drain():
+                counts["drains"] += 1
+                drain()
+
+            gateway.ingest_round, gateway._drain = counted_round, counted_drain
+            handle = serve_in_thread(gateway)
+            events = {sid: [] for sid in streams}
+            try:
+                with GatewayClient(handle.host, handle.port, window=4) as client:
+                    for sid in streams:
+                        client.open_session(sid)
+                    n = min(len(signal) for signal in streams.values())
+                    for start in range(0, n, 90):
+                        for sid, signal in streams.items():
+                            events[sid] += client.ingest(sid, signal[start : start + 90])
+                    for sid in streams:  # a fence: every round has been served
+                        events[sid] += client.poll(sid)
+                    rounds, drains = counts["rounds"], counts["drains"]
+                    for sid in streams:
+                        events[sid] += client.close_session(sid)
+            finally:
+                handle.stop()
+            assert gateway.take_evicted() == {}
+        assert rounds >= n // 90
+        assert drains <= rounds
+        for sid, signal in streams.items():
+            assert_events_equal(
+                standalone_events(embedded_classifier, signal[:n], FS, 1), events[sid]
+            )
+
+
 class TestParkedSessions:
     """A dead connection's sessions stay open in the gateway, with no
     owner, until a ``RESUME`` adopts them."""
