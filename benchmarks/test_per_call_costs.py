@@ -15,12 +15,11 @@ and friends in ``extra_info``):
 * a ``StreamGateway.close_session`` of a churn-length session (30 s of
   ECG fed in 250 ms chunks, as the ``wire-churn`` workload feeds it).
 
-Each figure is the fastest of its rounds (state is rebuilt untimed
-before every timed call).  Nothing is asserted: the numbers move with
-the host, and the bit-exactness suites pin what these calls return.
+Each figure is the fastest of its rounds; the state a call consumes
+is rebuilt untimed before every round (the benchmark's ``setup``).
+Nothing is asserted: the numbers move with the host, and the
+bit-exactness suites pin what these calls return.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -38,18 +37,6 @@ CHUNK = 90
 def churn_stream():
     streams, _ = synthesize_fleet(1, 30.0, fs=FS, seed=5)
     return next(iter(streams.values()))
-
-
-def _timed(call, prepare, rounds: int) -> float:
-    """Fastest of ``rounds`` timed calls, in microseconds; ``prepare()``
-    builds each call's arguments untimed."""
-    best = float("inf")
-    for _ in range(rounds):
-        args = prepare()
-        start = time.perf_counter()
-        call(*args)
-        best = min(best, time.perf_counter() - start)
-    return best * 1e6
 
 
 @pytest.mark.parametrize("n_beats", [1, 64])
@@ -75,15 +62,12 @@ def test_deliver_rows_one_session(benchmark, bench_embedded_classifier, churn_st
     def prepare():
         restored = StreamingNode.restore(bench_embedded_classifier, snapshot)
         handles = [handle for handle, _ in restored.take_pending()]
-        return [restored], [list(zip(handles, labels))]
+        return ([restored], [list(zip(handles, labels))]), {}
 
-    us = _timed(StreamingNode.deliver_rows, prepare, rounds=30)
-    benchmark.pedantic(
-        StreamingNode.deliver_rows, setup=lambda: (prepare(), {}), rounds=10
-    )
+    benchmark.pedantic(StreamingNode.deliver_rows, setup=prepare, rounds=30)
     benchmark.extra_info["n_beats"] = len(labels)
     benchmark.extra_info["n_flagged"] = int(np.count_nonzero(labels != 0))
-    benchmark.extra_info["us_per_call"] = us
+    benchmark.extra_info["us_per_call"] = benchmark.stats.stats.min * 1e6
 
 
 def test_close_session_churn(benchmark, bench_embedded_classifier, churn_stream):
@@ -96,9 +80,8 @@ def test_close_session_churn(benchmark, bench_embedded_classifier, churn_stream)
         gateway.open_session("s")
         for i in range(0, churn_stream.size, CHUNK):
             gateway.ingest("s", churn_stream[i : i + CHUNK])
-        return gateway, "s"
+        return (gateway, "s"), {}
 
-    us = _timed(StreamGateway.close_session, prepare, rounds=10)
-    benchmark.pedantic(StreamGateway.close_session, setup=lambda: (prepare(), {}), rounds=5)
+    benchmark.pedantic(StreamGateway.close_session, setup=prepare, rounds=10)
     benchmark.extra_info["ecg_s"] = churn_stream.size / FS
-    benchmark.extra_info["us_per_call"] = us
+    benchmark.extra_info["us_per_call"] = benchmark.stats.stats.min * 1e6

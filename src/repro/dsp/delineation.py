@@ -484,8 +484,7 @@ def _masked_argmax(rows: np.ndarray, lo: np.ndarray, hi) -> np.ndarray:
     :func:`_boundary_after` window by window.
     """
     cols = np.arange(rows.shape[1])
-    hi_col = hi[:, np.newaxis] if isinstance(hi, np.ndarray) else hi
-    inside = (cols >= lo[:, np.newaxis]) & (cols < hi_col)
+    inside = (cols >= lo[:, np.newaxis]) & (cols < np.reshape(hi, (-1, 1)))
     idx = np.where(inside, rows, -np.inf).argmax(axis=1)
     return np.where(hi > lo, idx, -1)
 
@@ -570,7 +569,7 @@ def _locate_fiducials_batch(
             ].argmax(axis=1)
 
     p_lo, p_hi = _window_indices(local_peak, config.p_search, fs, L)
-    guard = previous + (int(round(PREVIOUS_BEAT_GUARD_S * fs)) - seg_lo)
+    guard = previous + int(round(PREVIOUS_BEAT_GUARD_S * fs)) - seg_lo
     p_start = np.where(previous >= 0, np.maximum(p_lo, guard), p_lo)
     t_lo, t_hi = _window_indices(local_peak, config.t_search, fs, L)
     t_start = np.full(k, t_lo, dtype=np.int64)
