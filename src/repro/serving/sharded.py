@@ -288,7 +288,8 @@ class ShardedGateway(MemberPool):
         self._alerts: list[tuple[str, object]] = []
         self._summaries: dict[str, dict] = {}
         # The take_* queues that have not been taken since the last
-        # drain: they can serve what that drain collected (see _catch_up).
+        # drain, while no call has gone to a worker since: they can
+        # serve what that drain collected (see _catch_up).
         self._untaken: set[str] = set()
         self.n_recoveries = 0
         self.n_sessions_recovered = 0
@@ -655,6 +656,7 @@ class ShardedGateway(MemberPool):
         worker, and gets the events still owed as its backlog.
         """
         self._check_open()
+        self._untaken.clear()
         dead = {i for i, proc in enumerate(self._procs) if not proc.is_alive()}
         if crashed is not None:
             dead.add(crashed)
@@ -822,6 +824,7 @@ class ShardedGateway(MemberPool):
         """Send one synchronous command; handle interleaved pipelined
         responses until this command's (FIFO-ordered) answer arrives."""
         op = request[0]
+        self._untaken.clear()  # later answers may wait on other pipes
         self._send(index, request)
         while True:
             response = self._recv(index)
@@ -843,10 +846,13 @@ class ShardedGateway(MemberPool):
         """Bring one ``take_*`` queue up to date before it is taken.
 
         The pipes are drained unless this queue has not been taken
-        since the last drain: a take then serves what that drain
-        collected.  So a served round — ``ingest_round``, which drains
-        before it routes, then the three takes — polls the pipes once,
-        and a take that follows its own queue's take drains again."""
+        since the last drain and no synchronous call has gone to a
+        worker since (:meth:`_request` and :meth:`_heal` reset it): a
+        take then serves what that drain collected.  So a served round
+        — ``ingest_round``, which drains before it routes, then the
+        three takes — polls the pipes once, and so do a close's three
+        takes; a take that follows its own queue's take, or any worker
+        call, drains again."""
         if queue not in self._untaken:
             self._drain()
         self._untaken.discard(queue)

@@ -9,6 +9,8 @@ has two per-session QoS levers:
   slow session and emits its complete, well-formed final event set.
 """
 
+import time
+
 import pytest
 
 from repro.ecg.synth import RecordSynthesizer, SynthesisConfig
@@ -236,6 +238,31 @@ class TestEviction:
             standalone_events(embedded_classifier, record, record.fs, 1, upto=fed),
             early + evicted["idle"],
         )
+
+    def test_a_take_after_a_worker_call_reads_every_pipe(
+        self, record, block, embedded_classifier
+    ):
+        """A take may serve the pipe drain of the ``ingest_round``
+        just before it, but not once a synchronous call has gone to a
+        worker since: an eviction notice the other worker sent
+        meanwhile is in ``take_evicted()``."""
+        with ShardedGateway(embedded_classifier, record.fs, workers=2) as gateway:
+            gateway.open_session("other", worker=0)
+            gateway.open_session("active", worker=1)
+            gateway.open_session("idle", worker=1, evict_after_ticks=1)
+            gateway.ingest("idle", record.signal[:block])
+            gateway.poll("active")  # worker 1's pipe is read up to here
+            # The round's tick evicts ``idle`` on worker 1; its drain
+            # ran before the chunk was shipped.
+            gateway.ingest_round([("active", record.signal[:block])])
+            gateway.poll("other")  # a synchronous call on worker 0
+            deadline = time.monotonic() + 30.0
+            while not gateway._poll_conn(1):  # worker 1 has answered
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            assert "idle" in gateway.take_evicted()
+            gateway.close_session("active")
+            gateway.close_session("other")
 
     def _evict_behind_the_parent(self, gateway, record, block):
         """Open ``active`` and ``idle`` (budget 1 tick) on worker 0 and
