@@ -18,13 +18,8 @@ few-beat MMD batches) low as well.  It backs
 :mod:`repro.dsp.mmd`.
 
 :class:`StreamingExtremum` is the incremental form: it carries the
-last ``m - 1`` inputs.  A push longer than that runs
-:func:`sliding_extremum` over ``[carry | block]``; a shorter one — the
-steady state of small ingest chunks — is one step of the van
-Herk–Gil-Werman recurrence: carry and block are two adjacent chunks,
-every window spans both, so its extremum is ``op(suffix extremum of
-the carry, prefix extremum of the block)``, two accumulations and one
-comparison per sample.  One row is one stream;
+last ``m - 1`` inputs and runs :func:`sliding_extremum` over
+``[carry | block]`` on each push.  One row is one stream;
 :meth:`StreamingExtremum.push_rows` advances many streams at once.
 Edge handling replicates the batch operators' edge-replicated centered
 window: the first sample is virtually replicated ``length // 2`` times
@@ -180,35 +175,11 @@ class StreamingExtremum:
             carry = first._carry[np.newaxis]
         else:
             carry = np.array([stage._carry for stage in stages])
-        s = m - 1
-        n = blocks.shape[1]
-        if n <= s:
-            op = np.maximum if first.maximum else np.minimum
-            out = _carried_extremum(carry, blocks, s, op)
-            carry = np.concatenate([carry, blocks], axis=1)[:, -s:]
-        else:
-            out = sliding_extremum(np.concatenate([carry, blocks], axis=1), m, first.maximum)
-            # A fresh array: the carry must not alias the caller's block.
-            carry = blocks[:, n - s :].copy()
+        ext = np.concatenate([carry, blocks], axis=1)
+        out = ext[:, :0] if ext.shape[1] < m else sliding_extremum(ext, m, first.maximum)
+        # A fresh array: the carry must not keep ``ext`` alive.
+        carry = ext[:, 1 - m :].copy()
         for stage, row in zip(stages, carry):
             stage._carry = row
         return out
 
-
-def _carried_extremum(carry: np.ndarray, block: np.ndarray, s: int, op) -> np.ndarray:
-    """Sliding extremum over ``s + 1``-sample windows of ``[carry | block]``
-    for a block of at most ``s`` samples (a short steady push).
-
-    One step of the vHGW recurrence: the carry (at most ``s`` samples)
-    and the block are two adjacent chunks, and a window spans both, so
-    it is ``op(suffix extremum of the carry, prefix extremum of the
-    block)``.  Rows are independent.  Returns the ``carry + block - s``
-    outputs per row (none during warm-up).
-    """
-    n = block.shape[1]
-    # Windows ending at block index < lead would start before the carry.
-    lead = s - carry.shape[1]
-    if n <= lead:
-        return block[:, :0]
-    tail = op.accumulate(carry[:, ::-1], axis=1)[:, ::-1]
-    return op(tail[:, : n - lead], op.accumulate(block, axis=1)[:, lead:])

@@ -17,8 +17,8 @@ from repro.dsp.streaming import BlockFilter
 from repro.dsp.wavelet import StreamingWavelet
 
 FS = 360.0
-#: Window lengths of the test cascade: the vHGW path (> 16, with pushes
-#: shorter and longer than a window) and the short shifted-slice path.
+#: Window lengths of the test cascade: long windows (with pushes
+#: shorter and longer than a window) and short ones.
 CASCADE = ((109, False), (73, True), (5, False), (5, True))
 LONGEST = 109
 
