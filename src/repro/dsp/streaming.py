@@ -654,18 +654,20 @@ class StreamingNode:
         self._chop = max(1, int(round(fs)))
         # The delineator's buffer is the node's one signal buffer: it
         # also serves the classifier windows, so its lookback covers a
-        # detector window plus a beat window behind the live edge.
-        keep = self._detector.window + self.window.length + 3 * self._chop
+        # detector window plus a beat window behind the live edge, and
+        # three seconds of slack.
+        slack = 3 * self._chop
+        keep = self._detector.window + self.window.length + slack
         self._delineator = StreamingDelineator(
             fs, config=delineation_config, lookback_s=keep / fs
         )
         # A stream end runs the last stashed samples together with the
         # filter tails as one pass (see _end_input).  That pass stays
-        # within the lookback's three seconds of slack past a detector
-        # window, less the filter tail and the wavelet's column lag, so
-        # every peak it confirms still has its left context buffered.
+        # within the lookback's slack, less the filter tail and the
+        # wavelet's column lag, so every peak it confirms still has its
+        # left context buffered.
         tails = self._filters[0].context + scale_delay(self._detector.wavelet.n_scales)
-        self._end_span = max(0, 3 * self._chop - tails)
+        self._end_span = max(0, slack - tails)
         self._count = 0  # filtered samples consumed so far
         self._origin = 0  # absolute index where the current stream began
         self._queue: deque[_PendingBeat] = deque()
