@@ -1,5 +1,7 @@
 """Tests for the multi-record / multi-stream batch serving layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,21 @@ class TestClassifyStreams:
     def test_invalid_decimation_rejected(self, embedded_classifier):
         with pytest.raises(ValueError):
             classify_streams(embedded_classifier, [np.zeros(10)], 360.0, decimation=0)
+
+    def test_memory_stays_below_the_stream(self, embedded_classifier):
+        """Serving a 10-minute stream holds a bounded window of it, not
+        a filtered copy of the whole signal: the traced peak stays
+        below the stream's own size."""
+        lead = RecordSynthesizer(SynthesisConfig(n_leads=1), seed=34).synthesize(60.0).lead(0)
+        stream = np.tile(lead, 10)
+        tracemalloc.start()
+        try:
+            results = classify_streams(embedded_classifier, [stream], 360.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results[0].n_beats > 600  # ten minutes of ~77 bpm rhythm
+        assert peak < stream.nbytes, f"traced peak {peak} B >= stream {stream.nbytes} B"
 
 
 @pytest.fixture(scope="module")
