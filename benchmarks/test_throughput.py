@@ -14,9 +14,10 @@ record these over time):
   the per-beat loop took ~115 ms for ~160 beats; the batched kernel
   ~80 ms, bit-exact);
 * multi-record node simulation and fleet-batched stream
-  classification, plus the row-pass batch engine vs a per-stream
-  ``BlockFilter.push`` / ``StreamingPeakDetector.push`` loop over the
-  same streams (bit-exact; >= 1.5x asserted under
+  classification, plus the batch engine (a round-robin replay through
+  ``StreamGateway``, which also delineates flagged beats) vs a
+  per-stream ``BlockFilter.push`` / ``StreamingPeakDetector.push`` loop
+  over the same streams (bit-exact; >= 1.5x asserted under
   ``REPRO_BENCH_ASSERT_SHARDED=1``);
 * the session gateway vs per-beat classification of the same live
   sessions (the batched-classifier amortization of ``StreamGateway``;
@@ -219,9 +220,11 @@ def fleet_streams_60s():
 def test_classify_streams_rows_vs_per_stream(
     benchmark, bench_embedded_classifier, fleet_streams_60s
 ):
-    """Row-pass batch engine vs the per-stream loop on 8 × 60 s.
+    """Batch engine (a gateway replay) vs the per-stream loop on 8 × 60 s.
 
-    Results must be bit-exact.  The speedup over the reference is
+    The replay runs the front end as the gateway's row passes over
+    every session and delineates the flagged beats as well; the
+    reference does neither.  Results must be bit-exact.  The speedup over the reference is
     recorded in ``extra_info``; the ">= 1.5x" assertion is opt-in via
     ``REPRO_BENCH_ASSERT_SHARDED=1`` (wall-clock ratios on small
     shared runners are too noisy to gate a ``-x`` suite on).

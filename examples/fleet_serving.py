@@ -7,14 +7,16 @@ top of the incremental streaming engine:
    simulated patient, different seeds and PVC burdens);
 2. ``simulate_records`` — replay every record through the WBSN node
    model and print the fleet-level real-time / radio report;
-3. ``classify_streams`` — run the O(n) incremental front end
-   (``BlockFilter`` + ``StreamingPeakDetector``) over every stream in
-   ADC-sized blocks, as one row pass per block over all streams, then
-   classify the beats of the whole fleet in one batched projection +
-   fuzzification pass.
+3. ``classify_streams`` — replay every complete stream through a
+   ``StreamGateway`` as one session each, in ADC-sized blocks: the
+   O(n) incremental front end runs as row passes over all sessions
+   and the beats are classified in batched projection +
+   fuzzification passes, in memory bounded by the sessions' sliding
+   windows rather than by the records' lengths.
 
-With ``--gateway``, a third section serves the same fleet as
-*concurrently live sessions* through a ``StreamGateway``: every
+With ``--gateway``, a third section serves the same fleet, all three
+leads, as *concurrently live sessions* through a ``StreamGateway``
+and prints the same per-patient counts as step 3: every
 patient's stream is ingested in small interleaved chunks, pending
 beats from all sessions queue in one cross-session batch, and each
 flush classifies them in a single batched pass — per-session events
@@ -148,11 +150,8 @@ def main() -> None:
             start = time.perf_counter()
             events = serve_round_robin(gateway, streams, chunk)
             elapsed = time.perf_counter() - start
-            if sharded:
-                stats = gateway.stats()
-                n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
-            else:
-                n_classified, n_flushes = gateway.n_classified, gateway.n_flushes
+            stats = gateway.stats()
+        n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
         for record in records:
             session = events[record.name]
             flagged = sum(1 for e in session if e.flagged)

@@ -272,19 +272,17 @@ def cmd_serve(args) -> int:
         elapsed = time.perf_counter() - start
         if profiler is not None:
             profiler.disable()
-        if sharded:
-            stats = gateway.stats()
-            n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
-            if journal is not None:
-                print(
-                    "  journal: file store at "
-                    f"{args.journal}, snapshot every {args.snapshot_every} "
-                    f"chunks; {stats['respawns']} worker respawns, "
-                    f"{stats['sessions_recovered']} sessions recovered"
-                )
-        else:
-            n_classified, n_flushes = gateway.n_classified, gateway.n_flushes
-        rollup = gateway.stats().get("analytics") if args.analytics else None
+        stats = gateway.stats()
+        n_classified, n_flushes = stats["n_classified"], stats["n_flushes"]
+        if sharded and journal is not None:
+            # Only a sharded pool heals, so only it has these counters.
+            print(
+                "  journal: file store at "
+                f"{args.journal}, snapshot every {args.snapshot_every} "
+                f"chunks; {stats['respawns']} worker respawns, "
+                f"{stats['sessions_recovered']} sessions recovered"
+            )
+        rollup = stats.get("analytics") if args.analytics else None
         summaries = dict(gateway.take_summaries()) if args.analytics else {}
 
     for record in records:

@@ -552,8 +552,8 @@ class StreamingNode:
 
     Over a completed stream the events are bit-exact with running the
     same stages at record scale: peaks match the streaming front end
-    (:class:`BlockFilter` + :class:`StreamingPeakDetector`, the pair
-    ``repro.serving.classify_streams`` runs) kept by segmentation,
+    (:class:`BlockFilter` + :class:`StreamingPeakDetector` pushed
+    block by block) kept by segmentation,
     labels match one batched ``classifier.predict`` over the
     segmented, decimated beats, and fiducials of flagged beats match
     :func:`~repro.dsp.delineation.delineate_multilead` on the filtered

@@ -6,10 +6,9 @@ end — the roadmap's heavy-traffic scenario — serves *many* nodes at
 once; this package is that workload's engine, in two shapes:
 
 * **Batch** (:mod:`repro.serving.engine`): :func:`classify_streams`
-  runs complete streams through the streaming front end as one row
-  pass per block over every stream, then one fleet-wide classifier
-  pass; :func:`simulate_records` replays records through the node
-  model.  :class:`FleetTrace` / :class:`StreamResult`
+  replays complete streams through a :class:`StreamGateway` (the live
+  shape below) as one session each, in bounded memory;
+  :func:`simulate_records` replays records through the node model.  :class:`FleetTrace` / :class:`StreamResult`
   (:mod:`repro.serving.results`) are their outputs.
 * **Live** (:mod:`repro.serving.gateway`): :class:`StreamGateway`
   multiplexes many concurrently open streaming sessions —

@@ -4,29 +4,24 @@ The per-record APIs (:meth:`repro.platform.node_sim.NodeSimulator.process_record
 the :mod:`repro.dsp.streaming` classes) model one WBSN node; this
 module serves *many* nodes at once.
 
-* :func:`classify_streams` drives every stream through the streaming
-  front end block by block, as **one 2-D row pass per block** over all
-  streams (:meth:`BlockFilter.push_rows`,
-  :meth:`StreamingWavelet.push_rows`), then makes **one fleet-wide
-  classifier pass**.  Each stream's result is byte-identical to
-  pushing that stream alone through its own filter and detector.
+* :func:`classify_streams` replays complete streams through a
+  :class:`~repro.serving.gateway.StreamGateway` as interleaved live
+  sessions (:func:`~repro.serving.gateway.serve_round_robin`), so the
+  gateway's row passes and batched classifier passes serve batch
+  traffic too.  Each stream's result is byte-identical to pushing
+  that stream alone through its own filter and detector, and memory
+  stays bounded by the sessions' sliding windows.
 * :func:`simulate_records` replays records through the op-counting
   node model, one after another.
-
-For *live* sessions feeding data in chunks, see
-:class:`repro.serving.gateway.StreamGateway`, which runs the same row
-passes per gateway tick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.streaming import BlockFilter, StreamingPeakDetector
-from repro.dsp.wavelet import StreamingWavelet
-from repro.ecg.resample import decimate_beats
-from repro.ecg.segmentation import BeatWindow, segment_beats
+from repro.ecg.segmentation import BeatWindow
 from repro.platform.node_sim import NodeSimulator
+from repro.serving.gateway import StreamGateway, serve_round_robin
 from repro.serving.results import FleetTrace, StreamResult
 
 __all__ = ["classify_streams", "simulate_records"]
@@ -63,15 +58,16 @@ def classify_streams(
     window: BeatWindow | None = None,
     config=None,
 ) -> list[StreamResult]:
-    """Run the streaming front end over many streams; classify once.
+    """Classify every beat of many complete streams.
 
-    Every stream has its own :class:`BlockFilter` and
-    :class:`StreamingPeakDetector`, fed ``block_s`` blocks.  At each
-    block start the live streams are grouped by block length (only
-    stream tails differ); each group runs one filter row pass, and one
-    wavelet row pass once its transforms are all steady (per row
-    before that).  Beats are segmented per stream and the classifier
-    sees one beat matrix for the whole fleet.
+    A replay: each stream becomes one session of a
+    :class:`~repro.serving.gateway.StreamGateway`, fed ``block_s``
+    chunks round-robin by
+    :func:`~repro.serving.gateway.serve_round_robin`.  Each stream's
+    peaks and labels are those of pushing it alone through its own
+    filter and detector, segmenting the filtered signal and
+    classifying its beats, while memory stays bounded by the
+    sessions' sliding windows rather than by the streams' lengths.
 
     Parameters
     ----------
@@ -101,64 +97,17 @@ def classify_streams(
         raise ValueError("sampling frequency must be positive")
     if block_s <= 0:
         raise ValueError("block_s must be positive")
-    if decimation < 1:
-        raise ValueError("decimation must be >= 1")
-    block = max(1, int(round(block_s * fs)))
-    window = window or BeatWindow(100, 100)
-    arrays = []
-    for stream in streams:
-        x = np.asarray(stream, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("streams must be 1-D sample arrays")
-        if not np.isfinite(x).all():
-            raise ValueError("streams must hold finite samples")
-        arrays.append(x)
-
-    filters = [BlockFilter(fs) for _ in arrays]
-    detectors = [StreamingPeakDetector(fs, config=config) for _ in arrays]
-    filtered: list[list[np.ndarray]] = [[] for _ in arrays]
-    for start in range(0, max((x.size for x in arrays), default=0), block):
-        groups: dict[int, list[int]] = {}
-        for r, x in enumerate(arrays):
-            if x.size > start:
-                groups.setdefault(min(block, x.size - start), []).append(r)
-        for n, rows in groups.items():
-            out = BlockFilter.push_rows(
-                [filters[r] for r in rows], np.stack([arrays[r][start : start + n] for r in rows])
-            )
-            if not out.shape[1]:
-                continue
-            wavelets = [detectors[r].wavelet for r in rows]
-            if len(rows) > 1 and all(w.steady for w in wavelets):
-                columns = StreamingWavelet.push_rows(wavelets, out)
-            else:
-                columns = [w.push(row) for w, row in zip(wavelets, out)]
-            for r, row, cols in zip(rows, out, columns):
-                filtered[r].append(row)
-                detectors[r].push_columns(row.size, cols)
-
-    per_stream_peaks: list[np.ndarray] = []
-    per_stream_beats: list[np.ndarray] = []
-    for block_filter, detector, parts in zip(filters, detectors, filtered):
-        tail = block_filter.flush()
-        if tail.size:
-            parts.append(tail)
-            detector.push(tail)
-        detector.flush()
-        signal = np.concatenate(parts) if parts else np.empty(0)
-        beats, kept = segment_beats(signal, detector.peaks, window)
-        per_stream_peaks.append(detector.peaks[kept])
-        per_stream_beats.append(beats)
-
-    counts = [b.shape[0] for b in per_stream_beats]
-    if sum(counts):
-        stacked = np.vstack([b for b in per_stream_beats if b.shape[0]])
-        stacked_ds, _ = decimate_beats(stacked, window, decimation)
-        labels = np.asarray(classifier.predict(stacked_ds))
-    else:
-        labels = np.empty(0, dtype=np.int64)
-    bounds = np.cumsum([0, *counts])
+    arrays = [np.asarray(stream) for stream in streams]
+    if any(x.ndim != 1 for x in arrays):
+        raise ValueError("streams must be 1-D sample arrays")
+    gateway = StreamGateway(
+        classifier, fs, decimation=decimation, window=window, detector_config=config
+    )
+    events = serve_round_robin(gateway, enumerate(arrays), max(1, round(block_s * fs)))
     return [
-        StreamResult(peaks=peaks, labels=labels[lo:hi])
-        for peaks, lo, hi in zip(per_stream_peaks, bounds[:-1], bounds[1:])
+        StreamResult(
+            peaks=np.array([e.peak for e in evs], dtype=np.int64),
+            labels=np.array([e.label for e in evs], dtype=np.int64),
+        )
+        for evs in events.values()
     ]

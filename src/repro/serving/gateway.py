@@ -1,9 +1,9 @@
 """Session gateway: many live streaming sessions, one batched classifier.
 
-:func:`~repro.serving.engine.classify_streams` serves *complete*
-records/streams; a real fleet is a set of concurrently **live**
-sessions, each feeding small chunks at its own pace.  This module is
-that ingestion layer:
+A real fleet is a set of concurrently **live** sessions, each feeding
+small chunks at its own pace.  This module is that ingestion layer,
+and :func:`~repro.serving.engine.classify_streams` replays *complete*
+streams through it too:
 
 * :class:`StreamGateway` — ``open_session(id)`` / ``ingest(id, chunk)``
   / ``close_session(id)``.  Each session is a
@@ -19,8 +19,7 @@ that ingestion layer:
   :class:`~repro.dsp.streaming.StreamBeatEvent` objects back to their
   sessions.  That amortization (one projection + fuzzification pass
   for dozens of beats instead of one per beat) is where the batched
-  classifier earns its keep under live load, exactly as it does for
-  the batch engine.
+  classifier earns its keep under live load.
 * :class:`BeatBatch` — the cross-session accumulator, exposed for
   callers that want to drive their own flush policy.
 
@@ -28,7 +27,8 @@ Every session's event sequence is **bit-exact** with running its
 chunks through a standalone inline-mode ``StreamingNode`` — invariant
 to chunk sizes, session interleaving order and batch-flush boundaries
 (exact by construction for the integer classifier, whose rows are
-independent; the float caveat of :mod:`repro.serving.engine` applies).
+independent; a float pipeline's matrix product may round differently
+with the batch size, depending on the BLAS).
 
 Sessions migrate: :meth:`StreamGateway.release_session` captures a
 live session as a picklable :class:`SessionExport`
@@ -913,12 +913,13 @@ def serve_round_robin(
 ) -> dict[str, list[StreamBeatEvent]]:
     """Replay complete streams through a gateway as interleaved live sessions.
 
-    The canonical gateway driver (the ``repro serve`` CLI, the fleet
-    example and the throughput benchmark all use it): opens one
-    session per stream, ingests ``chunk``-sample slices round-robin
-    until every stream is exhausted, closes the sessions, and returns
-    each session's complete event sequence.  Each pass is one
-    ``ingest_round`` call; a session surface without one (the wire
+    The canonical gateway driver (the batch
+    :func:`~repro.serving.engine.classify_streams`, the ``repro serve``
+    CLI, the fleet example and the throughput benchmark all use it):
+    opens one session per stream, ingests ``chunk``-sample slices
+    round-robin until every stream is exhausted, closes the sessions,
+    and returns each session's complete event sequence.  Each pass is
+    one ``ingest_round`` call; a session surface without one (the wire
     client) gets one ``ingest`` per slice instead.
 
     Parameters

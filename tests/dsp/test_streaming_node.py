@@ -2,7 +2,8 @@
 
 Over a completed stream the node's events must be bit-exact with
 running the same stages at record scale — streaming front end (the
-pair ``classify_streams`` uses), one batched classification, per-beat
+per-stream ``BlockFilter`` / ``StreamingPeakDetector`` pair of
+``tests/stream_reference.py``), one batched classification, per-beat
 multi-lead delineation of flagged beats with the previous kept peak as
 guard — and invariant to how the stream is chunked.
 """

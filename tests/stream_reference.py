@@ -1,8 +1,10 @@
 """Per-stream reference for the batch engine's equality checks.
 
 ``reference_classify_streams`` runs each stream through its own
-``BlockFilter.push`` / ``StreamingPeakDetector.push`` loop, the shape
-``classify_streams`` had before its row passes.  The tier-1 tests in
+``BlockFilter.push`` / ``StreamingPeakDetector.push`` loop, segments
+the whole filtered signal and classifies every beat in one pass: an
+implementation independent of ``classify_streams``, which replays the
+streams as gateway sessions.  The tier-1 tests in
 ``tests/test_serving.py`` and the throughput benchmark both compare
 ``classify_streams`` against it.  Kept free of test-only dependencies
 so a benchmark job can import it.

@@ -163,6 +163,7 @@ class TestClassifyStreams:
         below the stream's own size."""
         lead = RecordSynthesizer(SynthesisConfig(n_leads=1), seed=34).synthesize(60.0).lead(0)
         stream = np.tile(lead, 10)
+        classify_streams(embedded_classifier, [lead], 360.0)  # lazy imports load untraced
         tracemalloc.start()
         try:
             results = classify_streams(embedded_classifier, [stream], 360.0)
